@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .common import InputError
+from .common import InputError, check_positive
 
 
 class Verdict(str, Enum):
@@ -66,8 +66,7 @@ def tail_verdict(series: Sequence[float], window: int, tol: float) -> tuple[Verd
     Returns (verdict, tail_max). PASS below tol, FAIL at or above 2*tol,
     INCONCLUSIVE in between.
     """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    check_positive("tol", tol)
     tail = series[len(series) - window:]
     m = max(tail)
     if m < tol:

@@ -102,17 +102,14 @@ def _parse_space(obj: Any) -> MetricSpace:
 def _parse_points(space: MetricSpace, raw: Any, where: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: points must be a nonempty list")
-    out = []
     for p in raw:
         if space.mode == EUCLIDEAN:
             if not isinstance(p, list):
                 raise InputError(f"{where}: euclidean point must be a coordinate list, got {p!r}")
-            out.append(tuple(float(c) for c in p))
         else:
             if not isinstance(p, int):
                 raise InputError(f"{where}: finite-space point must be an integer index, got {p!r}")
-            out.append(p)
-    return out
+    return raw
 
 
 def _parse_fuzzy(space: MetricSpace, obj: Any) -> tuple[str, StepFuzzySet]:
@@ -254,11 +251,7 @@ def document_to_json(doc: Document) -> dict:
     for name, u in doc.fuzzy_sets.items():
         levels = []
         for a, cut in u.levels:
-            if doc.space.mode == EUCLIDEAN:
-                pts = [list(p.coords) for p in cut.points]
-            else:
-                pts = [p.index for p in cut.points]
-            levels.append({"alpha": a, "points": pts})
+            levels.append({"alpha": a, "points": cut.array.tolist()})
         fuzzy_objs.append({"name": name, "levels": levels})
     family_objs = [
         {"name": name, "members": list(fam.names)} for name, fam in doc.families.items()

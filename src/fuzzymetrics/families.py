@@ -21,7 +21,7 @@ from .certificates import (
     combine_verdicts,
     trend_verdict,
 )
-from .common import InputError, fmt
+from .common import InputError, check_positive, fmt
 from .fuzzy import StepFuzzySet, alpha_cut, same_representation, support
 from .metrics import endograph_metric, sendograph_metric
 from .sets import FiniteSet, covering_number, hausdorff, union_family
@@ -96,8 +96,7 @@ def tb_end_report(
     prefix unions: FAIL when strictly increasing over the last window, PASS
     when stabilized. Untagged families PASS with the union net size recorded.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    check_positive("eps", eps)
     alphas = tuple(float(a) for a in alphas)
     for a in alphas:
         if not 0.0 < a <= 1.0:
@@ -125,8 +124,7 @@ def tb_end_report(
 def tb_send_report(family: FuzzyFamily, eps: float, window: int | None = None) -> Certificate:
     """Total-boundedness evidence for the sendograph metric: greedy net sizes
     of the union of member supports (the 0-cuts), same stabilization rule."""
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    check_positive("eps", eps)
     supports = [support(u) for u in family.members]
     window = check_window(len(family.members), window)
     if family.generator is not None:
@@ -166,8 +164,7 @@ def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> C
 
     Generator-tagged families FAIL when the modulus series is strictly
     decreasing over the last window (tending to 0 along the parameter)."""
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    check_positive("eps", eps)
     moduli = tuple(_member_modulus(u, eps) for u in family.members)
     window = check_window(len(family.members), window)
     if family.generator is not None:
@@ -233,8 +230,7 @@ def closedness_witness(
         dist = sendograph_metric
     else:
         raise InputError(f"metric must be 'end' or 'send', got {metric!r}")
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    check_positive("tol", tol)
     if candidate.space != family.members[0].space:
         raise InputError("candidate lives in a different space")
     distances = tuple(dist(candidate, u) for u in family.members)

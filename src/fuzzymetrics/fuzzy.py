@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .common import TOL, InputError
-from .sets import FiniteSet, finite_set, hausdorff, union_family
+from .sets import FiniteSet, directed_hausdorff, finite_set, hausdorff
 from .space import MetricSpace, Point
 
 # Sorted ascending tuple of levels in (0,1).
@@ -48,12 +48,13 @@ class StepFuzzySet:
     @cached_property
     def support_memberships(self) -> np.ndarray:
         """Membership value of every support point, aligned with support order."""
-        supp = self.levels[-1][1]
-        return np.asarray([membership(self, p) for p in supp.points], dtype=float)
+        out = memberships(self, self.levels[-1][1].array)
+        out.flags.writeable = False
+        return out
 
 
 def _is_subset(a: FiniteSet, b: FiniteSet) -> bool:
-    return all(b.contains(p) for p in a.points)
+    return directed_hausdorff(a, b) <= TOL
 
 
 def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
@@ -94,13 +95,19 @@ def crisp(space: MetricSpace, points) -> StepFuzzySet:
     return make_fuzzy([(1.0, finite_set(space, points))])
 
 
+def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
+    """Membership value at each point of a point array: the highest stored
+    level whose cut contains it, 0 outside every cut. One pass over the
+    levels from the lowest up, each level overwriting the lower ones."""
+    out = np.zeros(len(points))
+    for a, cut in reversed(u.levels):
+        out[cut.gaps(points) <= TOL] = a
+    return out
+
+
 def membership(u: StepFuzzySet, x: Point) -> float:
     """Membership value at x: the highest stored level whose cut contains x."""
-    u.space.check_point(x)
-    for a, cut in u.levels:
-        if cut.contains(x):
-            return a
-    return 0.0
+    return float(memberships(u, u.space.point_array([x]))[0])
 
 
 def alpha_cut(u: StepFuzzySet, alpha: float) -> FiniteSet:
@@ -185,8 +192,3 @@ def same_representation(u: StepFuzzySet, v: StepFuzzySet, tol: float = TOL) -> b
         if not (_is_subset(cut_u, cut_v) and _is_subset(cut_v, cut_u)):
             return False
     return True
-
-
-def union_support(us: Sequence[StepFuzzySet]) -> FiniteSet:
-    """Union of the supports of several fuzzy sets."""
-    return union_family([support(u) for u in us])

@@ -54,21 +54,11 @@ def collapse_family(
     _require_euclidean(space)
     if count < 1:
         raise InputError("count must be >= 1")
-    p_base = _axis_point(space, base)
-    p_far = _axis_point(space, far)
-    members = []
-    for n in range(1, count + 1):
-        if n == 1:
-            members.append(crisp(space, [p_base, p_far]))
-        else:
-            members.append(
-                make_fuzzy(
-                    [
-                        (1.0, finite_set(space, [p_base])),
-                        (1.0 / n, finite_set(space, [p_base, p_far])),
-                    ]
-                )
-            )
+    # cuts are immutable, so every member shares the same two
+    core = finite_set(space, [_axis_point(space, base)])
+    pair = finite_set(space, [_axis_point(space, base), _axis_point(space, far)])
+    members = [make_fuzzy([(1.0, pair)])]
+    members += [make_fuzzy([(1.0, core), (1.0 / n, pair)]) for n in range(2, count + 1)]
     names = [f"c[{n}]" for n in range(1, count + 1)]
     params = tuple(1.0 / n for n in range(1, count + 1))
     return fuzzy_family(members, names, GeneratorTag("collapse", params))
@@ -166,16 +156,13 @@ def contracting_sequence(limit: StepFuzzySet, count: int, scale: float = 0.02) -
         raise InputError("count must be >= 1")
     space = limit.space
     supp = support(limit)
-    center = np.asarray([p.coords for p in supp.points], dtype=float).mean(axis=0)
+    center = supp.array.mean(axis=0)
     out = []
     for n in range(1, count + 1):
         t = scale / n
         levels = []
         for a, cut in limit.levels:
-            moved = [
-                tuple(float(c + t * (m - c)) for c, m in zip(p.coords, center))
-                for p in cut.points
-            ]
+            moved = cut.array + t * (center - cut.array)
             levels.append((a, finite_set(space, moved)))
         out.append(make_fuzzy(levels))
     return out

@@ -24,6 +24,7 @@ metric, so closed form and oracle must agree within twice the resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ from .common import InputError, fmt
 from .fuzzy import (
     StepFuzzySet,
     alpha_cut,
-    membership,
+    memberships,
     platform_points,
     strict_cut_closure,
     support,
@@ -57,7 +58,7 @@ def _directed_graph_distance(u: StepFuzzySet, v: StepFuzzySet, truncate: bool) -
     su, sv = support(u), support(v)
     mu = u.support_memberships
     mv = v.support_memberships
-    d = dist_matrix(u.space, su.points, sv.points)
+    d = dist_matrix(u.space, su.array, sv.array)
     inner = (d + np.maximum(0.0, mu[:, None] - mv[None, :])).min(axis=1)
     if truncate:
         inner = np.minimum(mu, inner)
@@ -90,10 +91,7 @@ def _check_resolution(resolution: float) -> None:
 def _top_indices(u: StepFuzzySet, bases: FiniteSet, resolution: float) -> np.ndarray:
     """Index of the highest sample k with k*resolution <= membership, per base
     point (within 1e-9 slack against float division fuzz)."""
-    return np.asarray(
-        [int(np.floor(membership(u, p) / resolution + 1e-9)) for p in bases.points],
-        dtype=int,
-    )
+    return np.floor(memberships(u, bases.array) / resolution + 1e-9).astype(int)
 
 
 def _directed_sampled(k_src: np.ndarray, k_tgt: np.ndarray, d: np.ndarray, resolution: float) -> float:
@@ -128,7 +126,7 @@ def endograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> flo
     bases = union_family([support(u), support(v)])
     ku = _top_indices(u, bases, resolution)
     kv = _top_indices(v, bases, resolution)
-    d = dist_matrix(u.space, bases.points, bases.points)
+    d = dist_matrix(u.space, bases.array, bases.array)
     return max(
         _directed_sampled(ku, kv, d, resolution),
         _directed_sampled(kv, ku, d, resolution),
@@ -142,7 +140,7 @@ def sendograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> fl
     su, sv = support(u), support(v)
     ku = _top_indices(u, su, resolution)
     kv = _top_indices(v, sv, resolution)
-    d = dist_matrix(u.space, su.points, sv.points)
+    d = dist_matrix(u.space, su.array, sv.array)
     return max(
         _directed_sampled(ku, kv, d, resolution),
         _directed_sampled(kv, ku, d.T, resolution),
@@ -216,6 +214,8 @@ def levelwise_profile(
     With no explicit alphas the default grid avoiding the limit's platform
     levels is used. In necessity mode explicit alphas colliding with a
     platform level of the limit are rejected, naming the colliding alpha.
+    A cut map changes only at stored levels, so each distinct (member cut,
+    limit cut) pair is measured once.
     """
     if not seq:
         raise InputError("empty sequence")
@@ -223,11 +223,12 @@ def levelwise_profile(
         _check_same_space(u, limit)
     alphas = _validated_alphas(alphas, limit, necessity)
     window = check_window(len(seq), window)
+    dist = cache(hausdorff)
     distances = []
     verdicts = []
     for a in alphas:
         cut_lim = alpha_cut(limit, a)
-        series = tuple(hausdorff(alpha_cut(u, a), cut_lim) for u in seq)
+        series = tuple(dist(alpha_cut(u, a), cut_lim) for u in seq)
         v, _ = tail_verdict(series, window, tol)
         distances.append(series)
         verdicts.append(v)
@@ -269,21 +270,24 @@ def gamma_diagnostic(
     tol: float = 1e-3,
 ) -> GammaDiagnostic:
     """Per-level sandwich tails; platform collisions are allowed here since
-    the sandwich holds at every level."""
+    the sandwich holds at every level. Each distinct pair of cuts is measured
+    once."""
     if not seq:
         raise InputError("empty sequence")
     for u in seq:
         _check_same_space(u, limit)
     alphas = _validated_alphas(alphas, limit, necessity=False)
     window = check_window(len(seq), window)
+    directed = cache(directed_hausdorff)
     deficits = []
     excesses = []
     verdicts = []
     for a in alphas:
         inner = strict_cut_closure(limit, a)
         outer = alpha_cut(limit, a)
-        d_series = tuple(directed_hausdorff(inner, alpha_cut(u, a)) for u in seq)
-        e_series = tuple(directed_hausdorff(alpha_cut(u, a), outer) for u in seq)
+        cuts = [alpha_cut(u, a) for u in seq]
+        d_series = tuple(directed(inner, c) for c in cuts)
+        e_series = tuple(directed(c, outer) for c in cuts)
         _, m1 = tail_verdict(d_series, window, tol)
         _, m2 = tail_verdict(e_series, window, tol)
         v, _ = tail_verdict((max(m1, m2),), 1, tol)

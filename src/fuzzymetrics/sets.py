@@ -1,15 +1,13 @@
 """Finite compact-set surrogates and the Hausdorff machinery on them.
 
-FiniteSet is a nonempty deduplicated point list standing in for a nonempty
+FiniteSet is a nonempty deduplicated point array standing in for a nonempty
 compact subset of the space. On such sets the Hausdorff metric, greedy
 eps-nets, set-sequence tail diagnostics and the constructive Cauchy limit are
-all exactly computable.
+all exactly computable. Every distance comes from `space.dist_matrix`.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -17,52 +15,54 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .certificates import Verdict, check_window, tail_verdict
-from .common import TOL, InputError
-from .space import EUCLIDEAN, MetricSpace, Point, dist_matrix
-
-# Below this many distance evaluations plain Python beats array dispatch.
-_SMALL = 64
+from .common import TOL, InputError, check_positive
+from .space import MetricSpace, Point, dist_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSet:
-    """Nonempty finite point set over one space, duplicates removed."""
+    """Nonempty finite point set over one space, duplicates removed.
+
+    `array` holds the points read-only: (n, dim) floats in Euclidean mode,
+    an index vector in finite mode. Sets compare and hash by identity, so a
+    cut can key a cache of distances.
+    """
 
     space: MetricSpace
-    points: tuple[Point, ...]
+    array: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
+        return len(self.array)
 
     @cached_property
-    def coords_list(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(p.coords for p in self.points)
+    def points(self) -> tuple[Point, ...]:
+        return self.space.to_points(self.array)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        if self.space.mode == EUCLIDEAN:
-            return np.asarray(self.coords_list, dtype=float)
-        return np.asarray([p.index for p in self.points], dtype=int)
+    def gaps(self, points: np.ndarray) -> np.ndarray:
+        """Distance from each point of a point array to this set."""
+        return dist_matrix(self.space, points, self.array).min(axis=1)
 
     def contains(self, x: Point, tol: float = TOL) -> bool:
         """Whether x coincides with a member point within tol."""
-        return any(self.space.distance(x, p) <= tol for p in self.points)
+        return bool(self.gaps(self.space.point_array([x]))[0] <= tol)
 
 
-def _as_point(space: MetricSpace, raw) -> Point:
-    if isinstance(raw, Point):
-        return raw
-    if space.mode == EUCLIDEAN:
-        if isinstance(raw, (int, float)):
-            raw = (raw,)
-        return Point(coords=tuple(float(c) for c in raw))
-    try:
-        return Point(index=operator.index(raw))
-    except TypeError:
-        raise InputError(f"finite-space points are integer indices, got {raw!r}") from None
+def _greedy(space: MetricSpace, pts: np.ndarray, radius: float) -> FiniteSet:
+    """Keep-first greedy scan in input order: keep each point that lies
+    farther than radius from every point kept before it, measuring
+    d(new, kept). At radius TOL this is deduplication."""
+    kept = np.zeros(len(pts), dtype=bool)
+    step = space.block_rows(len(pts))
+    for start in range(0, len(pts), step):
+        stop = start + step
+        near = dist_matrix(space, pts[start:stop], pts[:stop]) <= radius
+        for i, row in enumerate(near):
+            # later rows are still False, so only earlier kept points count
+            kept[start + i] = not row.dot(kept[:stop])
+    return FiniteSet(space=space, array=pts[kept])
 
 
 def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
@@ -72,56 +72,29 @@ def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     dimension 1) for Euclidean spaces, or integer indices for finite spaces.
     Input order is preserved for the points that survive deduplication.
     """
-    kept: list[Point] = []
-    for raw in points:
-        p = _as_point(space, raw)
-        space.check_point(p)
-        if not any(space.distance(p, q) <= TOL for q in kept):
-            kept.append(p)
-    if not kept:
+    pts = space.point_array(points)
+    if not len(pts):
         raise InputError("finite set must be nonempty")
-    return FiniteSet(space=space, points=tuple(kept))
+    return _greedy(space, pts, TOL)
 
 
 def _check_pair(a: FiniteSet, b: FiniteSet) -> None:
     if a.space != b.space:
         raise InputError("sets live in different spaces")
-    if not a.points or not b.points:
+    if not len(a) or not len(b):
         raise InputError("sets must be nonempty")
-
-
-def _directed_small(a: FiniteSet, b: FiniteSet) -> float:
-    space = a.space
-    best = 0.0
-    if space.mode == EUCLIDEAN:
-        for pa in a.coords_list:
-            d = min(math.dist(pa, pb) for pb in b.coords_list)
-            if d > best:
-                best = d
-    else:
-        m = space.matrix
-        for pa in a.points:
-            d = min(m[pa.index][pb.index] for pb in b.points)
-            if d > best:
-                best = d
-    return best
 
 
 def directed_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """One-sided Hausdorff distance: max over a of the distance to b."""
     _check_pair(a, b)
-    if len(a) * len(b) <= _SMALL:
-        return _directed_small(a, b)
-    d = dist_matrix(a.space, a.points, b.points)
-    return float(d.min(axis=1).max())
+    return float(b.gaps(a.array).max())
 
 
 def hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """Hausdorff distance: max of the two directed distances."""
     _check_pair(a, b)
-    if len(a) * len(b) <= _SMALL:
-        return max(_directed_small(a, b), _directed_small(b, a))
-    d = dist_matrix(a.space, a.points, b.points)
+    d = dist_matrix(a.space, a.array, b.array)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -132,14 +105,8 @@ def eps_net(a: FiniteSet, eps: float) -> FiniteSet:
     it. Greedy order is fixed by the input order, never by scheduling, so the
     net is deterministic.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
-    space = a.space
-    centers: list[Point] = []
-    for p in a.points:
-        if all(space.distance(p, c) > eps for c in centers):
-            centers.append(p)
-    return FiniteSet(space=space, points=tuple(centers))
+    check_positive("eps", eps)
+    return _greedy(a.space, a.array, eps)
 
 
 def covering_number(a: FiniteSet, eps: float) -> int:
@@ -152,14 +119,9 @@ def union_family(family: Sequence[FiniteSet]) -> FiniteSet:
     if not family:
         raise InputError("union of an empty family")
     space = family[0].space
-    kept: list[Point] = []
-    for s in family:
-        if s.space != space:
-            raise InputError("family members live in different spaces")
-        for p in s.points:
-            if not any(space.distance(p, q) <= TOL for q in kept):
-                kept.append(p)
-    return FiniteSet(space=space, points=tuple(kept))
+    if any(s.space != space for s in family):
+        raise InputError("family members live in different spaces")
+    return _greedy(space, np.concatenate([s.array for s in family]), TOL)
 
 
 @dataclass(frozen=True)

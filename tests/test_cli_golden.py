@@ -1,0 +1,39 @@
+"""Byte-identity of the CLI on demo/demo.json: the sha256 of stdout and the
+exit code of one command per CLI mode, recorded before the point-set layer
+moved to arrays. A change to any number, verdict or row order shows here."""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from fuzzymetrics.cli import main
+
+DOC = str(Path(__file__).resolve().parent.parent / "demo" / "demo.json")
+
+GOLDEN = [
+    (["metrics", "DOC", "--kind", "end"], 0, "463bdcf3184f033bfb240d11d28c08107a7b37bfe7ff805b2039ee75537ec887"),
+    (["metrics", "DOC", "--kind", "send"], 0, "adae269c3db6eabf2b363b01adbab7564cc1ea8b4170eb5a23c367f1954eed7a"),
+    (["metrics", "DOC", "--kind", "level:0.5"], 0, "adae269c3db6eabf2b363b01adbab7564cc1ea8b4170eb5a23c367f1954eed7a"),
+    (["oracle", "DOC", "--resolution", "0.01"], 0, "c97f7fe854870840507d8927c87a49e6bae61fbadfcfed42fb2a85c119e9ac6c"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "gamma"], 0, "990b0387d4032163185bcf3ad1b24844084294e3c67f13b7826f41c080afa116"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "level"], 0, "46b315c396032f9ac5b36e7146ed61d4d452ee60705c8a5de0b9c6014b2d7187"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "send", "--tol", "0.01"], 1, "e9b65da25e1138baee677789ad15e0021dc8efd1f91382270fc5ba454334c4ab"),
+    (["converge", "DOC", "--sequence", "alternating", "--limit", "origin", "--mode", "end"], 1, "77107fb0ee3ade1e4966a0167378d0ddf9914dbfb8b8c171644f559ca6350beb"),
+    (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "gamma"], 1, "b1449d8d1757c5067d52ff8ea8d51f01dbd20822c0971672bbcf52e2a0336d52"),
+    (["compact", "DOC", "--family", "iv", "--mode", "tb_end", "--eps", "0.05", "--alpha-grid", "11"], 1, "690d65b8e34b692c0d4e3da32aa86fcfa9bf8a99dd32a8c33fba2efb02663540"),
+    (["compact", "DOC", "--family", "cloud", "--mode", "tb_end", "--eps", "0.1", "--alpha-grid", "11"], 0, "0c40333545c9160c81b3774d1fa8c9daf23abc833c764aab933564f1c412825e"),
+    (["compact", "DOC", "--family", "tr", "--mode", "tb_send", "--eps", "0.4"], 1, "c07e4d1abc281d80b5099b8878dbeea4eb1015b6fe9a4cfb1b538c72b9b24f1f"),
+    (["compact", "DOC", "--family", "col", "--mode", "tb_send", "--eps", "0.5"], 0, "34a96dd36f68b83033ce440851f4cb9813422d2787c26c6ecab266df772c79fa"),
+    (["compact", "DOC", "--family", "col", "--mode", "erc", "--eps", "0.5"], 1, "47684ffb5ba7fc8696f3180317bc848a9477ef8e730b3d08a67e484979123ca8"),
+    (["compact", "DOC", "--family", "cloud", "--mode", "rel_send", "--eps", "0.1"], 1, "aa3388233192db1102f5f416bc0cb8ae55900d26af19b7ed320e5340f17b73cf"),
+    (["compact", "DOC", "--family", "tr", "--mode", "closedness", "--candidate", "three"], 0, "6c8f7e0b21d476c285a847ab00e3a91ca668ef64e48326191becc93c4806932b"),
+    (["gen", "DOC"], 0, "86734f75fa2cdc81a660c759d94642f64351b47275ffc6e0dcb05c0abbcfcfdf"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,sha256", GOLDEN, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_demo_output_is_byte_identical(capsys, argv, exit_code, sha256):
+    code = main([DOC if a == "DOC" else a for a in argv])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (exit_code, sha256)

@@ -1,4 +1,8 @@
+import json
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from fuzzymetrics import (
     InputError,
@@ -8,6 +12,7 @@ from fuzzymetrics import (
     Verdict,
     distance,
     lifted_distance,
+    load_document,
     validate_metric,
 )
 
@@ -129,3 +134,47 @@ def test_distance_zero_iff_equal():
     p, q = Point.euclidean(0.0, 0.0), Point.euclidean(1e-3, 0.0)
     assert distance(SP2, p, p) <= 1e-9
     assert distance(SP2, p, q) > 1e-9
+
+
+def test_validate_metric_rejects_pseudometric():
+    # indices 0 and 1 at distance 0 would be merged silently by finite_set
+    sp = MetricSpace.finite([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    cert = validate_metric(sp)
+    assert cert.verdict is Verdict.FAIL
+    assert cert.witness == "distinct points (0,1) at distance 0.0"
+
+
+def test_document_with_pseudometric_is_rejected(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "space": {"type": "finite", "matrix": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]},
+        "fuzzy_sets": [{"name": "u", "levels": [{"alpha": 1.0, "points": [0, 1, 2]}]}],
+    }))
+    with pytest.raises(InputError, match="distinct points"):
+        load_document(str(path))
+
+
+def _first_triangle_violation(m):
+    n = len(m)
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                if m[i][k] > m[i][j] + m[j][k] + 1e-9:
+                    return f"triangle ({i},{k}) via {j}"
+    return None
+
+
+@given(st.integers(3, 7).flatmap(
+    lambda n: st.lists(st.integers(1, 9), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda xs: (n, xs))))
+def test_validate_metric_reports_first_triangle_violation(case):
+    n, xs = case
+    m = [[0.0] * n for _ in range(n)]
+    it = iter(xs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = float(next(it))
+    cert = validate_metric(MetricSpace.finite(m))
+    expected = _first_triangle_violation(m)
+    assert cert.witness == expected
+    assert cert.verdict is (Verdict.PASS if expected is None else Verdict.FAIL)
