@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import Verdict, check_window, tail_verdict
 from .common import TOL, InputError, check_positive
-from .space import MetricSpace, Point, dist_matrix
+from .space import EUCLIDEAN, MetricSpace, Point, dist_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +39,9 @@ class FiniteSet:
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
-        return self.space.to_points(self.array)
+        if self.space.mode == EUCLIDEAN:
+            return tuple(Point(coords=tuple(row)) for row in self.array.tolist())
+        return tuple(Point(index=i) for i in self.array.tolist())
 
     def gaps(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point of a point array to this set."""

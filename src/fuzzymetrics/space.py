@@ -24,6 +24,10 @@ FINITE = "finite"
 # row block, so memory stays bounded on large point sets.
 BLOCK_BYTES = 1 << 20
 
+# Largest coordinate magnitude accepted in a point array. dist_matrix squares
+# coordinate differences, and below this bound the squares stay finite.
+COORD_MAX = 1e150
+
 
 @dataclass(frozen=True)
 class Point:
@@ -83,9 +87,10 @@ class MetricSpace:
             n = len(rows)
             if n == 0 or any(len(row) != n for row in rows):
                 raise InputError("distance matrix must be square and nonempty")
-            bad = [x for row in rows for x in row if not math.isfinite(x) or x < 0]
-            if bad:
-                raise InputError(f"distance matrix entry {bad[0]} not a finite nonnegative real")
+            for row in rows:
+                for x in row:
+                    if not math.isfinite(x) or x < 0:
+                        raise InputError(f"distance matrix entry {x} not a finite nonnegative real")
             object.__setattr__(self, "matrix", rows)
         else:
             raise InputError(f"unknown space mode {self.mode!r}")
@@ -123,8 +128,8 @@ class MetricSpace:
                 arr = arr.reshape(0, self.dim)
             if arr.ndim != 2 or arr.shape[1] != self.dim:
                 raise InputError(f"points of shape {arr.shape} do not fit a space of dim {self.dim}")
-            if not np.isfinite(arr).all():
-                raise InputError("non-finite point coordinate")
+            if not (np.abs(arr) <= COORD_MAX).all():
+                raise InputError(f"point coordinates must be finite with magnitude at most {COORD_MAX:g}")
             return arr
         try:
             # a coordinate Point has index None, which the int array rejects
@@ -134,12 +139,6 @@ class MetricSpace:
         if arr.size and (arr.min() < 0 or arr.max() >= len(self.matrix)):
             raise InputError(f"point index outside 0..{len(self.matrix) - 1}")
         return arr
-
-    def to_points(self, arr: np.ndarray) -> tuple[Point, ...]:
-        """Point values of a point array, in order."""
-        if self.mode == EUCLIDEAN:
-            return tuple(Point(coords=tuple(row)) for row in arr.tolist())
-        return tuple(Point(index=i) for i in arr.tolist())
 
     def block_rows(self, m: int) -> int:
         """Rows per block that keep a rows x m x dim float temporary within

@@ -3,6 +3,7 @@ per-Point reference in reference_pointwise.py, on 1-D, 2-D and finite-mode
 sets, at the default row-block cap and at a cap that forces one row per
 block."""
 
+import math
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -89,6 +90,22 @@ def test_hausdorff_matches_reference(data):
             assert directed_hausdorff(a, b) == ab
             assert directed_hausdorff(b, a) == ba
             assert hausdorff(a, b) == max(ab, ba)
+
+
+# arbitrary 2-D floats: math.dist and the kernel's sqrt of a sum of squares
+# may round differently, each within about one ulp. Differences below about
+# 1e-154 underflow when squared and read 0 (far below TOL), so coordinates
+# are kept either 0 or above 1e-100 in magnitude.
+coordinate = st.floats(-10.0, 10.0).filter(lambda x: x == 0 or abs(x) > 1e-100)
+any_2d = st.tuples(coordinate, coordinate)
+
+
+@given(point_lists(any_2d), point_lists(any_2d))
+def test_hausdorff_on_arbitrary_2d_floats_within_ulps(ra, rb):
+    pa, pb = ref.finite_set(SP2, ra), ref.finite_set(SP2, rb)
+    a, b = finite_set(SP2, ra), finite_set(SP2, rb)
+    assert math.isclose(directed_hausdorff(a, b), ref.directed_hausdorff(SP2, pa, pb), rel_tol=1e-15, abs_tol=1e-300)
+    assert math.isclose(directed_hausdorff(b, a), ref.directed_hausdorff(SP2, pb, pa), rel_tol=1e-15, abs_tol=1e-300)
 
 
 @given(st.data())

@@ -14,6 +14,7 @@ from fuzzymetrics import (
     eps_net,
     erc_modulus,
     finite_set,
+    hausdorff,
     tail_verdict,
     tb_end_report,
     tb_send_report,
@@ -70,3 +71,11 @@ def test_point_arrays_are_read_only():
     with pytest.raises(ValueError):
         sp.matrix_array[0, 1] = 2.0
     assert np.array_equal(alpha_cut(u, 1.0).array, [[0.0]])
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), 1e151, -1e200])
+def test_coordinates_beyond_the_kernel_range_are_rejected(x):
+    # squared differences of such coordinates would overflow to inf
+    with pytest.raises(InputError, match="magnitude at most 1e"):
+        finite_set(SP1, [0.0, x])
+    assert hausdorff(finite_set(SP1, [1e150]), finite_set(SP1, [-1e150])) == 2e150
