@@ -72,6 +72,15 @@ def _need(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
+# The types json decodes a number to. Checking the exact type rejects bool
+# (a subclass of int) and never coerces a string.
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _is_number(x: Any) -> bool:
+    return type(x) in _NUMBER_TYPES
+
+
 def _check_name(name: Any, where: str) -> str:
     if not isinstance(name, str) or not name:
         raise InputError(f"{where}: name must be a nonempty string")
@@ -86,11 +95,16 @@ def _parse_space(obj: Any) -> MetricSpace:
     kind = _need(obj, "type", "space")
     if kind == EUCLIDEAN:
         dim = _need(obj, "dim", "space")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise InputError(f"space: dim must be a positive integer, got {dim!r}")
         return MetricSpace.euclidean(dim)
     if kind == FINITE:
         matrix = _need(obj, "matrix", "space")
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise InputError("space: matrix must be a list of rows")
+        if not {type(x) for row in matrix for x in row} <= _NUMBER_TYPES:
+            i, j, x = next((i, j, x) for i, row in enumerate(matrix) for j, x in enumerate(row) if not _is_number(x))
+            raise InputError(f"space: matrix entry ({i},{j}) must be a number, got {x!r}")
         space = MetricSpace.finite(matrix)
         cert = validate_metric(space)
         if cert.verdict is not Verdict.PASS:
@@ -106,9 +120,11 @@ def _parse_points(space: MetricSpace, raw: Any, where: str) -> list:
         if space.mode == EUCLIDEAN:
             if not isinstance(p, list):
                 raise InputError(f"{where}: euclidean point must be a coordinate list, got {p!r}")
-        else:
-            if not isinstance(p, int):
-                raise InputError(f"{where}: finite-space point must be an integer index, got {p!r}")
+        elif type(p) is not int:
+            raise InputError(f"{where}: finite-space point must be an integer index, got {p!r}")
+    if space.mode == EUCLIDEAN and not {type(c) for p in raw for c in p} <= _NUMBER_TYPES:
+        p, c = next((p, c) for p in raw for c in p if not _is_number(c))
+        raise InputError(f"{where}: coordinate of point {p!r} must be a number, got {c!r}")
     return raw
 
 
@@ -123,7 +139,9 @@ def _parse_fuzzy(space: MetricSpace, obj: Any) -> tuple[str, StepFuzzySet]:
     for lv in raw_levels:
         if not isinstance(lv, Mapping):
             raise InputError(f"fuzzy set {name!r}: each level must be an object")
-        alpha = float(_need(lv, "alpha", f"fuzzy set {name!r}"))
+        alpha = _need(lv, "alpha", f"fuzzy set {name!r}")
+        if not _is_number(alpha):
+            raise InputError(f"fuzzy set {name!r}: alpha must be a number, got {alpha!r}")
         pts = _parse_points(space, _need(lv, "points", f"fuzzy set {name!r}"), f"fuzzy set {name!r}")
         levels.append((alpha, finite_set(space, pts)))
     try:
@@ -151,6 +169,12 @@ def _expand_generator(space: MetricSpace, name: str, gen: Mapping, default_seed:
     bad = sorted(set(params) - set(allowed))
     if bad:
         raise InputError(f"family {name!r}: unknown generator params {bad} (allowed: {list(allowed)})")
+    for key, value in params.items():
+        if key == "box":
+            if not isinstance(value, list) or not all(map(_is_number, value)):
+                raise InputError(f"family {name!r}: generator param 'box' must be a list of numbers, got {value!r}")
+        elif not _is_number(value):
+            raise InputError(f"family {name!r}: generator param {key!r} must be a number, got {value!r}")
     kwargs = dict(params)
     if "box" in kwargs:
         kwargs["box"] = tuple(float(x) for x in kwargs["box"])
@@ -160,10 +184,13 @@ def _expand_generator(space: MetricSpace, name: str, gen: Mapping, default_seed:
         fam = fn(space, **kwargs)
     else:
         count = _need(gen, "count", f"family {name!r} generator")
-        if not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:
             raise InputError(f"family {name!r}: count must be a positive integer")
         if kind == "random":
-            kwargs["seed"] = int(gen.get("seed", default_seed))
+            seed = gen.get("seed", default_seed)
+            if type(seed) is not int:
+                raise InputError(f"family {name!r}: seed must be an integer, got {seed!r}")
+            kwargs["seed"] = seed
         fam = fn(space, count, **kwargs)
     names = tuple(f"{name}[{k + 1}]" for k in range(len(fam.members)))
     return fuzzy_family(fam.members, names, fam.generator)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .certificates import (
     Certificate,
     Verdict,
@@ -24,7 +26,7 @@ from .certificates import (
 from .common import InputError, check_positive, fmt
 from .fuzzy import StepFuzzySet, alpha_cut, same_representation, support
 from .metrics import endograph_metric, sendograph_metric
-from .sets import FiniteSet, covering_number, hausdorff, union_family
+from .sets import FiniteSet, hausdorff, prefix_net_sizes, union_family
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,11 @@ def family_union_cut(family: FuzzyFamily, alpha: float) -> FiniteSet:
     return union_family([alpha_cut(u, alpha) for u in family.members])
 
 
-def _prefix_net_sizes(cuts: Sequence[FiniteSet], eps: float) -> tuple[int, ...]:
-    """Greedy net size of each prefix union; nondecreasing since greedy
-    centers are stable under appending points."""
-    sizes = []
-    acc: FiniteSet | None = None
-    for c in cuts:
-        acc = c if acc is None else union_family([acc, c])
-        sizes.append(covering_number(acc, eps))
-    return tuple(sizes)
+def _net_sizes(family: FuzzyFamily, cuts: Sequence[FiniteSet], eps: float) -> tuple[int, ...]:
+    """Greedy net sizes of the member-cut unions: one per prefix for a
+    generator-tagged family, the whole union's alone otherwise."""
+    sizes = prefix_net_sizes(cuts, eps)
+    return sizes if family.generator is not None else sizes[-1:]
 
 
 def _growth_witness(family: FuzzyFamily, label: str) -> str:
@@ -105,13 +103,17 @@ def tb_end_report(
     verdicts = []
     witness = None
     window = check_window(len(family.members), window)
+    # the cut map of a member changes only at its stored levels, so the grid
+    # alphas repeat few distinct tuples of cuts; each gets one series
+    series_of: dict[tuple[FiniteSet, ...], tuple[int, ...]] = {}
     for a in alphas:
-        cuts = [alpha_cut(u, a) for u in family.members]
+        cuts = tuple(alpha_cut(u, a) for u in family.members)
+        if cuts not in series_of:
+            series_of[cuts] = _net_sizes(family, cuts, eps)
+        series = series_of[cuts]
         if family.generator is not None:
-            series = _prefix_net_sizes(cuts, eps)
             v = trend_verdict(series, window, failing="increasing")
         else:
-            series = (covering_number(union_family(cuts), eps),)
             v = Verdict.PASS
         evidence[f"net_size[alpha={fmt(a)}]"] = tuple(float(s) for s in series)
         verdicts.append(v)
@@ -127,11 +129,10 @@ def tb_send_report(family: FuzzyFamily, eps: float, window: int | None = None) -
     check_positive("eps", eps)
     supports = [support(u) for u in family.members]
     window = check_window(len(family.members), window)
+    series = _net_sizes(family, supports, eps)
     if family.generator is not None:
-        series = _prefix_net_sizes(supports, eps)
         verdict = trend_verdict(series, window, failing="increasing")
     else:
-        series = (covering_number(union_family(supports), eps),)
         verdict = Verdict.PASS
     witness = None
     if verdict is Verdict.FAIL:
@@ -277,12 +278,14 @@ def cauchy_tail_profile(
         raise InputError(f"metric must be 'end' or 'send', got {metric!r}")
     window = check_window(len(seq), window)
     n = len(seq)
-    residuals = []
+    # one symmetric matrix of the metric, from its upper triangle
+    d = np.zeros((n, n))
     for i in range(n):
-        later = [dist(seq[i], seq[j]) for j in range(i + 1, n)]
-        residuals.append(max(later) if later else 0.0)
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = dist(seq[i], seq[j])
+    residuals = [float(d[i, i + 1:].max()) for i in range(n - 1)] + [0.0]
     monotone = all(b <= a + 1e-9 for a, b in zip(residuals, residuals[1:]))
-    prox = max(dist(seq[-1], seq[j]) for j in range(n - window, n))
+    prox = float(d[-1, n - window:].max())
     evidence = {"residual": tuple(residuals), "tail_proximity": (prox,)}
     if monotone and prox < tol:
         return Certificate(kind="CAUCHY_LIMIT", verdict=Verdict.PASS, evidence=evidence)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,19 +52,24 @@ class FiniteSet:
         return bool(self.gaps(self.space.point_array([x]))[0] <= tol)
 
 
-def _greedy(space: MetricSpace, pts: np.ndarray, radius: float) -> FiniteSet:
+def _greedy(space: MetricSpace, pts: np.ndarray, radius: float, start: np.ndarray | None = None) -> np.ndarray:
     """Keep-first greedy scan in input order: keep each point that lies
     farther than radius from every point kept before it, measuring
-    d(new, kept). At radius TOL this is deduplication."""
+    d(new, kept). The points of `start` count as already kept, so a kept set
+    can be extended. Returns the kept points of `pts`. At radius TOL this is
+    deduplication."""
+    if start is not None and len(start):
+        # a point covered by `start` is never kept, so it affects no later point
+        pts = pts[dist_matrix(space, pts, start).min(axis=1) > radius]
     kept = np.zeros(len(pts), dtype=bool)
     step = space.block_rows(len(pts))
-    for start in range(0, len(pts), step):
-        stop = start + step
-        near = dist_matrix(space, pts[start:stop], pts[:stop]) <= radius
+    for begin in range(0, len(pts), step):
+        stop = begin + step
+        near = dist_matrix(space, pts[begin:stop], pts[:stop]) <= radius
         for i, row in enumerate(near):
             # later rows are still False, so only earlier kept points count
-            kept[start + i] = not row.dot(kept[:stop])
-    return FiniteSet(space=space, array=pts[kept])
+            kept[begin + i] = not row.dot(kept[:stop])
+    return pts[kept]
 
 
 def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
@@ -77,7 +82,7 @@ def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     pts = space.point_array(points)
     if not len(pts):
         raise InputError("finite set must be nonempty")
-    return _greedy(space, pts, TOL)
+    return FiniteSet(space=space, array=_greedy(space, pts, TOL))
 
 
 def _check_pair(a: FiniteSet, b: FiniteSet) -> None:
@@ -108,7 +113,7 @@ def eps_net(a: FiniteSet, eps: float) -> FiniteSet:
     net is deterministic.
     """
     check_positive("eps", eps)
-    return _greedy(a.space, a.array, eps)
+    return FiniteSet(space=a.space, array=_greedy(a.space, a.array, eps))
 
 
 def covering_number(a: FiniteSet, eps: float) -> int:
@@ -116,14 +121,52 @@ def covering_number(a: FiniteSet, eps: float) -> int:
     return len(eps_net(a, eps))
 
 
-def union_family(family: Sequence[FiniteSet]) -> FiniteSet:
-    """Deduplicated union of a nonempty family, first-occurrence order."""
+def _family_space(family: Sequence[FiniteSet]) -> MetricSpace:
     if not family:
         raise InputError("union of an empty family")
     space = family[0].space
     if any(s.space != space for s in family):
         raise InputError("family members live in different spaces")
-    return _greedy(space, np.concatenate([s.array for s in family]), TOL)
+    return space
+
+
+def union_family(family: Sequence[FiniteSet]) -> FiniteSet:
+    """Deduplicated union of a nonempty family, first-occurrence order."""
+    space = _family_space(family)
+    return FiniteSet(space=space, array=_greedy(space, np.concatenate([s.array for s in family]), TOL))
+
+
+def _prefix_unions(family: Sequence[FiniteSet]) -> Iterator[tuple[FiniteSet, np.ndarray]]:
+    """The union of each prefix of a nonempty family, with the points its
+    last member added.
+
+    A prefix union in first-occurrence order only gains points at its end,
+    so each member is deduplicated against the union so far instead of the
+    union being rebuilt; prefix k equals union_family(family[:k+1]).
+    """
+    space = _family_space(family)
+    union = family[0].array[:0]
+    for s in family:
+        fresh = _greedy(space, s.array, TOL, union)
+        union = np.concatenate([union, fresh])
+        yield FiniteSet(space=space, array=union), fresh
+
+
+def prefix_net_sizes(family: Sequence[FiniteSet], eps: float) -> tuple[int, ...]:
+    """Greedy eps-net size of each prefix union of a nonempty family.
+
+    The greedy net of a prefix union only gains centers at its end, so only
+    the points each member adds to the union are tested against the centers
+    so far; entry k equals covering_number(union_family(family[:k+1]), eps).
+    """
+    check_positive("eps", eps)
+    space = _family_space(family)
+    centers = family[0].array[:0]
+    sizes = []
+    for _, fresh in _prefix_unions(family):
+        centers = np.concatenate([centers, _greedy(space, fresh, eps, centers)])
+        sizes.append(len(centers))
+    return tuple(sizes)
 
 
 @dataclass(frozen=True)
@@ -180,12 +223,7 @@ def cauchy_limit_construct(
     """
     if not prefix:
         raise InputError("empty sequence prefix")
-    partial: list[FiniteSet] = []
-    acc = prefix[0]
-    partial.append(acc)
-    for c in prefix[1:]:
-        acc = union_family([acc, c])
-        partial.append(acc)
+    partial = [u for u, _ in _prefix_unions(prefix)]
     limit = partial[-1]
     residuals = [hausdorff(p, limit) for p in partial]
     return partial, limit, residuals

@@ -69,3 +69,24 @@ def membership(space, levels, x: Point) -> float:
         if any(distance(space, x, p) <= TOL for p in cut):
             return a
     return 0.0
+
+
+def prefix_net_sizes(space, cuts, eps: float) -> tuple[int, ...]:
+    """Greedy net size of each prefix union, each union and net rebuilt
+    from scratch."""
+    return tuple(len(eps_net(space, union_family(space, cuts[:k + 1]), eps)) for k in range(len(cuts)))
+
+
+def graph_distance(space, levels_u, levels_v, truncate: bool) -> float:
+    """Endograph (truncate=True) or sendograph distance by the closed form,
+    one direction at a time, each measuring d(source point, target point)."""
+
+    def directed(src, tgt):
+        best = 0.0
+        for x in src[-1][1]:
+            mx = membership(space, src, x)
+            inner = min(distance(space, x, y) + max(0.0, mx - membership(space, tgt, y)) for y in tgt[-1][1])
+            best = max(best, min(mx, inner) if truncate else inner)
+        return best
+
+    return max(directed(levels_u, levels_v), directed(levels_v, levels_u))

@@ -1,7 +1,9 @@
 """Differential checks of the array point-set layer against the plain-Python
 per-Point reference in reference_pointwise.py, on 1-D, 2-D and finite-mode
 sets, at the default row-block cap and at a cap that forces one row per
-block."""
+block. The incremental prefix unions and nets are checked against unions and
+nets rebuilt from scratch, and the one-matrix graph metrics against the
+closed form taken one direction at a time."""
 
 import math
 from unittest import mock
@@ -14,15 +16,22 @@ from fuzzymetrics import (
     TOL,
     MetricSpace,
     Point,
+    cauchy_limit_construct,
+    cauchy_tail_profile,
+    covering_number,
     directed_hausdorff,
+    endograph_metric,
     eps_net,
     finite_set,
     hausdorff,
     make_fuzzy,
     membership,
+    send_decomposition_check,
+    sendograph_metric,
     union_family,
 )
 from fuzzymetrics import space as space_module
+from fuzzymetrics.sets import prefix_net_sizes
 from helpers import SP1, SP2
 
 CAPS = (space_module.BLOCK_BYTES, 8)
@@ -164,3 +173,105 @@ def test_contains_at_tolerance():
     s = finite_set(SP1, [0.0, 1.0])
     assert s.contains(Point.euclidean(1.0 + TOL / 2))
     assert not s.contains(Point.euclidean(1.0 + 2 * TOL))
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_prefix_net_sizes_match_from_scratch_nets(data):
+    space, point, radii = data.draw(scenes())
+    raws = data.draw(st.lists(point_lists(point, max_size=12), min_size=1, max_size=6))
+    eps = data.draw(st.sampled_from(radii))
+    expected = ref.prefix_net_sizes(space, [ref.finite_set(space, r) for r in raws], eps)
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            cuts = [finite_set(space, r) for r in raws]
+            assert prefix_net_sizes(cuts, eps) == expected
+            assert expected == tuple(covering_number(union_family(cuts[:k + 1]), eps) for k in range(len(cuts)))
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_cauchy_partial_unions_match_reference(data):
+    space, point, _ = data.draw(scenes())
+    raws = data.draw(st.lists(point_lists(point, max_size=12), min_size=1, max_size=6))
+    expected = [ref.finite_set(space, r) for r in raws]
+    unions = [ref.union_family(space, expected[:k + 1]) for k in range(len(raws))]
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            partial, limit, residuals = cauchy_limit_construct([finite_set(space, r) for r in raws])
+            assert [p.points for p in partial] == unions
+            assert limit.points == unions[-1]
+            assert residuals == [
+                max(ref.directed_hausdorff(space, p, unions[-1]), ref.directed_hausdorff(space, unions[-1], p))
+                for p in unions
+            ]
+
+
+def nested_levels(raw, k1, k2):
+    """Three levels whose cuts are growing prefixes of one point list."""
+    return [(1.0, raw[:k1]), (0.6, raw[:k2]), (0.3, raw)]
+
+
+@st.composite
+def fuzzy_sequences(draw, min_size=2, max_size=2):
+    """A space and a list of (raw levels, reference levels) of nested sets."""
+    space, point, _ = draw(scenes())
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        raw = draw(point_lists(point, max_size=10))
+        k1 = draw(st.integers(1, len(raw)))
+        k2 = draw(st.integers(k1, len(raw)))
+        raw_levels = nested_levels(raw, k1, k2)
+        out.append((raw_levels, [(a, ref.finite_set(space, r)) for a, r in raw_levels]))
+    return space, out
+
+
+def build(space, raw_levels):
+    return make_fuzzy([(a, finite_set(space, r)) for a, r in raw_levels])
+
+
+@given(fuzzy_sequences())
+@settings(max_examples=150)
+def test_one_matrix_graph_metrics_match_two_direction_form(scene):
+    space, [(raw_u, lu), (raw_v, lv)] = scene
+    end = ref.graph_distance(space, lu, lv, truncate=True)
+    send = ref.graph_distance(space, lu, lv, truncate=False)
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            u, v = build(space, raw_u), build(space, raw_v)
+            assert endograph_metric(u, v) == endograph_metric(v, u) == end
+            assert sendograph_metric(u, v) == sendograph_metric(v, u) == send
+            cert = send_decomposition_check([u, v, u], v, window=1)
+            assert cert.evidence["end"] == (end, 0.0, end)
+            assert cert.evidence["send"] == (send, 0.0, send)
+
+
+@given(fuzzy_sequences(min_size=3, max_size=6), st.sampled_from(["end", "send"]))
+@settings(max_examples=60)
+def test_cauchy_tail_matrix_matches_pairwise_distances(scene, metric):
+    space, members = scene
+    refs = [lv for _, lv in members]
+    n = len(refs)
+
+    def d(i, j):
+        return ref.graph_distance(space, refs[i], refs[j], truncate=metric == "end")
+
+    seq = [build(space, raw) for raw, _ in members]
+    cert = cauchy_tail_profile(seq, metric, window=2)
+    assert cert.evidence["residual"] == tuple(max((d(i, j) for j in range(i + 1, n)), default=0.0) for i in range(n))
+    assert cert.evidence["tail_proximity"] == (max(d(n - 1, j) for j in range(n - 2, n)),)
+
+
+def test_prefix_nets_of_cuts_larger_than_one_row_block():
+    # cuts of 700 and 800 one-dimensional points span several row blocks at
+    # the default cap, in the dedup against the union and in the net scan
+    xs = [0.0025 * ((k * 7919) % 700) for k in range(1000)]
+    ys = [0.003 * ((k * 104729) % 800) for k in range(1000)]
+    zs = [0.5 + 0.0025 * k for k in range(600)]
+    cuts = [finite_set(SP1, c) for c in (xs, ys, zs)]
+    assert SP1.block_rows(len(cuts[0])) < len(cuts[0])
+    for eps in (TOL, 0.0025, 0.01):
+        expected = tuple(covering_number(union_family(cuts[:k + 1]), eps) for k in range(len(cuts)))
+        assert prefix_net_sizes(cuts, eps) == expected
+    partial, _, _ = cauchy_limit_construct(cuts)
+    assert [p.points for p in partial] == [union_family(cuts[:k + 1]).points for k in range(len(cuts))]

@@ -164,3 +164,45 @@ def test_random_generator_seed_is_deterministic(tmp_path):
         assert u1.alphas == u2.alphas
         for (_, c1), (_, c2) in zip(u1.levels, u2.levels):
             assert [p.coords for p in c1.points] == [p.coords for p in c2.points]
+
+
+FINITE_OK = {
+    "space": {"type": "finite", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+    "fuzzy_sets": [{"name": "a", "levels": [{"alpha": 1.0, "points": [0]}]}],
+}
+
+
+def with_fuzzy(base, levels):
+    data = dict(base)
+    data["fuzzy_sets"] = [{"name": "a", "levels": levels}]
+    return data
+
+
+# each of these used to load, with the value silently coerced
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        (with_fuzzy(MINIMAL, [{"alpha": 1.0, "points": [["1.5"]]}]), "coordinate"),
+        (with_fuzzy(MINIMAL, [{"alpha": 1.0, "points": [[True]]}]), "coordinate"),
+        (with_fuzzy(MINIMAL, [{"alpha": "1", "points": [[0.0]]}]), "alpha"),
+        (with_fuzzy(FINITE_OK, [{"alpha": 1.0, "points": [True]}]), "integer index"),
+        ({**FINITE_OK, "space": {"type": "finite", "matrix": [[0.0, "1"], [1.0, 0.0]]}}, r"matrix entry \(0,1\)"),
+        ({**MINIMAL, "space": {"type": "euclidean", "dim": True}}, "dim"),
+        ({**MINIMAL, "families": [{"name": "c", "generator": {"kind": "collapse", "count": True}}]}, "count"),
+        ({**MINIMAL, "families": [{"name": "t", "generator": {"kind": "translates", "count": 3,
+                                                               "params": {"start": "0.5"}}}]}, "'start'"),
+        ({**MINIMAL, "families": [{"name": "r", "generator": {"kind": "random", "count": 3,
+                                                               "params": {"box": ["0", "1"]}}}]}, "'box'"),
+        ({**MINIMAL, "families": [{"name": "r", "generator": {"kind": "random", "count": 3, "seed": "7"}}]}, "seed"),
+    ],
+    ids=["coordinate-string", "coordinate-bool", "alpha-string", "finite-index-bool", "matrix-entry-string",
+         "dim-bool", "count-bool", "generator-param-string", "box-strings", "seed-string"],
+)
+def test_coerced_types_rejected_naming_the_field(tmp_path, data, field):
+    with pytest.raises(InputError, match=field):
+        load_document(write_doc(tmp_path, data))
+
+
+def test_integer_alpha_and_coordinates_still_load(tmp_path):
+    doc = load_document(write_doc(tmp_path, with_fuzzy(MINIMAL, [{"alpha": 1, "points": [[0]]}])))
+    assert doc.fuzzy("a").levels[0][0] == 1.0
