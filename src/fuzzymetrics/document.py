@@ -19,6 +19,7 @@ family can be used directly as a sequence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -171,8 +172,13 @@ def _expand_generator(space: MetricSpace, name: str, gen: Mapping, default_seed:
         raise InputError(f"family {name!r}: unknown generator params {bad} (allowed: {list(allowed)})")
     for key, value in params.items():
         if key == "box":
-            if not isinstance(value, list) or not all(map(_is_number, value)):
-                raise InputError(f"family {name!r}: generator param 'box' must be a list of numbers, got {value!r}")
+            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+                    and math.isfinite(value[0]) and math.isfinite(value[1]) and value[0] < value[1]):
+                raise InputError(f"family {name!r}: generator param 'box' must be two finite numbers low < high, "
+                                 f"got {value!r}")
+        elif key in ("max_levels", "max_points"):
+            if type(value) is not int or value < 1:
+                raise InputError(f"family {name!r}: generator param {key!r} must be a positive integer, got {value!r}")
         elif not _is_number(value):
             raise InputError(f"family {name!r}: generator param {key!r} must be a number, got {value!r}")
     kwargs = dict(params)
@@ -188,8 +194,8 @@ def _expand_generator(space: MetricSpace, name: str, gen: Mapping, default_seed:
             raise InputError(f"family {name!r}: count must be a positive integer")
         if kind == "random":
             seed = gen.get("seed", default_seed)
-            if type(seed) is not int:
-                raise InputError(f"family {name!r}: seed must be an integer, got {seed!r}")
+            if type(seed) is not int or seed < 0:
+                raise InputError(f"family {name!r}: seed must be a nonnegative integer, got {seed!r}")
             kwargs["seed"] = seed
         fam = fn(space, count, **kwargs)
     names = tuple(f"{name}[{k + 1}]" for k in range(len(fam.members)))

@@ -100,16 +100,11 @@ def _directed_sampled(k_src: np.ndarray, k_tgt: np.ndarray, d: np.ndarray, resol
     k = 0..k_src[i]; likewise for the target. Both columns share the grid
     step, so the nearest target sample in column j to source level k sits at
     index min(k, k_tgt[j]); the level gap is max(k - k_tgt[j], 0)*resolution.
+    That cost is nondecreasing in k, and so is its minimum over j, so the
+    maximum over the samples of column i is reached at its top, k = k_src[i].
     """
-    best = 0.0
-    for i, top in enumerate(k_src):
-        ks = np.arange(top + 1)
-        gap = np.maximum(ks[:, None] - k_tgt[None, :], 0) * resolution
-        cost = (d[i][None, :] + gap).min(axis=1)
-        m = float(cost.max())
-        if m > best:
-            best = m
-    return best
+    gap = np.maximum(k_src[:, None] - k_tgt[None, :], 0) * resolution
+    return float((d + gap).min(axis=1).max())
 
 
 def endograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> float:

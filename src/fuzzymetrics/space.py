@@ -7,9 +7,10 @@ a finite space given by an explicit distance matrix.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,13 +21,32 @@ from .common import TOL, InputError
 EUCLIDEAN = "euclidean"
 FINITE = "finite"
 
-# Cap on the bytes of the difference temporary that dist_matrix builds per
+# Cap on the bytes of the rows x m scratch buffer that dist_matrix fills per
 # row block, so memory stays bounded on large point sets.
 BLOCK_BYTES = 1 << 20
 
 # Largest coordinate magnitude accepted in a point array. dist_matrix squares
 # coordinate differences, and below this bound the squares stay finite.
 COORD_MAX = 1e150
+
+
+@cache
+def _is_real(kind: type) -> bool:
+    """Whether values of this type are real numbers; bool is not, and
+    neither is a string, so neither is ever coerced to a coordinate or
+    distance."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _check_reals(rows, what: str) -> None:
+    """Reject rows whose entries are not all real numbers, by the distinct
+    entry types, so a small point set costs one set comprehension."""
+    try:
+        kinds = {type(x) for row in rows for x in row}
+    except TypeError:
+        raise InputError(f"{what} must be sequences of numbers") from None
+    if not all(map(_is_real, kinds)):
+        raise InputError(f"{what} must be real numbers, not {sorted(k.__name__ for k in kinds if not _is_real(k))}")
 
 
 @dataclass(frozen=True)
@@ -41,11 +61,16 @@ class Point:
         if (self.coords is None) == (self.index is None):
             raise InputError("point needs exactly one of coords or index")
         if self.coords is not None:
+            _check_reals([self.coords], "point coordinates")
             coords = tuple(float(c) for c in self.coords)
             if any(not math.isfinite(c) for c in coords):
                 raise InputError(f"non-finite coordinate in {coords}")
             object.__setattr__(self, "coords", coords)
         else:
+            try:
+                object.__setattr__(self, "index", _index(self.index))
+            except TypeError:
+                raise InputError(f"point index {self.index!r} is not an integer") from None
             if self.index < 0:
                 raise InputError(f"negative point index {self.index}")
 
@@ -66,8 +91,8 @@ class LiftedPoint:
     level: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.level <= 1.0:
-            raise InputError(f"level {self.level} outside [0,1]")
+        if not _is_real(type(self.level)) or not 0.0 <= self.level <= 1.0:
+            raise InputError(f"level {self.level!r} is not a real number in [0,1]")
 
 
 @dataclass(frozen=True)
@@ -78,20 +103,26 @@ class MetricSpace:
 
     def __post_init__(self) -> None:
         if self.mode == EUCLIDEAN:
-            if self.matrix is not None or self.dim is None or self.dim < 1:
-                raise InputError("euclidean space needs dim >= 1 and no matrix")
+            if (self.matrix is not None or isinstance(self.dim, bool)
+                    or not isinstance(self.dim, numbers.Integral) or self.dim < 1):
+                raise InputError("euclidean space needs an integer dim >= 1 and no matrix")
         elif self.mode == FINITE:
             if self.dim is not None or self.matrix is None:
                 raise InputError("finite space needs a matrix and no dim")
-            rows = tuple(tuple(float(x) for x in row) for row in self.matrix)
-            n = len(rows)
-            if n == 0 or any(len(row) != n for row in rows):
+            _check_reals(self.matrix, "distance matrix entries")
+            try:
+                arr = np.array(self.matrix, dtype=float)
+            except (ValueError, OverflowError):
+                raise InputError("distance matrix must be square and nonempty") from None
+            if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[0] != arr.shape[1]:
                 raise InputError("distance matrix must be square and nonempty")
-            for row in rows:
-                for x in row:
-                    if not math.isfinite(x) or x < 0:
-                        raise InputError(f"distance matrix entry {x} not a finite nonnegative real")
-            object.__setattr__(self, "matrix", rows)
+            bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
+            if bad.size:
+                i, j = bad[0]
+                raise InputError(f"distance matrix entry {arr[i, j]} not a finite nonnegative real")
+            arr.flags.writeable = False
+            object.__setattr__(self, "matrix", tuple(map(tuple, arr.tolist())))
+            self.__dict__["matrix_array"] = arr
         else:
             raise InputError(f"unknown space mode {self.mode!r}")
 
@@ -105,11 +136,9 @@ class MetricSpace:
 
     @cached_property
     def matrix_array(self) -> np.ndarray:
-        if self.mode != FINITE:
-            raise InputError("matrix_array is only available in finite mode")
-        out = np.asarray(self.matrix, dtype=float)
-        out.flags.writeable = False
-        return out
+        """The distance matrix as a read-only array, set when a finite space
+        is built."""
+        raise InputError("matrix_array is only available in finite mode")
 
     def point_array(self, points: Iterable) -> np.ndarray:
         """Validated point array of an iterable of points.
@@ -120,8 +149,10 @@ class MetricSpace:
         in finite mode.
         """
         if self.mode == EUCLIDEAN:
+            rows = [_coords(p) for p in points]
+            _check_reals(rows, "euclidean point coordinates")
             try:
-                arr = np.array([_coords(p) for p in points], dtype=float)
+                arr = np.array(rows, dtype=float)
             except (TypeError, ValueError):
                 raise InputError("euclidean points must be coordinate sequences of numbers") from None
             if arr.shape == (0,):
@@ -133,7 +164,7 @@ class MetricSpace:
             return arr
         try:
             # a coordinate Point has index None, which the int array rejects
-            arr = np.array([p.index if isinstance(p, Point) else operator.index(p) for p in points], dtype=np.intp)
+            arr = np.array([p.index if isinstance(p, Point) else _index(p) for p in points], dtype=np.intp)
         except (TypeError, OverflowError):
             raise InputError("finite-space points are integer indices") from None
         if arr.size and (arr.min() < 0 or arr.max() >= len(self.matrix)):
@@ -141,13 +172,18 @@ class MetricSpace:
         return arr
 
     def block_rows(self, m: int) -> int:
-        """Rows per block that keep a rows x m x dim float temporary within
+        """Rows per block that keep a rows x m float buffer within
         BLOCK_BYTES."""
-        width = self.dim if self.mode == EUCLIDEAN else 1
-        return max(1, BLOCK_BYTES // (8 * width * max(m, 1)))
+        return max(1, BLOCK_BYTES // (8 * max(m, 1)))
 
     def distance(self, p: Point, q: Point) -> float:
         return float(dist_matrix(self, self.point_array([p]), self.point_array([q]))[0, 0])
+
+
+def _index(p) -> int:
+    if type(p) is bool:
+        raise TypeError("a bool is not a point index")
+    return operator.index(p)
 
 
 def _coords(p):
@@ -169,17 +205,29 @@ def lifted_distance(space: MetricSpace, a: LiftedPoint, b: LiftedPoint) -> float
 def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise distances d(a_i, b_j) between two point arrays of one space.
 
-    This is the one distance kernel. Euclidean rows are filled in blocks so
-    that the block x m x dim difference temporary stays within BLOCK_BYTES;
-    finite mode gathers from the matrix.
+    This is the one distance kernel. Euclidean rows are filled in blocks:
+    each block takes the squared first-coordinate difference, adds each
+    further squared coordinate from one rows x m scratch buffer (capped by
+    BLOCK_BYTES) and takes the square root in place. The sum runs left to
+    right, as numpy's sum over an axis shorter than 8 does. Finite mode
+    gathers from the matrix.
     """
     if space.mode == FINITE:
         return space.matrix_array[np.ix_(a, b)]
     out = np.empty((len(a), len(b)))
     step = space.block_rows(len(b))
+    scratch = np.empty((min(step, len(a)), len(b)))
+    columns = np.ascontiguousarray(b.T)
     for s in range(0, len(a), step):
-        diff = a[s:s + step, None, :] - b[None, :, :]
-        np.sqrt((diff * diff).sum(axis=2), out=out[s:s + step])
+        blk = out[s:s + step]
+        np.subtract(a[s:s + step, 0, None], columns[0], out=blk)
+        np.multiply(blk, blk, out=blk)
+        tmp = scratch[:len(blk)]
+        for k in range(1, len(columns)):
+            np.subtract(a[s:s + step, k, None], columns[k], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            blk += tmp
+        np.sqrt(blk, out=blk)
     return out
 
 

@@ -2,8 +2,11 @@
 
 These are the per-Point routines that preceded the array kernel: one Python
 distance call per pair of points, keep-first greedy scans in input order.
-Sets are tuples of Point values. test_differential.py compares the library
-against them.
+Sets are tuples of Point values. Two array routines that the library has
+since replaced sit at the end: the Euclidean kernel that reduced a
+difference temporary over its last axis, and the oracles' directed distance
+sampled level by level. test_differential.py compares the library against
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from __future__ import annotations
 import math
 import operator
 
+import numpy as np
+
 from fuzzymetrics import TOL, InputError, Point
+from fuzzymetrics import space as space_module
 from fuzzymetrics.space import EUCLIDEAN
 
 
@@ -90,3 +96,26 @@ def graph_distance(space, levels_u, levels_v, truncate: bool) -> float:
         return best
 
     return max(directed(levels_u, levels_v), directed(levels_v, levels_u))
+
+
+def dist_matrix_reduction(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean pairwise distances with each row block building a
+    rows x m x dim difference temporary, within BLOCK_BYTES, and summing its
+    squares over the last axis."""
+    out = np.empty((len(a), len(b)))
+    step = max(1, space_module.BLOCK_BYTES // (8 * space.dim * max(len(b), 1)))
+    for s in range(0, len(a), step):
+        diff = a[s:s + step, None, :] - b[None, :, :]
+        np.sqrt((diff * diff).sum(axis=2), out=out[s:s + step])
+    return out
+
+
+def directed_sampled(k_src: np.ndarray, k_tgt: np.ndarray, d: np.ndarray, resolution: float) -> float:
+    """Directed distance between two sampled graphs, taken over every sample
+    k = 0..k_src[i] of each source column i."""
+    best = 0.0
+    for i, top in enumerate(k_src):
+        ks = np.arange(top + 1)
+        gap = np.maximum(ks[:, None] - k_tgt[None, :], 0) * resolution
+        best = max(best, float((d[i][None, :] + gap).min(axis=1).max()))
+    return best

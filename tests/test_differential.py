@@ -2,13 +2,17 @@
 per-Point reference in reference_pointwise.py, on 1-D, 2-D and finite-mode
 sets, at the default row-block cap and at a cap that forces one row per
 block. The incremental prefix unions and nets are checked against unions and
-nets rebuilt from scratch, and the one-matrix graph metrics against the
-closed form taken one direction at a time."""
+nets rebuilt from scratch, the one-matrix graph metrics against the closed
+form taken one direction at a time, the per-coordinate Euclidean kernel
+against the last-axis reduction it replaced, and the oracles against their
+level-by-level sampling."""
 
 import math
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
 import reference_pointwise as ref
@@ -21,6 +25,7 @@ from fuzzymetrics import (
     covering_number,
     directed_hausdorff,
     endograph_metric,
+    endograph_oracle,
     eps_net,
     finite_set,
     hausdorff,
@@ -28,10 +33,13 @@ from fuzzymetrics import (
     membership,
     send_decomposition_check,
     sendograph_metric,
+    sendograph_oracle,
     union_family,
 )
+from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.sets import prefix_net_sizes
+from fuzzymetrics.space import dist_matrix
 from helpers import SP1, SP2
 
 CAPS = (space_module.BLOCK_BYTES, 8)
@@ -44,10 +52,13 @@ grid_1d = st.tuples(st.integers(0, 40), st.integers(0, 2)).map(lambda t: (0.025 
 grid_2d = st.tuples(st.integers(0, 16), st.integers(0, 16)).map(lambda t: (t[0] / 8, t[1] / 8))
 
 
+KINDS = ("1d", "2d", "finite")
+
+
 @st.composite
-def scenes(draw):
+def scenes(draw, kinds=KINDS):
     """A space, a strategy for its points and the radii to try."""
-    kind = draw(st.sampled_from(["1d", "2d", "finite"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "1d":
         return SP1, grid_1d, (0.025, 0.05, 0.1, 0.25)
     if kind == "2d":
@@ -213,9 +224,9 @@ def nested_levels(raw, k1, k2):
 
 
 @st.composite
-def fuzzy_sequences(draw, min_size=2, max_size=2):
+def fuzzy_sequences(draw, min_size=2, max_size=2, kinds=KINDS):
     """A space and a list of (raw levels, reference levels) of nested sets."""
-    space, point, _ = draw(scenes())
+    space, point, _ = draw(scenes(kinds))
     out = []
     for _ in range(draw(st.integers(min_size, max_size))):
         raw = draw(point_lists(point, max_size=10))
@@ -275,3 +286,42 @@ def test_prefix_nets_of_cuts_larger_than_one_row_block():
         assert prefix_net_sizes(cuts, eps) == expected
     partial, _, _ = cauchy_limit_construct(cuts)
     assert [p.points for p in partial] == [union_family(cuts[:k + 1]).points for k in range(len(cuts))]
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_kernel_matches_last_axis_reduction(dim):
+    # the kernel adds squared coordinates left to right, as numpy's sum does
+    # over an axis shorter than 8, so it is bit-identical there; numpy sums
+    # longer axes pairwise
+    space = MetricSpace.euclidean(dim)
+    rng = np.random.default_rng(dim)
+    sizes = [tuple(rng.integers(1, 40, size=2)) for _ in range(12)] + [(1, 1), (300, 700)]
+    assert space.block_rows(700) < 300  # the last size spans row blocks at the default cap
+    for n, m in sizes:
+        a = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3)
+        b = rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-3, 3)
+        shared = min(n, m) // 3
+        b[:shared] = a[:shared]  # pairs at distance exactly 0
+        for cap in CAPS:
+            with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+                got = dist_matrix(space, a, b)
+                want = ref.dist_matrix_reduction(space, a, b)
+            if dim <= 7:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), resolution=st.sampled_from((0.1, 0.05, 0.025, 0.01, 0.007)))
+@settings(max_examples=60)
+def test_oracles_match_level_by_level_sampling(kind, data, resolution):
+    space, [(raw_u, _), (raw_v, _)] = data.draw(fuzzy_sequences(kinds=(kind,)))
+    u, v = build(space, raw_u), build(space, raw_v)
+
+    def oracles():
+        return [f(x, y, resolution) for f in (endograph_oracle, sendograph_oracle) for x, y in ((u, v), (v, u))]
+
+    got = oracles()
+    with mock.patch.object(metrics_module, "_directed_sampled", ref.directed_sampled):
+        assert got == oracles()

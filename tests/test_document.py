@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fuzzymetrics import InputError
+from fuzzymetrics.cli import main
 from fuzzymetrics.document import document_to_json, load_document, parse_document
 
 
@@ -206,3 +207,46 @@ def test_coerced_types_rejected_naming_the_field(tmp_path, data, field):
 def test_integer_alpha_and_coordinates_still_load(tmp_path):
     doc = load_document(write_doc(tmp_path, with_fuzzy(MINIMAL, [{"alpha": 1, "points": [[0]]}])))
     assert doc.fuzzy("a").levels[0][0] == 1.0
+
+
+def random_family_doc(seed=None, **params):
+    gen = {"kind": "random", "count": 3, "params": params}
+    if seed is not None:
+        gen["seed"] = seed
+    return {**MINIMAL, "families": [{"name": "r", "generator": gen}]}
+
+
+# each of these used to load, or to escape from the generator as a
+# ValueError traceback
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        (random_family_doc(box=[0, 1, 2]), "'box'"),
+        (random_family_doc(box=[0]), "'box'"),
+        (random_family_doc(box=[1, 0]), "'box'"),
+        (random_family_doc(box=[0.5, 0.5]), "'box'"),
+        (random_family_doc(seed=-1), "seed"),
+        (random_family_doc(max_levels=2.5), "'max_levels'"),
+        (random_family_doc(max_levels=0), "'max_levels'"),
+        (random_family_doc(max_points=True), "'max_points'"),
+        (random_family_doc(max_points=-3), "'max_points'"),
+    ],
+    ids=["box-three-numbers", "box-one-number", "box-reversed", "box-empty", "seed-negative",
+         "max-levels-fraction", "max-levels-zero", "max-points-bool", "max-points-negative"],
+)
+def test_generator_params_out_of_range_rejected_naming_the_field(tmp_path, data, field):
+    with pytest.raises(InputError, match=field):
+        load_document(write_doc(tmp_path, data))
+
+
+def test_generator_params_in_range_load(tmp_path):
+    doc = load_document(write_doc(tmp_path, random_family_doc(seed=0, box=[-1, 2.5], max_levels=1, max_points=1)))
+    members = doc.families["r"].members
+    assert len(members) == 3
+    assert all(len(u.levels) == 1 and len(u.levels[0][1]) == 1 for u in members)
+
+
+def test_cli_exits_2_on_out_of_range_generator_param(tmp_path, capsys):
+    path = write_doc(tmp_path, random_family_doc(box=[0, 1, 2]))
+    assert main(["compact", path, "--family", "r", "--mode", "tb_end", "--eps", "0.1"]) == 2
+    assert "'box'" in capsys.readouterr().err

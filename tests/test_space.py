@@ -1,6 +1,7 @@
 import json
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -11,6 +12,7 @@ from fuzzymetrics import (
     Point,
     Verdict,
     distance,
+    finite_set,
     lifted_distance,
     load_document,
     validate_metric,
@@ -178,3 +180,60 @@ def test_validate_metric_reports_first_triangle_violation(case):
     expected = _first_triangle_violation(m)
     assert cert.witness == expected
     assert cert.verdict is (Verdict.PASS if expected is None else Verdict.FAIL)
+
+
+FINITE2 = MetricSpace.finite([[0.0, 1.0], [1.0, 0.0]])
+
+
+# each of these used to be coerced: "1.5" to 1.5, True to 1.0 or index 1
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: finite_set(SP1, [("1.5",), (True,)]),
+        lambda: finite_set(SP1, [(0.5,), (True,)]),
+        lambda: finite_set(SP1, ["1.5"]),
+        lambda: finite_set(SP1, [True]),
+        lambda: finite_set(SP2, [(0.0, np.bool_(True))]),
+        lambda: finite_set(FINITE2, [True]),
+        lambda: finite_set(FINITE2, [0, np.bool_(False)]),
+        lambda: MetricSpace.finite([[0, "1"], ["1", 0]]),
+        lambda: MetricSpace.finite([[0.0, True], [True, 0.0]]),
+        lambda: MetricSpace.finite(np.array([[False, True], [True, False]])),
+        lambda: Point.euclidean("1.5"),
+        lambda: Point.finite(True),
+        lambda: Point.finite(1.5),
+        lambda: LiftedPoint(Point.euclidean(0.0), True),
+        lambda: LiftedPoint(Point.euclidean(0.0), "0.5"),
+        lambda: MetricSpace.euclidean(True),
+        lambda: MetricSpace.euclidean(2.5),
+    ],
+    ids=["coords-string-and-bool", "coords-bool-among-floats", "bare-string", "bare-bool", "numpy-bool-coord",
+         "index-bool", "index-numpy-bool", "matrix-strings", "matrix-bools-among-floats", "matrix-bool-array",
+         "point-string", "point-index-bool", "point-index-fraction", "level-bool", "level-string", "dim-bool",
+         "dim-fraction"],
+)
+def test_library_constructors_reject_strings_and_bools(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_library_constructors_accept_ints_and_numpy_numbers():
+    assert finite_set(SP2, [(1, np.float64(2.5)), (np.int64(3), 0)]).array.tolist() == [[1.0, 2.5], [3.0, 0.0]]
+    assert finite_set(SP2, np.array([[0.5, 1.0]])).array.tolist() == [[0.5, 1.0]]
+    assert finite_set(FINITE2, [np.int64(1), 0]).array.tolist() == [1, 0]
+    assert MetricSpace.euclidean(np.int64(2)).dim == 2
+    assert LiftedPoint(Point.euclidean(0.0), 1).level == 1
+    space = MetricSpace.finite(np.array([[0, 2], [2, 0]]))
+    assert space.matrix == ((0.0, 2.0), (2.0, 0.0))
+    assert space.matrix_array.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    assert not space.matrix_array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[], [[]], [[0.0, 1.0]], [[0.0, 1.0], [1.0]], [[0.0, -1.0], [-1.0, 0.0]], [[0.0, float("inf")], [1.0, 0.0]]],
+    ids=["empty", "empty-row", "not-square", "ragged", "negative", "infinite"],
+)
+def test_matrix_shape_and_entries_checked_as_one_array(matrix):
+    with pytest.raises(InputError):
+        MetricSpace.finite(matrix)
