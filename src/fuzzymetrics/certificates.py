@@ -7,6 +7,7 @@ tol, FAIL once it reaches 2*tol, INCONCLUSIVE in the band between.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -53,11 +54,15 @@ def default_window(n: int) -> int:
 
 
 def check_window(n: int, window: int | None) -> int:
+    """The tail window for a prefix of length n: the default when None, else
+    an integer in 1..n; a bool or a non-integral number is an input error."""
     if window is None:
         return default_window(n)
+    if isinstance(window, bool) or not isinstance(window, numbers.Integral):
+        raise InputError(f"window must be an integer, got {window!r}")
     if not 1 <= window <= n:
         raise InputError(f"window {window} outside 1..{n}")
-    return window
+    return int(window)
 
 
 def tail_verdict(series: Sequence[float], window: int, tol: float) -> tuple[Verdict, float]:

@@ -29,6 +29,7 @@ from .metrics import (
     default_alpha_grid,
     endograph_metric,
     endograph_oracle,
+    endograph_series,
     gamma_diagnostic,
     levelwise_distance,
     levelwise_profile,
@@ -102,7 +103,7 @@ def run_convergence(
     verdicts: list[Verdict] = []
     if mode == "end":
         w = check_window(len(seq), window)
-        series = [endograph_metric(u, limit) for u in seq]
+        series = endograph_series(seq, limit)
         v, m = tail_verdict(series, w, tol)
         _series_rows(rows, "H_end", series)
         rows.append(["tail_max", "H_end", "", fmt(m)])
@@ -122,22 +123,20 @@ def run_convergence(
         verdicts.append(cert.verdict)
     elif mode == "gamma":
         diag = gamma_diagnostic(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
-        for i, a in enumerate(diag.alphas):
-            _, m1 = tail_verdict(diag.deficits[i], diag.window, diag.tol)
-            _, m2 = tail_verdict(diag.excesses[i], diag.window, diag.tol)
+        for a, m1, m2, v in zip(diag.alphas, diag.deficit_tail_maxima, diag.excess_tail_maxima,
+                                diag.alpha_verdicts):
             rows.append(["tail_max", f"deficit[alpha={fmt(a)}]", "", fmt(m1)])
             rows.append(["tail_max", f"excess[alpha={fmt(a)}]", "", fmt(m2)])
-            rows.append(["verdict", f"alpha={fmt(a)}", "", diag.alpha_verdicts[i].value])
+            rows.append(["verdict", f"alpha={fmt(a)}", "", v.value])
         rows.append(["verdict", "overall", "", diag.verdict.value])
         verdicts.append(diag.verdict)
     elif mode == "level":
         profile = levelwise_profile(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
         for k, p in enumerate(platform_points(limit), start=1):
             rows.append(["excluded_alpha", "platform", str(k), fmt(p)])
-        for i, a in enumerate(profile.alphas):
-            _, m = tail_verdict(profile.distances[i], profile.window, profile.tol)
+        for a, m, v in zip(profile.alphas, profile.tail_maxima, profile.alpha_verdicts):
             rows.append(["tail_max", f"alpha={fmt(a)}", "", fmt(m)])
-            rows.append(["verdict", f"alpha={fmt(a)}", "", profile.alpha_verdicts[i].value])
+            rows.append(["verdict", f"alpha={fmt(a)}", "", v.value])
         rows.append(["verdict", "overall", "", profile.verdict.value])
         verdicts.append(profile.verdict)
     else:
@@ -235,6 +234,13 @@ def _exit_code(verdicts: Sequence[Verdict]) -> int:
     return 0 if all(v is Verdict.PASS for v in verdicts) else 1
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuzzymetrics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("document")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="default seed for generators")
+        p.add_argument("--seed", type=_seed, default=0, help="default seed for generators")
 
     p = sub.add_parser("metrics", help="pairwise distance matrix")
     common(p)

@@ -96,6 +96,8 @@ def tb_end_report(
     """
     check_positive("eps", eps)
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise InputError("empty alpha grid")
     for a in alphas:
         if not 0.0 < a <= 1.0:
             raise InputError(f"alpha {a} outside (0,1]")

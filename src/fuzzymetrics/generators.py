@@ -54,11 +54,13 @@ def collapse_family(
     _require_euclidean(space)
     if count < 1:
         raise InputError("count must be >= 1")
-    # cuts are immutable, so every member shares the same two
+    # cuts are immutable, so every member shares the same two; dedup keeps
+    # the base point first, so core lies in pair and, with 1 > 1/n, every
+    # member is a valid step set without make_fuzzy checking it again
     core = finite_set(space, [_axis_point(space, base)])
     pair = finite_set(space, [_axis_point(space, base), _axis_point(space, far)])
     members = [make_fuzzy([(1.0, pair)])]
-    members += [make_fuzzy([(1.0, core), (1.0 / n, pair)]) for n in range(2, count + 1)]
+    members += [StepFuzzySet(levels=((1.0, core), (1.0 / n, pair))) for n in range(2, count + 1)]
     names = [f"c[{n}]" for n in range(1, count + 1)]
     params = tuple(1.0 / n for n in range(1, count + 1))
     return fuzzy_family(members, names, GeneratorTag("collapse", params))
@@ -122,8 +124,12 @@ def random_fuzzy(
         n_new = int(rng.integers(1 if i == 0 else 0, cap + 1)) if cap > 0 else 0
         for _ in range(n_new):
             pts.append(tuple(float(rng.uniform(lo, hi)) for _ in range(space.dim)))
-        levels.append((a, finite_set(space, list(pts))))
-    return make_fuzzy(levels)
+        if i == 0 or n_new:
+            cut = finite_set(space, pts)
+        levels.append((a, cut))
+    # the levels decrease, and keep-first dedup makes each cut a prefix of the
+    # next one, so the set is valid without make_fuzzy checking it again
+    return StepFuzzySet(levels=tuple(levels))
 
 
 def random_family(

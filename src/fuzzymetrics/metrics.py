@@ -24,8 +24,7 @@ metric, so closed form and oracle must agree within twice the resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,11 +41,10 @@ from .fuzzy import (
     alpha_cut,
     memberships,
     platform_points,
-    strict_cut_closure,
     support,
 )
-from .sets import FiniteSet, directed_hausdorff, hausdorff, union_family
-from .space import dist_matrix
+from .sets import FiniteSet, hausdorff, union_family
+from .space import MetricSpace, dist_matrix
 
 
 def _check_same_space(u: StepFuzzySet, v: StepFuzzySet) -> None:
@@ -54,32 +52,104 @@ def _check_same_space(u: StepFuzzySet, v: StepFuzzySet) -> None:
         raise InputError("fuzzy sets live in different spaces")
 
 
-def _graph_distances(u: StepFuzzySet, v: StepFuzzySet) -> tuple[float, float]:
-    """Endograph and sendograph distances from one support-to-support
-    matrix. Each direction reads the matrix with its source points as rows
-    (the reverse one through the transpose: d(x, y) and d(y, x) agree bit for
-    bit in Euclidean mode and for a symmetric matrix, and within TOL for any
-    finite matrix that passes validate_metric), and the endograph truncates
-    the same inner minimum that the sendograph takes whole."""
-    _check_same_space(u, v)
-    mu = u.support_memberships
-    mv = v.support_memberships
-    d = dist_matrix(u.space, support(u).array, support(v).array)
-    inner_u = (d + np.maximum(0.0, mu[:, None] - mv[None, :])).min(axis=1)
-    inner_v = (d.T + np.maximum(0.0, mv[:, None] - mu[None, :])).min(axis=1)
-    end = max(np.minimum(mu, inner_u).max(), np.minimum(mv, inner_v).max())
-    send = max(inner_u.max(), inner_v.max())
-    return float(end), float(send)
+def _check_sequence(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> None:
+    if not seq:
+        raise InputError("empty sequence")
+    for u in seq:
+        _check_same_space(u, limit)
+
+
+def _segment_extrema(
+    space: MetricSpace,
+    blocks: Sequence[np.ndarray],
+    target: np.ndarray,
+    lifts: tuple[Sequence[np.ndarray], np.ndarray] | None = None,
+    transposed: bool = False,
+) -> np.ndarray:
+    """Directed distances between each of many point arrays and one target.
+
+    The blocks are concatenated into row chunks of at most
+    space.block_rows(len(target)) rows (a block larger than that is a chunk
+    of its own), each chunk is measured against the target by one dist_matrix
+    call, and each block's values come from segment reductions over its rows.
+    Row 0 of the result holds, per block, the max over its points x of the
+    min over the target points y of c(x, y); row 1 the max over y of the min
+    over x of c'(y, x). The kernel is read as d(x, y), or with `transposed` as
+    d(y, x) from dist_matrix(target, block), so each direction can keep the
+    orientation of its per-pair form. With lifts = (block heights, target
+    heights), c(x, y) adds max(0, h(x) - h(y)) to the distance and c'(y, x)
+    adds max(0, h(y) - h(x)), as in the graph closed forms, and rows 2 and 3
+    repeat rows 0 and 1 with each inner minimum capped at its source height.
+    """
+    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    ends = np.cumsum(sizes)
+    cap = space.block_rows(len(target))
+    out = np.empty((2 if lifts is None else 4, len(blocks)))
+    lo = 0
+    while lo < len(blocks):
+        base = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        starts = ends[lo:hi] - sizes[lo:hi] - base
+        rows = np.concatenate(blocks[lo:hi])
+        d = dist_matrix(space, target, rows).T if transposed else dist_matrix(space, rows, target)
+        if lifts is None:
+            inner, inner_back = d.min(axis=1), np.minimum.reduceat(d, starts, axis=0)
+        else:
+            h, ht = np.concatenate(lifts[0][lo:hi]), lifts[1]
+            inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
+            inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)
+            out[2, lo:hi] = np.maximum.reduceat(np.minimum(h, inner), starts)
+            out[3, lo:hi] = np.minimum(ht, inner_back).max(axis=1)
+        out[0, lo:hi] = np.maximum.reduceat(inner, starts)
+        out[1, lo:hi] = inner_back.max(axis=1)
+        lo = hi
+    return out
+
+
+def _distinct(items) -> tuple[list, list[int]]:
+    """The distinct items in first-occurrence order and each item's index
+    among them."""
+    index: dict = {}
+    ids = [index.setdefault(x, len(index)) for x in items]
+    return list(index), ids
+
+
+def _graph_series(
+    seq: Sequence[StepFuzzySet], limit: StepFuzzySet
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Endograph and sendograph distance from each member to the limit.
+
+    One lifted pass of _segment_extrema over the distinct members' supports
+    against the limit support: each direction reads the kernel with its
+    source points as rows, as the one-pair closed form does, and the
+    endograph caps the same inner minimum that the sendograph takes whole.
+    """
+    _check_sequence(seq, limit)
+    members, ids = _distinct(seq)
+    ext = _segment_extrema(
+        limit.space,
+        [support(u).array for u in members],
+        support(limit).array,
+        ([u.support_memberships for u in members], limit.support_memberships),
+    )
+    end = np.maximum(ext[2], ext[3]).tolist()
+    send = np.maximum(ext[0], ext[1]).tolist()
+    return tuple(map(end.__getitem__, ids)), tuple(map(send.__getitem__, ids))
 
 
 def endograph_metric(u: StepFuzzySet, v: StepFuzzySet) -> float:
     """Hausdorff distance between the endographs under the lifted metric."""
-    return _graph_distances(u, v)[0]
+    return _graph_series([u], v)[0][0]
 
 
 def sendograph_metric(u: StepFuzzySet, v: StepFuzzySet) -> float:
     """Hausdorff distance between the sendographs under the lifted metric."""
-    return _graph_distances(u, v)[1]
+    return _graph_series([u], v)[1][0]
+
+
+def endograph_series(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[float, ...]:
+    """Endograph distance from each member of a sequence to the limit."""
+    return _graph_series(seq, limit)[0]
 
 
 def _check_resolution(resolution: float) -> None:
@@ -167,14 +237,81 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
     return tuple(out)
 
 
+class _CutTable:
+    """The cut maps of some fuzzy sets as one table: their distinct cuts (by
+    identity), and per set its stored levels, zero-padded, with the index of
+    each level's cut among the distinct cuts. Row k of `levels` holds every
+    set's k-th level."""
+
+    def __init__(self, sets: Sequence[StepFuzzySet]) -> None:
+        index: dict[FiniteSet, int] = {}
+        rows = [[(a, index.setdefault(cut, len(index))) for a, cut in u.levels] for u in sets]
+        pad = [(0.0, 0)] * max(map(len, rows))
+        table = np.array([r + pad[len(r):] for r in rows]).transpose(2, 1, 0)
+        self.cuts = list(index)
+        self.levels = np.ascontiguousarray(table[0])
+        self._ids = table[1].astype(np.intp).T.ravel()
+        self._first = np.arange(len(rows)) * len(pad)
+
+    def at(self, alpha: float, strict: bool = False) -> np.ndarray:
+        """Index of each set's cut at alpha in (0,1): the cut at the smallest
+        stored level >= alpha, as alpha_cut takes it, or > alpha with
+        `strict`, as strict_cut_closure does. Levels decrease, so that cut
+        sits at the count of qualifying levels; the padding never qualifies."""
+        count = (self.levels > alpha if strict else self.levels >= alpha).sum(axis=0)
+        return self._ids[self._first + count - 1]
+
+
+def _level_series(
+    seq: Sequence[StepFuzzySet],
+    limit: StepFuzzySet,
+    alphas: tuple[float, ...],
+    sides: Sequence[tuple[Callable[[list[np.ndarray], np.ndarray], np.ndarray], bool]],
+) -> list[list[tuple[float, ...]]]:
+    """For each side (measure, strict) and each alpha, the series
+    measure(member cut at alpha, limit cut at alpha) over the members, the
+    limit cut being the strict one when `strict`.
+
+    A first pass over the grid marks which distinct member cuts meet which
+    limit cut; `measure` then takes those cuts' arrays and the limit cut's
+    array, once per limit cut, and returns one value per cut. A second pass
+    reads the series through the table: entries share the float objects of
+    the distinct values, and no (grid x members) array is built.
+    """
+    members, lim = _CutTable(seq), _CutTable([limit])
+
+    def rows():
+        for a in alphas:
+            yield members.at(a), [int(lim.at(a, strict)[0]) for _, strict in sides]
+
+    meets = np.zeros((len(sides), len(lim.cuts), len(members.cuts)), dtype=bool)
+    for ids, ks in rows():
+        for side, k in enumerate(ks):
+            meets[side, k, ids] = True
+    values = np.empty(meets.shape, dtype=object)
+    for side, (measure, _) in enumerate(sides):
+        for k, target in enumerate(lim.cuts):
+            sel = np.flatnonzero(meets[side, k])
+            if sel.size:
+                found = measure([members.cuts[i].array for i in sel], target.array)
+                values[side, k, sel] = found.astype(object)
+    out: list[list[tuple[float, ...]]] = [[] for _ in sides]
+    for ids, ks in rows():
+        for side, k in enumerate(ks):
+            out[side].append(tuple(values[side, k, ids].tolist()))
+    return out
+
+
 @dataclass(frozen=True)
 class LevelProfile:
-    """Per-level Hausdorff distance series across a fuzzy-set sequence."""
+    """Per-level Hausdorff distance series across a fuzzy-set sequence, with
+    the tail maximum that decides each level's verdict."""
 
     alphas: tuple[float, ...]
     distances: tuple[tuple[float, ...], ...]
     window: int
     tol: float
+    tail_maxima: tuple[float, ...]
     alpha_verdicts: tuple[Verdict, ...]
     verdict: Verdict
 
@@ -183,6 +320,8 @@ def _validated_alphas(alphas, limit, necessity: bool) -> tuple[float, ...]:
     if alphas is None:
         return default_alpha_grid(limit)
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise InputError("empty alpha grid")
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise InputError(f"alpha {a} outside (0,1)")
@@ -211,27 +350,21 @@ def levelwise_profile(
     A cut map changes only at stored levels, so each distinct (member cut,
     limit cut) pair is measured once.
     """
-    if not seq:
-        raise InputError("empty sequence")
-    for u in seq:
-        _check_same_space(u, limit)
+    _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity)
     window = check_window(len(seq), window)
-    dist = cache(hausdorff)
-    distances = []
-    verdicts = []
-    for a in alphas:
-        cut_lim = alpha_cut(limit, a)
-        series = tuple(dist(alpha_cut(u, a), cut_lim) for u in seq)
-        v, _ = tail_verdict(series, window, tol)
-        distances.append(series)
-        verdicts.append(v)
+    space = limit.space
+    (distances,) = _level_series(seq, limit, alphas, [
+        (lambda cuts, t: _segment_extrema(space, cuts, t).max(axis=0), False),
+    ])
+    verdicts, maxima = zip(*(tail_verdict(s, window, tol) for s in distances))
     return LevelProfile(
         alphas=alphas,
         distances=tuple(distances),
         window=window,
         tol=tol,
-        alpha_verdicts=tuple(verdicts),
+        tail_maxima=maxima,
+        alpha_verdicts=verdicts,
         verdict=combine_verdicts(verdicts),
     )
 
@@ -244,7 +377,8 @@ class GammaDiagnostic:
     reached by cut(u_n, a); excesses[i][n] measures how far cut(u_n, a)
     sticks out of cut(limit, a). The sandwich is asymmetric on purpose: the
     inner side is measured against the strict cut, the outer side against
-    the full cut.
+    the full cut. Each level's verdict is decided on the larger of its two
+    tail maxima.
     """
 
     alphas: tuple[float, ...]
@@ -252,6 +386,8 @@ class GammaDiagnostic:
     excesses: tuple[tuple[float, ...], ...]
     window: int
     tol: float
+    deficit_tail_maxima: tuple[float, ...]
+    excess_tail_maxima: tuple[float, ...]
     alpha_verdicts: tuple[Verdict, ...]
     verdict: Verdict
 
@@ -264,37 +400,30 @@ def gamma_diagnostic(
     tol: float = 1e-3,
 ) -> GammaDiagnostic:
     """Per-level sandwich tails; platform collisions are allowed here since
-    the sandwich holds at every level. Each distinct pair of cuts is measured
-    once."""
-    if not seq:
-        raise InputError("empty sequence")
-    for u in seq:
-        _check_same_space(u, limit)
+    the sandwich holds at every level. Each directed distance reads the
+    kernel in the orientation of directed_hausdorff: deficits as
+    d(strict limit cut, member cut), excesses as d(member cut, limit cut).
+    Each distinct pair of cuts is measured once."""
+    _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity=False)
     window = check_window(len(seq), window)
-    directed = cache(directed_hausdorff)
-    deficits = []
-    excesses = []
-    verdicts = []
-    for a in alphas:
-        inner = strict_cut_closure(limit, a)
-        outer = alpha_cut(limit, a)
-        cuts = [alpha_cut(u, a) for u in seq]
-        d_series = tuple(directed(inner, c) for c in cuts)
-        e_series = tuple(directed(c, outer) for c in cuts)
-        _, m1 = tail_verdict(d_series, window, tol)
-        _, m2 = tail_verdict(e_series, window, tol)
-        v, _ = tail_verdict((max(m1, m2),), 1, tol)
-        deficits.append(d_series)
-        excesses.append(e_series)
-        verdicts.append(v)
+    space = limit.space
+    deficits, excesses = _level_series(seq, limit, alphas, [
+        (lambda cuts, t: _segment_extrema(space, cuts, t, transposed=True)[1], True),
+        (lambda cuts, t: _segment_extrema(space, cuts, t)[0], False),
+    ])
+    m1 = tuple(tail_verdict(s, window, tol)[1] for s in deficits)
+    m2 = tuple(tail_verdict(s, window, tol)[1] for s in excesses)
+    verdicts = tuple(tail_verdict((max(a, b),), 1, tol)[0] for a, b in zip(m1, m2))
     return GammaDiagnostic(
         alphas=alphas,
         deficits=tuple(deficits),
         excesses=tuple(excesses),
         window=window,
         tol=tol,
-        alpha_verdicts=tuple(verdicts),
+        deficit_tail_maxima=m1,
+        excess_tail_maxima=m2,
+        alpha_verdicts=verdicts,
         verdict=combine_verdicts(verdicts),
     )
 
@@ -310,16 +439,15 @@ def send_decomposition_check(
 
     Computes the three tails and PASSes iff send-verdict equals
     (end-verdict AND cut0-verdict); INCONCLUSIVE if any component tail is
-    inconclusive.
+    inconclusive. The end and send series come from one lifted pass over
+    the members, the 0-cut series from one pass over their distinct supports.
     """
-    if not seq:
-        raise InputError("empty sequence")
-    for u in seq:
-        _check_same_space(u, limit)
+    _check_sequence(seq, limit)
     window = check_window(len(seq), window)
-    end_series, send_series = zip(*(_graph_distances(u, limit) for u in seq))
-    cut0_lim = support(limit)
-    cut0_series = tuple(hausdorff(support(u), cut0_lim) for u in seq)
+    end_series, send_series = _graph_series(seq, limit)
+    supports, ids = _distinct(support(u) for u in seq)
+    cut0 = _segment_extrema(limit.space, [s.array for s in supports], support(limit).array).max(axis=0).tolist()
+    cut0_series = tuple(map(cut0.__getitem__, ids))
     v_send, _ = tail_verdict(send_series, window, tol)
     v_end, _ = tail_verdict(end_series, window, tol)
     v_cut0, _ = tail_verdict(cut0_series, window, tol)

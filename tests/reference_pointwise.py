@@ -83,19 +83,24 @@ def prefix_net_sizes(space, cuts, eps: float) -> tuple[int, ...]:
     return tuple(len(eps_net(space, union_family(space, cuts[:k + 1]), eps)) for k in range(len(cuts)))
 
 
-def graph_distance(space, levels_u, levels_v, truncate: bool) -> float:
+def graph_distance(space, levels_u, levels_v, truncate: bool, u_first: bool = False) -> float:
     """Endograph (truncate=True) or sendograph distance by the closed form,
-    one direction at a time, each measuring d(source point, target point)."""
+    one direction at a time, each measuring d(source point, target point);
+    with u_first, both directions measure d(point of u, point of v), as the
+    library's one-matrix form reads its kernel. The two agree bit for bit on
+    a symmetric matrix and within TOL on one that is asymmetric within TOL."""
 
-    def directed(src, tgt):
+    def directed(src, tgt, dist):
         best = 0.0
         for x in src[-1][1]:
             mx = membership(space, src, x)
-            inner = min(distance(space, x, y) + max(0.0, mx - membership(space, tgt, y)) for y in tgt[-1][1])
+            inner = min(dist(x, y) + max(0.0, mx - membership(space, tgt, y)) for y in tgt[-1][1])
             best = max(best, min(mx, inner) if truncate else inner)
         return best
 
-    return max(directed(levels_u, levels_v), directed(levels_v, levels_u))
+    forward = lambda x, y: distance(space, x, y)  # noqa: E731
+    backward = (lambda y, x: distance(space, x, y)) if u_first else forward
+    return max(directed(levels_u, levels_v, forward), directed(levels_v, levels_u, backward))
 
 
 def dist_matrix_reduction(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -227,3 +227,13 @@ def test_out_flag_writes_identical_bytes(capsys, doc_path, tmp_path):
     assert main(["metrics", doc_path, "--kind", "send", "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_negative_seed_is_rejected_by_the_cli(capsys, doc_path):
+    # the document parser used to report the flag's value as a field of the
+    # document's random family
+    assert main(["compact", doc_path, "--family", "tr", "--mode", "tb_send", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err and "nonnegative" in captured.err
+    assert main(["gen", doc_path, "--seed", "0"]) == 0

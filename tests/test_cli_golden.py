@@ -1,8 +1,10 @@
 """Byte-identity of the CLI on demo/demo.json: the sha256 of stdout and the
 exit code of one command per CLI mode, recorded before the point-set layer
 moved to arrays; the two `tb_end` commands at the default 101-level grid were
-recorded before the prefix unions and nets became incremental. A change to
-any number, verdict or row order shows here."""
+recorded before the prefix unions and nets became incremental; the four
+`converge` commands at `--alpha-grid 7 --window 3` were recorded before the
+level and gamma series were batched over the members. A change to any number,
+verdict or row order shows here."""
 
 import hashlib
 from pathlib import Path
@@ -33,6 +35,10 @@ GOLDEN = [
     (["compact", "DOC", "--family", "cloud", "--mode", "rel_send", "--eps", "0.1"], 1, "aa3388233192db1102f5f416bc0cb8ae55900d26af19b7ed320e5340f17b73cf"),
     (["compact", "DOC", "--family", "tr", "--mode", "closedness", "--candidate", "three"], 0, "6c8f7e0b21d476c285a847ab00e3a91ca668ef64e48326191becc93c4806932b"),
     (["gen", "DOC"], 0, "86734f75fa2cdc81a660c759d94642f64351b47275ffc6e0dcb05c0abbcfcfdf"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "level", "--alpha-grid", "7", "--window", "3"], 0, "8d424b71d510bd69f4376b4b55602b45221725979f10f4132f8b20e6525b7423"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "gamma", "--alpha-grid", "7", "--window", "3"], 0, "21520386c6d16b32a539373b3452232e9a6bb44aa83968086cd0dd2dad722e0e"),
+    (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "level", "--alpha-grid", "7", "--window", "3"], 1, "198aa44ea6630240e0df28642028ae0e1730bcc8d0292376e3e7532fec59aed0"),
+    (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "gamma", "--alpha-grid", "7", "--window", "3"], 1, "9f28caa6514a29a4fd1281a9e930153ac9b6c09b3c5487f0565518f3f53ab90f"),
 ]
 
 

@@ -4,8 +4,9 @@ sets, at the default row-block cap and at a cap that forces one row per
 block. The incremental prefix unions and nets are checked against unions and
 nets rebuilt from scratch, the one-matrix graph metrics against the closed
 form taken one direction at a time, the per-coordinate Euclidean kernel
-against the last-axis reduction it replaced, and the oracles against their
-level-by-level sampling."""
+against the last-axis reduction it replaced, the oracles against their
+level-by-level sampling, and the convergence series batched over a whole
+sequence against the same distances taken one pair at a time."""
 
 import math
 from unittest import mock
@@ -20,20 +21,26 @@ from fuzzymetrics import (
     TOL,
     MetricSpace,
     Point,
+    alpha_cut,
     cauchy_limit_construct,
     cauchy_tail_profile,
     covering_number,
     directed_hausdorff,
     endograph_metric,
     endograph_oracle,
+    endograph_series,
     eps_net,
     finite_set,
+    gamma_diagnostic,
     hausdorff,
+    levelwise_profile,
     make_fuzzy,
     membership,
     send_decomposition_check,
     sendograph_metric,
     sendograph_oracle,
+    strict_cut_closure,
+    support,
     union_family,
 )
 from fuzzymetrics import metrics as metrics_module
@@ -65,6 +72,10 @@ def scenes(draw, kinds=KINDS):
         return SP2, grid_2d, (0.125, 0.25, 0.5, 1.0)
     cells = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=2, max_size=12, unique=True))
     matrix = [[(abs(xa - xb) + abs(ya - yb)) / 8 for xb, yb in cells] for xa, ya in cells]
+    if kind == "asymmetric":
+        # d(i, j) exceeds d(j, i) by up to 0.7e-9 for i < j, still a metric
+        # within TOL, so each distance must be read in its own orientation
+        matrix = [[x + 1e-10 * ((3 * i + j) % 8) * (i < j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
     return MetricSpace.finite(matrix), st.integers(0, len(cells) - 1), (0.125, 0.25, 0.5)
 
 
@@ -325,3 +336,116 @@ def test_oracles_match_level_by_level_sampling(kind, data, resolution):
     got = oracles()
     with mock.patch.object(metrics_module, "_directed_sampled", ref.directed_sampled):
         assert got == oracles()
+
+
+# Stored levels of the shared-cut sequences, and grid alphas both exactly at
+# each of them (where alpha_cut's >= and strict_cut_closure's > part ways)
+# and in the gaps between them.
+LEVELS = (0.8, 0.6, 0.45, 0.3, 0.1)
+GRID = LEVELS + (0.05, 0.2, 0.5, 0.7, 0.9, 0.99)
+SERIES_CAPS = CAPS + (64,)  # 64 bytes: a few one- or two-point cuts per chunk
+SERIES_KINDS = KINDS + ("asymmetric",)
+
+
+@st.composite
+def shared_cut_sequences(draw, kinds=SERIES_KINDS):
+    """A space, a sequence and a limit whose cuts all come from one chain of
+    nested cut objects, so members share cuts as collapse_family's do; the
+    sequence may repeat a member object."""
+    space, point, _ = draw(scenes(kinds))
+    raw = draw(point_lists(point, max_size=12))
+    sizes = sorted(set(draw(st.lists(st.integers(1, len(raw)), min_size=1, max_size=4))))
+    chain = [finite_set(space, raw[:k]) for k in sizes]
+
+    def fuzzy():
+        lo = draw(st.integers(0, len(chain) - 1))
+        cuts = chain[lo:draw(st.integers(lo + 1, len(chain)))]
+        below = draw(st.lists(st.sampled_from(LEVELS), min_size=len(cuts) - 1, max_size=len(cuts) - 1, unique=True))
+        return make_fuzzy(list(zip([1.0] + sorted(below, reverse=True), cuts)))
+
+    pool = [fuzzy() for _ in range(draw(st.integers(1, 4)))]
+    seq = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    alphas = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=6))
+    return space, seq, fuzzy(), alphas
+
+
+def ref_levels(u):
+    return [(a, cut.points) for a, cut in u.levels]
+
+
+@given(shared_cut_sequences())
+@settings(max_examples=200)
+def test_batched_level_and_gamma_series_match_per_pair_distances(scene):
+    space, seq, limit, alphas = scene
+    levels = [tuple(hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq) for a in alphas]
+    deficits = [tuple(directed_hausdorff(strict_cut_closure(limit, a), alpha_cut(u, a)) for u in seq) for a in alphas]
+    excesses = [tuple(directed_hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq) for a in alphas]
+    window = len(seq)
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            profile = levelwise_profile(seq, limit, alphas, window=window)
+            diag = gamma_diagnostic(seq, limit, alphas, window=window)
+        assert profile.distances == tuple(levels)
+        assert profile.tail_maxima == tuple(map(max, levels))
+        assert diag.deficits == tuple(deficits)
+        assert diag.excesses == tuple(excesses)
+        assert diag.deficit_tail_maxima == tuple(map(max, deficits))
+        assert diag.excess_tail_maxima == tuple(map(max, excesses))
+
+
+@given(shared_cut_sequences())
+@settings(max_examples=150)
+def test_batched_graph_series_match_the_closed_form_per_pair(scene):
+    space, seq, limit, _ = scene
+    u_first = space.mode == "finite"  # the asymmetric matrices agree with the symmetric only within TOL
+    end = tuple(ref.graph_distance(space, ref_levels(u), ref_levels(limit), True, u_first) for u in seq)
+    send = tuple(ref.graph_distance(space, ref_levels(u), ref_levels(limit), False, u_first) for u in seq)
+    cut0 = tuple(hausdorff(support(u), support(limit)) for u in seq)
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert endograph_series(seq, limit) == end
+            assert tuple(endograph_metric(u, limit) for u in seq) == end
+            assert tuple(sendograph_metric(u, limit) for u in seq) == send
+            cert = send_decomposition_check(seq, limit, window=1)
+        assert (cert.evidence["end"], cert.evidence["send"], cert.evidence["cut0"]) == (end, send, cut0)
+
+
+def test_batched_kernel_calls_stay_within_one_row_chunk():
+    # 300 members of one to three points and one member of 100 points against
+    # a limit with cuts of 500 and 2000 points: a row chunk against the
+    # support holds block_rows(2000) = 65 rows, so there the big member takes
+    # a chunk of its own, no larger than its per-pair matrix, and every other
+    # chunk stays within the cap
+    xs = [0.001 * k for k in range(2000)]
+    limit = make_fuzzy([(1.0, finite_set(SP1, xs[:500])), (0.5, finite_set(SP1, xs))])
+    rng = np.random.default_rng(0)
+    seq = []
+    for k in range(300):
+        pts = rng.uniform(0.0, 2.5, size=1 + k % 3).tolist()
+        seq.append(make_fuzzy([(1.0, finite_set(SP1, pts[:1])), (0.4, finite_set(SP1, pts))]))
+    big = rng.uniform(0.0, 2.5, size=100).tolist()
+    seq.insert(150, make_fuzzy([(1.0, finite_set(SP1, big))]))
+    assert SP1.block_rows(2000) == 65
+    shapes = []
+
+    def recording(space, a, b):
+        shapes.append((len(a), len(b)))
+        return dist_matrix(space, a, b)
+
+    alphas = (0.3, 0.45, 0.5, 0.7)
+    with mock.patch.object(metrics_module, "dist_matrix", recording):
+        profile = levelwise_profile(seq, limit, alphas, window=5)
+        diag = gamma_diagnostic(seq, limit, alphas, window=5)
+        cert = send_decomposition_check(seq, limit, window=5)
+    # (chunk rows, target size) of each call; the targets are the limit cuts
+    chunks = [(n, m) for a, b in shapes for n, m in ((a, b), (b, a)) if m in (500, 2000) and n not in (500, 2000)]
+    assert len(chunks) == len(shapes)
+    assert all(n <= SP1.block_rows(m) for n, m in chunks if (n, m) != (100, 2000))
+    assert (100, 2000) in chunks
+    for i, a in enumerate(alphas):
+        assert profile.distances[i] == tuple(hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
+        assert diag.deficits[i] == tuple(
+            directed_hausdorff(strict_cut_closure(limit, a), alpha_cut(u, a)) for u in seq)
+        assert diag.excesses[i] == tuple(directed_hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
+    assert cert.evidence["end"] == tuple(endograph_metric(u, limit) for u in seq)
+    assert cert.evidence["cut0"] == tuple(hausdorff(support(u), support(limit)) for u in seq)

@@ -10,7 +10,9 @@ from fuzzymetrics import (
     erc_modulus,
     family_union_cut,
     fuzzy_family,
+    make_fuzzy,
     rel_compact_send_report,
+    same_representation,
     support,
     tb_end_report,
     tb_send_report,
@@ -23,7 +25,7 @@ from fuzzymetrics.generators import (
     random_family,
     translates_family,
 )
-from helpers import SP1, singleton, two_level
+from helpers import SP1, SP2, singleton, two_level
 
 
 def xs(s):
@@ -231,3 +233,14 @@ def test_collapse_separates_end_from_send():
     send_series = [sendograph_metric(u, limit) for u in fam.members]
     assert end_series[-1] < 0.02
     assert set(send_series) == {1.0}
+
+
+@pytest.mark.parametrize("space", [SP1, SP2])
+def test_generated_members_pass_make_fuzzy_validation(space):
+    # collapse_family and random_fuzzy build their members without
+    # make_fuzzy, relying on nested-by-construction cuts
+    members = list(collapse_family(space, 40).members)
+    for seed in range(10):
+        members += random_family(space, 20, seed, max_levels=6, max_points=9).members
+    for u in members:
+        assert same_representation(make_fuzzy(u.levels), u)

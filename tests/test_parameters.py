@@ -1,5 +1,6 @@
-"""Radius and tolerance parameters must be finite and positive, in the
-library and through the CLI; stored point arrays are read-only."""
+"""Radius and tolerance parameters must be finite and positive, windows
+integers and alpha grids nonempty, in the library and through the CLI;
+stored point arrays are read-only."""
 
 from pathlib import Path
 
@@ -12,6 +13,10 @@ from fuzzymetrics import (
     alpha_cut,
     closedness_witness,
     eps_net,
+    gamma_diagnostic,
+    kuratowski_tail_diagnostic,
+    levelwise_profile,
+    send_decomposition_check,
     erc_modulus,
     finite_set,
     hausdorff,
@@ -79,3 +84,42 @@ def test_coordinates_beyond_the_kernel_range_are_rejected(x):
     with pytest.raises(InputError, match="magnitude at most 1e"):
         finite_set(SP1, [0.0, x])
     assert hausdorff(finite_set(SP1, [1e150]), finite_set(SP1, [-1e150])) == 2e150
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_empty_alpha_grid_is_an_input_error(capsys, grid):
+    # an empty grid used to print PASS with exit 0 and no evidence
+    with pytest.raises(InputError, match="empty alpha grid"):
+        tb_end_report(translates_family(SP1, 6), 0.05, ())
+    seq = [two_level()] * 3
+    with pytest.raises(InputError, match="empty alpha grid"):
+        levelwise_profile(seq, two_level(), alphas=())
+    with pytest.raises(InputError, match="empty alpha grid"):
+        gamma_diagnostic(seq, two_level(), alphas=[])
+    assert main(["compact", DEMO, "--family", "iv", "--mode", "tb_end", "--eps", "0.05", "--alpha-grid", grid]) == 2
+    assert main(["converge", DEMO, "--sequence", "col", "--limit", "origin", "--mode", "level",
+                 "--alpha-grid", grid]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "2", np.float64(2.0)])
+def test_window_must_be_an_integer(window):
+    # True used to count as window 1, and 2.5 failed with a TypeError
+    seq = [two_level()] * 4
+    target = alpha_cut(two_level(), 0.5)
+    calls = [
+        lambda: levelwise_profile(seq, two_level(), alphas=[0.5], window=window),
+        lambda: gamma_diagnostic(seq, two_level(), alphas=[0.5], window=window),
+        lambda: send_decomposition_check(seq, two_level(), window=window),
+        lambda: kuratowski_tail_diagnostic([target] * 4, target, window=window),
+        lambda: tb_send_report(translates_family(SP1, 6), 0.5, window=window),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="window must be an integer"):
+            call()
+
+
+def test_integer_windows_of_any_integral_type_are_accepted():
+    seq = [two_level()] * 4
+    for window in (2, np.int64(2)):
+        assert levelwise_profile(seq, two_level(), alphas=[0.5], window=window).window == 2
