@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .certificates import Certificate, Verdict, check_window, tail_verdict
 from .common import InputError, fmt
-from .document import Document, document_to_json, load_document
+from .document import Document, dumps_document, load_document
 from .families import (
     closedness_witness,
     erc_modulus,
@@ -328,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             _write(csv_text, args.out)
             return _exit_code(verdicts)
         if args.command == "gen":
-            text = json.dumps(document_to_json(doc), indent=2, sort_keys=True) + "\n"
+            text = dumps_document(doc) + "\n"
             _write(text, args.out)
             return 0
         raise InputError(f"unknown command {args.command!r}")

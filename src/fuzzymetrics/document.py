@@ -19,8 +19,7 @@ family can be used directly as a sequence.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from .common import InputError
@@ -33,7 +32,7 @@ from .generators import (
     translates_family,
 )
 from .sets import finite_set
-from .space import EUCLIDEAN, FINITE, MetricSpace, validate_metric
+from .space import COORD_MAX, EUCLIDEAN, FINITE, MetricSpace, validate_metric
 from .certificates import Verdict
 
 
@@ -173,9 +172,9 @@ def _expand_generator(space: MetricSpace, name: str, gen: Mapping, default_seed:
     for key, value in params.items():
         if key == "box":
             if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-                    and math.isfinite(value[0]) and math.isfinite(value[1]) and value[0] < value[1]):
-                raise InputError(f"family {name!r}: generator param 'box' must be two finite numbers low < high, "
-                                 f"got {value!r}")
+                    and abs(value[0]) <= COORD_MAX and abs(value[1]) <= COORD_MAX and value[0] < value[1]):
+                raise InputError(f"family {name!r}: generator param 'box' must be two numbers low < high "
+                                 f"with magnitude at most {COORD_MAX:g}, got {value!r}")
         elif key in ("max_levels", "max_points"):
             if type(value) is not int or value < 1:
                 raise InputError(f"family {name!r}: generator param {key!r} must be a positive integer, got {value!r}")
@@ -198,8 +197,8 @@ def _expand_generator(space: MetricSpace, name: str, gen: Mapping, default_seed:
                 raise InputError(f"family {name!r}: seed must be a nonnegative integer, got {seed!r}")
             kwargs["seed"] = seed
         fam = fn(space, count, **kwargs)
-    names = tuple(f"{name}[{k + 1}]" for k in range(len(fam.members)))
-    return fuzzy_family(fam.members, names, fam.generator)
+    # the generator validated the family, and these names are distinct too
+    return replace(fam, names=tuple(f"{name}[{k + 1}]" for k in range(len(fam.members))))
 
 
 def parse_document(data: Any, default_seed: int = 0) -> Document:
@@ -276,23 +275,57 @@ def load_document(path: str, default_seed: int = 0) -> Document:
 
 def document_to_json(doc: Document) -> dict:
     """Serialize a document with all generators expanded to member lists."""
-    if doc.space.mode == EUCLIDEAN:
-        space_obj: dict[str, Any] = {"type": EUCLIDEAN, "dim": doc.space.dim}
-    else:
-        space_obj = {"type": FINITE, "matrix": [list(row) for row in doc.space.matrix]}
-    fuzzy_objs = []
-    for name, u in doc.fuzzy_sets.items():
-        levels = []
-        for a, cut in u.levels:
-            levels.append({"alpha": a, "points": cut.array.tolist()})
-        fuzzy_objs.append({"name": name, "levels": levels})
-    family_objs = [
-        {"name": name, "members": list(fam.names)} for name, fam in doc.families.items()
-    ]
-    seq_objs = [{"name": name, "members": list(ms)} for name, ms in doc.sequences.items()]
+    space = doc.space
     return {
-        "space": space_obj,
-        "fuzzy_sets": fuzzy_objs,
-        "families": family_objs,
-        "sequences": seq_objs,
+        "space": ({"type": EUCLIDEAN, "dim": space.dim} if space.mode == EUCLIDEAN
+                  else {"type": FINITE, "matrix": [list(row) for row in space.matrix]}),
+        "fuzzy_sets": [{"name": name, "levels": [{"alpha": a, "points": cut.array.tolist()} for a, cut in u.levels]}
+                       for name, u in doc.fuzzy_sets.items()],
+        "families": [{"name": name, "members": list(fam.names)} for name, fam in doc.families.items()],
+        "sequences": [{"name": name, "members": list(ms)} for name, ms in doc.sequences.items()],
     }
+
+
+# One line from the C encoder; json.dumps with an indent runs pure Python.
+_encode = json.JSONEncoder().encode
+
+
+def _array(items: list[str], indent: str) -> str:
+    """Encoded items laid out as json.dumps(indent=2) lays out an array."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _leaves(arrays: list[list], indent: str) -> list[str]:
+    """Arrays of numbers, or all of arrays of numbers, from one C encoder call:
+    numbers hold no bracket, comma or NUL, so separators are indented in place."""
+    one, two, end = "\n" + indent + "  ", "\n" + indent + "    ", "\n" + indent + "]"
+    text = _encode(arrays)[1:-1]
+    if text.startswith("[["):
+        text = (text.replace("]], [[", "]]\0[[").replace("], [", f"{one}],{one}[{two}")
+                .replace(", ", "," + two).replace("[[", f"[{one}[{two}").replace("]]", f"{one}]{end}"))
+    else:
+        text = text.replace("], [", "]\0[").replace(", ", "," + one).replace("[", "[" + one).replace("]", end)
+    return text.split("\0") if arrays else []
+
+
+def dumps_document(doc: Document) -> str:
+    """json.dumps(document_to_json(doc), indent=2, sort_keys=True), from one C
+    encoder call per kind of leaf and one template per kind of object."""
+    data = document_to_json(doc)
+    levels = [lv for obj in data["fuzzy_sets"] for lv in obj["levels"]]
+    alphas = _encode([lv["alpha"] for lv in levels])[1:-1].split(", ")
+    level_objs = iter([f'{{\n          "alpha": {a},\n          "points": {p}\n        }}'
+                       for a, p in zip(alphas, _leaves([lv["points"] for lv in levels], " " * 10))])
+
+    def named(key: str, items: list[str], name: str) -> str:
+        return f'{{\n      "{key}": {_array(items, " " * 6)},\n      "name": {_encode(name)}\n    }}'
+
+    fuzzy_sets = [named("levels", [next(level_objs) for _ in obj["levels"]], obj["name"])
+                  for obj in data["fuzzy_sets"]]
+    families, sequences = ([named("members", list(map(_encode, obj["members"])), obj["name"]) for obj in data[key]]
+                           for key in ("families", "sequences"))
+    space = ",\n    ".join(f'"{k}": {_leaves([v], "    ")[0] if k == "matrix" else _encode(v)}'
+                          for k, v in sorted(data["space"].items()))
+    return (f'{{\n  "families": {_array(families, "  ")},\n  "fuzzy_sets": {_array(fuzzy_sets, "  ")},\n'
+            f'  "sequences": {_array(sequences, "  ")},\n  "space": {{\n    {space}\n  }}\n}}')

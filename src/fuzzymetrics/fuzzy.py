@@ -90,6 +90,18 @@ def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
     return StepFuzzySet(levels=tuple(pairs))
 
 
+def _prefix_fuzzy(levels: tuple[tuple[float, FiniteSet], ...]) -> StepFuzzySet:
+    """Unchecked step set of decreasing levels whose cuts are prefixes of the
+    deduplicated support: each level is the membership of the points it adds."""
+    values: list[float] = []
+    for a, cut in levels:
+        values += [a] * (len(cut.array) - len(values))
+    u = StepFuzzySet(levels=levels)
+    u.__dict__["support_memberships"] = out = np.array(values)
+    out.flags.writeable = False
+    return u
+
+
 def crisp(space: MetricSpace, points) -> StepFuzzySet:
     """The crisp fuzzy set of a point set: membership 1 on it, 0 elsewhere."""
     return make_fuzzy([(1.0, finite_set(space, points))])

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import InputError
+from .common import TOL, InputError
 from .families import FuzzyFamily, GeneratorTag, fuzzy_family
-from .fuzzy import StepFuzzySet, crisp, make_fuzzy, support
-from .sets import finite_set
-from .space import EUCLIDEAN, MetricSpace
+from .fuzzy import StepFuzzySet, _prefix_fuzzy, crisp, make_fuzzy, support
+from .sets import FiniteSet, _keep_first, finite_set
+from .space import COORD_MAX, EUCLIDEAN, MetricSpace
 
 GENERATOR_KINDS = ("translates", "collapse", "crisp_intervals", "random")
 
@@ -55,12 +55,11 @@ def collapse_family(
     if count < 1:
         raise InputError("count must be >= 1")
     # cuts are immutable, so every member shares the same two; dedup keeps
-    # the base point first, so core lies in pair and, with 1 > 1/n, every
-    # member is a valid step set without make_fuzzy checking it again
+    # the base point first, so core is a prefix of pair and, with 1 > 1/n,
+    # every member is a valid step set without make_fuzzy checking it again
     core = finite_set(space, [_axis_point(space, base)])
     pair = finite_set(space, [_axis_point(space, base), _axis_point(space, far)])
-    members = [make_fuzzy([(1.0, pair)])]
-    members += [StepFuzzySet(levels=((1.0, core), (1.0 / n, pair))) for n in range(2, count + 1)]
+    members = [_prefix_fuzzy(((1.0, core), (1.0 / n, pair)) if n > 1 else ((1.0, pair),)) for n in range(1, count + 1)]
     names = [f"c[{n}]" for n in range(1, count + 1)]
     params = tuple(1.0 / n for n in range(1, count + 1))
     return fuzzy_family(members, names, GeneratorTag("collapse", params))
@@ -107,6 +106,9 @@ def random_fuzzy(
     levels in the mix.
     """
     _require_euclidean(space)
+    # the points skip point_array, so its coordinate bound is checked here
+    if not all(abs(x) <= COORD_MAX for x in box):
+        raise InputError(f"box bounds must be finite with magnitude at most {COORD_MAX:g}, got {box}")
     lo, hi = box
     n_levels = int(rng.integers(1, max_levels + 1))
     alphas = [1.0]
@@ -117,19 +119,24 @@ def random_fuzzy(
         if all(abs(a - b) >= 0.02 for b in alphas):
             alphas.append(a)
     alphas = [1.0] + sorted(alphas[1:], reverse=True)
-    levels = []
-    pts: list[tuple[float, ...]] = []
-    for i, a in enumerate(alphas):
-        cap = min(2, max_points - len(pts))
+    blocks, ends = [], [0]
+    for i in range(len(alphas)):
+        cap = min(2, max_points - ends[-1])
         n_new = int(rng.integers(1 if i == 0 else 0, cap + 1)) if cap > 0 else 0
-        for _ in range(n_new):
-            pts.append(tuple(float(rng.uniform(lo, hi)) for _ in range(space.dim)))
-        if i == 0 or n_new:
-            cut = finite_set(space, pts)
+        blocks.append(rng.uniform(lo, hi, size=(n_new, space.dim)))  # the values scalar draws give
+        ends.append(ends[-1] + n_new)
+    # keep-first dedup keeps of each prefix what the prefix alone keeps, so
+    # every cut is a prefix of the support and the set is valid as built
+    pts = np.concatenate(blocks)
+    kept = _keep_first(space, pts, TOL)
+    kept_before, supp = [0] + kept.cumsum().tolist(), pts[kept]
+    levels, size = [], 0
+    for a, end in zip(alphas, ends[1:]):
+        if kept_before[end] > size:
+            size = kept_before[end]
+            cut = FiniteSet(space=space, array=supp[:size])
         levels.append((a, cut))
-    # the levels decrease, and keep-first dedup makes each cut a prefix of the
-    # next one, so the set is valid without make_fuzzy checking it again
-    return StepFuzzySet(levels=tuple(levels))
+    return _prefix_fuzzy(tuple(levels))
 
 
 def random_family(

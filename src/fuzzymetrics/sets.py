@@ -52,15 +52,9 @@ class FiniteSet:
         return bool(self.gaps(self.space.point_array([x]))[0] <= tol)
 
 
-def _greedy(space: MetricSpace, pts: np.ndarray, radius: float, start: np.ndarray | None = None) -> np.ndarray:
-    """Keep-first greedy scan in input order: keep each point that lies
-    farther than radius from every point kept before it, measuring
-    d(new, kept). The points of `start` count as already kept, so a kept set
-    can be extended. Returns the kept points of `pts`. At radius TOL this is
-    deduplication."""
-    if start is not None and len(start):
-        # a point covered by `start` is never kept, so it affects no later point
-        pts = pts[dist_matrix(space, pts, start).min(axis=1) > radius]
+def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the keep-first greedy scan in input order: each point farther than
+    radius from every point kept before it, measuring d(new, kept), is kept."""
     kept = np.zeros(len(pts), dtype=bool)
     step = space.block_rows(len(pts))
     for begin in range(0, len(pts), step):
@@ -69,7 +63,15 @@ def _greedy(space: MetricSpace, pts: np.ndarray, radius: float, start: np.ndarra
         for i, row in enumerate(near):
             # later rows are still False, so only earlier kept points count
             kept[begin + i] = not row.dot(kept[:stop])
-    return pts[kept]
+    return kept
+
+
+def _greedy(space: MetricSpace, pts: np.ndarray, radius: float, start: np.ndarray | None = None) -> np.ndarray:
+    """The points the keep-first scan keeps; those of `start` count as kept."""
+    if start is not None and len(start):
+        # a point covered by `start` is never kept, so it affects no later point
+        pts = pts[dist_matrix(space, pts, start).min(axis=1) > radius]
+    return pts[_keep_first(space, pts, radius)]
 
 
 def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:

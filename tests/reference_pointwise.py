@@ -2,11 +2,12 @@
 
 These are the per-Point routines that preceded the array kernel: one Python
 distance call per pair of points, keep-first greedy scans in input order.
-Sets are tuples of Point values. Two array routines that the library has
-since replaced sit at the end: the Euclidean kernel that reduced a
-difference temporary over its last axis, and the oracles' directed distance
-sampled level by level. test_differential.py compares the library against
-them.
+Sets are tuples of Point values. Three routines that the library has since
+replaced sit at the end: the Euclidean kernel that reduced a difference
+temporary over its last axis, the oracles' directed distance sampled level
+by level, and the random generator that drew each coordinate on its own and
+built each cut with its own finite_set call. test_differential.py compares
+the library against them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import operator
 
 import numpy as np
 
-from fuzzymetrics import TOL, InputError, Point
+from fuzzymetrics import TOL, InputError, Point, StepFuzzySet
+from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
 from fuzzymetrics.space import EUCLIDEAN
 
@@ -124,3 +126,30 @@ def directed_sampled(k_src: np.ndarray, k_tgt: np.ndarray, d: np.ndarray, resolu
         gap = np.maximum(ks[:, None] - k_tgt[None, :], 0) * resolution
         best = max(best, float((d[i][None, :] + gap).min(axis=1).max()))
     return best
+
+
+def random_fuzzy(space, rng, box=(0.0, 1.0), max_levels: int = 4, max_points: int = 6) -> StepFuzzySet:
+    """generators.random_fuzzy as it drew and built its sets before: one
+    scalar draw per coordinate and, at every level that draws a point, a
+    new cut deduplicated from all points so far."""
+    lo, hi = box
+    n_levels = int(rng.integers(1, max_levels + 1))
+    alphas = [1.0]
+    for _ in range(1000):
+        if len(alphas) == n_levels:
+            break
+        a = float(rng.uniform(0.05, 0.95))
+        if all(abs(a - b) >= 0.02 for b in alphas):
+            alphas.append(a)
+    alphas = [1.0] + sorted(alphas[1:], reverse=True)
+    levels = []
+    pts: list[tuple[float, ...]] = []
+    for i, a in enumerate(alphas):
+        cap = min(2, max_points - len(pts))
+        n_new = int(rng.integers(1 if i == 0 else 0, cap + 1)) if cap > 0 else 0
+        for _ in range(n_new):
+            pts.append(tuple(float(rng.uniform(lo, hi)) for _ in range(space.dim)))
+        if i == 0 or n_new:
+            cut = library_finite_set(space, pts)
+        levels.append((a, cut))
+    return StepFuzzySet(levels=tuple(levels))

@@ -1,10 +1,13 @@
-"""Byte-identity of the CLI on demo/demo.json: the sha256 of stdout and the
+"""Byte-identity of the CLI on the demo documents: the sha256 of stdout and the
 exit code of one command per CLI mode, recorded before the point-set layer
 moved to arrays; the two `tb_end` commands at the default 101-level grid were
 recorded before the prefix unions and nets became incremental; the four
 `converge` commands at `--alpha-grid 7 --window 3` were recorded before the
-level and gamma series were batched over the members. A change to any number,
-verdict or row order shows here."""
+level and gamma series were batched over the members; the two `gen` commands
+on demo/finite.json and demo/plane.json were recorded before `gen` stopped
+calling json.dumps and before the random members were built from one
+deduplicated support. A change to any number, verdict, row order or JSON
+byte shows here."""
 
 import hashlib
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 
 from fuzzymetrics.cli import main
 
-DOC = str(Path(__file__).resolve().parent.parent / "demo" / "demo.json")
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
+DOCS = {"DOC": "demo.json", "FINITE": "finite.json", "PLANE": "plane.json"}
 
 GOLDEN = [
     (["metrics", "DOC", "--kind", "end"], 0, "463bdcf3184f033bfb240d11d28c08107a7b37bfe7ff805b2039ee75537ec887"),
@@ -39,11 +43,13 @@ GOLDEN = [
     (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "gamma", "--alpha-grid", "7", "--window", "3"], 0, "21520386c6d16b32a539373b3452232e9a6bb44aa83968086cd0dd2dad722e0e"),
     (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "level", "--alpha-grid", "7", "--window", "3"], 1, "198aa44ea6630240e0df28642028ae0e1730bcc8d0292376e3e7532fec59aed0"),
     (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "gamma", "--alpha-grid", "7", "--window", "3"], 1, "9f28caa6514a29a4fd1281a9e930153ac9b6c09b3c5487f0565518f3f53ab90f"),
+    (["gen", "FINITE"], 0, "7a2c21f7e95802ec5603f8f5903f5d97a13d378ac0fdfc73d94fb530bf39ff9a"),
+    (["gen", "PLANE"], 0, "e7dc39be57340a8f6773df10ead5c9683c7dbca77a4b4992de5dcb06277e5a41"),
 ]
 
 
 @pytest.mark.parametrize("argv,exit_code,sha256", GOLDEN, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_demo_output_is_byte_identical(capsys, argv, exit_code, sha256):
-    code = main([DOC if a == "DOC" else a for a in argv])
+    code = main([str(DEMO_DIR / DOCS[a]) if a in DOCS else a for a in argv])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (exit_code, sha256)

@@ -5,8 +5,11 @@ block. The incremental prefix unions and nets are checked against unions and
 nets rebuilt from scratch, the one-matrix graph metrics against the closed
 form taken one direction at a time, the per-coordinate Euclidean kernel
 against the last-axis reduction it replaced, the oracles against their
-level-by-level sampling, and the convergence series batched over a whole
-sequence against the same distances taken one pair at a time."""
+level-by-level sampling, the convergence series batched over a whole
+sequence against the same distances taken one pair at a time, and the
+generated members, built from one deduplicated support with their
+memberships known, against cuts deduplicated level by level and memberships
+measured."""
 
 import math
 from unittest import mock
@@ -36,6 +39,7 @@ from fuzzymetrics import (
     levelwise_profile,
     make_fuzzy,
     membership,
+    same_representation,
     send_decomposition_check,
     sendograph_metric,
     sendograph_oracle,
@@ -45,6 +49,8 @@ from fuzzymetrics import (
 )
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
+from fuzzymetrics.fuzzy import memberships
+from fuzzymetrics.generators import collapse_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
 from helpers import SP1, SP2
@@ -449,3 +455,50 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
         assert diag.excesses[i] == tuple(directed_hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
     assert cert.evidence["end"] == tuple(endograph_metric(u, limit) for u in seq)
     assert cert.evidence["cut0"] == tuple(hausdorff(support(u), support(limit)) for u in seq)
+
+
+def assert_known_memberships(u):
+    """u is a valid step set and its precomputed memberships are the
+    measured ones, read-only."""
+    assert same_representation(make_fuzzy(u.levels), u)
+    assert np.array_equal(u.support_memberships, memberships(u, support(u).array))
+    assert not u.support_memberships.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("box", [(0.0, 1.0), (-2.0, 3.5), (0.0, 1e-10)], ids=["unit", "wide", "tiny"])
+def test_random_members_match_per_level_construction(dim, box):
+    # in the tiny box every point is a duplicate of the first, so dedup drops
+    # every later point and each level after the first reuses the cut above
+    space = MetricSpace.euclidean(dim)
+    reused = 0
+    for seed in range(6):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for max_levels, max_points in ((4, 6), (6, 9), (3, 1), (5, 2)):
+            for _ in range(10):
+                u = random_fuzzy(space, rng, box, max_levels, max_points)
+                v = ref.random_fuzzy(space, rng_ref, box, max_levels, max_points)
+                assert u.alphas == v.alphas and len(u.levels) == len(v.levels)
+                assert all(np.array_equal(cu.array, cv.array) for (_, cu), (_, cv) in zip(u.levels, v.levels))
+                assert_known_memberships(u)
+                # a level that drew only duplicates: the reference built a new cut
+                cuts, cuts_ref = [c for _, c in u.levels], [c for _, c in v.levels]
+                reused += sum(a is b and a_ref is not b_ref
+                              for a, b, a_ref, b_ref in zip(cuts, cuts[1:], cuts_ref, cuts_ref[1:]))
+        # both generators leave the stream at the same place
+        assert rng.random() == rng_ref.random()
+    assert (reused > 0) == (box[1] < TOL)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("far", [1.0, 0.25 + 0.5 * TOL], ids=["apart", "within-tol"])
+def test_collapse_members_share_their_cuts_and_know_their_memberships(dim, far):
+    fam = collapse_family(MetricSpace.euclidean(dim), 8, base=0.25, far=far)
+    core, pair = fam.members[1].levels[0][1], fam.members[1].levels[1][1]
+    assert len(pair) == (2 if far == 1.0 else 1)
+    assert fam.members[0].levels == ((1.0, pair),)
+    for n, u in enumerate(fam.members[1:], start=2):
+        assert u.levels[0][1] is core and u.levels[1][1] is pair
+        assert u.alphas == (1.0, 1.0 / n)
+        assert_known_memberships(u)
+    assert_known_memberships(fam.members[0])

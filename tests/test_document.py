@@ -1,10 +1,12 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from fuzzymetrics import InputError
 from fuzzymetrics.cli import main
-from fuzzymetrics.document import document_to_json, load_document, parse_document
+from fuzzymetrics.document import document_to_json, dumps_document, load_document, parse_document
 
 
 def write_doc(tmp_path, data, name="doc.json"):
@@ -225,13 +227,16 @@ def random_family_doc(seed=None, **params):
         (random_family_doc(box=[0]), "'box'"),
         (random_family_doc(box=[1, 0]), "'box'"),
         (random_family_doc(box=[0.5, 0.5]), "'box'"),
+        (random_family_doc(box=[0, 1e200]), "family 'r'.*'box'.*1e\\+150"),
+        (random_family_doc(box=[-1.5e150, 0]), "family 'r'.*'box'"),
         (random_family_doc(seed=-1), "seed"),
         (random_family_doc(max_levels=2.5), "'max_levels'"),
         (random_family_doc(max_levels=0), "'max_levels'"),
         (random_family_doc(max_points=True), "'max_points'"),
         (random_family_doc(max_points=-3), "'max_points'"),
     ],
-    ids=["box-three-numbers", "box-one-number", "box-reversed", "box-empty", "seed-negative",
+    ids=["box-three-numbers", "box-one-number", "box-reversed", "box-empty", "box-beyond-coordinate-range",
+         "box-below-coordinate-range", "seed-negative",
          "max-levels-fraction", "max-levels-zero", "max-points-bool", "max-points-negative"],
 )
 def test_generator_params_out_of_range_rejected_naming_the_field(tmp_path, data, field):
@@ -250,3 +255,63 @@ def test_cli_exits_2_on_out_of_range_generator_param(tmp_path, capsys):
     path = write_doc(tmp_path, random_family_doc(box=[0, 1, 2]))
     assert main(["compact", path, "--family", "r", "--mode", "tb_end", "--eps", "0.1"]) == 2
     assert "'box'" in capsys.readouterr().err
+
+
+# quotes, backslashes, control and non-ASCII characters (one astral) and
+# JSON punctuation; "[" is left out so no name collides with a generated one
+NAME_CHARS = st.sampled_from(list('aZ7 "\\]{}:\t\x00éß中😀'))
+NAMES = st.text(NAME_CHARS, min_size=1, max_size=4)
+COORDS = (st.sampled_from([-0.0, 0.0, 5e-324, 1e150, -1e150, 0.1, 1 / 3, -7.0, 1e-300])
+          | st.floats(-1e150, 1e150) | st.integers(-9, 9))
+
+
+@st.composite
+def documents(draw):
+    """A valid document: Euclidean in 1-3 D or finite with int and float
+    matrix entries, nested fuzzy sets, member families, a random family in
+    Euclidean mode (its box up to the coordinate bound), and sequences; any
+    of the lists may be empty."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        space = {"type": "euclidean", "dim": dim}
+        point = st.lists(COORDS, min_size=dim, max_size=dim)
+    else:
+        xs = draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True))
+        scale = draw(st.sampled_from([1, 0.5, 0.1]))
+        rows = [[abs(a - b) * scale for b in xs] for a in xs]
+        space = {"type": "finite", "matrix": [[int(x) if float(x).is_integer() and draw(st.booleans()) else x
+                                                for x in row] for row in rows]}
+        point = st.integers(0, len(xs) - 1)
+    fuzzy_sets = []
+    for name in draw(st.lists(NAMES, max_size=4, unique=True)):
+        pts = draw(st.lists(point, min_size=1, max_size=5))
+        below = draw(st.lists(st.floats(0.01, 0.99), max_size=2, unique=True))
+        sizes = sorted(draw(st.lists(st.integers(1, len(pts)), min_size=len(below) + 1, max_size=len(below) + 1)))
+        alphas = [1.0] + sorted(below, reverse=True)
+        fuzzy_sets.append({"name": name, "levels": [{"alpha": a, "points": pts[:k]} for a, k in zip(alphas, sizes)]})
+    names = [f["name"] for f in fuzzy_sets]
+
+    def members(unique):
+        return st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=unique)
+
+    families = [{"name": n, "members": draw(members(True))}
+                for n in draw(st.lists(NAMES, max_size=2 if names else 0, unique=True))]
+    if space["type"] == "euclidean" and draw(st.booleans()):
+        box = draw(st.sampled_from([[0, 1], [-1e150, 1e150]]))
+        families.append({"name": "γ", "generator": {"kind": "random", "count": 3, "seed": draw(st.integers(0, 99)),
+                                                     "params": {"box": box}}})
+    sequences = [{"name": n, "members": draw(members(False))}
+                 for n in draw(st.lists(NAMES, max_size=2 if names else 0, unique=True))]
+    return {"space": space, "fuzzy_sets": fuzzy_sets, "families": families, "sequences": sequences}
+
+
+@given(documents())
+@example({"space": {"type": "euclidean", "dim": 2}, "fuzzy_sets": [], "families": [], "sequences": []})
+@example({"space": {"type": "finite", "matrix": [[0]]}, "fuzzy_sets": [], "families": [], "sequences": []})
+@example({"space": {"type": "euclidean", "dim": 1},
+          "fuzzy_sets": [{"name": 'q"\\é', "levels": [{"alpha": 1.0, "points": [[-0.0], [5e-324], [1e150]]}]}],
+          "families": [], "sequences": []})
+@settings(max_examples=150, deadline=None)
+def test_writer_matches_the_stdlib_encoder(data):
+    doc = parse_document(data)
+    assert dumps_document(doc) == json.dumps(document_to_json(doc), indent=2, sort_keys=True)

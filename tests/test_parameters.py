@@ -1,6 +1,7 @@
 """Radius and tolerance parameters must be finite and positive, windows
-integers and alpha grids nonempty, in the library and through the CLI;
-stored point arrays are read-only."""
+integers, alpha grids nonempty and generator boxes within the coordinate
+range, in the library and through the CLI; stored point arrays are
+read-only."""
 
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from fuzzymetrics import (
     tb_send_report,
 )
 from fuzzymetrics.cli import main
-from fuzzymetrics.generators import translates_family
+from fuzzymetrics.generators import random_family, random_fuzzy, translates_family
 from helpers import SP1, singleton, two_level
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demo" / "demo.json")
@@ -123,3 +124,18 @@ def test_integer_windows_of_any_integral_type_are_accepted():
     seq = [two_level()] * 4
     for window in (2, np.int64(2)):
         assert levelwise_profile(seq, two_level(), alphas=[0.5], window=window).window == 2
+
+
+@pytest.mark.parametrize("box", [(0.0, 1e200), (-2e150, 0.0), (0.0, float("inf")), (float("nan"), 1.0)])
+def test_random_generator_box_must_lie_in_the_coordinate_range(box):
+    # generated points skip point_array, so the generator checks the bound
+    with pytest.raises(InputError, match="box"):
+        random_family(SP1, 3, box=box)
+    with pytest.raises(InputError, match="box"):
+        random_fuzzy(SP1, np.random.default_rng(0), box=box)
+
+
+def test_random_generator_box_at_the_coordinate_bound_is_accepted():
+    fam = random_family(MetricSpace.euclidean(2), 20, box=(-1e150, 1e150))
+    coords = np.concatenate([u.levels[-1][1].array for u in fam.members])
+    assert (np.abs(coords) <= 1e150).all()
