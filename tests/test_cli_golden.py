@@ -6,7 +6,10 @@ recorded before the prefix unions and nets became incremental; the four
 level and gamma series were batched over the members; the two `gen` commands
 on demo/finite.json and demo/plane.json were recorded before `gen` stopped
 calling json.dumps and before the random members were built from one
-deduplicated support. A change to any number, verdict, row order or JSON
+deduplicated support; the twelve `metrics`, `oracle`, `compact closedness`
+and `converge` commands on demo/finite.json and demo/plane.json were
+recorded before the pairwise tables became one metric matrix and every
+verdict one Certificate. A change to any number, verdict, row order or JSON
 byte shows here."""
 
 import hashlib
@@ -45,6 +48,18 @@ GOLDEN = [
     (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "gamma", "--alpha-grid", "7", "--window", "3"], 1, "9f28caa6514a29a4fd1281a9e930153ac9b6c09b3c5487f0565518f3f53ab90f"),
     (["gen", "FINITE"], 0, "7a2c21f7e95802ec5603f8f5903f5d97a13d378ac0fdfc73d94fb530bf39ff9a"),
     (["gen", "PLANE"], 0, "e7dc39be57340a8f6773df10ead5c9683c7dbca77a4b4992de5dcb06277e5a41"),
+    (["metrics", "FINITE", "--kind", "end"], 0, "2b9bcd5c83f6ff630d952bdc03922109cf50c89fbe9eb7104e154c0816cd3dee"),
+    (["metrics", "FINITE", "--kind", "send"], 0, "ca00ed72c1e8dcaa0ca09732cef3fa7b9c1fc2eab9f39c2fe6d92eb57d0483be"),
+    (["metrics", "FINITE", "--kind", "level:0.5"], 0, "822e0f278840ac81b0383a83964e4742382fa0a99d6090a5a7f813f82916c37f"),
+    (["oracle", "FINITE", "--resolution", "0.01"], 0, "0336ab6f336a0875947e3f4d9d61e39789b9b86d4cf61b72cdb51ec55db57777"),
+    (["metrics", "PLANE", "--kind", "end"], 0, "c0f5a3353dbee4278652552612a8090499b753f8c238f23dd0740ed3cba7e422"),
+    (["metrics", "PLANE", "--kind", "send"], 0, "c3165647a17a25dc4029f7b57b167a2a17a82fca85a4fa04363a51fbf591e482"),
+    (["metrics", "PLANE", "--kind", "level:0.6"], 0, "1371dcbe13fb202ef71dc661861fa51070e266e2353ee41efbb0d9a7ff5d9079"),
+    (["oracle", "PLANE", "--resolution", "0.01"], 0, "accd35ad66af96174e64d155ffedaacb1b608b78acd090a320107ccf8c59a5e8"),
+    (["compact", "PLANE", "--family", "cloud", "--mode", "closedness", "--candidate", "origin"], 0, "66eb7fae7946857a96dad8319fbee5444627a7c434ea870369c206386d901aa8"),
+    (["compact", "FINITE", "--family", "fam", "--mode", "closedness", "--candidate", "a"], 0, "4c47643038a60a8b68c1adb2bc2711be6e12f9a0412e40e6d17d7055b97a610e"),
+    (["converge", "FINITE", "--sequence", "seq", "--limit", "a", "--mode", "send", "--window", "2"], 0, "f3b0615af641eabf4f62a82be73584337b6a9bab2eae0616383ccd5344040f47"),
+    (["converge", "PLANE", "--sequence", "cloud", "--limit", "origin", "--mode", "end"], 1, "b1cef7cb31d3389854ea05d5b7c655222f9a532c8739131aada095ae3df3aa1c"),
 ]
 
 
