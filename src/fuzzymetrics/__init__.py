@@ -15,7 +15,6 @@ from .families import (
     cauchy_tail_profile,
     closedness_witness,
     erc_modulus,
-    family_union_cut,
     fuzzy_family,
     rel_compact_send_report,
     tb_end_report,
@@ -35,22 +34,20 @@ from .fuzzy import (
     support,
 )
 from .metrics import (
-    GammaDiagnostic,
-    LevelProfile,
     default_alpha_grid,
+    endograph_convergence,
     endograph_metric,
     endograph_oracle,
-    endograph_series,
     gamma_diagnostic,
     levelwise_distance,
     levelwise_profile,
+    metric_matrix,
     send_decomposition_check,
     sendograph_metric,
     sendograph_oracle,
 )
 from .sets import (
     FiniteSet,
-    KuratowskiDiagnostic,
     cauchy_limit_construct,
     covering_number,
     directed_hausdorff,
@@ -61,11 +58,8 @@ from .sets import (
     union_family,
 )
 from .space import (
-    LiftedPoint,
     MetricSpace,
     Point,
-    distance,
-    lifted_distance,
     validate_metric,
 )
 
@@ -74,12 +68,8 @@ __all__ = [
     "Document",
     "FiniteSet",
     "FuzzyFamily",
-    "GammaDiagnostic",
     "GeneratorTag",
     "InputError",
-    "KuratowskiDiagnostic",
-    "LevelProfile",
-    "LiftedPoint",
     "MetricSpace",
     "PlatformSet",
     "Point",
@@ -95,13 +85,11 @@ __all__ = [
     "default_alpha_grid",
     "default_window",
     "directed_hausdorff",
-    "distance",
+    "endograph_convergence",
     "endograph_metric",
     "endograph_oracle",
-    "endograph_series",
     "eps_net",
     "erc_modulus",
-    "family_union_cut",
     "finite_set",
     "fuzzy_family",
     "gamma_diagnostic",
@@ -109,10 +97,10 @@ __all__ = [
     "kuratowski_tail_diagnostic",
     "levelwise_distance",
     "levelwise_profile",
-    "lifted_distance",
     "load_document",
     "make_fuzzy",
     "membership",
+    "metric_matrix",
     "p0_points",
     "parse_document",
     "platform_points",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .common import InputError, check_positive
+from .common import InputError, check_positive, fmt
 
 
 class Verdict(str, Enum):
@@ -22,10 +22,22 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
+class TailPart:
+    """One windowed decision of a certificate: the tail maximum of each of
+    its evidence series, by evidence key, and the verdict on the largest."""
+
+    key: str
+    verdict: Verdict
+    tail_max: Mapping[str, float]
+
+
+@dataclass(frozen=True)
 class Certificate:
     """Structured verdict with numeric evidence series and an optional witness.
 
-    A FAIL verdict always carries a witness describing what failed.
+    A FAIL verdict always carries a witness describing what failed. A
+    certificate decided on series tails lists its decisions in `parts`, in
+    order.
     """
 
     kind: str
@@ -33,6 +45,7 @@ class Certificate:
     evidence: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     witness: str | None = None
     note: str | None = None
+    parts: tuple[TailPart, ...] = ()
 
     def __post_init__(self) -> None:
         if self.verdict is Verdict.FAIL and not self.witness:
@@ -45,6 +58,8 @@ class Certificate:
             "witness": self.witness,
             "note": self.note,
             "evidence": {k: [float(x) for x in v] for k, v in self.evidence.items()},
+            "parts": [{"key": p.key, "verdict": p.verdict.value, "tail_max": dict(p.tail_max)}
+                      for p in self.parts],
         }
 
 
@@ -79,6 +94,39 @@ def tail_verdict(series: Sequence[float], window: int, tol: float) -> tuple[Verd
     if m >= 2 * tol:
         return Verdict.FAIL, m
     return Verdict.INCONCLUSIVE, m
+
+
+def tail_certificate(
+    kind: str,
+    parts: Sequence[tuple[str, Mapping[str, tuple[float, ...]]]],
+    window: int | None,
+    tol: float,
+    **evidence: tuple[float, ...],
+) -> Certificate:
+    """Certificate of windowed tail decisions, one per part.
+
+    Each part is a key and its named series, all of one length n. Each
+    series' tail maximum is taken over its last `window` entries (resolved
+    by check_window), and each part is decided, as tail_verdict decides,
+    on the largest of its series' maxima. The verdict combines the parts';
+    a FAIL names the first failing part. The evidence holds every series by
+    name, then the resolved window and tol, then the given extra evidence.
+    """
+    series = {name: s for _, named in parts for name, s in named.items()}
+    window = check_window(len(next(iter(series.values()))), window)
+    decided = []
+    for key, named in parts:
+        maxima = {name: max(s[len(s) - window:]) for name, s in named.items()}
+        decided.append(TailPart(key, tail_verdict((max(maxima.values()),), 1, tol)[0], maxima))
+    verdict = combine_verdicts(p.verdict for p in decided)
+    failed = next((p for p in decided if p.verdict is Verdict.FAIL), None)
+    return Certificate(
+        kind=kind,
+        verdict=verdict,
+        evidence={**series, "window": (window,), "tol": (tol,), **evidence},
+        witness=failed and f"{failed.key}: tail max {fmt(max(failed.tail_max.values()))} at or above 2*tol",
+        parts=tuple(decided),
+    )
 
 
 def trend_verdict(series: Sequence[float], window: int, failing: str = "increasing") -> Verdict:

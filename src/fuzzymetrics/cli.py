@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .certificates import Certificate, Verdict, check_window, tail_verdict
+from .certificates import Certificate, Verdict
 from .common import InputError, fmt
 from .document import Document, dumps_document, load_document
 from .families import (
@@ -24,23 +24,33 @@ from .families import (
     tb_end_report,
     tb_send_report,
 )
-from .fuzzy import platform_points
 from .metrics import (
     default_alpha_grid,
-    endograph_metric,
+    endograph_convergence,
     endograph_oracle,
-    endograph_series,
     gamma_diagnostic,
-    levelwise_distance,
     levelwise_profile,
+    metric_matrix,
     send_decomposition_check,
-    sendograph_metric,
     sendograph_oracle,
 )
 
 METRIC_KINDS = ("end", "send")
 CONVERGE_MODES = ("gamma", "end", "send", "level")
 COMPACT_MODES = ("tb_end", "tb_send", "erc", "rel_send", "closedness")
+
+# How `converge` writes each mode's certificate: the prefix of its row
+# labels, whether each series is written entry by entry, and the label of
+# the row of the certificate's own verdict (None: its one part's verdict is
+# the certificate's).
+_CONVERGE_LAYOUT = {
+    "end": ("H_", True, None),
+    "send": ("H_", True, "identity"),
+    "gamma": ("", False, "overall"),
+    "level": ("", False, "overall"),
+}
+
+Report = tuple[str, list[Verdict], Certificate, dict]
 
 
 def _csv(rows: list[list[str]]) -> str:
@@ -52,38 +62,17 @@ def run_metrics(doc: Document, kind: str) -> str:
     names = doc.declared
     if len(names) < 2:
         raise InputError("metrics needs at least 2 fuzzy sets")
-    if kind == "end":
-        dist = endograph_metric
-    elif kind == "send":
-        dist = sendograph_metric
-    elif kind.startswith("level:"):
+    alpha = None
+    if kind.startswith("level:"):
         try:
             alpha = float(kind.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad level kind {kind!r}") from None
-        if not 0.0 < alpha <= 1.0:
-            raise InputError(f"alpha {alpha} outside (0,1]")
-        dist = lambda u, v: levelwise_distance(u, v, alpha)  # noqa: E731
-    else:
+        kind = "level"
+    elif kind not in METRIC_KINDS:
         raise InputError(f"unknown metrics kind {kind!r}")
-    sets = [doc.fuzzy(n) for n in names]
-    rows = [["name", *names]]
-    for i, u in enumerate(sets):
-        row = [names[i]]
-        for j, v in enumerate(sets):
-            if j < i:
-                row.append(rows[1 + j][1 + i])
-            elif j == i:
-                row.append("0")
-            else:
-                row.append(fmt(dist(u, v)))
-        rows.append(row)
-    return _csv(rows)
-
-
-def _series_rows(rows: list[list[str]], key: str, series: Sequence[float]) -> None:
-    for n, x in enumerate(series, start=1):
-        rows.append(["series", key, str(n), fmt(x)])
+    d = metric_matrix([doc.fuzzy(n) for n in names], kind, alpha).tolist()
+    return _csv([["name", *names]] + [[name, *map(fmt, row)] for name, row in zip(names, d)])
 
 
 def run_convergence(
@@ -94,73 +83,45 @@ def run_convergence(
     alpha_grid: int = 101,
     window: int | None = None,
     tol: float = 1e-3,
-) -> tuple[str, list[Verdict]]:
-    """Convergence report for one sequence against a limit; returns the CSV
-    text and the verdicts that drive the exit code."""
+) -> Report:
+    """Convergence report for one sequence against a limit: the CSV text,
+    the verdicts it states (they drive the exit code), the certificate and
+    the report's parameters."""
     seq = doc.sequence(sequence_name)
     limit = doc.fuzzy(limit_name)
-    rows: list[list[str]] = [["record", "key", "index", "value"]]
-    verdicts: list[Verdict] = []
     if mode == "end":
-        w = check_window(len(seq), window)
-        series = endograph_series(seq, limit)
-        v, m = tail_verdict(series, w, tol)
-        _series_rows(rows, "H_end", series)
-        rows.append(["tail_max", "H_end", "", fmt(m)])
-        rows.append(["verdict", "H_end", "", v.value])
-        verdicts.append(v)
+        cert = endograph_convergence(seq, limit, window, tol)
     elif mode == "send":
         cert = send_decomposition_check(seq, limit, window, tol)
-        w = check_window(len(seq), window)
-        for key in ("send", "end", "cut0"):
-            series = cert.evidence[key]
-            v, m = tail_verdict(series, w, tol)
-            _series_rows(rows, f"H_{key}", series)
-            rows.append(["tail_max", f"H_{key}", "", fmt(m)])
-            rows.append(["verdict", f"H_{key}", "", v.value])
-            verdicts.append(v)
-        rows.append(["verdict", "identity", "", cert.verdict.value])
-        verdicts.append(cert.verdict)
     elif mode == "gamma":
-        diag = gamma_diagnostic(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
-        for a, m1, m2, v in zip(diag.alphas, diag.deficit_tail_maxima, diag.excess_tail_maxima,
-                                diag.alpha_verdicts):
-            rows.append(["tail_max", f"deficit[alpha={fmt(a)}]", "", fmt(m1)])
-            rows.append(["tail_max", f"excess[alpha={fmt(a)}]", "", fmt(m2)])
-            rows.append(["verdict", f"alpha={fmt(a)}", "", v.value])
-        rows.append(["verdict", "overall", "", diag.verdict.value])
-        verdicts.append(diag.verdict)
+        cert = gamma_diagnostic(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
     elif mode == "level":
-        profile = levelwise_profile(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
-        for k, p in enumerate(platform_points(limit), start=1):
-            rows.append(["excluded_alpha", "platform", str(k), fmt(p)])
-        for a, m, v in zip(profile.alphas, profile.tail_maxima, profile.alpha_verdicts):
-            rows.append(["tail_max", f"alpha={fmt(a)}", "", fmt(m)])
-            rows.append(["verdict", f"alpha={fmt(a)}", "", v.value])
-        rows.append(["verdict", "overall", "", profile.verdict.value])
-        verdicts.append(profile.verdict)
+        cert = levelwise_profile(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
     else:
         raise InputError(f"unknown converge mode {mode!r}")
-    return _csv(rows), verdicts
+    prefix, series, last = _CONVERGE_LAYOUT[mode]
+    rows = [["record", "key", "index", "value"]]
+    platform = cert.evidence.get("platform", ())
+    rows += [["excluded_alpha", "platform", str(k), fmt(p)] for k, p in enumerate(platform, 1)]
+    verdicts = []
+    for part in cert.parts:
+        for name, m in part.tail_max.items():
+            label = prefix + name
+            if series:
+                rows += [["series", label, str(n), fmt(x)] for n, x in enumerate(cert.evidence[name], 1)]
+            rows.append(["tail_max", label, "", fmt(m)])
+        rows.append(["verdict", prefix + part.key, "", part.verdict.value])
+        verdicts.append(part.verdict)
+    if last is not None:
+        rows.append(["verdict", last, "", cert.verdict.value])
+        verdicts.append(cert.verdict)
+    params = {"sequence": sequence_name, "limit": limit_name, "mode": mode}
+    return _csv(rows), verdicts, cert, {**params, "verdicts": [v.value for v in verdicts]}
 
 
 def _tb_grid(n: int) -> tuple[float, ...]:
     # grid in (0,1]: includes 1.0
     return tuple(k / n for k in range(1, n + 1))
-
-
-def _certificate_rows(cert: Certificate, params: dict[str, str]) -> list[list[str]]:
-    rows: list[list[str]] = [["record", "key", "index", "value"]]
-    rows.append(["field", "kind", "", cert.kind])
-    rows.append(["field", "verdict", "", cert.verdict.value])
-    rows.append(["field", "witness", "", cert.witness or ""])
-    rows.append(["field", "note", "", cert.note or ""])
-    for k, v in params.items():
-        rows.append(["field", k, "", v])
-    for key, series in cert.evidence.items():
-        for n, x in enumerate(series, start=1):
-            rows.append(["evidence", key, str(n), fmt(x)])
-    return rows
 
 
 def run_compactness(
@@ -172,8 +133,9 @@ def run_compactness(
     candidate: str | None = None,
     tol: float = 1e-3,
     window: int | None = None,
-) -> tuple[str, Certificate]:
-    """Compactness-style certificate for one family as CSV."""
+) -> Report:
+    """Compactness-style certificate for one family: the CSV text, its
+    verdict, the certificate and the report's parameters."""
     fam = doc.family(family_name)
     params = {"family": family_name, "eps": fmt(eps), "mode": mode}
     if mode == "tb_end":
@@ -192,7 +154,13 @@ def run_compactness(
         params["tol"] = fmt(tol)
     else:
         raise InputError(f"unknown compact mode {mode!r}")
-    return _csv(_certificate_rows(cert, params)), cert
+    rows = [["record", "key", "index", "value"]]
+    rows += [["field", k, "", v] for k, v in
+             [("kind", cert.kind), ("verdict", cert.verdict.value), ("witness", cert.witness or ""),
+              ("note", cert.note or ""), *params.items()]]
+    for key, series in cert.evidence.items():
+        rows += [["evidence", key, str(n), fmt(x)] for n, x in enumerate(series, 1)]
+    return _csv(rows), [cert.verdict], cert, params
 
 
 def run_oracle_check(doc: Document, resolution: float) -> tuple[str, list[Verdict]]:
@@ -200,23 +168,20 @@ def run_oracle_check(doc: Document, resolution: float) -> tuple[str, list[Verdic
     names = doc.declared
     if len(names) < 2:
         raise InputError("oracle check needs at least 2 fuzzy sets")
+    sets = [doc.fuzzy(n) for n in names]
+    closed = [metric_matrix(sets, kind).tolist() for kind in METRIC_KINDS]
     bound = 2.0 * resolution
     rows = [["left", "right", "metric", "closed_form", "oracle", "abs_diff", "bound", "status"]]
     verdicts: list[Verdict] = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            u, v = doc.fuzzy(names[i]), doc.fuzzy(names[j])
-            for metric, closed_fn, oracle_fn in (
-                ("end", endograph_metric, endograph_oracle),
-                ("send", sendograph_metric, sendograph_oracle),
-            ):
-                closed = closed_fn(u, v)
-                sampled = oracle_fn(u, v, resolution)
-                diff = abs(closed - sampled)
+            for metric, matrix, oracle_fn in zip(METRIC_KINDS, closed, (endograph_oracle, sendograph_oracle)):
+                sampled = oracle_fn(sets[i], sets[j], resolution)
+                diff = abs(matrix[i][j] - sampled)
                 status = Verdict.PASS if diff <= bound else Verdict.FAIL
                 verdicts.append(status)
                 rows.append(
-                    [names[i], names[j], metric, fmt(closed), fmt(sampled),
+                    [names[i], names[j], metric, fmt(matrix[i][j]), fmt(sampled),
                      fmt(diff), fmt(bound), status.value]
                 )
     return _csv(rows), verdicts
@@ -292,46 +257,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         doc = load_document(args.document, default_seed=args.seed)
+        cert = None
         if args.command == "metrics":
-            _write(run_metrics(doc, args.kind), args.out)
-            return 0
-        if args.command == "converge":
-            csv_text, verdicts = run_convergence(
+            text, verdicts = run_metrics(doc, args.kind), []
+        elif args.command == "converge":
+            text, verdicts, cert, params = run_convergence(
                 doc, args.sequence, args.limit, args.mode,
                 args.alpha_grid, args.window, args.tol,
             )
-            _write(csv_text, args.out)
-            if args.emit_json:
-                payload = {
-                    "sequence": args.sequence,
-                    "limit": args.limit,
-                    "mode": args.mode,
-                    "verdicts": [v.value for v in verdicts],
-                }
-                with open(args.emit_json, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            return _exit_code(verdicts)
-        if args.command == "compact":
-            csv_text, cert = run_compactness(
+        elif args.command == "compact":
+            text, verdicts, cert, params = run_compactness(
                 doc, args.family, args.eps, args.mode,
                 args.alpha_grid, args.candidate, args.tol, args.window,
             )
-            _write(csv_text, args.out)
-            if args.emit_json:
-                with open(args.emit_json, "w", encoding="utf-8") as fh:
-                    json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            return _exit_code([cert.verdict])
-        if args.command == "oracle":
-            csv_text, verdicts = run_oracle_check(doc, args.resolution)
-            _write(csv_text, args.out)
-            return _exit_code(verdicts)
-        if args.command == "gen":
-            text = dumps_document(doc) + "\n"
-            _write(text, args.out)
-            return 0
-        raise InputError(f"unknown command {args.command!r}")
+        elif args.command == "oracle":
+            text, verdicts = run_oracle_check(doc, args.resolution)
+        else:
+            text, verdicts = dumps_document(doc) + "\n", []
+        _write(text, args.out)
+        if cert is not None and args.emit_json:
+            report = {**params, **cert.to_json_dict()}
+            _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.emit_json)
+        return _exit_code(verdicts)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -128,9 +128,29 @@ def _parse_points(space: MetricSpace, raw: Any, where: str) -> list:
     return raw
 
 
-def _parse_fuzzy(space: MetricSpace, obj: Any) -> tuple[str, StepFuzzySet]:
-    if not isinstance(obj, Mapping):
-        raise InputError("fuzzy_sets: entries must be objects")
+def _entries(data: Mapping, key: str) -> list[Mapping]:
+    """The objects listed under a top-level key; none when it is absent."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise InputError(f"document: {key} must be a list")
+    if not all(isinstance(obj, Mapping) for obj in entries):
+        raise InputError(f"{key}: entries must be objects")
+    return entries
+
+
+def _members(obj: Mapping, where: str, fuzzy_sets: Mapping[str, StepFuzzySet]) -> list[str]:
+    """The member names of a family or sequence: a nonempty list of names of
+    fuzzy sets declared or generated before it."""
+    names = _need(obj, "members", where)
+    if not isinstance(names, list) or not names or not all(isinstance(m, str) for m in names):
+        raise InputError(f"{where}: members must be a nonempty list of names")
+    for m in names:
+        if m not in fuzzy_sets:
+            raise InputError(f"{where}: unknown member {m!r}")
+    return names
+
+
+def _parse_fuzzy(space: MetricSpace, obj: Mapping) -> tuple[str, StepFuzzySet]:
     name = _check_name(_need(obj, "name", "fuzzy_sets"), "fuzzy_sets")
     raw_levels = _need(obj, "levels", f"fuzzy set {name!r}")
     if not isinstance(raw_levels, list) or not raw_levels:
@@ -158,7 +178,9 @@ _GENERATORS = {
 }
 
 
-def _expand_generator(space: MetricSpace, name: str, gen: Mapping, default_seed: int) -> FuzzyFamily:
+def _expand_generator(space: MetricSpace, name: str, gen: Any, default_seed: int) -> FuzzyFamily:
+    if not isinstance(gen, Mapping):
+        raise InputError(f"family {name!r}: generator must be an object")
     kind = _need(gen, "kind", f"family {name!r} generator")
     if kind not in _GENERATORS:
         raise InputError(f"family {name!r}: unknown generator kind {kind!r}")
@@ -208,29 +230,22 @@ def parse_document(data: Any, default_seed: int = 0) -> Document:
     space = _parse_space(_need(data, "space", "document"))
     fuzzy_sets: dict[str, StepFuzzySet] = {}
     declared: list[str] = []
-    for obj in data.get("fuzzy_sets", []):
+    for obj in _entries(data, "fuzzy_sets"):
         name, u = _parse_fuzzy(space, obj)
         if name in fuzzy_sets:
             raise InputError(f"duplicate fuzzy set name {name!r}")
         fuzzy_sets[name] = u
         declared.append(name)
     families: dict[str, FuzzyFamily] = {}
-    for obj in data.get("families", []):
-        if not isinstance(obj, Mapping):
-            raise InputError("families: entries must be objects")
+    for obj in _entries(data, "families"):
         name = _check_name(_need(obj, "name", "families"), "families")
         if name in families:
             raise InputError(f"duplicate family name {name!r}")
         if ("members" in obj) == ("generator" in obj):
             raise InputError(f"family {name!r}: needs exactly one of members or generator")
         if "members" in obj:
-            member_names = [str(m) for m in obj["members"]]
-            members = []
-            for m in member_names:
-                if m not in fuzzy_sets:
-                    raise InputError(f"family {name!r}: unknown member {m!r}")
-                members.append(fuzzy_sets[m])
-            families[name] = fuzzy_family(members, member_names)
+            member_names = _members(obj, f"family {name!r}", fuzzy_sets)
+            families[name] = fuzzy_family([fuzzy_sets[m] for m in member_names], member_names)
         else:
             fam = _expand_generator(space, name, obj["generator"], default_seed)
             for member_name, member in zip(fam.names, fam.members):
@@ -239,19 +254,11 @@ def parse_document(data: Any, default_seed: int = 0) -> Document:
                 fuzzy_sets[member_name] = member
             families[name] = fam
     sequences: dict[str, tuple[str, ...]] = {}
-    for obj in data.get("sequences", []):
-        if not isinstance(obj, Mapping):
-            raise InputError("sequences: entries must be objects")
+    for obj in _entries(data, "sequences"):
         name = _check_name(_need(obj, "name", "sequences"), "sequences")
         if name in sequences:
             raise InputError(f"duplicate sequence name {name!r}")
-        member_names = [str(m) for m in _need(obj, "members", f"sequence {name!r}")]
-        if not member_names:
-            raise InputError(f"sequence {name!r}: members must be nonempty")
-        for m in member_names:
-            if m not in fuzzy_sets:
-                raise InputError(f"sequence {name!r}: unknown member {m!r}")
-        sequences[name] = tuple(member_names)
+        sequences[name] = tuple(_members(obj, f"sequence {name!r}", fuzzy_sets))
     return Document(
         space=space,
         fuzzy_sets=fuzzy_sets,

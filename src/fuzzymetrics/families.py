@@ -1,4 +1,4 @@
-"""Family- and sequence-level certificates: union cuts, total boundedness,
+"""Family- and sequence-level certificates: total boundedness,
 equi-right-continuity at 0, relative compactness, closedness witnesses and
 Cauchy tail profiles.
 
@@ -14,19 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .certificates import (
     Certificate,
     Verdict,
     check_window,
     combine_verdicts,
+    tail_verdict,
     trend_verdict,
 )
 from .common import InputError, check_positive, fmt
 from .fuzzy import StepFuzzySet, alpha_cut, same_representation, support
-from .metrics import endograph_metric, sendograph_metric
-from .sets import FiniteSet, hausdorff, prefix_net_sizes, union_family
+from .metrics import endograph_metric, metric_matrix, sendograph_metric
+from .sets import FiniteSet, hausdorff, prefix_net_sizes
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,6 @@ def fuzzy_family(
     if len(set(names)) != len(names):
         raise InputError("member names must be unique")
     return FuzzyFamily(members=members, names=names, generator=generator)
-
-
-def family_union_cut(family: FuzzyFamily, alpha: float) -> FiniteSet:
-    """Union of the member cuts at a level in (0,1]."""
-    return union_family([alpha_cut(u, alpha) for u in family.members])
 
 
 def _net_sizes(family: FuzzyFamily, cuts: Sequence[FiniteSet], eps: float) -> tuple[int, ...]:
@@ -227,12 +221,9 @@ def closedness_witness(
     chosen metric ("end" or "send") that is not a member in exact
     representation. PASS means no witness was produced, never a closedness
     proof."""
-    if metric == "end":
-        dist = endograph_metric
-    elif metric == "send":
-        dist = sendograph_metric
-    else:
+    if metric not in ("end", "send"):
         raise InputError(f"metric must be 'end' or 'send', got {metric!r}")
+    dist = endograph_metric if metric == "end" else sendograph_metric
     check_positive("tol", tol)
     if candidate.space != family.members[0].space:
         raise InputError("candidate lives in a different space")
@@ -272,38 +263,18 @@ def cauchy_tail_profile(
     """
     if len(seq) < 3:
         raise InputError("need at least 3 members")
-    if metric == "end":
-        dist = endograph_metric
-    elif metric == "send":
-        dist = sendograph_metric
-    else:
+    if metric not in ("end", "send"):
         raise InputError(f"metric must be 'end' or 'send', got {metric!r}")
     window = check_window(len(seq), window)
     n = len(seq)
-    # one symmetric matrix of the metric, from its upper triangle
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = dist(seq[i], seq[j])
+    d = metric_matrix(seq, metric)
     residuals = [float(d[i, i + 1:].max()) for i in range(n - 1)] + [0.0]
-    monotone = all(b <= a + 1e-9 for a, b in zip(residuals, residuals[1:]))
-    prox = float(d[-1, n - window:].max())
+    bad = next((i for i, (a, b) in enumerate(zip(residuals, residuals[1:])) if b > a + 1e-9), None)
+    verdict, prox = tail_verdict(d[-1].tolist(), window, tol)
+    witness = None
+    if bad is not None:
+        verdict, witness = Verdict.FAIL, f"residual increases at step {bad + 1}"
+    elif verdict is Verdict.FAIL:
+        witness = f"last member stays {fmt(prox)} away from the tail window"
     evidence = {"residual": tuple(residuals), "tail_proximity": (prox,)}
-    if monotone and prox < tol:
-        return Certificate(kind="CAUCHY_LIMIT", verdict=Verdict.PASS, evidence=evidence)
-    if not monotone:
-        bad = next(i for i, (a, b) in enumerate(zip(residuals, residuals[1:])) if b > a + 1e-9)
-        return Certificate(
-            kind="CAUCHY_LIMIT",
-            verdict=Verdict.FAIL,
-            evidence=evidence,
-            witness=f"residual increases at step {bad + 1}",
-        )
-    if prox >= 2 * tol:
-        return Certificate(
-            kind="CAUCHY_LIMIT",
-            verdict=Verdict.FAIL,
-            evidence=evidence,
-            witness=f"last member stays {fmt(prox)} away from the tail window",
-        )
-    return Certificate(kind="CAUCHY_LIMIT", verdict=Verdict.INCONCLUSIVE, evidence=evidence)
+    return Certificate(kind="CAUCHY_LIMIT", verdict=verdict, evidence=evidence, witness=witness)

@@ -23,18 +23,12 @@ metric, so closed form and oracle must agree within twice the resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .certificates import (
-    Certificate,
-    Verdict,
-    check_window,
-    combine_verdicts,
-    tail_verdict,
-)
+from .certificates import Certificate, Verdict, tail_certificate
 from .common import InputError, fmt
 from .fuzzy import (
     StepFuzzySet,
@@ -147,9 +141,43 @@ def sendograph_metric(u: StepFuzzySet, v: StepFuzzySet) -> float:
     return _graph_series([u], v)[1][0]
 
 
-def endograph_series(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[float, ...]:
-    """Endograph distance from each member of a sequence to the limit."""
-    return _graph_series(seq, limit)[0]
+def endograph_convergence(
+    seq: Sequence[StepFuzzySet],
+    limit: StepFuzzySet,
+    window: int | None = None,
+    tol: float = 1e-3,
+) -> Certificate:
+    """Tail decision on the endograph distance from each member of a
+    sequence to the limit: one part, "end", whose series is evidence "end"."""
+    series = _graph_series(seq, limit)[0]
+    return tail_certificate("END_TAIL", [("end", {"end": series})], window, tol)
+
+
+def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None = None) -> np.ndarray:
+    """Matrix of one metric over a list of fuzzy sets of one space: "end",
+    "send" or "level", the Hausdorff distance between the alpha-cuts.
+
+    Column j is one batched pass of sets[:j] against sets[j], so entry
+    (i, j) with i < j reads the kernel as the one-pair metric(sets[i],
+    sets[j]) does, bit for bit, and entry (j, i) repeats it.
+    """
+    if kind == "level":
+        cuts = [alpha_cut(u, alpha) for u in sets]
+
+        def column(j: int) -> np.ndarray:
+            _check_sequence(sets[:j], sets[j])
+            return _segment_extrema(sets[j].space, [c.array for c in cuts[:j]], cuts[j].array).max(axis=0)
+    elif kind in ("end", "send"):
+        side = kind == "send"
+
+        def column(j: int) -> tuple[float, ...]:
+            return _graph_series(sets[:j], sets[j])[side]
+    else:
+        raise InputError(f"unknown metric kind {kind!r}")
+    out = np.zeros((len(sets), len(sets)))
+    for j in range(1, len(sets)):
+        out[:j, j] = out[j, :j] = column(j)
+    return out
 
 
 def _check_resolution(resolution: float) -> None:
@@ -302,20 +330,6 @@ def _level_series(
     return out
 
 
-@dataclass(frozen=True)
-class LevelProfile:
-    """Per-level Hausdorff distance series across a fuzzy-set sequence, with
-    the tail maximum that decides each level's verdict."""
-
-    alphas: tuple[float, ...]
-    distances: tuple[tuple[float, ...], ...]
-    window: int
-    tol: float
-    tail_maxima: tuple[float, ...]
-    alpha_verdicts: tuple[Verdict, ...]
-    verdict: Verdict
-
-
 def _validated_alphas(alphas, limit, necessity: bool) -> tuple[float, ...]:
     if alphas is None:
         return default_alpha_grid(limit)
@@ -340,9 +354,12 @@ def levelwise_profile(
     window: int | None = None,
     tol: float = 1e-3,
     necessity: bool = False,
-) -> LevelProfile:
+) -> Certificate:
     """Distance series H(cut(u_n, a), cut(limit, a)) per level with tail
-    verdicts.
+    verdicts: one part per alpha, keyed and with its series named
+    "alpha=<a>". The evidence also holds the grid ("alpha_grid") and the
+    limit's platform levels ("platform"), which level convergence need not
+    reach.
 
     With no explicit alphas the default grid avoiding the limit's platform
     levels is used. In necessity mode explicit alphas colliding with a
@@ -352,44 +369,15 @@ def levelwise_profile(
     """
     _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity)
-    window = check_window(len(seq), window)
     space = limit.space
     (distances,) = _level_series(seq, limit, alphas, [
         (lambda cuts, t: _segment_extrema(space, cuts, t).max(axis=0), False),
     ])
-    verdicts, maxima = zip(*(tail_verdict(s, window, tol) for s in distances))
-    return LevelProfile(
-        alphas=alphas,
-        distances=tuple(distances),
-        window=window,
-        tol=tol,
-        tail_maxima=maxima,
-        alpha_verdicts=verdicts,
-        verdict=combine_verdicts(verdicts),
+    keys = [f"alpha={fmt(a)}" for a in alphas]
+    return tail_certificate(
+        "LEVEL_PROFILE", [(k, {k: s}) for k, s in zip(keys, distances)], window, tol,
+        alpha_grid=alphas, platform=platform_points(limit),
     )
-
-
-@dataclass(frozen=True)
-class GammaDiagnostic:
-    """Two-sided per-level sandwich evidence for endograph set convergence.
-
-    deficits[i][n] measures how far the strict cut of the limit is from being
-    reached by cut(u_n, a); excesses[i][n] measures how far cut(u_n, a)
-    sticks out of cut(limit, a). The sandwich is asymmetric on purpose: the
-    inner side is measured against the strict cut, the outer side against
-    the full cut. Each level's verdict is decided on the larger of its two
-    tail maxima.
-    """
-
-    alphas: tuple[float, ...]
-    deficits: tuple[tuple[float, ...], ...]
-    excesses: tuple[tuple[float, ...], ...]
-    window: int
-    tol: float
-    deficit_tail_maxima: tuple[float, ...]
-    excess_tail_maxima: tuple[float, ...]
-    alpha_verdicts: tuple[Verdict, ...]
-    verdict: Verdict
 
 
 def gamma_diagnostic(
@@ -398,34 +386,31 @@ def gamma_diagnostic(
     alphas: Sequence[float] | None = None,
     window: int | None = None,
     tol: float = 1e-3,
-) -> GammaDiagnostic:
-    """Per-level sandwich tails; platform collisions are allowed here since
-    the sandwich holds at every level. Each directed distance reads the
-    kernel in the orientation of directed_hausdorff: deficits as
-    d(strict limit cut, member cut), excesses as d(member cut, limit cut).
-    Each distinct pair of cuts is measured once."""
+) -> Certificate:
+    """Two-sided per-level sandwich evidence for endograph set convergence:
+    one part per alpha, keyed "alpha=<a>", decided on the larger tail of
+    its series "deficit[alpha=<a>]" and "excess[alpha=<a>]"; the evidence
+    also holds the grid ("alpha_grid").
+
+    The deficit at member n measures how far the strict cut of the limit is
+    from being reached by cut(u_n, a); the excess how far cut(u_n, a) sticks
+    out of cut(limit, a). The sandwich is asymmetric on purpose: the inner
+    side is measured against the strict cut, the outer side against the full
+    cut. Platform collisions are allowed here since the sandwich holds at
+    every level. Each directed distance reads the kernel in the orientation
+    of directed_hausdorff: deficits as d(strict limit cut, member cut),
+    excesses as d(member cut, limit cut). Each distinct pair of cuts is
+    measured once."""
     _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity=False)
-    window = check_window(len(seq), window)
     space = limit.space
     deficits, excesses = _level_series(seq, limit, alphas, [
         (lambda cuts, t: _segment_extrema(space, cuts, t, transposed=True)[1], True),
         (lambda cuts, t: _segment_extrema(space, cuts, t)[0], False),
     ])
-    m1 = tuple(tail_verdict(s, window, tol)[1] for s in deficits)
-    m2 = tuple(tail_verdict(s, window, tol)[1] for s in excesses)
-    verdicts = tuple(tail_verdict((max(a, b),), 1, tol)[0] for a, b in zip(m1, m2))
-    return GammaDiagnostic(
-        alphas=alphas,
-        deficits=tuple(deficits),
-        excesses=tuple(excesses),
-        window=window,
-        tol=tol,
-        deficit_tail_maxima=m1,
-        excess_tail_maxima=m2,
-        alpha_verdicts=verdicts,
-        verdict=combine_verdicts(verdicts),
-    )
+    parts = [(f"alpha={fmt(a)}", {f"deficit[alpha={fmt(a)}]": d, f"excess[alpha={fmt(a)}]": e})
+             for a, d, e in zip(alphas, deficits, excesses)]
+    return tail_certificate("GAMMA_SANDWICH", parts, window, tol, alpha_grid=alphas)
 
 
 def send_decomposition_check(
@@ -437,33 +422,27 @@ def send_decomposition_check(
     """Check the verdict identity: sendograph convergence holds exactly when
     endograph convergence and 0-cut convergence both hold.
 
-    Computes the three tails and PASSes iff send-verdict equals
+    Decides the three tails, as the parts "send", "end" and "cut0" with the
+    series of the same names, and PASSes iff send-verdict equals
     (end-verdict AND cut0-verdict); INCONCLUSIVE if any component tail is
     inconclusive. The end and send series come from one lifted pass over
     the members, the 0-cut series from one pass over their distinct supports.
     """
     _check_sequence(seq, limit)
-    window = check_window(len(seq), window)
     end_series, send_series = _graph_series(seq, limit)
     supports, ids = _distinct(support(u) for u in seq)
     cut0 = _segment_extrema(limit.space, [s.array for s in supports], support(limit).array).max(axis=0).tolist()
-    cut0_series = tuple(map(cut0.__getitem__, ids))
-    v_send, _ = tail_verdict(send_series, window, tol)
-    v_end, _ = tail_verdict(end_series, window, tol)
-    v_cut0, _ = tail_verdict(cut0_series, window, tol)
-    evidence = {"send": send_series, "end": end_series, "cut0": cut0_series}
-    note = f"send={v_send.value} end={v_end.value} cut0={v_cut0.value}"
-    if Verdict.INCONCLUSIVE in (v_send, v_end, v_cut0):
-        return Certificate(
-            kind="SEND_DECOMP", verdict=Verdict.INCONCLUSIVE, evidence=evidence, note=note
-        )
+    tails = tail_certificate("SEND_DECOMP", [
+        (key, {key: s}) for key, s in
+        (("send", send_series), ("end", end_series), ("cut0", tuple(map(cut0.__getitem__, ids))))
+    ], window, tol)
+    v_send, v_end, v_cut0 = (p.verdict for p in tails.parts)
     expected = Verdict.PASS if (v_end is Verdict.PASS and v_cut0 is Verdict.PASS) else Verdict.FAIL
-    if v_send is expected:
-        return Certificate(kind="SEND_DECOMP", verdict=Verdict.PASS, evidence=evidence, note=note)
-    return Certificate(
-        kind="SEND_DECOMP",
-        verdict=Verdict.FAIL,
-        evidence=evidence,
-        witness=f"send tail is {v_send.value} but end AND cut0 gives {expected.value}",
-        note=note,
-    )
+    verdict, witness = Verdict.PASS, None
+    if Verdict.INCONCLUSIVE in (v_send, v_end, v_cut0):
+        verdict = Verdict.INCONCLUSIVE
+    elif v_send is not expected:
+        verdict = Verdict.FAIL
+        witness = f"send tail is {v_send.value} but end AND cut0 gives {expected.value}"
+    note = f"send={v_send.value} end={v_end.value} cut0={v_cut0.value}"
+    return replace(tails, verdict=verdict, witness=witness, note=note)

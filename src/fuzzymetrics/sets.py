@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .certificates import Verdict, check_window, tail_verdict
+from .certificates import Certificate, tail_certificate
 from .common import TOL, InputError, check_positive
 from .space import EUCLIDEAN, MetricSpace, Point, dist_matrix
 
@@ -171,45 +171,27 @@ def prefix_net_sizes(family: Sequence[FiniteSet], eps: float) -> tuple[int, ...]
     return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class KuratowskiDiagnostic:
-    """Tail evidence for set convergence of a sequence prefix toward C.
-
-    liminf_deficit[n] is the directed distance from C into C_n (how far C is
-    from being reached by the sequence); limsup_excess[n] is the directed
-    distance from C_n into C (how far the sequence sticks out of C). Both
-    tails small certifies the two-sided sandwich on any common compact
-    superset; the verdict is the windowed tail decision on their maximum.
-    """
-
-    liminf_deficit: tuple[float, ...]
-    limsup_excess: tuple[float, ...]
-    window: int
-    tol: float
-    verdict: Verdict
-
-
 def kuratowski_tail_diagnostic(
     prefix: Sequence[FiniteSet],
     target: FiniteSet,
     window: int | None = None,
     tol: float = 1e-3,
-) -> KuratowskiDiagnostic:
+) -> Certificate:
+    """Tail evidence for set convergence of a sequence prefix toward C.
+
+    Evidence "liminf_deficit" holds the directed distance from C into each
+    C_n (how far C is from being reached by the sequence), "limsup_excess"
+    the directed distance from C_n into C (how far the sequence sticks out
+    of C). Both tails small certifies the two-sided sandwich on any common
+    compact superset; the one part, "sandwich", is decided on the larger of
+    the two tail maxima.
+    """
     if not prefix:
         raise InputError("empty sequence prefix")
-    window = check_window(len(prefix), window)
     deficit = tuple(directed_hausdorff(target, c) for c in prefix)
     excess = tuple(directed_hausdorff(c, target) for c in prefix)
-    _, m1 = tail_verdict(deficit, window, tol)
-    _, m2 = tail_verdict(excess, window, tol)
-    # one decision on the worst of the two tails
-    verdict, _ = tail_verdict((max(m1, m2),), 1, tol)
-    return KuratowskiDiagnostic(
-        liminf_deficit=deficit,
-        limsup_excess=excess,
-        window=window,
-        tol=tol,
-        verdict=verdict,
+    return tail_certificate(
+        "KURATOWSKI_TAIL", [("sandwich", {"liminf_deficit": deficit, "limsup_excess": excess})], window, tol
     )
 
 

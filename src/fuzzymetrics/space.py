@@ -1,4 +1,4 @@
-"""Ambient metric spaces, points in them, and the lifted metric on space x [0,1].
+"""Ambient metric spaces, points in them, and the one pairwise-distance kernel.
 
 Two desk-scale models are provided: Euclidean coordinates of any dimension and
 a finite space given by an explicit distance matrix.
@@ -81,18 +81,6 @@ class Point:
     @staticmethod
     def finite(index: int) -> "Point":
         return Point(index=index)
-
-
-@dataclass(frozen=True)
-class LiftedPoint:
-    """A point of space x [0,1]: a base point together with a level."""
-
-    point: Point
-    level: float
-
-    def __post_init__(self) -> None:
-        if not _is_real(type(self.level)) or not 0.0 <= self.level <= 1.0:
-            raise InputError(f"level {self.level!r} is not a real number in [0,1]")
 
 
 @dataclass(frozen=True)
@@ -190,16 +178,6 @@ def _coords(p):
     if isinstance(p, Point):
         return p.coords
     return (p,) if isinstance(p, (int, float)) else p
-
-
-def distance(space: MetricSpace, p: Point, q: Point) -> float:
-    """Metric distance d(p, q) in the given space."""
-    return space.distance(p, q)
-
-
-def lifted_distance(space: MetricSpace, a: LiftedPoint, b: LiftedPoint) -> float:
-    """Distance on space x [0,1]: d(x, y) + |level(a) - level(b)|."""
-    return space.distance(a.point, b.point) + abs(a.level - b.level)
 
 
 def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:

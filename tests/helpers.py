@@ -1,10 +1,26 @@
-"""Shared spaces and seeded corpus builders for the test suite."""
+"""Shared spaces, seeded corpus builders, and the point-level lifted metric
+and family union cut that the tests check the library against."""
 
 from __future__ import annotations
 
+import numbers
+from dataclasses import dataclass
+
 import numpy as np
 
-from fuzzymetrics import MetricSpace, StepFuzzySet, crisp, finite_set, make_fuzzy
+from fuzzymetrics import (
+    FiniteSet,
+    FuzzyFamily,
+    InputError,
+    MetricSpace,
+    Point,
+    StepFuzzySet,
+    alpha_cut,
+    crisp,
+    finite_set,
+    make_fuzzy,
+    union_family,
+)
 from fuzzymetrics.generators import random_fuzzy
 
 SP1 = MetricSpace.euclidean(1)
@@ -36,3 +52,42 @@ def fuzzy_corpus(
         random_fuzzy(space, rng, box=box, max_levels=max_levels, max_points=max_points)
         for _ in range(count)
     ]
+
+
+def part_series(cert, side: int = 0) -> tuple[tuple[float, ...], ...]:
+    """The evidence series of each part of a tail certificate, in part order:
+    its first named series, or with side=1 its second."""
+    return tuple(cert.evidence[list(p.tail_max)[side]] for p in cert.parts)
+
+
+def part_maxima(cert, side: int = 0) -> tuple[float, ...]:
+    """The tail maxima that part_series(cert, side) reads the series of."""
+    return tuple(list(p.tail_max.values())[side] for p in cert.parts)
+
+
+def distance(space: MetricSpace, p: Point, q: Point) -> float:
+    """Metric distance d(p, q) in the given space."""
+    return space.distance(p, q)
+
+
+@dataclass(frozen=True)
+class LiftedPoint:
+    """A point of space x [0,1]: a base point together with a level."""
+
+    point: Point
+    level: float
+
+    def __post_init__(self) -> None:
+        real = isinstance(self.level, numbers.Real) and not isinstance(self.level, bool)
+        if not real or not 0.0 <= self.level <= 1.0:
+            raise InputError(f"level {self.level!r} is not a real number in [0,1]")
+
+
+def lifted_distance(space: MetricSpace, a: LiftedPoint, b: LiftedPoint) -> float:
+    """Distance on space x [0,1]: d(x, y) + |level(a) - level(b)|."""
+    return space.distance(a.point, b.point) + abs(a.level - b.level)
+
+
+def family_union_cut(family: FuzzyFamily, alpha: float) -> FiniteSet:
+    """Union of the member cuts at a level in (0,1]."""
+    return union_family([alpha_cut(u, alpha) for u in family.members])

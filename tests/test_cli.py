@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fuzzymetrics.cli import main
+from fuzzymetrics.common import fmt
 
 
 @pytest.fixture()
@@ -132,6 +133,42 @@ def test_converge_emit_json(capsys, doc_path, tmp_path):
     payload = json.loads(report.read_text(encoding="utf-8"))
     assert payload["mode"] == "send"
     assert "FAIL" in payload["verdicts"]
+
+
+# col tends to u0, where every mode exits 0 but send (its identity PASSes
+# while its send and cut0 tails FAIL); alt alternates, so every mode exits 1
+@pytest.mark.parametrize("sequence,limit", [("col", "u0"), ("alt", "uA")])
+@pytest.mark.parametrize("mode", ["end", "send", "gamma", "level"])
+def test_converge_emit_json_carries_the_csv_decisions(capsys, doc_path, tmp_path, mode, sequence, limit):
+    report = tmp_path / "report.json"
+    code, out = run(
+        capsys, "converge", doc_path, "--sequence", sequence, "--limit", limit, "--mode", mode,
+        "--alpha-grid", "7", "--tol", "0.01", "--emit-json", str(report),
+    )
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [fmt(m) for part in payload["parts"] for m in part["tail_max"].values()] == [
+        r[3] for r in rows if r[0] == "tail_max"]
+    assert payload["verdicts"] == [r[3] for r in rows if r[0] == "verdict"]
+    assert code == (0 if set(payload["verdicts"]) == {"PASS"} else 1)
+    assert (payload["sequence"], payload["limit"], payload["mode"]) == (sequence, limit, mode)
+    evidence = payload["evidence"]
+    assert evidence["tol"] == [0.01] and len(evidence["window"]) == 1
+    for part in payload["parts"]:
+        for name in part["tail_max"]:
+            assert len(evidence[name]) == (150 if sequence == "col" else 20)
+    if mode in ("gamma", "level"):
+        assert len(evidence["alpha_grid"]) == 7
+
+
+def test_mistyped_document_exits_2_with_one_error_line(capsys, tmp_path):
+    # this used to end in a TypeError traceback and exit 1, the FAIL code
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"space": {"type": "euclidean", "dim": 1}, "fuzzy_sets": 5}), encoding="utf-8")
+    assert main(["metrics", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: document: fuzzy_sets must be a list\n"
 
 
 def test_compact_tb_send_translates(capsys, doc_path):

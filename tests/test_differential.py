@@ -5,8 +5,9 @@ block. The incremental prefix unions and nets are checked against unions and
 nets rebuilt from scratch, the one-matrix graph metrics against the closed
 form taken one direction at a time, the per-coordinate Euclidean kernel
 against the last-axis reduction it replaced, the oracles against their
-level-by-level sampling, the convergence series batched over a whole
-sequence against the same distances taken one pair at a time, and the
+level-by-level sampling, the convergence series and the metric matrices
+batched over a whole sequence against the same distances taken one pair at
+a time, and the
 generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
 measured."""
@@ -29,16 +30,18 @@ from fuzzymetrics import (
     cauchy_tail_profile,
     covering_number,
     directed_hausdorff,
+    endograph_convergence,
     endograph_metric,
     endograph_oracle,
-    endograph_series,
     eps_net,
     finite_set,
     gamma_diagnostic,
     hausdorff,
+    levelwise_distance,
     levelwise_profile,
     make_fuzzy,
     membership,
+    metric_matrix,
     same_representation,
     send_decomposition_check,
     sendograph_metric,
@@ -53,7 +56,7 @@ from fuzzymetrics.fuzzy import memberships
 from fuzzymetrics.generators import collapse_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
-from helpers import SP1, SP2
+from helpers import SP1, SP2, part_maxima, part_series
 
 CAPS = (space_module.BLOCK_BYTES, 8)
 
@@ -391,12 +394,12 @@ def test_batched_level_and_gamma_series_match_per_pair_distances(scene):
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             profile = levelwise_profile(seq, limit, alphas, window=window)
             diag = gamma_diagnostic(seq, limit, alphas, window=window)
-        assert profile.distances == tuple(levels)
-        assert profile.tail_maxima == tuple(map(max, levels))
-        assert diag.deficits == tuple(deficits)
-        assert diag.excesses == tuple(excesses)
-        assert diag.deficit_tail_maxima == tuple(map(max, deficits))
-        assert diag.excess_tail_maxima == tuple(map(max, excesses))
+        assert part_series(profile) == tuple(levels)
+        assert part_maxima(profile) == tuple(map(max, levels))
+        assert part_series(diag) == tuple(deficits)
+        assert part_series(diag, 1) == tuple(excesses)
+        assert part_maxima(diag) == tuple(map(max, deficits))
+        assert part_maxima(diag, 1) == tuple(map(max, excesses))
 
 
 @given(shared_cut_sequences())
@@ -409,7 +412,7 @@ def test_batched_graph_series_match_the_closed_form_per_pair(scene):
     cut0 = tuple(hausdorff(support(u), support(limit)) for u in seq)
     for cap in SERIES_CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            assert endograph_series(seq, limit) == end
+            assert endograph_convergence(seq, limit, window=1).evidence["end"] == end
             assert tuple(endograph_metric(u, limit) for u in seq) == end
             assert tuple(sendograph_metric(u, limit) for u in seq) == send
             cert = send_decomposition_check(seq, limit, window=1)
@@ -449,12 +452,56 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
     assert all(n <= SP1.block_rows(m) for n, m in chunks if (n, m) != (100, 2000))
     assert (100, 2000) in chunks
     for i, a in enumerate(alphas):
-        assert profile.distances[i] == tuple(hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
-        assert diag.deficits[i] == tuple(
+        assert part_series(profile)[i] == tuple(hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
+        assert part_series(diag)[i] == tuple(
             directed_hausdorff(strict_cut_closure(limit, a), alpha_cut(u, a)) for u in seq)
-        assert diag.excesses[i] == tuple(directed_hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
+        assert part_series(diag, 1)[i] == tuple(directed_hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
     assert cert.evidence["end"] == tuple(endograph_metric(u, limit) for u in seq)
     assert cert.evidence["cut0"] == tuple(hausdorff(support(u), support(limit)) for u in seq)
+
+
+ONE_PAIR = {
+    "end": endograph_metric,
+    "send": sendograph_metric,
+    "level": lambda u, v: levelwise_distance(u, v, 0.6),
+}
+
+
+@given(fuzzy_sequences(min_size=1, max_size=6, kinds=SERIES_KINDS), st.sampled_from(sorted(ONE_PAIR)))
+@settings(max_examples=150)
+def test_metric_matrix_matches_one_pair_metrics(scene, kind):
+    space, members = scene
+    sets = [build(space, raw) for raw, _ in members]
+    # the one-pair calls, each in the orientation of entry (i, j) with i < j
+    upper = {(i, j): ONE_PAIR[kind](sets[i], sets[j]) for j in range(len(sets)) for i in range(j)}
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            d = metric_matrix(sets, kind, 0.6 if kind == "level" else None)
+            cauchy = cauchy_tail_profile(sets, kind, window=1) if kind != "level" and len(sets) >= 3 else None
+        assert d.shape == (len(sets), len(sets))
+        assert all(d[i, i] == 0.0 for i in range(len(sets)))
+        assert all(d[i, j] == d[j, i] == x for (i, j), x in upper.items())
+        if cauchy is not None:
+            n = len(sets)
+            assert cauchy.evidence["residual"] == tuple(
+                max((upper[i, j] for j in range(i + 1, n)), default=0.0) for i in range(n))
+
+
+def test_metric_matrix_keeps_the_one_pair_orientation_of_an_asymmetric_matrix():
+    # d(0, 1) exceeds d(1, 0) by 5e-10: a metric within TOL, whose sendograph
+    # distance between the crisp points reads d(0, 1) from u and d(1, 0) from v
+    space = MetricSpace.finite([[0.0, 1.0 + 5e-10, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    u, v, w = (make_fuzzy([(1.0, finite_set(space, [k]))]) for k in range(3))
+    assert sendograph_metric(u, v) == 1.0 + 5e-10 and sendograph_metric(v, u) == 1.0
+    for kind in ("send", "level"):
+        d = metric_matrix([u, v, w], kind, 1.0)
+        assert d[0, 1] == d[1, 0] == 1.0 + 5e-10
+        d = metric_matrix([v, u, w], kind, 1.0)
+        assert d[0, 1] == d[1, 0] == 1.0
+    assert cauchy_tail_profile([u, v, w], "send", window=1).evidence["residual"][0] == 2.0
+    assert cauchy_tail_profile([u, w, v], "send", window=1).evidence["residual"][0] == 2.0
+    assert cauchy_tail_profile([u, v, u], "send", window=1).evidence["residual"][1] == 1.0
+    assert cauchy_tail_profile([v, u, v], "send", window=1).evidence["residual"][1] == 1.0 + 5e-10
 
 
 def assert_known_memberships(u):

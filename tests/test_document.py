@@ -206,6 +206,47 @@ def test_coerced_types_rejected_naming_the_field(tmp_path, data, field):
         load_document(write_doc(tmp_path, data))
 
 
+NAMED = {
+    "space": {"type": "euclidean", "dim": 1},
+    "fuzzy_sets": [{"name": n, "levels": [{"alpha": 1.0, "points": [[0.0]]}]} for n in ("o", "True")],
+}
+
+
+# the top-level lists, an int member list and an int generator used to
+# escape as a TypeError traceback; the string "oo" used to load as the names
+# [o, o], and [true] as the name "True"
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({**NAMED, "fuzzy_sets": 5}, "fuzzy_sets must be a list"),
+        ({**NAMED, "families": 5}, "families must be a list"),
+        ({**NAMED, "sequences": 5}, "sequences must be a list"),
+        ({**NAMED, "families": [{"name": "f", "members": 5}]}, "family 'f': members"),
+        ({**NAMED, "sequences": [{"name": "s", "members": 5}]}, "sequence 's': members"),
+        ({**NAMED, "families": [{"name": "f", "members": "oo"}]}, "family 'f': members"),
+        ({**NAMED, "sequences": [{"name": "s", "members": "oo"}]}, "sequence 's': members"),
+        ({**NAMED, "families": [{"name": "f", "members": [True]}]}, "family 'f': members"),
+        ({**NAMED, "sequences": [{"name": "s", "members": ["o", True]}]}, "sequence 's': members"),
+        ({**NAMED, "families": [{"name": "f", "members": []}]}, "family 'f': members"),
+        ({**NAMED, "families": [{"name": "g", "generator": 5}]}, "family 'g': generator must be an object"),
+    ],
+    ids=["fuzzy-sets-int", "families-int", "sequences-int", "family-members-int", "sequence-members-int",
+         "family-members-string", "sequence-members-string", "family-members-bool", "sequence-members-bool",
+         "family-members-empty", "generator-int"],
+)
+def test_mistyped_lists_and_objects_rejected_naming_the_field(tmp_path, data, field):
+    with pytest.raises(InputError, match=field):
+        load_document(write_doc(tmp_path, data))
+
+
+def test_member_names_load_as_given(tmp_path):
+    data = {**NAMED, "families": [{"name": "f", "members": ["True", "o"]}],
+            "sequences": [{"name": "s", "members": ["o", "o", "True"]}]}
+    doc = load_document(write_doc(tmp_path, data))
+    assert doc.families["f"].names == ("True", "o")
+    assert doc.sequences["s"] == ("o", "o", "True")
+
+
 def test_integer_alpha_and_coordinates_still_load(tmp_path):
     doc = load_document(write_doc(tmp_path, with_fuzzy(MINIMAL, [{"alpha": 1, "points": [[0]]}])))
     assert doc.fuzzy("a").levels[0][0] == 1.0

@@ -8,7 +8,6 @@ from fuzzymetrics import (
     covering_number,
     crisp,
     erc_modulus,
-    family_union_cut,
     fuzzy_family,
     make_fuzzy,
     rel_compact_send_report,
@@ -25,7 +24,7 @@ from fuzzymetrics.generators import (
     random_family,
     translates_family,
 )
-from helpers import SP1, SP2, singleton, two_level
+from helpers import SP1, SP2, family_union_cut, singleton, two_level
 
 
 def xs(s):

@@ -4,6 +4,7 @@ from fuzzymetrics import (
     InputError,
     Verdict,
     default_alpha_grid,
+    endograph_convergence,
     endograph_metric,
     endograph_oracle,
     gamma_diagnostic,
@@ -15,7 +16,7 @@ from fuzzymetrics import (
     sendograph_oracle,
 )
 from fuzzymetrics.generators import collapse_family, contracting_sequence
-from helpers import SP1, fuzzy_corpus, singleton, two_level
+from helpers import SP1, fuzzy_corpus, part_series, singleton, two_level
 
 
 def test_endograph_identity():
@@ -124,7 +125,7 @@ def test_levelwise_profile_reciprocal_sequence():
     seq = [singleton(1.0 / n) for n in range(1, 101)]
     prof = levelwise_profile(seq, singleton(0.0), alphas=[0.25, 0.5, 0.75], window=10, tol=0.05)
     assert prof.verdict is Verdict.PASS
-    for series in prof.distances:
+    for series in part_series(prof):
         assert series[0] == 1.0
         assert max(series[-10:]) == pytest.approx(1 / 91, abs=1e-12)
 
@@ -133,14 +134,14 @@ def test_levelwise_profile_constant_sequence_zero():
     u = two_level()
     prof = levelwise_profile([u] * 20, u, alphas=[0.3, 0.6])
     assert prof.verdict is Verdict.PASS
-    assert all(set(s) == {0.0} for s in prof.distances)
+    assert all(set(s) == {0.0} for s in part_series(prof))
 
 
 def test_levelwise_profile_detects_failure():
     seq = [singleton(0.0)] * 20
     prof = levelwise_profile(seq, two_level(), alphas=[0.4])
     assert prof.verdict is Verdict.FAIL
-    assert set(prof.distances[0]) == {1.0}
+    assert set(part_series(prof)[0]) == {1.0}
 
 
 def test_levelwise_profile_platform_collision_named():
@@ -155,23 +156,47 @@ def test_gamma_diagnostic_reciprocal_sequence():
     seq = [singleton(1.0 / n) for n in range(1, 101)]
     diag = gamma_diagnostic(seq, singleton(0.0), alphas=[0.5], window=10, tol=0.05)
     assert diag.verdict is Verdict.PASS
-    assert diag.deficits[0][0] == 1.0
-    assert diag.excesses[0][9] == pytest.approx(0.1, abs=1e-12)
+    assert part_series(diag)[0][0] == 1.0
+    assert part_series(diag, 1)[0][9] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_gamma_diagnostic_constant_sequence():
     u = two_level()
     diag = gamma_diagnostic([u] * 20, u, alphas=[0.25, 0.5, 0.75])
     assert diag.verdict is Verdict.PASS
-    assert all(set(s) == {0.0} for s in diag.deficits)
-    assert all(set(s) == {0.0} for s in diag.excesses)
+    assert all(set(s) == {0.0} for s in part_series(diag))
+    assert all(set(s) == {0.0} for s in part_series(diag, 1))
 
 
 def test_gamma_diagnostic_excess_failure():
     seq = [two_level()] * 20
     diag = gamma_diagnostic(seq, singleton(0.0), alphas=[0.4])
     assert diag.verdict is Verdict.FAIL
-    assert set(diag.excesses[0]) == {1.0}
+    assert set(part_series(diag, 1)[0]) == {1.0}
+
+
+def test_tail_diagnostics_share_the_certificate_shape():
+    seq = [singleton(1.0 / n) for n in range(1, 21)]
+    level = levelwise_profile(seq, two_level(), alphas=[0.25, 0.75], window=4, tol=0.05)
+    assert (level.kind, [p.key for p in level.parts]) == ("LEVEL_PROFILE", ["alpha=0.25", "alpha=0.75"])
+    assert list(level.evidence) == ["alpha=0.25", "alpha=0.75", "window", "tol", "alpha_grid", "platform"]
+    assert (level.evidence["window"], level.evidence["tol"]) == ((4,), (0.05,))
+    assert (level.evidence["alpha_grid"], level.evidence["platform"]) == ((0.25, 0.75), (0.5,))
+    # the cut at 0.25 holds the point 1, which the members 1/n move away from
+    assert [p.verdict for p in level.parts] == [Verdict.FAIL, Verdict.INCONCLUSIVE]
+    assert level.verdict is Verdict.FAIL and level.witness == "alpha=0.25: tail max 0.95 at or above 2*tol"
+    gamma = gamma_diagnostic(seq, singleton(0.0), alphas=[0.5], window=4, tol=0.05)
+    assert (gamma.kind, [dict(p.tail_max) for p in gamma.parts]) == (
+        "GAMMA_SANDWICH", [{"deficit[alpha=0.5]": 1 / 17, "excess[alpha=0.5]": 1 / 17}])
+    assert list(gamma.evidence) == ["deficit[alpha=0.5]", "excess[alpha=0.5]", "window", "tol", "alpha_grid"]
+    end = endograph_convergence(seq, singleton(0.0), window=4, tol=0.02)
+    assert (end.kind, end.verdict, end.parts[0].key, end.parts[0].tail_max) == (
+        "END_TAIL", Verdict.FAIL, "end", {"end": 1 / 17})
+    assert list(end.evidence) == ["end", "window", "tol"]
+    assert end.witness == "end: tail max 0.0588235294 at or above 2*tol"
+    send = send_decomposition_check(seq, singleton(0.0), window=4, tol=0.05)
+    assert [p.key for p in send.parts] == ["send", "end", "cut0"]
+    assert list(send.evidence) == ["send", "end", "cut0", "window", "tol"]
 
 
 def test_send_decomposition_all_converge():
@@ -229,6 +254,7 @@ def test_levelwise_pass_lifts_to_kuratowski():
 
     for a in grid:
         diag = kuratowski_tail_diagnostic(
-            [alpha_cut(u, a) for u in seq], alpha_cut(limit, a), window=prof.window, tol=prof.tol
+            [alpha_cut(u, a) for u in seq], alpha_cut(limit, a),
+            window=prof.evidence["window"][0], tol=prof.evidence["tol"][0],
         )
         assert diag.verdict is Verdict.PASS

@@ -123,7 +123,7 @@ def test_window_must_be_an_integer(window):
 def test_integer_windows_of_any_integral_type_are_accepted():
     seq = [two_level()] * 4
     for window in (2, np.int64(2)):
-        assert levelwise_profile(seq, two_level(), alphas=[0.5], window=window).window == 2
+        assert levelwise_profile(seq, two_level(), alphas=[0.5], window=window).evidence["window"] == (2,)
 
 
 @pytest.mark.parametrize("box", [(0.0, 1e200), (-2e150, 0.0), (0.0, float("inf")), (float("nan"), 1.0)])

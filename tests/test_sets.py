@@ -113,16 +113,16 @@ def test_kuratowski_reciprocal_sequence():
     target = finite_set(SP1, [0.0])
     diag = kuratowski_tail_diagnostic(prefix, target, window=10, tol=0.05)
     assert diag.verdict is Verdict.PASS
-    assert max(diag.limsup_excess[-10:]) == pytest.approx(1.0 / 91.0, abs=1e-12)
-    assert max(diag.liminf_deficit[-10:]) == pytest.approx(1.0 / 91.0, abs=1e-12)
+    assert max(diag.evidence["limsup_excess"][-10:]) == pytest.approx(1.0 / 91.0, abs=1e-12)
+    assert max(diag.evidence["liminf_deficit"][-10:]) == pytest.approx(1.0 / 91.0, abs=1e-12)
 
 
 def test_kuratowski_constant_sequence():
     c = finite_set(SP1, [0.0, 2.0])
     diag = kuratowski_tail_diagnostic([c] * 30, c, window=5, tol=1e-3)
     assert diag.verdict is Verdict.PASS
-    assert set(diag.liminf_deficit) == {0.0}
-    assert set(diag.limsup_excess) == {0.0}
+    assert set(diag.evidence["liminf_deficit"]) == {0.0}
+    assert set(diag.evidence["limsup_excess"]) == {0.0}
 
 
 def test_kuratowski_alternating_fails():

@@ -7,16 +7,14 @@ from hypothesis import given
 
 from fuzzymetrics import (
     InputError,
-    LiftedPoint,
     MetricSpace,
     Point,
     Verdict,
-    distance,
     finite_set,
-    lifted_distance,
     load_document,
     validate_metric,
 )
+from helpers import LiftedPoint, distance, lifted_distance
 
 SP1 = MetricSpace.euclidean(1)
 SP2 = MetricSpace.euclidean(2)
