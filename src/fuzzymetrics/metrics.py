@@ -162,6 +162,8 @@ def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None =
     sets[j]) does, bit for bit, and entry (j, i) repeats it.
     """
     if kind == "level":
+        if alpha is None:
+            raise InputError("the level metric needs an alpha")
         cuts = [alpha_cut(u, alpha) for u in sets]
 
         def column(j: int) -> np.ndarray:

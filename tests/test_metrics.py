@@ -11,6 +11,7 @@ from fuzzymetrics import (
     kuratowski_tail_diagnostic,
     levelwise_distance,
     levelwise_profile,
+    metric_matrix,
     send_decomposition_check,
     sendograph_metric,
     sendograph_oracle,
@@ -173,6 +174,17 @@ def test_gamma_diagnostic_excess_failure():
     diag = gamma_diagnostic(seq, singleton(0.0), alphas=[0.4])
     assert diag.verdict is Verdict.FAIL
     assert set(part_series(diag, 1)[0]) == {1.0}
+
+
+def test_metric_matrix_rejects_an_unknown_kind_or_a_level_without_alpha():
+    sets = [singleton(0.0), two_level()]
+    with pytest.raises(InputError, match="unknown metric kind 'lifted'"):
+        metric_matrix(sets, "lifted")
+    with pytest.raises(InputError, match="needs an alpha"):
+        metric_matrix(sets, "level")
+    with pytest.raises(InputError, match="outside"):
+        metric_matrix(sets, "level", 1.5)
+    assert metric_matrix(sets, "level", 0.5).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_tail_diagnostics_share_the_certificate_shape():

@@ -12,6 +12,7 @@ from fuzzymetrics import (
     InputError,
     MetricSpace,
     alpha_cut,
+    cauchy_tail_profile,
     closedness_witness,
     eps_net,
     gamma_diagnostic,
@@ -53,6 +54,9 @@ def test_tol_must_be_finite_and_positive(tol):
     fam = translates_family(SP1, 3)
     with pytest.raises(InputError, match="tol must be finite and positive"):
         closedness_witness(fam, singleton(1.0), "send", tol)
+    # a NaN tol used to leave the Cauchy tail INCONCLUSIVE, an infinite one PASS
+    with pytest.raises(InputError, match="tol must be finite and positive"):
+        cauchy_tail_profile(list(fam.members), "send", tol=tol)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
