@@ -9,8 +9,10 @@ calling json.dumps and before the random members were built from one
 deduplicated support; the twelve `metrics`, `oracle`, `compact closedness`
 and `converge` commands on demo/finite.json and demo/plane.json were
 recorded before the pairwise tables became one metric matrix and every
-verdict one Certificate. A change to any number, verdict, row order or JSON
-byte shows here."""
+verdict one Certificate; the four commands that name generated members as a
+limit, a candidate or a sequence member were recorded before generated
+families were built on first read. A change to any number, verdict, row
+order or JSON byte shows here."""
 
 import hashlib
 from pathlib import Path
@@ -60,6 +62,10 @@ GOLDEN = [
     (["compact", "FINITE", "--family", "fam", "--mode", "closedness", "--candidate", "a"], 0, "4c47643038a60a8b68c1adb2bc2711be6e12f9a0412e40e6d17d7055b97a610e"),
     (["converge", "FINITE", "--sequence", "seq", "--limit", "a", "--mode", "send", "--window", "2"], 0, "f3b0615af641eabf4f62a82be73584337b6a9bab2eae0616383ccd5344040f47"),
     (["converge", "PLANE", "--sequence", "cloud", "--limit", "origin", "--mode", "end"], 1, "b1cef7cb31d3389854ea05d5b7c655222f9a532c8739131aada095ae3df3aa1c"),
+    (["converge", "PLANE", "--sequence", "to origin", "--limit", "origin", "--mode", "send"], 1, "a9e4ee325aa29ffe91e9036a407f6f692512833d72ef4a3c4e44733e0ab69a01"),
+    (["converge", "PLANE", "--sequence", "to origin", "--limit", "col[5]", "--mode", "level", "--alpha-grid", "7"], 1, "8638d729fa6b52eeb77f97c4a733f94f1bb2def637172010805eecc99c277fca"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "tr[1]", "--mode", "end"], 1, "4efdd3b31bb792a6f60223eee47211e7b41ab1618713592c0c93fa783dd24b0e"),
+    (["compact", "PLANE", "--family", "tr", "--mode", "closedness", "--candidate", "col[1]"], 0, "34fdbe58429d0e2e7035c2117160a39e5e82ba4a14511eff4c093e269457cc84"),
 ]
 
 
