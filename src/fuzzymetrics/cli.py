@@ -29,6 +29,7 @@ from .metrics import (
     endograph_convergence,
     endograph_oracle,
     gamma_diagnostic,
+    graph_matrices,
     levelwise_profile,
     metric_matrix,
     send_decomposition_check,
@@ -169,7 +170,7 @@ def run_oracle_check(doc: Document, resolution: float) -> tuple[str, list[Verdic
     if len(names) < 2:
         raise InputError("oracle check needs at least 2 fuzzy sets")
     sets = [doc.fuzzy(n) for n in names]
-    closed = [metric_matrix(sets, kind).tolist() for kind in METRIC_KINDS]
+    closed = [matrix.tolist() for matrix in graph_matrices(sets)]
     bound = 2.0 * resolution
     rows = [["left", "right", "metric", "closed_form", "oracle", "abs_diff", "bound", "status"]]
     verdicts: list[Verdict] = []

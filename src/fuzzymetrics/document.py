@@ -14,34 +14,72 @@ in euclidean mode and integer indices in finite mode. Generator-expanded
 members are registered as fuzzy sets named "<family>[k]". Sequences may
 repeat names; sequence lookups fall back to family names, so a generated
 family can be used directly as a sequence.
+
+Every generator's parameters are validated at load, and its member count, so
+its member names, known; its members are built the first time the family or
+one of its members is read, and kept.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Iterator, Mapping
 
 from .common import InputError
 from .families import FuzzyFamily, fuzzy_family
 from .fuzzy import StepFuzzySet, make_fuzzy
 from .generators import (
+    collapse_count,
     collapse_family,
+    crisp_interval_count,
     crisp_interval_family,
+    random_count,
     random_family,
+    translates_count,
     translates_family,
 )
 from .sets import finite_set
-from .space import COORD_MAX, EUCLIDEAN, FINITE, MetricSpace, validate_metric
+from .space import EUCLIDEAN, FINITE, MetricSpace, validate_metric
 from .certificates import Verdict
+
+
+class _BuiltOnRead(Mapping):
+    """A read-only mapping in insertion order whose pending values
+    (functools.partial objects) are called the first time they are read and
+    replaced by what they return, once even under concurrent first reads."""
+
+    def __init__(self, values: dict[str, Any]):
+        self._values = values
+        self._lock = threading.Lock()
+
+    def __getitem__(self, key: str) -> Any:
+        value = self._values[key]
+        if type(value) is partial:
+            with self._lock:
+                value = self._values[key]
+                if type(value) is partial:
+                    value = self._values[key] = value()
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._values
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
 
 
 @dataclass(frozen=True)
 class Document:
     space: MetricSpace
-    fuzzy_sets: dict[str, StepFuzzySet]
+    fuzzy_sets: Mapping[str, StepFuzzySet]
     declared: tuple[str, ...]
-    families: dict[str, FuzzyFamily] = field(default_factory=dict)
+    families: Mapping[str, FuzzyFamily] = field(default_factory=dict)
     sequences: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def fuzzy(self, name: str) -> StepFuzzySet:
@@ -170,21 +208,25 @@ def _parse_fuzzy(space: MetricSpace, obj: Mapping) -> tuple[str, StepFuzzySet]:
         raise InputError(f"fuzzy set {name!r}: {e}") from None
 
 
+# Per kind: the family generator, its check and the params it takes. Members
+# are built through this table when first read.
 _GENERATORS = {
-    "translates": (translates_family, ("start", "step")),
-    "collapse": (collapse_family, ("base", "far")),
-    "crisp_intervals": (crisp_interval_family, ("low", "high", "step")),
-    "random": (random_family, ("box", "max_levels", "max_points")),
+    "translates": (translates_family, translates_count, ("start", "step")),
+    "collapse": (collapse_family, collapse_count, ("base", "far")),
+    "crisp_intervals": (crisp_interval_family, crisp_interval_count, ("low", "high", "step")),
+    "random": (random_family, random_count, ("box", "max_levels", "max_points")),
 }
 
 
-def _expand_generator(space: MetricSpace, name: str, gen: Any, default_seed: int) -> FuzzyFamily:
+def _check_generator(space: MetricSpace, name: str, gen: Any, default_seed: int) -> tuple[partial, tuple[str, ...]]:
+    """The call that builds a generated family, and its member names. The
+    loader checks the JSON types; the generator's check, the values."""
     if not isinstance(gen, Mapping):
         raise InputError(f"family {name!r}: generator must be an object")
     kind = _need(gen, "kind", f"family {name!r} generator")
     if kind not in _GENERATORS:
         raise InputError(f"family {name!r}: unknown generator kind {kind!r}")
-    fn, allowed = _GENERATORS[kind]
+    allowed = _GENERATORS[kind][2]
     params = gen.get("params", {})
     if not isinstance(params, Mapping):
         raise InputError(f"family {name!r}: generator params must be an object")
@@ -193,66 +235,67 @@ def _expand_generator(space: MetricSpace, name: str, gen: Any, default_seed: int
         raise InputError(f"family {name!r}: unknown generator params {bad} (allowed: {list(allowed)})")
     for key, value in params.items():
         if key == "box":
-            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-                    and abs(value[0]) <= COORD_MAX and abs(value[1]) <= COORD_MAX and value[0] < value[1]):
-                raise InputError(f"family {name!r}: generator param 'box' must be two numbers low < high "
-                                 f"with magnitude at most {COORD_MAX:g}, got {value!r}")
-        elif key in ("max_levels", "max_points"):
-            if type(value) is not int or value < 1:
-                raise InputError(f"family {name!r}: generator param {key!r} must be a positive integer, got {value!r}")
-        elif not _is_number(value):
+            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+                raise InputError(f"family {name!r}: generator param 'box' must be two numbers, got {value!r}")
+        elif key not in ("max_levels", "max_points") and not _is_number(value):
             raise InputError(f"family {name!r}: generator param {key!r} must be a number, got {value!r}")
     kwargs = dict(params)
-    if "box" in kwargs:
-        kwargs["box"] = tuple(float(x) for x in kwargs["box"])
     if kind == "crisp_intervals":
         if "count" in gen:
             raise InputError(f"family {name!r}: crisp_intervals derives its count from the grid")
-        fam = fn(space, **kwargs)
+        args = ()
     else:
-        count = _need(gen, "count", f"family {name!r} generator")
-        if type(count) is not int or count < 1:
-            raise InputError(f"family {name!r}: count must be a positive integer")
+        args = (_need(gen, "count", f"family {name!r} generator"),)
         if kind == "random":
-            seed = gen.get("seed", default_seed)
-            if type(seed) is not int or seed < 0:
-                raise InputError(f"family {name!r}: seed must be a nonnegative integer, got {seed!r}")
-            kwargs["seed"] = seed
-        fam = fn(space, count, **kwargs)
+            kwargs["seed"] = gen.get("seed", default_seed)
+    try:
+        count = _GENERATORS[kind][1](space, *args, **kwargs)
+    except InputError as e:
+        raise InputError(f"family {name!r}: {e}") from None
+    names = tuple(f"{name}[{k + 1}]" for k in range(count))
+    return partial(_generate, kind, names, space, *args, **kwargs), names
+
+
+def _generate(kind: str, names: tuple[str, ...], *args, **kwargs) -> FuzzyFamily:
     # the generator validated the family, and these names are distinct too
-    return replace(fam, names=tuple(f"{name}[{k + 1}]" for k in range(len(fam.members))))
+    return replace(_GENERATORS[kind][0](*args, **kwargs), names=names)
+
+
+def _member(families: Mapping[str, FuzzyFamily], name: str, k: int) -> StepFuzzySet:
+    return families[name].members[k]
 
 
 def parse_document(data: Any, default_seed: int = 0) -> Document:
-    """Validate a decoded JSON document and expand its generators."""
+    """Validate a decoded JSON document, generators included; each generated
+    family is built when it or one of its members is first read."""
     if not isinstance(data, Mapping):
         raise InputError("document: top level must be an object")
     space = _parse_space(_need(data, "space", "document"))
-    fuzzy_sets: dict[str, StepFuzzySet] = {}
+    sets: dict[str, Any] = {}
     declared: list[str] = []
     for obj in _entries(data, "fuzzy_sets"):
         name, u = _parse_fuzzy(space, obj)
-        if name in fuzzy_sets:
+        if name in sets:
             raise InputError(f"duplicate fuzzy set name {name!r}")
-        fuzzy_sets[name] = u
+        sets[name] = u
         declared.append(name)
-    families: dict[str, FuzzyFamily] = {}
+    fams: dict[str, Any] = {}
+    fuzzy_sets, families = _BuiltOnRead(sets), _BuiltOnRead(fams)
     for obj in _entries(data, "families"):
         name = _check_name(_need(obj, "name", "families"), "families")
-        if name in families:
+        if name in fams:
             raise InputError(f"duplicate family name {name!r}")
         if ("members" in obj) == ("generator" in obj):
             raise InputError(f"family {name!r}: needs exactly one of members or generator")
         if "members" in obj:
             member_names = _members(obj, f"family {name!r}", fuzzy_sets)
-            families[name] = fuzzy_family([fuzzy_sets[m] for m in member_names], member_names)
+            fams[name] = fuzzy_family([fuzzy_sets[m] for m in member_names], member_names)
         else:
-            fam = _expand_generator(space, name, obj["generator"], default_seed)
-            for member_name, member in zip(fam.names, fam.members):
-                if member_name in fuzzy_sets:
+            fams[name], names = _check_generator(space, name, obj["generator"], default_seed)
+            for k, member_name in enumerate(names):
+                if member_name in sets:
                     raise InputError(f"generated name {member_name!r} collides with a fuzzy set")
-                fuzzy_sets[member_name] = member
-            families[name] = fam
+                sets[member_name] = partial(_member, families, name, k)
     sequences: dict[str, tuple[str, ...]] = {}
     for obj in _entries(data, "sequences"):
         name = _check_name(_need(obj, "name", "sequences"), "sequences")

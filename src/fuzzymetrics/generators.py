@@ -2,10 +2,16 @@
 
 Every generator is seeded (where randomness is involved) and tags the family
 it produces, so trend-based certificates can reason about the member order.
-All generators target Euclidean spaces.
+All generators target Euclidean spaces. Each family generator `<name>_family`
+has a check `<name>_count` that takes the same arguments, raises the
+InputError the generator would raise and returns the member count without
+drawing a member; the generator calls it first.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -15,29 +21,66 @@ from .fuzzy import StepFuzzySet, _prefix_fuzzy, crisp, make_fuzzy, support
 from .sets import FiniteSet, _keep_first, finite_set
 from .space import COORD_MAX, EUCLIDEAN, MetricSpace
 
-GENERATOR_KINDS = ("translates", "collapse", "crisp_intervals", "random")
-
-
 def _require_euclidean(space: MetricSpace) -> None:
     if space.mode != EUCLIDEAN:
         raise InputError("generators support euclidean spaces only")
+
+
+def _check_integer(name: str, value: int, least: int) -> None:
+    """Reject a bool, a non-integral number or an integer below `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InputError(f"{name!r} must be an integer >= {least}, got {value!r}")
+
+
+def _check_box(box: tuple[float, float]) -> None:
+    # the random points skip point_array, so its coordinate bound is checked here
+    lo, hi = box
+    if not (abs(lo) <= COORD_MAX and abs(hi) <= COORD_MAX and lo < hi):
+        raise InputError(f"'box' must be two numbers low < high with magnitude at most {COORD_MAX:g}, got {box!r}")
+
+
+def _grid_steps(span: float) -> int:
+    """The number of whole steps nearest to a span measured in steps."""
+    if not math.isfinite(span):
+        raise InputError(f"need a finite number of grid steps, got {span}")
+    return int(round(span))
 
 
 def _axis_point(space: MetricSpace, x: float) -> tuple[float, ...]:
     return (x,) + (0.0,) * (space.dim - 1)
 
 
+def _check_axis_points(space: MetricSpace, xs: list[float]) -> None:
+    """Reject first-axis points beyond the coordinate bound, as point_array does."""
+    space.point_array([_axis_point(space, x) for x in xs])
+
+
+def translates_count(space: MetricSpace, count: int, start: float = 1.0, step: float = 1.0) -> int:
+    """Check the parameters of translates_family: its member count. The
+    offsets are monotone in k, so the first and the last bound them all."""
+    _require_euclidean(space)
+    _check_integer("count", count, 1)
+    _check_axis_points(space, [start + k * step for k in (0, count - 1)])
+    return count
+
+
 def translates_family(
     space: MetricSpace, count: int, start: float = 1.0, step: float = 1.0
 ) -> FuzzyFamily:
     """Crisp singletons marching along the first axis: start, start+step, ..."""
-    _require_euclidean(space)
-    if count < 1:
-        raise InputError("count must be >= 1")
+    translates_count(space, count, start, step)
     offsets = [start + k * step for k in range(count)]
     members = [crisp(space, [_axis_point(space, x)]) for x in offsets]
     names = [f"t[{k + 1}]" for k in range(count)]
     return fuzzy_family(members, names, GeneratorTag("translates", tuple(offsets)))
+
+
+def collapse_count(space: MetricSpace, count: int, base: float = 0.0, far: float = 1.0) -> int:
+    """Check the parameters of collapse_family: its member count."""
+    _require_euclidean(space)
+    _check_integer("count", count, 1)
+    _check_axis_points(space, [base, far])
+    return count
 
 
 def collapse_family(
@@ -51,9 +94,7 @@ def collapse_family(
     the supports refuse to settle: the 0-cut distance to the crisp base
     singleton is constantly |far - base|.
     """
-    _require_euclidean(space)
-    if count < 1:
-        raise InputError("count must be >= 1")
+    collapse_count(space, count, base, far)
     # cuts are immutable, so every member shares the same two; dedup keeps
     # the base point first, so core is a prefix of pair and, with 1 > 1/n,
     # every member is a valid step set without make_fuzzy checking it again
@@ -71,21 +112,33 @@ def crisp_interval(space: MetricSpace, low: float, high: float, step: float = 0.
     _require_euclidean(space)
     if high < low or step <= 0:
         raise InputError("need low <= high and step > 0")
-    n = int(round((high - low) / step))
+    n = _grid_steps((high - low) / step)
     xs = [low + k * step for k in range(n + 1)]
     if xs[-1] < high - 1e-12:
         xs.append(high)
     return crisp(space, [_axis_point(space, x) for x in xs])
 
 
+def crisp_interval_count(space: MetricSpace, low: float = 0.3, high: float = 1.0, step: float = 0.01) -> int:
+    """Check the parameters of crisp_interval_family: its member count. The
+    widest interval [0, x] holds the points of every member: its grid up to
+    n*step and x itself."""
+    _require_euclidean(space)
+    if not (0.0 <= low < high and step > 0):
+        raise InputError("need 0 <= low < high and step > 0")
+    count = _grid_steps((high - low) / step)
+    if count < 1:
+        raise InputError(f"the grid ({low}, {high}] at step {step} holds no point")
+    x = low + count * step
+    _check_axis_points(space, [0.0 + _grid_steps(x / step) * step, x])
+    return count
+
+
 def crisp_interval_family(
     space: MetricSpace, low: float = 0.3, high: float = 1.0, step: float = 0.01
 ) -> FuzzyFamily:
     """Discretized intervals [0, x] for x on the grid (low, high] at `step`."""
-    _require_euclidean(space)
-    if not (0.0 <= low < high) or step <= 0:
-        raise InputError("need 0 <= low < high and step > 0")
-    count = int(round((high - low) / step))
+    count = crisp_interval_count(space, low, high, step)
     xs = [low + k * step for k in range(1, count + 1)]
     members = [crisp_interval(space, 0.0, x, step) for x in xs]
     names = [f"iv[{x:.4g}]" for x in xs]
@@ -106,9 +159,7 @@ def random_fuzzy(
     levels in the mix.
     """
     _require_euclidean(space)
-    # the points skip point_array, so its coordinate bound is checked here
-    if not all(abs(x) <= COORD_MAX for x in box):
-        raise InputError(f"box bounds must be finite with magnitude at most {COORD_MAX:g}, got {box}")
+    _check_box(box)
     lo, hi = box
     n_levels = int(rng.integers(1, max_levels + 1))
     alphas = [1.0]
@@ -139,6 +190,24 @@ def random_fuzzy(
     return _prefix_fuzzy(tuple(levels))
 
 
+def random_count(
+    space: MetricSpace,
+    count: int,
+    seed: int = 0,
+    box: tuple[float, float] = (0.0, 1.0),
+    max_levels: int = 4,
+    max_points: int = 6,
+) -> int:
+    """Check the parameters of random_family: its member count."""
+    _require_euclidean(space)
+    _check_integer("count", count, 1)
+    _check_integer("seed", seed, 0)
+    _check_box(box)
+    _check_integer("max_levels", max_levels, 1)
+    _check_integer("max_points", max_points, 1)
+    return count
+
+
 def random_family(
     space: MetricSpace,
     count: int,
@@ -148,9 +217,7 @@ def random_family(
     max_points: int = 6,
 ) -> FuzzyFamily:
     """Seeded family of random step fuzzy sets inside the box."""
-    _require_euclidean(space)
-    if count < 1:
-        raise InputError("count must be >= 1")
+    random_count(space, count, seed, box, max_levels, max_points)
     rng = np.random.default_rng(seed)
     members = [random_fuzzy(space, rng, box, max_levels, max_points) for _ in range(count)]
     names = [f"r[{k + 1}]" for k in range(count)]
@@ -165,8 +232,7 @@ def contracting_sequence(limit: StepFuzzySet, count: int, scale: float = 0.02) -
     levelwise, endograph and sendograph distances to the limit are bounded
     by that amount."""
     _require_euclidean(limit.space)
-    if count < 1:
-        raise InputError("count must be >= 1")
+    _check_integer("count", count, 1)
     space = limit.space
     supp = support(limit)
     center = supp.array.mean(axis=0)

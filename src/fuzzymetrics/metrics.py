@@ -153,6 +153,22 @@ def endograph_convergence(
     return tail_certificate("END_TAIL", [("end", {"end": series})], window, tol)
 
 
+def _mirrored(upper: np.ndarray) -> np.ndarray:
+    """A square matrix filled above the diagonal, copied below it."""
+    i, j = np.triu_indices(len(upper), 1)
+    upper[j, i] = upper[i, j]
+    return upper
+
+
+def graph_matrices(sets: Sequence[StepFuzzySet]) -> tuple[np.ndarray, np.ndarray]:
+    """The endograph and the sendograph matrix of metric_matrix, both from
+    one lifted pass per column."""
+    end, send = np.zeros((len(sets), len(sets))), np.zeros((len(sets), len(sets)))
+    for j in range(1, len(sets)):
+        end[:j, j], send[:j, j] = _graph_series(sets[:j], sets[j])
+    return _mirrored(end), _mirrored(send)
+
+
 def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None = None) -> np.ndarray:
     """Matrix of one metric over a list of fuzzy sets of one space: "end",
     "send" or "level", the Hausdorff distance between the alpha-cuts.
@@ -161,25 +177,18 @@ def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None =
     (i, j) with i < j reads the kernel as the one-pair metric(sets[i],
     sets[j]) does, bit for bit, and entry (j, i) repeats it.
     """
-    if kind == "level":
-        if alpha is None:
-            raise InputError("the level metric needs an alpha")
-        cuts = [alpha_cut(u, alpha) for u in sets]
-
-        def column(j: int) -> np.ndarray:
-            _check_sequence(sets[:j], sets[j])
-            return _segment_extrema(sets[j].space, [c.array for c in cuts[:j]], cuts[j].array).max(axis=0)
-    elif kind in ("end", "send"):
-        side = kind == "send"
-
-        def column(j: int) -> tuple[float, ...]:
-            return _graph_series(sets[:j], sets[j])[side]
-    else:
+    if kind in ("end", "send"):
+        return graph_matrices(sets)[kind == "send"]
+    if kind != "level":
         raise InputError(f"unknown metric kind {kind!r}")
+    if alpha is None:
+        raise InputError("the level metric needs an alpha")
+    cuts = [alpha_cut(u, alpha).array for u in sets]
     out = np.zeros((len(sets), len(sets)))
     for j in range(1, len(sets)):
-        out[:j, j] = out[j, :j] = column(j)
-    return out
+        _check_sequence(sets[:j], sets[j])
+        out[:j, j] = _segment_extrema(sets[j].space, cuts[:j], cuts[j]).max(axis=0)
+    return _mirrored(out)
 
 
 def _check_resolution(resolution: float) -> None:

@@ -6,8 +6,9 @@ nets rebuilt from scratch, the one-matrix graph metrics against the closed
 form taken one direction at a time, the per-coordinate Euclidean kernel
 against the last-axis reduction it replaced, the oracles against their
 level-by-level sampling, the convergence series and the metric matrices
-batched over a whole sequence against the same distances taken one pair at
-a time, and the
+(the endograph and sendograph ones also from one pass per column) batched
+over a whole sequence against the same distances taken one pair at a time,
+and the
 generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
 measured."""
@@ -53,6 +54,7 @@ from fuzzymetrics import (
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships
+from fuzzymetrics.metrics import graph_matrices
 from fuzzymetrics.generators import collapse_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
@@ -487,6 +489,21 @@ def test_metric_matrix_matches_one_pair_metrics(scene, kind):
                 max((upper[i, j] for j in range(i + 1, n)), default=0.0) for i in range(n))
 
 
+@given(fuzzy_sequences(min_size=1, max_size=6, kinds=SERIES_KINDS))
+@settings(max_examples=100)
+def test_graph_matrices_match_one_pair_metrics(scene):
+    space, members = scene
+    sets = [build(space, raw) for raw, _ in members]
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            matrices = graph_matrices(sets)
+        for kind, d in zip(("end", "send"), matrices):
+            assert d.shape == (len(sets), len(sets))
+            assert all(d[i, i] == 0.0 for i in range(len(sets)))
+            assert all(d[i, j] == d[j, i] == ONE_PAIR[kind](sets[i], sets[j])
+                       for j in range(len(sets)) for i in range(j))
+
+
 def test_metric_matrix_keeps_the_one_pair_orientation_of_an_asymmetric_matrix():
     # d(0, 1) exceeds d(1, 0) by 5e-10: a metric within TOL, whose sendograph
     # distance between the crisp points reads d(0, 1) from u and d(1, 0) from v
@@ -498,6 +515,7 @@ def test_metric_matrix_keeps_the_one_pair_orientation_of_an_asymmetric_matrix():
         assert d[0, 1] == d[1, 0] == 1.0 + 5e-10
         d = metric_matrix([v, u, w], kind, 1.0)
         assert d[0, 1] == d[1, 0] == 1.0
+    assert graph_matrices([u, v, w])[1][1, 0] == 1.0 + 5e-10 and graph_matrices([v, u, w])[1][1, 0] == 1.0
     assert cauchy_tail_profile([u, v, w], "send", window=1).evidence["residual"][0] == 2.0
     assert cauchy_tail_profile([u, w, v], "send", window=1).evidence["residual"][0] == 2.0
     assert cauchy_tail_profile([u, v, u], "send", window=1).evidence["residual"][1] == 1.0

@@ -1,12 +1,19 @@
 import json
+import math
+import sys
+import threading
+import time
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
-from fuzzymetrics import InputError
+from fuzzymetrics import InputError, MetricSpace
+from fuzzymetrics import document
 from fuzzymetrics.cli import main
 from fuzzymetrics.document import document_to_json, dumps_document, load_document, parse_document
+from fuzzymetrics.generators import collapse_family, crisp_interval_family, random_family, translates_family
 
 
 def write_doc(tmp_path, data, name="doc.json"):
@@ -356,3 +363,226 @@ def documents(draw):
 def test_writer_matches_the_stdlib_encoder(data):
     doc = parse_document(data)
     assert dumps_document(doc) == json.dumps(document_to_json(doc), indent=2, sort_keys=True)
+
+
+INF, NAN = float("inf"), float("nan")
+LINE = {"type": "euclidean", "dim": 1}
+
+
+def generated(gen, base=MINIMAL):
+    return {**base, "families": [{"name": "f", "generator": gen}]}
+
+
+# each is rejected at load although the command reads no family; the last two
+# used to escape from the generator as a ValueError and an OverflowError
+@pytest.mark.parametrize(
+    "data",
+    [
+        generated({"kind": "collapse", "count": 3}, FINITE_OK),
+        generated({"kind": "crisp_intervals", "params": {"low": -0.1}}),
+        generated({"kind": "crisp_intervals", "params": {"step": 0}}),
+        generated({"kind": "crisp_intervals", "params": {"step": -0.01}}),
+        generated({"kind": "crisp_intervals", "params": {"low": 0.3, "high": 0.304, "step": 0.01}}),
+        generated({"kind": "translates", "count": 3, "params": {"start": 0.0, "step": 1e150}}),
+        generated({"kind": "translates", "count": 3, "params": {"start": 1e308, "step": 1e308}}),
+        generated({"kind": "collapse", "count": 3, "params": {"far": 1e151}}),
+        generated({"kind": "crisp_intervals", "params": {"low": 0.0, "high": 1e200, "step": 1e199}}),
+        generated({"kind": "crisp_intervals", "params": {"step": NAN}}),
+        generated({"kind": "crisp_intervals", "params": {"high": INF}}),
+    ],
+    ids=["finite-space", "crisp-low-negative", "crisp-step-zero", "crisp-step-negative", "crisp-empty-grid",
+         "translates-beyond-coordinate-range", "translates-overflow", "collapse-far", "crisp-high",
+         "crisp-step-nan", "crisp-high-infinite"],
+)
+def test_generator_rejected_at_load_for_every_command(tmp_path, capsys, data):
+    with pytest.raises(InputError, match="family 'f'"):
+        parse_document(data)
+    assert main(["metrics", write_doc(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: family 'f': ") and err.count("\n") == 1
+
+
+GENERATORS = {"translates": translates_family, "collapse": collapse_family,
+              "crisp_intervals": crisp_interval_family, "random": random_family}
+# values near the coordinate bound and the range bounds, non-finite ones, and
+# integers that are not counts
+NEAR = st.sampled_from([0.0, -0.0, 1e-300, 0.01, 0.3, 1.0, -1.0, 1e150, -1e150, 1.0000000000000002e150,
+                        1e151, 1e308, -1e308, INF, -INF, NAN])
+NUMBERS = NEAR | st.floats(-1e150, 1e150) | st.integers(-3, 3)
+COUNTS = st.sampled_from([1, 2, 3, 4] * 3 + [0, -1, True, 2.5])
+
+
+@st.composite
+def generator_cases(draw):
+    """A space and a generator (kind, count or None, seed or None, params)
+    with its parameters near every bound that the loader or the generator
+    checks; crisp grids stay small enough to build."""
+    space = draw(st.sampled_from([LINE, LINE, {"type": "euclidean", "dim": 2}, {"type": "finite", "matrix": [[0]]}]))
+    kind = draw(st.sampled_from(sorted(GENERATORS)))
+    count, seed = (None if kind == "crisp_intervals" else draw(COUNTS)), None
+    if kind == "translates":
+        params = {"start": draw(NUMBERS), "step": draw(NUMBERS)}
+    elif kind == "collapse":
+        params = {"base": draw(NUMBERS), "far": draw(NUMBERS)}
+    elif kind == "crisp_intervals":
+        step = draw(st.sampled_from([0.01, 0.25, 0.3, 2e149, 3.3e149] * 3 + [1e200, 0.0, -0.01, INF, NAN]))
+        low = draw(st.sampled_from([0.0, 0.3] * 5 + [-1e-12, 1e150, NAN]))
+        steps = st.sampled_from([0.5, 1, 2.5, 3, 4.5, 5]) | st.floats(-0.5, 5.5)
+        high = low + draw(steps) * step if draw(st.sampled_from([True, True, False])) else draw(NEAR)
+        params = {"low": low, "high": high, "step": step}
+    else:
+        seed = draw(st.sampled_from([0, 1, 2, 3] * 2 + [-1, True]))
+        box = [draw(NUMBERS), draw(NUMBERS)]
+        if draw(st.booleans()):
+            box.sort()
+        params = {"box": box, "max_levels": draw(COUNTS), "max_points": draw(COUNTS)}
+    params = {k: v for k, v in params.items() if draw(st.sampled_from([True, True, True, False]))}
+    if kind == "crisp_intervals":
+        low, high, step = (params.get(k, v) for k, v in (("low", 0.3), ("high", 1.0), ("step", 0.01)))
+        if 0 <= low < high and step > 0:
+            span = (high - low) / step
+            assume(not math.isfinite(span) or span < 50)
+    return space, kind, count, seed, params
+
+
+@given(generator_cases())
+# grids whose widest interval ends at the coordinate bound, and beyond it
+# although `high` lies within it; translates ending at the bound and past it
+@example((LINE, "crisp_intervals", None, None, {"low": 0.0, "high": 1e150, "step": 2.5e149}))
+@example((LINE, "crisp_intervals", None, None, {"low": 0.0, "high": 0.9e150, "step": 0.35e150}))
+@example((LINE, "translates", 3, None, {"start": -1e150, "step": 1e150}))
+@example((LINE, "translates", 4, None, {"start": -1e150, "step": 1e150}))
+@settings(max_examples=400, deadline=None)
+def test_load_accepts_a_generator_iff_its_call_does_and_builds_the_same_family(case):
+    space, kind, count, seed, params = case
+    gen = {"kind": kind, "params": params}
+    args, kwargs = (), dict(params)
+    if count is not None:
+        gen["count"], args = count, (count,)
+    if seed is not None:
+        gen["seed"] = kwargs["seed"] = seed
+    metric_space = (MetricSpace.euclidean(space["dim"]) if space["type"] == "euclidean"
+                    else MetricSpace.finite(space["matrix"]))
+    try:
+        direct = GENERATORS[kind](metric_space, *args, **kwargs)
+    except InputError:
+        direct = None
+    try:
+        doc = parse_document({"space": space, "families": [{"name": "f", "generator": gen}]})
+    except InputError:
+        doc = None
+    assert (doc is None) == (direct is None)
+    if doc is not None:
+        fam = doc.families["f"]
+        assert fam.names == tuple(f"f[{k + 1}]" for k in range(len(direct.members)))
+        assert fam.generator == direct.generator
+        assert len(fam.members) == len(direct.members)
+        for u, v in zip(fam.members, direct.members):
+            assert u.alphas == v.alphas
+            for (_, a), (_, b) in zip(u.levels, v.levels):
+                assert (a.array.dtype, a.array.shape, a.array.tobytes()) == (b.array.dtype, b.array.shape,
+                                                                            b.array.tobytes())
+
+
+def test_member_family_holds_the_generated_members_it_names():
+    data = {**MINIMAL, "families": [{"name": "col", "generator": {"kind": "collapse", "count": 4}},
+                                    {"name": "mix", "members": ["col[3]", "u0", "col[1]"]}]}
+    doc = parse_document(data)
+    col, mix = doc.families["col"], doc.families["mix"]
+    assert mix.names == ("col[3]", "u0", "col[1]")
+    assert [id(u) for u in mix.members] == [id(col.members[2]), id(doc.fuzzy("u0")), id(col.members[0])]
+
+
+# one family of each kind, and a sequence that names a generated member
+LAZY = {
+    "space": LINE,
+    "fuzzy_sets": [{"name": "origin", "levels": [{"alpha": 1.0, "points": [[0.0]]}]},
+                   {"name": "ramp", "levels": [{"alpha": 1.0, "points": [[0.0]]},
+                                               {"alpha": 0.5, "points": [[0.0], [1.0]]}]}],
+    "families": [
+        {"name": "col", "generator": {"kind": "collapse", "count": 40, "params": {"far": 0.8}}},
+        {"name": "cloud", "generator": {"kind": "random", "count": 30, "seed": 4}},
+        {"name": "tr", "generator": {"kind": "translates", "count": 5}},
+        {"name": "iv", "generator": {"kind": "crisp_intervals", "params": {"low": 0.5, "high": 1.0, "step": 0.25}}},
+    ],
+    "sequences": [{"name": "s", "members": ["tr[2]", "origin", "origin"]}],
+}
+LAZY_SIZES = {"col": 40, "cloud": 30, "tr": 5, "iv": 2}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls into each generator kind through the loader's table."""
+    counts = Counter()
+    for kind, (fn, check, params) in list(document._GENERATORS.items()):
+        def counted(*args, _fn=fn, _kind=kind, **kwargs):
+            counts[_kind] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setitem(document._GENERATORS, kind, (counted, check, params))
+    return counts
+
+
+def test_generated_names_resolve_at_load_and_members_build_on_first_read(builds):
+    doc = parse_document(LAZY)
+    assert list(doc.families) == list(LAZY_SIZES)
+    assert list(doc.fuzzy_sets) == ["origin", "ramp"] + [f"{f}[{k}]" for f, n in LAZY_SIZES.items()
+                                                         for k in range(1, n + 1)]
+    assert "cloud[30]" in doc.fuzzy_sets and "cloud[31]" not in doc.fuzzy_sets and "iv" in doc.families
+    assert doc.sequences == {"s": ("tr[2]", "origin", "origin")}
+    assert not builds
+    u = doc.fuzzy("cloud[7]")
+    assert doc.fuzzy("cloud[7]") is u is doc.families["cloud"].members[6]
+    assert builds == {"random": 1}
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "end"], {"collapse": 1}),
+        (["converge", "DOC", "--sequence", "col", "--limit", "col[40]", "--mode", "send"], {"collapse": 1}),
+        (["converge", "DOC", "--sequence", "s", "--limit", "origin", "--mode", "level", "--alpha-grid", "5"],
+         {"translates": 1}),
+        (["compact", "DOC", "--family", "cloud", "--mode", "tb_end", "--eps", "0.5", "--alpha-grid", "5"],
+         {"random": 1}),
+        (["compact", "DOC", "--family", "tr", "--mode", "closedness", "--candidate", "iv[1]"],
+         {"translates": 1, "crisp_intervals": 1}),
+        (["metrics", "DOC", "--kind", "end"], {}),
+        (["oracle", "DOC", "--resolution", "0.05"], {}),
+        (["gen", "DOC"], {"collapse": 1, "random": 1, "translates": 1, "crisp_intervals": 1}),
+    ],
+    ids=["converge-col", "converge-col-limit", "converge-sequence", "compact-cloud", "compact-candidate",
+         "metrics", "oracle", "gen"],
+)
+def test_each_command_builds_the_families_it_reads_once(tmp_path, capsys, builds, argv, built):
+    path = write_doc(tmp_path, LAZY)
+    assert main([path if a == "DOC" else a for a in argv]) in (0, 1)
+    assert builds == Counter(built)
+
+
+def test_concurrent_first_reads_build_a_family_once(monkeypatch, builds):
+    fn, check, params = document._GENERATORS["random"]
+
+    def slow(*args, **kwargs):
+        time.sleep(0.02)  # every reader arrives while the first build runs
+        return fn(*args, **kwargs)
+
+    monkeypatch.setitem(document._GENERATORS, "random", (slow, check, params))
+    doc = parse_document(LAZY)
+    seen = []
+
+    def read(k):
+        seen.append((doc.fuzzy(f"cloud[{k % 30 + 1}]"), doc.families["cloud"]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == {"random": 1} and len(seen) == 8
+    assert all(fam is seen[0][1] and any(u is v for v in fam.members) for u, fam in seen)
