@@ -15,15 +15,20 @@ members are registered as fuzzy sets named "<family>[k]". Sequences may
 repeat names; sequence lookups fall back to family names, so a generated
 family can be used directly as a sequence.
 
-Every generator's parameters are validated at load, and its member count, so
-its member names, known; its members are built the first time the family or
-one of its members is read, and kept.
+The loader checks the JSON shape: objects, lists, names, references,
+generator kinds and params, and euclidean points as lists. Every value is
+checked, as in a library call, by the constructor that uses it (MetricSpace,
+point_array, make_fuzzy, the generators' checks), whose error the loader
+prefixes with the space, fuzzy set or family. Generators are checked at
+load, which fixes their member names; a family is built when it or one of
+its members is first read, and kept.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Iterator, Mapping
@@ -110,13 +115,14 @@ def _need(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
-# The types json decodes a number to. Checking the exact type rejects bool
-# (a subclass of int) and never coerces a string.
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def _is_number(x: Any) -> bool:
-    return type(x) in _NUMBER_TYPES
+@contextmanager
+def _prefixed(where: str) -> Iterator[None]:
+    """Prefix the InputError of a library check with the part of the
+    document it concerns."""
+    try:
+        yield
+    except InputError as e:
+        raise InputError(f"{where}: {e}") from None
 
 
 def _check_name(name: Any, where: str) -> str:
@@ -133,17 +139,14 @@ def _parse_space(obj: Any) -> MetricSpace:
     kind = _need(obj, "type", "space")
     if kind == EUCLIDEAN:
         dim = _need(obj, "dim", "space")
-        if type(dim) is not int or dim < 1:
-            raise InputError(f"space: dim must be a positive integer, got {dim!r}")
-        return MetricSpace.euclidean(dim)
+        with _prefixed("space"):
+            return MetricSpace.euclidean(dim)
     if kind == FINITE:
         matrix = _need(obj, "matrix", "space")
         if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
             raise InputError("space: matrix must be a list of rows")
-        if not {type(x) for row in matrix for x in row} <= _NUMBER_TYPES:
-            i, j, x = next((i, j, x) for i, row in enumerate(matrix) for j, x in enumerate(row) if not _is_number(x))
-            raise InputError(f"space: matrix entry ({i},{j}) must be a number, got {x!r}")
-        space = MetricSpace.finite(matrix)
+        with _prefixed("space"):
+            space = MetricSpace.finite(matrix)
         cert = validate_metric(space)
         if cert.verdict is not Verdict.PASS:
             raise InputError(f"space: matrix is not a metric ({cert.witness})")
@@ -154,15 +157,12 @@ def _parse_space(obj: Any) -> MetricSpace:
 def _parse_points(space: MetricSpace, raw: Any, where: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: points must be a nonempty list")
-    for p in raw:
-        if space.mode == EUCLIDEAN:
+    # a euclidean point must be a list, although point_array takes a number
+    # as a point in dimension 1
+    if space.mode == EUCLIDEAN:
+        for p in raw:
             if not isinstance(p, list):
                 raise InputError(f"{where}: euclidean point must be a coordinate list, got {p!r}")
-        elif type(p) is not int:
-            raise InputError(f"{where}: finite-space point must be an integer index, got {p!r}")
-    if space.mode == EUCLIDEAN and not {type(c) for p in raw for c in p} <= _NUMBER_TYPES:
-        p, c = next((p, c) for p in raw for c in p if not _is_number(c))
-        raise InputError(f"{where}: coordinate of point {p!r} must be a number, got {c!r}")
     return raw
 
 
@@ -190,22 +190,17 @@ def _members(obj: Mapping, where: str, fuzzy_sets: Mapping[str, StepFuzzySet]) -
 
 def _parse_fuzzy(space: MetricSpace, obj: Mapping) -> tuple[str, StepFuzzySet]:
     name = _check_name(_need(obj, "name", "fuzzy_sets"), "fuzzy_sets")
-    raw_levels = _need(obj, "levels", f"fuzzy set {name!r}")
+    where = f"fuzzy set {name!r}"
+    raw_levels = _need(obj, "levels", where)
     if not isinstance(raw_levels, list) or not raw_levels:
-        raise InputError(f"fuzzy set {name!r}: levels must be a nonempty list")
+        raise InputError(f"{where}: levels must be a nonempty list")
     levels = []
     for lv in raw_levels:
         if not isinstance(lv, Mapping):
-            raise InputError(f"fuzzy set {name!r}: each level must be an object")
-        alpha = _need(lv, "alpha", f"fuzzy set {name!r}")
-        if not _is_number(alpha):
-            raise InputError(f"fuzzy set {name!r}: alpha must be a number, got {alpha!r}")
-        pts = _parse_points(space, _need(lv, "points", f"fuzzy set {name!r}"), f"fuzzy set {name!r}")
-        levels.append((alpha, finite_set(space, pts)))
-    try:
-        return name, make_fuzzy(levels)
-    except InputError as e:
-        raise InputError(f"fuzzy set {name!r}: {e}") from None
+            raise InputError(f"{where}: each level must be an object")
+        levels.append((_need(lv, "alpha", where), _parse_points(space, _need(lv, "points", where), where)))
+    with _prefixed(where):
+        return name, make_fuzzy([(alpha, finite_set(space, pts)) for alpha, pts in levels])
 
 
 # Per kind: the family generator, its check and the params it takes. Members
@@ -220,11 +215,11 @@ _GENERATORS = {
 
 def _check_generator(space: MetricSpace, name: str, gen: Any, default_seed: int) -> tuple[partial, tuple[str, ...]]:
     """The call that builds a generated family, and its member names. The
-    loader checks the JSON types; the generator's check, the values."""
+    loader checks the JSON shape; the generator's check, the values."""
     if not isinstance(gen, Mapping):
         raise InputError(f"family {name!r}: generator must be an object")
     kind = _need(gen, "kind", f"family {name!r} generator")
-    if kind not in _GENERATORS:
+    if not isinstance(kind, str) or kind not in _GENERATORS:
         raise InputError(f"family {name!r}: unknown generator kind {kind!r}")
     allowed = _GENERATORS[kind][2]
     params = gen.get("params", {})
@@ -233,12 +228,6 @@ def _check_generator(space: MetricSpace, name: str, gen: Any, default_seed: int)
     bad = sorted(set(params) - set(allowed))
     if bad:
         raise InputError(f"family {name!r}: unknown generator params {bad} (allowed: {list(allowed)})")
-    for key, value in params.items():
-        if key == "box":
-            if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
-                raise InputError(f"family {name!r}: generator param 'box' must be two numbers, got {value!r}")
-        elif key not in ("max_levels", "max_points") and not _is_number(value):
-            raise InputError(f"family {name!r}: generator param {key!r} must be a number, got {value!r}")
     kwargs = dict(params)
     if kind == "crisp_intervals":
         if "count" in gen:
@@ -248,10 +237,8 @@ def _check_generator(space: MetricSpace, name: str, gen: Any, default_seed: int)
         args = (_need(gen, "count", f"family {name!r} generator"),)
         if kind == "random":
             kwargs["seed"] = gen.get("seed", default_seed)
-    try:
+    with _prefixed(f"family {name!r}"):
         count = _GENERATORS[kind][1](space, *args, **kwargs)
-    except InputError as e:
-        raise InputError(f"family {name!r}: {e}") from None
     names = tuple(f"{name}[{k + 1}]" for k in range(count))
     return partial(_generate, kind, names, space, *args, **kwargs), names
 
@@ -320,6 +307,8 @@ def load_document(path: str, default_seed: int = 0) -> Document:
         raise InputError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # text that is not UTF-8, or an integer of more digits than int() takes
+        raise InputError(f"{path}: {e}") from None
     return parse_document(data, default_seed)
 
 

@@ -24,7 +24,7 @@ from .certificates import (
 )
 from .common import InputError, check_positive, fmt
 from .fuzzy import StepFuzzySet, alpha_cut, same_representation, support
-from .metrics import endograph_metric, metric_matrix, sendograph_metric
+from .metrics import graph_series, metric_matrix
 from .sets import FiniteSet, hausdorff, prefix_net_sizes
 
 
@@ -74,8 +74,26 @@ def _net_sizes(family: FuzzyFamily, cuts: Sequence[FiniteSet], eps: float) -> tu
     return sizes if family.generator is not None else sizes[-1:]
 
 
-def _growth_witness(family: FuzzyFamily, label: str) -> str:
-    return f"net size strictly increasing along {label} (last member {family.names[-1]})"
+def _family_verdict(
+    family: FuzzyFamily, window: int | None, parts: Sequence[tuple[str, Sequence[float]]], failing: str, witness: str
+) -> tuple[Verdict, str | None]:
+    """The rule of the family certificates. An untagged family PASSes; a
+    generator-tagged one decides each labelled series by its trend over the
+    window, FAIL when `failing` ("increasing" or "decreasing") over it. The
+    verdicts combine, and the first failing part fills in the witness
+    template: its label, the generator kind, and the first and last member
+    names of the window."""
+    window = check_window(len(family.members), window)
+    gen = family.generator
+    verdicts = [Verdict.PASS if gen is None else trend_verdict(s, window, failing=failing) for _, s in parts]
+    failed = [label for (label, _), v in zip(parts, verdicts) if v is Verdict.FAIL]
+    if not failed:
+        return combine_verdicts(verdicts), None
+    return Verdict.FAIL, witness.format(label=failed[0], kind=gen.kind, first=family.names[-window],
+                                        last=family.names[-1])
+
+
+_GROWTH = "{label}: net size strictly increasing along {kind} (last member {last})"
 
 
 def tb_end_report(
@@ -92,30 +110,18 @@ def tb_end_report(
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise InputError("empty alpha grid")
-    for a in alphas:
-        if not 0.0 < a <= 1.0:
-            raise InputError(f"alpha {a} outside (0,1]")
-    evidence: dict[str, tuple[float, ...]] = {}
-    verdicts = []
-    witness = None
-    window = check_window(len(family.members), window)
-    # the cut map of a member changes only at its stored levels, so the grid
-    # alphas repeat few distinct tuples of cuts; each gets one series
+    # alpha_cut rejects an alpha outside (0,1]. The cut map of a member
+    # changes only at its stored levels, so the grid alphas repeat few
+    # distinct tuples of cuts; each gets one series
     series_of: dict[tuple[FiniteSet, ...], tuple[int, ...]] = {}
+    parts = []
     for a in alphas:
         cuts = tuple(alpha_cut(u, a) for u in family.members)
         if cuts not in series_of:
             series_of[cuts] = _net_sizes(family, cuts, eps)
-        series = series_of[cuts]
-        if family.generator is not None:
-            v = trend_verdict(series, window, failing="increasing")
-        else:
-            v = Verdict.PASS
-        evidence[f"net_size[alpha={fmt(a)}]"] = tuple(float(s) for s in series)
-        verdicts.append(v)
-        if v is Verdict.FAIL and witness is None:
-            witness = f"alpha={fmt(a)}: " + _growth_witness(family, family.generator.kind)
-    verdict = combine_verdicts(verdicts)
+        parts.append((f"alpha={fmt(a)}", series_of[cuts]))
+    verdict, witness = _family_verdict(family, window, parts, "increasing", _GROWTH)
+    evidence = {f"net_size[{label}]": tuple(map(float, series)) for label, series in parts}
     return Certificate(kind="TB_END", verdict=verdict, evidence=evidence, witness=witness)
 
 
@@ -123,22 +129,10 @@ def tb_send_report(family: FuzzyFamily, eps: float, window: int | None = None) -
     """Total-boundedness evidence for the sendograph metric: greedy net sizes
     of the union of member supports (the 0-cuts), same stabilization rule."""
     check_positive("eps", eps)
-    supports = [support(u) for u in family.members]
-    window = check_window(len(family.members), window)
-    series = _net_sizes(family, supports, eps)
-    if family.generator is not None:
-        verdict = trend_verdict(series, window, failing="increasing")
-    else:
-        verdict = Verdict.PASS
-    witness = None
-    if verdict is Verdict.FAIL:
-        witness = "support union: " + _growth_witness(family, family.generator.kind)
-    return Certificate(
-        kind="TB_SEND",
-        verdict=verdict,
-        evidence={"net_size[support]": tuple(float(s) for s in series)},
-        witness=witness,
-    )
+    series = _net_sizes(family, [support(u) for u in family.members], eps)
+    verdict, witness = _family_verdict(family, window, [("support union", series)], "increasing", _GROWTH)
+    evidence = {"net_size[support]": tuple(map(float, series))}
+    return Certificate(kind="TB_SEND", verdict=verdict, evidence=evidence, witness=witness)
 
 
 def _member_modulus(u: StepFuzzySet, eps: float) -> float:
@@ -163,23 +157,10 @@ def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> C
     decreasing over the last window (tending to 0 along the parameter)."""
     check_positive("eps", eps)
     moduli = tuple(_member_modulus(u, eps) for u in family.members)
-    window = check_window(len(family.members), window)
-    if family.generator is not None:
-        verdict = trend_verdict(moduli, window, failing="decreasing")
-    else:
-        verdict = Verdict.PASS
-    witness = None
-    if verdict is Verdict.FAIL:
-        witness = (
-            f"modulus strictly decreasing along {family.generator.kind} "
-            f"(members {family.names[-window]}..{family.names[-1]})"
-        )
-    return Certificate(
-        kind="ERC",
-        verdict=verdict,
-        evidence={"modulus": moduli, "family_modulus": (min(moduli),)},
-        witness=witness,
-    )
+    verdict, witness = _family_verdict(family, window, [("modulus", moduli)], "decreasing",
+                                       "modulus strictly decreasing along {kind} (members {first}..{last})")
+    evidence = {"modulus": moduli, "family_modulus": (min(moduli),)}
+    return Certificate(kind="ERC", verdict=verdict, evidence=evidence, witness=witness)
 
 
 _COMPLETENESS_NOTE = (
@@ -195,14 +176,8 @@ def rel_compact_send_report(family: FuzzyFamily, eps: float, window: int | None 
     tb = tb_send_report(family, eps, window)
     erc = erc_modulus(family, eps, window)
     verdict = combine_verdicts([tb.verdict, erc.verdict])
-    witness = None
-    if verdict is Verdict.FAIL:
-        parts = []
-        if tb.verdict is Verdict.FAIL:
-            parts.append(f"TB: {tb.witness}")
-        if erc.verdict is Verdict.FAIL:
-            parts.append(f"ERC: {erc.witness}")
-        witness = "; ".join(parts)
+    failed = [f"{label}: {c.witness}" for label, c in (("TB", tb), ("ERC", erc)) if c.verdict is Verdict.FAIL]
+    witness = "; ".join(failed) or None
     evidence = {f"tb_{k}": v for k, v in tb.evidence.items()}
     evidence.update({f"erc_{k}": v for k, v in erc.evidence.items()})
     return Certificate(
@@ -223,11 +198,11 @@ def closedness_witness(
     proof."""
     if metric not in ("end", "send"):
         raise InputError(f"metric must be 'end' or 'send', got {metric!r}")
-    dist = endograph_metric if metric == "end" else sendograph_metric
     check_positive("tol", tol)
     if candidate.space != family.members[0].space:
         raise InputError("candidate lives in a different space")
-    distances = tuple(dist(candidate, u) for u in family.members)
+    # transposed, each distance reads the kernel as metric(candidate, u) does
+    distances = graph_series(family.members, candidate, transposed=True)[metric == "send"]
     best = min(distances)
     nearest = family.names[distances.index(best)]
     is_member = any(same_representation(candidate, u) for u in family.members)
@@ -237,15 +212,10 @@ def closedness_witness(
     if gen is not None and gen.kind == "crisp_intervals" and len(gen.params) >= 2:
         evidence["discretization_bound"] = ((gen.params[1] - gen.params[0]) / 2.0,)
         note = "interval members discretized; H error at most the recorded discretization_bound"
-    if best <= tol and not is_member:
-        return Certificate(
-            kind="CLOSEDNESS_WITNESS",
-            verdict=Verdict.FAIL,
-            evidence=evidence,
-            witness=f"candidate within {fmt(best)} of member {nearest} but not a member",
-            note=note,
-        )
-    return Certificate(kind="CLOSEDNESS_WITNESS", verdict=Verdict.PASS, evidence=evidence, note=note)
+    witness = f"candidate within {fmt(best)} of member {nearest} but not a member"
+    failed = best <= tol and not is_member
+    return Certificate(kind="CLOSEDNESS_WITNESS", verdict=Verdict.FAIL if failed else Verdict.PASS, evidence=evidence,
+                       witness=witness if failed else None, note=note)
 
 
 def cauchy_tail_profile(

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import TOL, InputError
+from .common import TOL, InputError, real
 from .sets import FiniteSet, directed_hausdorff, finite_set, hausdorff
 from .space import MetricSpace, Point
 
@@ -60,13 +60,14 @@ def _is_subset(a: FiniteSet, b: FiniteSet) -> bool:
 def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
     """Validated constructor; violations are reported with the offending pair.
 
-    Requirements: the first alpha is exactly 1.0 with a nonempty cut, alphas
-    are strictly decreasing in (0,1], cuts share one space and are nested
-    (each higher-level cut contained in every lower-level cut).
+    Requirements: each alpha is a real number (not a bool or a string), the
+    first is exactly 1.0 with a nonempty cut, alphas are strictly decreasing
+    in (0,1], cuts share one space and are nested (each higher-level cut
+    contained in every lower-level cut).
     """
     if not levels:
         raise InputError("a fuzzy set needs at least the level 1.0")
-    pairs = [(float(a), cut) for a, cut in levels]
+    pairs = [(real("level alpha", a), cut) for a, cut in levels]
     if pairs[0][0] != 1.0:
         raise InputError(f"first level must be 1.0, got {pairs[0][0]}")
     space = pairs[0][1].space

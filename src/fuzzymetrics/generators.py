@@ -5,38 +5,58 @@ it produces, so trend-based certificates can reason about the member order.
 All generators target Euclidean spaces. Each family generator `<name>_family`
 has a check `<name>_count` that takes the same arguments, raises the
 InputError the generator would raise and returns the member count without
-drawing a member; the generator calls it first.
+drawing a member; the generator calls it first. The checks hold every rule
+on the parameters, size bounds included.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .common import TOL, InputError
+from .common import TOL, InputError, check_integer, real
 from .families import FuzzyFamily, GeneratorTag, fuzzy_family
 from .fuzzy import StepFuzzySet, _prefix_fuzzy, crisp, make_fuzzy, support
 from .sets import FiniteSet, _keep_first, finite_set
 from .space import COORD_MAX, EUCLIDEAN, MetricSpace
+
+# Bounds that let every family of a document that loads be built: members,
+# and coordinates of the member point sets, each member counted at the most
+# points its kind can give it. numpy draws a random member's level count
+# below max_levels + 1, at most 2**63 for an int64, and of at most
+# _RANDOM_LEVELS levels each adds at most two points.
+MAX_MEMBERS = 100_000
+MAX_COORDINATES = 10**6
+MAX_LEVELS = 2**63 - 1
+_RANDOM_LEVELS = 1001
+
 
 def _require_euclidean(space: MetricSpace) -> None:
     if space.mode != EUCLIDEAN:
         raise InputError("generators support euclidean spaces only")
 
 
-def _check_integer(name: str, value: int, least: int) -> None:
-    """Reject a bool, a non-integral number or an integer below `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise InputError(f"{name!r} must be an integer >= {least}, got {value!r}")
+def _check_size(space: MetricSpace, count: int, points: int) -> None:
+    """Reject a family of more than MAX_MEMBERS members, or whose members,
+    at `points` points each, hold more than MAX_COORDINATES coordinates."""
+    if count > MAX_MEMBERS:
+        raise InputError(f"{count} members exceed the bound of {MAX_MEMBERS}")
+    if count * points * space.dim > MAX_COORDINATES:
+        raise InputError(f"{count} members of up to {points} points in dimension {space.dim} exceed the bound "
+                         f"of {MAX_COORDINATES} coordinates")
 
 
-def _check_box(box: tuple[float, float]) -> None:
-    # the random points skip point_array, so its coordinate bound is checked here
-    lo, hi = box
-    if not (abs(lo) <= COORD_MAX and abs(hi) <= COORD_MAX and lo < hi):
-        raise InputError(f"'box' must be two numbers low < high with magnitude at most {COORD_MAX:g}, got {box!r}")
+def _check_box(box: tuple[float, float]) -> tuple[float, float]:
+    """The box as two floats low < high of magnitude at most COORD_MAX: the
+    random points skip point_array, so its coordinate bound is checked here."""
+    try:
+        lo, hi = (real("'box' entry", x) for x in box)
+        if abs(lo) <= COORD_MAX and abs(hi) <= COORD_MAX and lo < hi:
+            return lo, hi
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"'box' must be two numbers low < high with magnitude at most {COORD_MAX:g}, got {box!r}")
 
 
 def _grid_steps(span: float) -> int:
@@ -59,7 +79,9 @@ def translates_count(space: MetricSpace, count: int, start: float = 1.0, step: f
     """Check the parameters of translates_family: its member count. The
     offsets are monotone in k, so the first and the last bound them all."""
     _require_euclidean(space)
-    _check_integer("count", count, 1)
+    check_integer("'count'", count, 1)
+    _check_size(space, count, 1)
+    start, step = real("'start'", start), real("'step'", step)
     _check_axis_points(space, [start + k * step for k in (0, count - 1)])
     return count
 
@@ -69,6 +91,7 @@ def translates_family(
 ) -> FuzzyFamily:
     """Crisp singletons marching along the first axis: start, start+step, ..."""
     translates_count(space, count, start, step)
+    start, step = float(start), float(step)
     offsets = [start + k * step for k in range(count)]
     members = [crisp(space, [_axis_point(space, x)]) for x in offsets]
     names = [f"t[{k + 1}]" for k in range(count)]
@@ -78,8 +101,9 @@ def translates_family(
 def collapse_count(space: MetricSpace, count: int, base: float = 0.0, far: float = 1.0) -> int:
     """Check the parameters of collapse_family: its member count."""
     _require_euclidean(space)
-    _check_integer("count", count, 1)
-    _check_axis_points(space, [base, far])
+    check_integer("'count'", count, 1)
+    _check_size(space, count, 2)
+    _check_axis_points(space, [real("'base'", base), real("'far'", far)])
     return count
 
 
@@ -124,13 +148,16 @@ def crisp_interval_count(space: MetricSpace, low: float = 0.3, high: float = 1.0
     widest interval [0, x] holds the points of every member: its grid up to
     n*step and x itself."""
     _require_euclidean(space)
+    low, high, step = real("'low'", low), real("'high'", high), real("'step'", step)
     if not (0.0 <= low < high and step > 0):
         raise InputError("need 0 <= low < high and step > 0")
     count = _grid_steps((high - low) / step)
     if count < 1:
         raise InputError(f"the grid ({low}, {high}] at step {step} holds no point")
     x = low + count * step
-    _check_axis_points(space, [0.0 + _grid_steps(x / step) * step, x])
+    widest = _grid_steps(x / step)
+    _check_size(space, count, widest + 2)
+    _check_axis_points(space, [0.0 + widest * step, x])
     return count
 
 
@@ -139,6 +166,7 @@ def crisp_interval_family(
 ) -> FuzzyFamily:
     """Discretized intervals [0, x] for x on the grid (low, high] at `step`."""
     count = crisp_interval_count(space, low, high, step)
+    low, step = float(low), float(step)
     xs = [low + k * step for k in range(1, count + 1)]
     members = [crisp_interval(space, 0.0, x, step) for x in xs]
     names = [f"iv[{x:.4g}]" for x in xs]
@@ -159,11 +187,10 @@ def random_fuzzy(
     levels in the mix.
     """
     _require_euclidean(space)
-    _check_box(box)
-    lo, hi = box
+    lo, hi = _check_box(box)
     n_levels = int(rng.integers(1, max_levels + 1))
     alphas = [1.0]
-    for _ in range(1000):
+    for _ in range(_RANDOM_LEVELS - 1):
         if len(alphas) == n_levels:
             break
         a = float(rng.uniform(0.05, 0.95))
@@ -200,11 +227,12 @@ def random_count(
 ) -> int:
     """Check the parameters of random_family: its member count."""
     _require_euclidean(space)
-    _check_integer("count", count, 1)
-    _check_integer("seed", seed, 0)
+    check_integer("'count'", count, 1)
+    check_integer("'seed'", seed, 0)
     _check_box(box)
-    _check_integer("max_levels", max_levels, 1)
-    _check_integer("max_points", max_points, 1)
+    check_integer("'max_levels'", max_levels, 1, MAX_LEVELS)
+    check_integer("'max_points'", max_points, 1)
+    _check_size(space, count, min(max_points, 2 * min(max_levels, _RANDOM_LEVELS)))
     return count
 
 
@@ -232,7 +260,7 @@ def contracting_sequence(limit: StepFuzzySet, count: int, scale: float = 0.02) -
     levelwise, endograph and sendograph distances to the limit are bounded
     by that amount."""
     _require_euclidean(limit.space)
-    _check_integer("count", count, 1)
+    check_integer("'count'", count, 1)
     space = limit.space
     supp = support(limit)
     center = supp.array.mean(axis=0)

@@ -108,14 +108,15 @@ def _distinct(items) -> tuple[list, list[int]]:
     return list(index), ids
 
 
-def _graph_series(
-    seq: Sequence[StepFuzzySet], limit: StepFuzzySet
+def graph_series(
+    seq: Sequence[StepFuzzySet], limit: StepFuzzySet, transposed: bool = False
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Endograph and sendograph distance from each member to the limit.
 
     One lifted pass of _segment_extrema over the distinct members' supports
-    against the limit support: each direction reads the kernel with its
-    source points as rows, as the one-pair closed form does, and the
+    against the limit support: each direction reads the kernel with the
+    member points as rows, as the one-pair metric(member, limit) does, or
+    with `transposed` the limit points, as metric(limit, member) does; the
     endograph caps the same inner minimum that the sendograph takes whole.
     """
     _check_sequence(seq, limit)
@@ -125,6 +126,7 @@ def _graph_series(
         [support(u).array for u in members],
         support(limit).array,
         ([u.support_memberships for u in members], limit.support_memberships),
+        transposed,
     )
     end = np.maximum(ext[2], ext[3]).tolist()
     send = np.maximum(ext[0], ext[1]).tolist()
@@ -133,12 +135,12 @@ def _graph_series(
 
 def endograph_metric(u: StepFuzzySet, v: StepFuzzySet) -> float:
     """Hausdorff distance between the endographs under the lifted metric."""
-    return _graph_series([u], v)[0][0]
+    return graph_series([u], v)[0][0]
 
 
 def sendograph_metric(u: StepFuzzySet, v: StepFuzzySet) -> float:
     """Hausdorff distance between the sendographs under the lifted metric."""
-    return _graph_series([u], v)[1][0]
+    return graph_series([u], v)[1][0]
 
 
 def endograph_convergence(
@@ -149,7 +151,7 @@ def endograph_convergence(
 ) -> Certificate:
     """Tail decision on the endograph distance from each member of a
     sequence to the limit: one part, "end", whose series is evidence "end"."""
-    series = _graph_series(seq, limit)[0]
+    series = graph_series(seq, limit)[0]
     return tail_certificate("END_TAIL", [("end", {"end": series})], window, tol)
 
 
@@ -165,7 +167,7 @@ def graph_matrices(sets: Sequence[StepFuzzySet]) -> tuple[np.ndarray, np.ndarray
     one lifted pass per column."""
     end, send = np.zeros((len(sets), len(sets))), np.zeros((len(sets), len(sets)))
     for j in range(1, len(sets)):
-        end[:j, j], send[:j, j] = _graph_series(sets[:j], sets[j])
+        end[:j, j], send[:j, j] = graph_series(sets[:j], sets[j])
     return _mirrored(end), _mirrored(send)
 
 
@@ -440,7 +442,7 @@ def send_decomposition_check(
     the members, the 0-cut series from one pass over their distinct supports.
     """
     _check_sequence(seq, limit)
-    end_series, send_series = _graph_series(seq, limit)
+    end_series, send_series = graph_series(seq, limit)
     supports, ids = _distinct(support(u) for u in seq)
     cut0 = _segment_extrema(limit.space, [s.array for s in supports], support(limit).array).max(axis=0).tolist()
     tails = tail_certificate("SEND_DECOMP", [

@@ -7,16 +7,15 @@ a finite space given by an explicit distance matrix.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .certificates import Certificate, Verdict
-from .common import TOL, InputError
+from .common import TOL, InputError, check_integer, is_real, real
 
 EUCLIDEAN = "euclidean"
 FINITE = "finite"
@@ -30,23 +29,22 @@ BLOCK_BYTES = 1 << 20
 COORD_MAX = 1e150
 
 
-@cache
-def _is_real(kind: type) -> bool:
-    """Whether values of this type are real numbers; bool is not, and
-    neither is a string, so neither is ever coerced to a coordinate or
-    distance."""
-    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
-
-
-def _check_reals(rows, what: str) -> None:
-    """Reject rows whose entries are not all real numbers, by the distinct
-    entry types, so a small point set costs one set comprehension."""
+def _float_array(rows, entry: str, shape: str) -> np.ndarray:
+    """Rows of real numbers as a float array. A bool or a string is never
+    coerced: the first entry that is not a real number within float range
+    is an InputError naming it by `entry`, formatted with its row and column.
+    Rows that are not sequences of one length are the error `shape`."""
     try:
-        kinds = {type(x) for row in rows for x in row}
-    except TypeError:
-        raise InputError(f"{what} must be sequences of numbers") from None
-    if not all(map(_is_real, kinds)):
-        raise InputError(f"{what} must be real numbers, not {sorted(k.__name__ for k in kinds if not _is_real(k))}")
+        if all(map(is_real, {type(x) for row in rows for x in row})):
+            return np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(shape) from None
+    except OverflowError:
+        pass
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            real(entry.format(i, j), x)
+    raise AssertionError("unreachable: some entry is not a real number within float range")
 
 
 @dataclass(frozen=True)
@@ -61,18 +59,13 @@ class Point:
         if (self.coords is None) == (self.index is None):
             raise InputError("point needs exactly one of coords or index")
         if self.coords is not None:
-            _check_reals([self.coords], "point coordinates")
-            coords = tuple(float(c) for c in self.coords)
+            row = _float_array([self.coords], "coordinate {1}", "point coordinates must be a sequence of numbers")[0]
+            coords = tuple(row.tolist())
             if any(not math.isfinite(c) for c in coords):
                 raise InputError(f"non-finite coordinate in {coords}")
             object.__setattr__(self, "coords", coords)
         else:
-            try:
-                object.__setattr__(self, "index", _index(self.index))
-            except TypeError:
-                raise InputError(f"point index {self.index!r} is not an integer") from None
-            if self.index < 0:
-                raise InputError(f"negative point index {self.index}")
+            object.__setattr__(self, "index", int(check_integer("point index", self.index, 0)))
 
     @staticmethod
     def euclidean(*coords: float) -> "Point":
@@ -91,23 +84,20 @@ class MetricSpace:
 
     def __post_init__(self) -> None:
         if self.mode == EUCLIDEAN:
-            if (self.matrix is not None or isinstance(self.dim, bool)
-                    or not isinstance(self.dim, numbers.Integral) or self.dim < 1):
-                raise InputError("euclidean space needs an integer dim >= 1 and no matrix")
+            if self.matrix is not None:
+                raise InputError("euclidean space takes no matrix")
+            check_integer("dim", self.dim, 1)
         elif self.mode == FINITE:
             if self.dim is not None or self.matrix is None:
                 raise InputError("finite space needs a matrix and no dim")
-            _check_reals(self.matrix, "distance matrix entries")
-            try:
-                arr = np.array(self.matrix, dtype=float)
-            except (ValueError, OverflowError):
-                raise InputError("distance matrix must be square and nonempty") from None
+            square = "distance matrix must be square and nonempty"
+            arr = _float_array(self.matrix, "matrix entry ({},{})", square)
             if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[0] != arr.shape[1]:
-                raise InputError("distance matrix must be square and nonempty")
+                raise InputError(square)
             bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
             if bad.size:
                 i, j = bad[0]
-                raise InputError(f"distance matrix entry {arr[i, j]} not a finite nonnegative real")
+                raise InputError(f"matrix entry ({i},{j}) must be finite and nonnegative, got {arr[i, j]}")
             arr.flags.writeable = False
             object.__setattr__(self, "matrix", tuple(map(tuple, arr.tolist())))
             self.__dict__["matrix_array"] = arr
@@ -137,27 +127,30 @@ class MetricSpace:
         in finite mode.
         """
         if self.mode == EUCLIDEAN:
-            rows = [_coords(p) for p in points]
-            _check_reals(rows, "euclidean point coordinates")
-            try:
-                arr = np.array(rows, dtype=float)
-            except (TypeError, ValueError):
-                raise InputError("euclidean points must be coordinate sequences of numbers") from None
+            arr = _float_array([_coords(p) for p in points], "coordinate {1} of point {0}",
+                               "euclidean points must be coordinate sequences of numbers")
             if arr.shape == (0,):
                 arr = arr.reshape(0, self.dim)
             if arr.ndim != 2 or arr.shape[1] != self.dim:
                 raise InputError(f"points of shape {arr.shape} do not fit a space of dim {self.dim}")
-            if not (np.abs(arr) <= COORD_MAX).all():
-                raise InputError(f"point coordinates must be finite with magnitude at most {COORD_MAX:g}")
+            bad = np.argwhere(~(np.abs(arr) <= COORD_MAX))
+            if bad.size:
+                i, j = bad[0]
+                raise InputError(f"coordinate {j} of point {i} must be finite with magnitude at most "
+                                 f"{COORD_MAX:g}, got {arr[i, j]}")
             return arr
-        try:
-            # a coordinate Point has index None, which the int array rejects
-            arr = np.array([p.index if isinstance(p, Point) else _index(p) for p in points], dtype=np.intp)
-        except (TypeError, OverflowError):
-            raise InputError("finite-space points are integer indices") from None
-        if arr.size and (arr.min() < 0 or arr.max() >= len(self.matrix)):
-            raise InputError(f"point index outside 0..{len(self.matrix) - 1}")
-        return arr
+        n = len(self.matrix)
+        indices = []
+        for k, p in enumerate(points):
+            try:
+                # a coordinate Point has index None, which operator.index rejects
+                i = _index(p.index if isinstance(p, Point) else p)
+            except TypeError:
+                i = -1
+            if not 0 <= i < n:
+                raise InputError(f"finite-space point {k} must be an integer index in 0..{n - 1}, got {p!r}")
+            indices.append(i)
+        return np.array(indices, dtype=np.intp)
 
     def block_rows(self, m: int) -> int:
         """Rows per block that keep a rows x m float buffer within

@@ -29,6 +29,7 @@ from fuzzymetrics import (
     alpha_cut,
     cauchy_limit_construct,
     cauchy_tail_profile,
+    closedness_witness,
     covering_number,
     directed_hausdorff,
     endograph_convergence,
@@ -36,6 +37,7 @@ from fuzzymetrics import (
     endograph_oracle,
     eps_net,
     finite_set,
+    fuzzy_family,
     gamma_diagnostic,
     hausdorff,
     levelwise_distance,
@@ -419,6 +421,29 @@ def test_batched_graph_series_match_the_closed_form_per_pair(scene):
             assert tuple(sendograph_metric(u, limit) for u in seq) == send
             cert = send_decomposition_check(seq, limit, window=1)
         assert (cert.evidence["end"], cert.evidence["send"], cert.evidence["cut0"]) == (end, send, cut0)
+
+
+@given(shared_cut_sequences())
+@settings(max_examples=150)
+def test_closedness_distances_match_the_one_pair_metrics(scene):
+    space, seq, candidate, _ = scene
+    family = fuzzy_family(seq)
+    for metric, one_pair in (("end", endograph_metric), ("send", sendograph_metric)):
+        distances = tuple(one_pair(candidate, u) for u in seq)
+        for cap in SERIES_CAPS:
+            with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+                cert = closedness_witness(family, candidate, metric, tol=1e-3)
+            assert cert.evidence["distance"] == distances
+            assert cert.evidence["min_distance"] == (min(distances),)
+
+
+def test_closedness_distances_keep_the_one_pair_orientation_of_an_asymmetric_matrix():
+    # d(0, 1) exceeds d(1, 0) by 5e-10: metric(candidate, member) reads d(0, 1)
+    # from the candidate's side and d(1, 0) from the member's
+    space = MetricSpace.finite([[0.0, 1.0 + 5e-10, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    u, v = (make_fuzzy([(1.0, finite_set(space, [k]))]) for k in range(2))
+    assert closedness_witness(fuzzy_family([v, u]), u, "send", 1e-3).evidence["distance"] == (1.0 + 5e-10, 0.0)
+    assert closedness_witness(fuzzy_family([u, v]), v, "send", 1e-3).evidence["distance"] == (1.0, 0.0)
 
 
 def test_batched_kernel_calls_stay_within_one_row_chunk():

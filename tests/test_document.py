@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import resource
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -67,6 +74,16 @@ def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "space": \n', encoding="utf-8")
     with pytest.raises(InputError, match="line"):
+        load_document(str(path))
+
+
+@pytest.mark.parametrize("text", [b'{"space": {"type": "euclidean", "dim": ' + b"1" * 5000 + b"}}",
+                                  b'{"space": "\xff"}'], ids=["integer-of-5000-digits", "not-utf-8"])
+def test_undecodable_text_is_an_input_error(tmp_path, text):
+    # each used to escape from json.load as a ValueError traceback
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    with pytest.raises(InputError, match="doc.json: "):
         load_document(str(path))
 
 
@@ -408,7 +425,7 @@ GENERATORS = {"translates": translates_family, "collapse": collapse_family,
 # integers that are not counts
 NEAR = st.sampled_from([0.0, -0.0, 1e-300, 0.01, 0.3, 1.0, -1.0, 1e150, -1e150, 1.0000000000000002e150,
                         1e151, 1e308, -1e308, INF, -INF, NAN])
-NUMBERS = NEAR | st.floats(-1e150, 1e150) | st.integers(-3, 3)
+NUMBERS = NEAR | st.floats(-1e150, 1e150) | st.integers(-3, 3) | st.sampled_from([True, "0.5", 10**400])
 COUNTS = st.sampled_from([1, 2, 3, 4] * 3 + [0, -1, True, 2.5])
 
 
@@ -433,7 +450,7 @@ def generator_cases(draw):
     else:
         seed = draw(st.sampled_from([0, 1, 2, 3] * 2 + [-1, True]))
         box = [draw(NUMBERS), draw(NUMBERS)]
-        if draw(st.booleans()):
+        if draw(st.booleans()) and "0.5" not in box:
             box.sort()
         params = {"box": box, "max_levels": draw(COUNTS), "max_points": draw(COUNTS)}
     params = {k: v for k, v in params.items() if draw(st.sampled_from([True, True, True, False]))}
@@ -482,6 +499,173 @@ def test_load_accepts_a_generator_iff_its_call_does_and_builds_the_same_family(c
             for (_, a), (_, b) in zip(u.levels, v.levels):
                 assert (a.array.dtype, a.array.shape, a.array.tobytes()) == (b.array.dtype, b.array.shape,
                                                                             b.array.tobytes())
+
+
+# every kind of generator, each family small; a fuzzy set of two levels
+VALUE_DOC = {
+    "space": LINE,
+    "fuzzy_sets": [{"name": "a", "levels": [{"alpha": 1.0, "points": [[0.0]]},
+                                            {"alpha": 0.5, "points": [[0.0], [1.0]]}]}],
+    "families": [
+        {"name": "t", "generator": {"kind": "translates", "count": 2, "params": {"start": 0.0, "step": 1.0}}},
+        {"name": "c", "generator": {"kind": "collapse", "count": 2, "params": {"base": 0.0, "far": 1.0}}},
+        {"name": "i", "generator": {"kind": "crisp_intervals", "params": {"low": 0.3, "high": 0.5, "step": 0.1}}},
+        {"name": "r", "generator": {"kind": "random", "count": 2, "seed": 0,
+                                    "params": {"box": [0.0, 1.0], "max_levels": 2, "max_points": 2}}},
+    ],
+}
+VALUE_FINITE = {
+    "space": {"type": "finite", "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+    "fuzzy_sets": [{"name": "a", "levels": [{"alpha": 1.0, "points": [0]}, {"alpha": 0.5, "points": [0, 1]}]}],
+}
+
+
+def _generator_field(k: int, *path):
+    return VALUE_DOC, ("families", k, "generator") + path
+
+
+# each value field of a document: the document and the path to the value
+VALUE_FIELDS = {
+    # without fuzzy sets, so that every dim reaches the generators
+    "dim": ({**VALUE_DOC, "fuzzy_sets": []}, ("space", "dim")),
+    "alpha": (VALUE_DOC, ("fuzzy_sets", 0, "levels", 1, "alpha")),
+    "coordinate": (VALUE_DOC, ("fuzzy_sets", 0, "levels", 1, "points", 1, 0)),
+    "finite index": (VALUE_FINITE, ("fuzzy_sets", 0, "levels", 1, "points", 1)),
+    "matrix entry": (VALUE_FINITE, ("space", "matrix", 0, 1)),
+    "translates count": _generator_field(0, "count"),
+    "start": _generator_field(0, "params", "start"),
+    "translates step": _generator_field(0, "params", "step"),
+    "collapse count": _generator_field(1, "count"),
+    "base": _generator_field(1, "params", "base"),
+    "far": _generator_field(1, "params", "far"),
+    "low": _generator_field(2, "params", "low"),
+    "high": _generator_field(2, "params", "high"),
+    "crisp step": _generator_field(2, "params", "step"),
+    "random count": _generator_field(3, "count"),
+    "seed": _generator_field(3, "seed"),
+    "box": _generator_field(3, "params", "box"),
+    "box low": _generator_field(3, "params", "box", 0),
+    "box high": _generator_field(3, "params", "box", 1),
+    "max_levels": _generator_field(3, "params", "max_levels"),
+    "max_points": _generator_field(3, "params", "max_points"),
+}
+# JSON values of every type; the numbers are few and small, or far beyond a
+# bound, so that no draw builds a large family
+JSON_VALUES = (st.sampled_from([None, True, False, "0.5", "", "a", [], [1.0], [0, 1], {}, {"x": 1},
+                                NAN, INF, -INF, 10**400, -10**400, 2**63, -2**63, 2**63 - 1,
+                                0.0, -0.0, 0.25, 0.5, 1.5, -2.5, 1e-300, 1e150, -1e150, 1e151, 1e308])
+               | st.integers(-3, 5))
+
+
+@pytest.fixture(scope="module")
+def value_paths(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("values")
+    return str(directory / "doc.json"), str(directory / "out.json")
+
+
+@given(st.sampled_from(sorted(VALUE_FIELDS)), JSON_VALUES)
+# one past each size bound, and max_levels at its bound
+@example("translates count", 100_001)
+@example("collapse count", 100_001)
+@example("random count", 100_001)
+@example("high", 1000.0)
+@example("dim", 100_001)
+@example("max_levels", 2**63)
+@example("max_levels", 2**63 - 1)
+@settings(max_examples=300, deadline=None)
+def test_gen_exits_0_or_2_whatever_value_a_field_holds(value_paths, field, value):
+    # a 400-digit integer used to escape as an OverflowError in most of these
+    # fields, a string or a bool to be coerced in some, and a max_levels of
+    # 2**63 to load and then fail in the draw
+    base, path = VALUE_FIELDS[field]
+    data = copy.deepcopy(base)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    doc, out = value_paths
+    with open(doc, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["gen", doc, "--out", out])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (with_fuzzy(MINIMAL, [{"alpha": 1.0, "points": [[0.0], [2.5, "x"]]}]),
+         "fuzzy set 'a': coordinate 1 of point 1 must be a real number"),
+        (with_fuzzy(MINIMAL, [{"alpha": 1.0, "points": [[0.0], [1e151]]}]),
+         "fuzzy set 'a': coordinate 0 of point 1 must be finite with magnitude at most 1e"),
+        (with_fuzzy(FINITE_OK, [{"alpha": 1.0, "points": [0, 2]}]),
+         "fuzzy set 'a': finite-space point 1 must be an integer index in 0..1, got 2"),
+        ({**FINITE_OK, "space": {"type": "finite", "matrix": [[0.0, 1.0], [10**400, 0.0]]}},
+         r"space: matrix entry \(1,0\) must be a real number within float range"),
+        ({**FINITE_OK, "space": {"type": "finite", "matrix": [[0.0, 1.0], [-1.0, 0.0]]}},
+         r"space: matrix entry \(1,0\) must be finite and nonnegative"),
+        ({**MINIMAL, "space": {"type": "euclidean", "dim": 0}}, "space: dim must be an integer >= 1, got 0"),
+    ],
+    ids=["coordinate-string", "coordinate-magnitude", "index-range", "matrix-entry-overflow", "matrix-entry-negative",
+         "dim-zero"],
+)
+def test_value_errors_name_their_position_and_part_of_the_document(data, message):
+    with pytest.raises(InputError, match=message):
+        parse_document(data)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def limited(argv):
+    """Run the CLI in a child process with at most 2 GiB of address space and
+    60 s, so an oversize family that slips through fails the test instead of
+    exhausting memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "fuzzymetrics.cli", *argv], capture_output=True, text=True,
+                          timeout=60, env=env, preexec_fn=cap)
+
+
+# each of these used to load and then exhaust memory, or to escape as an
+# OverflowError or a ValueError; now each is rejected at load
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (generated({"kind": "collapse", "count": 10**12}), "1000000000000 members exceed the bound of 100000"),
+        (generated({"kind": "translates", "count": 10**400}), "members exceed the bound of 100000"),
+        (generated({"kind": "crisp_intervals", "params": {"high": 1e150}}), "members exceed the bound of 100000"),
+        (generated({"kind": "crisp_intervals", "params": {"low": 0, "high": 1000, "step": 1}}),
+         "1000 members of up to 1002 points in dimension 1 exceed the bound of 1000000 coordinates"),
+        (generated({"kind": "translates", "count": 3}, {"space": {"type": "euclidean", "dim": 2**63}}),
+         "in dimension 9223372036854775808 exceed the bound of 1000000 coordinates"),
+        (generated({"kind": "random", "count": 3, "params": {"max_levels": 2**63}}), "'max_levels'"),
+    ],
+    ids=["collapse-count", "translates-count", "crisp-members", "crisp-coordinates", "dim", "max-levels"],
+)
+def test_oversize_families_are_rejected_at_load(tmp_path, data, message):
+    path = write_doc(tmp_path, data)
+    for command in ("metrics", "gen"):
+        run = limited([command, path])
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: family 'f': ") and run.stderr.count("\n") == 1
+        assert message in run.stderr
+
+
+def test_families_at_the_size_bounds_load():
+    data = {"space": LINE, "families": [
+        {"name": "c", "generator": {"kind": "collapse", "count": 100_000}},
+        {"name": "t", "generator": {"kind": "translates", "count": 100_000}},
+        {"name": "r", "generator": {"kind": "random", "count": 100_000}},
+        {"name": "i", "generator": {"kind": "crisp_intervals", "params": {"low": 0, "high": 999, "step": 1}}},
+    ]}
+    names = Counter(name.split("[")[0] for name in parse_document(data).fuzzy_sets)  # builds nothing
+    assert names == {"c": 100_000, "t": 100_000, "r": 100_000, "i": 999}
 
 
 def test_member_family_holds_the_generated_members_it_names():

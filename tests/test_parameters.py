@@ -1,7 +1,8 @@
 """Radius and tolerance parameters must be finite and positive, windows
 integers, alpha grids nonempty and generator boxes within the coordinate
-range, in the library and through the CLI; stored point arrays are
-read-only."""
+range, in the library and through the CLI; levels, coordinates and generator
+params are real numbers within float range, never a coerced bool or string;
+stored point arrays are read-only."""
 
 from pathlib import Path
 
@@ -22,12 +23,25 @@ from fuzzymetrics import (
     erc_modulus,
     finite_set,
     hausdorff,
+    make_fuzzy,
     tail_verdict,
     tb_end_report,
     tb_send_report,
 )
 from fuzzymetrics.cli import main
-from fuzzymetrics.generators import random_family, random_fuzzy, translates_family
+from fuzzymetrics.generators import (
+    MAX_LEVELS,
+    MAX_MEMBERS,
+    collapse_count,
+    collapse_family,
+    crisp_interval_count,
+    crisp_interval_family,
+    random_count,
+    random_family,
+    random_fuzzy,
+    translates_count,
+    translates_family,
+)
 from helpers import SP1, singleton, two_level
 
 DEMO = str(Path(__file__).resolve().parent.parent / "demo" / "demo.json")
@@ -143,3 +157,84 @@ def test_random_generator_box_at_the_coordinate_bound_is_accepted():
     fam = random_family(MetricSpace.euclidean(2), 20, box=(-1e150, 1e150))
     coords = np.concatenate([u.levels[-1][1].array for u in fam.members])
     assert (np.abs(coords) <= 1e150).all()
+
+
+# each of these used to be coerced (the string "1" and True to the level 1.0,
+# True to the number 1 in a generator), to raise a TypeError, or to escape as
+# an OverflowError
+NOT_REAL = [True, "0.5", 10**400]
+NOT_REAL_IDS = ["bool", "string", "beyond-float-range"]
+
+
+@pytest.mark.parametrize("level", ["1", True, 10**400], ids=NOT_REAL_IDS)
+def test_make_fuzzy_rejects_a_level_that_is_not_a_real_number(level):
+    cut = finite_set(SP1, [0.0])
+    for levels in ([(level, cut)], [(1.0, cut), (level, cut)]):
+        with pytest.raises(InputError, match="level alpha must be a real number"):
+            make_fuzzy(levels)
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize(
+    "make,args,param",
+    [
+        (translates_family, (3,), "start"),
+        (translates_family, (3,), "step"),
+        (collapse_family, (3,), "base"),
+        (collapse_family, (3,), "far"),
+        (crisp_interval_family, (), "low"),
+        (crisp_interval_family, (), "high"),
+        (crisp_interval_family, (), "step"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_generators_reject_a_param_that_is_not_a_real_number(make, args, param, value):
+    with pytest.raises(InputError, match=f"'{param}' must be a real number"):
+        make(SP1, *args, **{param: value})
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+def test_random_generator_rejects_a_box_entry_that_is_not_a_real_number(value):
+    for box in ((value, 1.0), (0.0, value)):
+        with pytest.raises(InputError, match="'box'"):
+            random_family(SP1, 3, box=box)
+
+
+@pytest.mark.parametrize("value", [True, "3", 2.0], ids=["bool", "string", "float"])
+def test_generators_reject_integer_params_that_are_not_integers(value):
+    for make in (translates_family, collapse_family, random_family):
+        with pytest.raises(InputError, match="'count' must be an integer"):
+            make(SP1, value)
+    for param in ("seed", "max_levels", "max_points"):
+        with pytest.raises(InputError, match=f"'{param}' must be an integer"):
+            random_family(SP1, 3, **{param: value})
+
+
+def test_generated_families_are_bounded_in_members_levels_and_coordinates():
+    # each of these used to be accepted: a count of 10**400 then overflowed,
+    # and max_levels beyond int64 failed in the draw
+    for make in (translates_family, collapse_family, random_family):
+        with pytest.raises(InputError, match=f"{MAX_MEMBERS + 1} members exceed the bound of {MAX_MEMBERS}"):
+            make(SP1, MAX_MEMBERS + 1)
+        with pytest.raises(InputError, match="members exceed the bound"):
+            make(SP1, 10**400)
+    with pytest.raises(InputError, match="'max_levels' must be an integer in 1..9223372036854775807"):
+        random_family(SP1, 2, max_levels=MAX_LEVELS + 1)
+    assert len(random_family(SP1, 2, max_levels=MAX_LEVELS, max_points=3).members) == 2
+    # at the bounds the checks pass; nothing is built
+    assert all(check(SP1, MAX_MEMBERS) == MAX_MEMBERS for check in (translates_count, collapse_count, random_count))
+    assert crisp_interval_count(SP1, 0.0, 999.0, 1.0) == 999
+    # a random member holds at most max_points points, and at most two for
+    # each of at most 1001 levels
+    assert random_count(SP1, MAX_MEMBERS, max_levels=2, max_points=20) == MAX_MEMBERS
+    with pytest.raises(InputError, match="100000 members of up to 20 points"):
+        random_count(SP1, MAX_MEMBERS, max_levels=10, max_points=20)
+    assert random_count(SP1, 499, max_levels=10**9, max_points=10**9) == 499
+    with pytest.raises(InputError, match="500 members of up to 2002 points"):
+        random_count(SP1, 500, max_levels=10**9, max_points=10**9)
+    # the grid (0, 1000] at step 1: 1000 members of up to 1002 points
+    with pytest.raises(InputError, match="1000 members of up to 1002 points in dimension 1 exceed the bound of "
+                                         "1000000 coordinates"):
+        crisp_interval_family(SP1, 0.0, 1000.0, 1.0)
+    with pytest.raises(InputError, match="in dimension 9223372036854775808 exceed"):
+        translates_family(MetricSpace.euclidean(2**63), 1)
