@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from .certificates import Certificate, Verdict
-from .common import InputError, fmt
+from .common import InputError, check_grid_size, fmt
 from .document import Document, dumps_document, load_document
 from .families import (
     closedness_witness,
@@ -122,6 +122,7 @@ def run_convergence(
 
 def _tb_grid(n: int) -> tuple[float, ...]:
     # grid in (0,1]: includes 1.0
+    check_grid_size(n)
     return tuple(k / n for k in range(1, n + 1))
 
 

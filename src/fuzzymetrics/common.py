@@ -52,6 +52,17 @@ def check_integer(name: str, x, least: int, most: float = math.inf) -> int:
     return x
 
 
+# Most levels a grid built from a size may hold: a larger size is an input
+# error rather than a list of that many levels.
+MAX_GRID_LEVELS = 10_000
+
+
+def check_grid_size(n: int) -> int:
+    """n if it is a grid size in 1..MAX_GRID_LEVELS, else an InputError.
+    Every alpha grid built from a size passes here before it is built."""
+    return check_integer("alpha grid size", n, 1, MAX_GRID_LEVELS)
+
+
 def fmt(x: float) -> str:
     """Format a number with 9 significant digits, '.' decimal, no locale."""
     return f"{float(x):.9g}"

@@ -111,10 +111,14 @@ def crisp(space: MetricSpace, points) -> StepFuzzySet:
 def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     """Membership value at each point of a point array: the highest stored
     level whose cut contains it, 0 outside every cut. One pass over the
-    levels from the lowest up, each level overwriting the lower ones."""
+    levels from 1.0 down, each level measuring only the points that no
+    higher level holds."""
     out = np.zeros(len(points))
-    for a, cut in reversed(u.levels):
-        out[cut.gaps(points) <= TOL] = a
+    left = np.arange(len(points))
+    for a, cut in u.levels:
+        held = cut.gaps(points[left]) <= TOL
+        out[left[held]] = a
+        left = left[~held]
     return out
 
 

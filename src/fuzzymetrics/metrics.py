@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import Certificate, Verdict, tail_certificate
-from .common import InputError, fmt
+from .common import InputError, check_grid_size, fmt
 from .fuzzy import (
     StepFuzzySet,
     alpha_cut,
@@ -262,8 +262,7 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
     """n evenly spaced levels in (0,1); with a limit given, grid points that
     hit one of its platform levels are bisected toward the previous grid
     point until they sit in a non-platform gap."""
-    if n < 1:
-        raise InputError(f"grid size {n} must be positive")
+    check_grid_size(n)
     base = [k / (n + 1) for k in range(1, n + 1)]
     if limit is None:
         return tuple(base)

@@ -210,6 +210,13 @@ def validate_metric(space: MetricSpace) -> Certificate:
     inequality, exhaustively, and reports the first violating pair or triple
     as witness. Euclidean spaces are valid by construction and are rejected
     as unsupported input.
+
+    The triangle check takes blocks of rows i that keep a rows x n x n
+    buffer within BLOCK_BYTES (one row per block once an n x n buffer
+    exceeds it) and tests d(i, k) > min over j of
+    (d(i, j) + d(j, k)), plus TOL. Adding TOL after rounding is
+    nondecreasing, so a row fails exactly when some single j violates; the
+    first failing row is then scanned for its first (k, j).
     """
     if space.mode != FINITE:
         raise InputError("validate_metric supports finite mode only")
@@ -235,10 +242,20 @@ def validate_metric(space: MetricSpace) -> Certificate:
     if bad.size:
         i, j = map(int, bad[0])
         return fail(f"distinct points ({i},{j}) at distance {m[i, j]}", m[i, j])
-    for i in range(len(m)):
-        # entry [k, j]: d(i, k) against d(i, j) + d(j, k)
-        bad = np.argwhere(m[i][:, None] > m[i][None, :] + m.T + TOL)
-        if bad.size:
-            k, j = map(int, bad[0])
-            return fail(f"triangle ({i},{k}) via {j}", m[i, k], m[i, j] + m[j, k])
+    n = len(m)
+    step = space.block_rows(n * n)
+    scratch = np.empty((min(step, n), n, n))
+    # two entries near the float maximum add up to +inf, which bounds the
+    # comparison correctly, so the overflow is no error
+    with np.errstate(over="ignore"):
+        for s in range(0, n, step):
+            rows = m[s:s + step]
+            # entry [r, k]: min over j of d(s + r, j) + d(j, k)
+            via = np.add(rows[:, :, None], m, out=scratch[:len(rows)]).min(axis=1)
+            bad = np.flatnonzero((rows > via + TOL).any(axis=1))
+            if bad.size:
+                i = s + int(bad[0])
+                # entry [k, j]: d(i, k) against d(i, j) + d(j, k)
+                k, j = map(int, np.argwhere(m[i][:, None] > m[i][None, :] + m.T + TOL)[0])
+                return fail(f"triangle ({i},{k}) via {j}", m[i, k], m[i, j] + m[j, k])
     return Certificate(kind="METRIC_AXIOMS", verdict=Verdict.PASS)

@@ -1,5 +1,6 @@
-"""Shared spaces, seeded corpus builders, and the point-level lifted metric
-and family union cut that the tests check the library against."""
+"""Shared spaces, the row-block caps, seeded corpus builders, and the
+point-level lifted metric and family union cut that the tests check the
+library against."""
 
 from __future__ import annotations
 
@@ -21,10 +22,14 @@ from fuzzymetrics import (
     make_fuzzy,
     union_family,
 )
+from fuzzymetrics import space as space_module
 from fuzzymetrics.generators import random_fuzzy
 
 SP1 = MetricSpace.euclidean(1)
 SP2 = MetricSpace.euclidean(2)
+
+# the default BLOCK_BYTES, and a cap that forces one row per block
+CAPS = (space_module.BLOCK_BYTES, 8)
 
 
 def singleton(x: float, space: MetricSpace = SP1) -> StepFuzzySet:

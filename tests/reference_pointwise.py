@@ -2,12 +2,14 @@
 
 These are the per-Point routines that preceded the array kernel: one Python
 distance call per pair of points, keep-first greedy scans in input order.
-Sets are tuples of Point values. Three routines that the library has since
+Sets are tuples of Point values. Five routines that the library has since
 replaced sit at the end: the Euclidean kernel that reduced a difference
 temporary over its last axis, the oracles' directed distance sampled level
-by level, and the random generator that drew each coordinate on its own and
-built each cut with its own finite_set call. test_differential.py compares
-the library against them.
+by level, the random generator that drew each coordinate on its own and
+built each cut with its own finite_set call, the triangle check that
+scanned one row of a distance matrix at a time, and the membership scan
+that measured every point at every level from the lowest up.
+test_differential.py compares the library against them.
 """
 
 from __future__ import annotations
@@ -153,3 +155,25 @@ def random_fuzzy(space, rng, box=(0.0, 1.0), max_levels: int = 4, max_points: in
             cut = library_finite_set(space, pts)
         levels.append((a, cut))
     return StepFuzzySet(levels=tuple(levels))
+
+
+def triangle_witness(m: np.ndarray) -> str | None:
+    """The triangle check of space.validate_metric, one row i at a time: the
+    witness of the first violating (k, j) in the first violating row, or
+    None."""
+    for i in range(len(m)):
+        # entry [k, j]: d(i, k) against d(i, j) + d(j, k)
+        bad = np.argwhere(m[i][:, None] > m[i][None, :] + m.T + TOL)
+        if bad.size:
+            k, j = map(int, bad[0])
+            return f"triangle ({i},{k}) via {j}"
+    return None
+
+
+def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
+    """fuzzy.memberships as one pass over the levels from the lowest up,
+    each level measuring every point and overwriting the lower ones."""
+    out = np.zeros(len(points))
+    for a, cut in reversed(u.levels):
+        out[cut.gaps(points) <= TOL] = a
+    return out

@@ -8,10 +8,11 @@ against the last-axis reduction it replaced, the oracles against their
 level-by-level sampling, the convergence series and the metric matrices
 (the endograph and sendograph ones also from one pass per column) batched
 over a whole sequence against the same distances taken one pair at a time,
-and the
-generated members, built from one deduplicated support with their
+the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
-measured."""
+measured, the memberships measured from 1.0 down against the scan from the
+lowest level up, and the blocked triangle check of validate_metric against
+the check one row at a time."""
 
 import math
 from unittest import mock
@@ -26,6 +27,7 @@ from fuzzymetrics import (
     TOL,
     MetricSpace,
     Point,
+    Verdict,
     alpha_cut,
     cauchy_limit_construct,
     cauchy_tail_profile,
@@ -52,6 +54,7 @@ from fuzzymetrics import (
     strict_cut_closure,
     support,
     union_family,
+    validate_metric,
 )
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
@@ -60,9 +63,7 @@ from fuzzymetrics.metrics import graph_matrices
 from fuzzymetrics.generators import collapse_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
-from helpers import SP1, SP2, part_maxima, part_series
-
-CAPS = (space_module.BLOCK_BYTES, 8)
+from helpers import CAPS, SP1, SP2, part_maxima, part_series
 
 
 # 1-D: a 0.025 grid, so many pairs sit exactly eps apart, with near-duplicates
@@ -548,11 +549,56 @@ def test_metric_matrix_keeps_the_one_pair_orientation_of_an_asymmetric_matrix():
 
 
 def assert_known_memberships(u):
-    """u is a valid step set and its precomputed memberships are the
-    measured ones, read-only."""
+    """u is a valid step set and its memberships, precomputed or measured on
+    first read, are the ones measured from 1.0 down and from the lowest level
+    up, read-only."""
     assert same_representation(make_fuzzy(u.levels), u)
     assert np.array_equal(u.support_memberships, memberships(u, support(u).array))
+    assert np.array_equal(u.support_memberships, ref.memberships(u, support(u).array))
     assert not u.support_memberships.flags.writeable
+
+
+OFFSETS = (0.5 * TOL, TOL, 2 * TOL)
+
+
+def with_offset_points(space):
+    """The space and a map from a point array and an offset index to points
+    that far from those points: in Euclidean mode shifted along the first
+    axis, in finite mode one more copy of the indices per offset, each copy
+    at its offset from its original and that much farther from every other
+    index."""
+    if space.mode != "finite":
+        return space, lambda pts, k: pts + np.eye(1, space.dim)[0] * OFFSETS[k]
+    m, n = space.matrix_array, len(space.matrix)
+    base, off = np.tile(np.arange(n), len(OFFSETS) + 1), np.repeat([0.0, *OFFSETS], n)
+    big = m[np.ix_(base, base)] + off[:, None] + off[None, :]
+    np.fill_diagonal(big, 0.0)
+    return MetricSpace.finite(big), lambda pts, k: pts + n * (k + 1)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_memberships_match_bottom_up_scan(data):
+    # declared sets, on their supports, on the oracle's bases (the union of
+    # two supports) and on points off every cut but 0.5*TOL, TOL or 2*TOL
+    # from a support point, which the cut holds, holds or does not
+    space, point, _ = data.draw(scenes(SERIES_KINDS))
+    space, offset = with_offset_points(space)
+    raws = []
+    for _ in range(2):
+        raw = data.draw(point_lists(point, max_size=12))
+        k1 = data.draw(st.integers(1, len(raw)))
+        raws.append(nested_levels(raw, k1, data.draw(st.integers(k1, len(raw)))))
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            u, v = (build(space, r) for r in raws)
+            supports = [support(u).array, support(v).array]
+            queries = [*supports, union_family([support(u), support(v)]).array,
+                       *(offset(pts, k) for pts in supports for k in range(len(OFFSETS)))]
+            for w in (u, v):
+                assert_known_memberships(w)
+                for pts in queries:
+                    assert np.array_equal(memberships(w, pts), ref.memberships(w, pts))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -592,3 +638,37 @@ def test_collapse_members_share_their_cuts_and_know_their_memberships(dim, far):
         assert u.alphas == (1.0, 1.0 / n)
         assert_known_memberships(u)
     assert_known_memberships(fam.members[0])
+
+
+def planted_metric(seed, n, ties, violations):
+    """L1 distances, in eighths, between n distinct cells of a 32 x 32 grid,
+    with `ties` entries raised to exactly the bound the triangle check
+    allows, min over j of d(i, j) + d(j, k), plus TOL, and then
+    `violations` entries raised to the next float above it."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(32 * 32, n, replace=False)
+    x, y = cells // 32, cells % 32
+    m = (np.abs(x[:, None] - x) + np.abs(y[:, None] - y)) / 8
+    for t in range(ties + violations):
+        i, k = map(int, rng.choice(n, 2, replace=False))
+        via = [j for j in range(n) if j not in (i, k)]
+        j = via[int(np.argmin(m[i, via] + m[via, k]))]
+        bound = m[i, j] + m[j, k] + TOL
+        m[i, k] = m[k, i] = bound if t < ties else np.nextafter(bound, np.inf)
+    return m
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 40, 150])
+@pytest.mark.parametrize("seed", range(4))
+def test_triangle_check_matches_per_row_reference(n, seed):
+    # raising an entry only lengthens the paths through it, so a tie stays
+    # a tie and the matrix with ties alone is a metric within TOL
+    for ties, violations in ((n, 0), (n, 1), (0, 3)):
+        m = planted_metric(seed, n, ties, violations)
+        expected = ref.triangle_witness(m)
+        assert (expected is None) == (violations == 0)
+        for cap in CAPS:
+            with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+                cert = validate_metric(MetricSpace.finite(m))
+            assert cert.witness == expected
+            assert cert.verdict is (Verdict.PASS if expected is None else Verdict.FAIL)

@@ -743,6 +743,20 @@ def test_each_command_builds_the_families_it_reads_once(tmp_path, capsys, builds
     assert builds == Counter(built)
 
 
+# each of these used to try to build a grid of 10**8 levels, which under the
+# address-space cap escaped as a MemoryError traceback with exit 1
+@pytest.mark.parametrize("argv", [
+    ["converge", "DOC", "--sequence", "s", "--limit", "origin", "--mode", "level"],
+    ["converge", "DOC", "--sequence", "s", "--limit", "origin", "--mode", "gamma"],
+    ["compact", "DOC", "--family", "cloud", "--mode", "tb_end", "--eps", "0.5"],
+], ids=["converge-level", "converge-gamma", "compact-tb_end"])
+def test_oversize_alpha_grids_are_input_errors(tmp_path, argv):
+    path = write_doc(tmp_path, LAZY)
+    run = limited([path if a == "DOC" else a for a in argv] + ["--alpha-grid", "100000000"])
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == "error: alpha grid size must be an integer in 1..10000, got 100000000\n"
+
+
 def test_concurrent_first_reads_build_a_family_once(monkeypatch, builds):
     fn, check, params = document._GENERATORS["random"]
 

@@ -1,8 +1,8 @@
 """Radius and tolerance parameters must be finite and positive, windows
-integers, alpha grids nonempty and generator boxes within the coordinate
-range, in the library and through the CLI; levels, coordinates and generator
-params are real numbers within float range, never a coerced bool or string;
-stored point arrays are read-only."""
+integers, alpha grids nonempty and at most 10,000 levels and generator boxes
+within the coordinate range, in the library and through the CLI; levels,
+coordinates and generator params are real numbers within float range, never
+a coerced bool or string; stored point arrays are read-only."""
 
 from pathlib import Path
 
@@ -15,6 +15,7 @@ from fuzzymetrics import (
     alpha_cut,
     cauchy_tail_profile,
     closedness_witness,
+    default_alpha_grid,
     eps_net,
     gamma_diagnostic,
     kuratowski_tail_diagnostic,
@@ -29,6 +30,7 @@ from fuzzymetrics import (
     tb_send_report,
 )
 from fuzzymetrics.cli import main
+from fuzzymetrics.common import MAX_GRID_LEVELS
 from fuzzymetrics.generators import (
     MAX_LEVELS,
     MAX_MEMBERS,
@@ -118,6 +120,14 @@ def test_empty_alpha_grid_is_an_input_error(capsys, grid):
     assert main(["compact", DEMO, "--family", "iv", "--mode", "tb_end", "--eps", "0.05", "--alpha-grid", grid]) == 2
     assert main(["converge", DEMO, "--sequence", "col", "--limit", "origin", "--mode", "level",
                  "--alpha-grid", grid]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_alpha_grid_sizes_are_bounded(capsys):
+    assert len(default_alpha_grid(None, MAX_GRID_LEVELS)) == MAX_GRID_LEVELS
+    with pytest.raises(InputError, match="alpha grid size must be an integer in 1..10000, got 10001"):
+        default_alpha_grid(two_level(), MAX_GRID_LEVELS + 1)
+    assert main(["compact", DEMO, "--family", "iv", "--mode", "tb_end", "--eps", "0.05", "--alpha-grid", "10001"]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -1,4 +1,6 @@
 import json
+import warnings
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -14,7 +16,8 @@ from fuzzymetrics import (
     load_document,
     validate_metric,
 )
-from helpers import LiftedPoint, distance, lifted_distance
+from fuzzymetrics import space as space_module
+from helpers import CAPS, LiftedPoint, distance, lifted_distance
 
 SP1 = MetricSpace.euclidean(1)
 SP2 = MetricSpace.euclidean(2)
@@ -166,18 +169,27 @@ def _first_triangle_violation(m):
 
 @given(st.integers(3, 7).flatmap(
     lambda n: st.lists(st.integers(1, 9), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
-        lambda xs: (n, xs))))
-def test_validate_metric_reports_first_triangle_violation(case):
+        lambda xs: (n, xs))), st.sampled_from(CAPS))
+def test_validate_metric_reports_first_triangle_violation(case, cap):
     n, xs = case
     m = [[0.0] * n for _ in range(n)]
     it = iter(xs)
     for i in range(n):
         for j in range(i + 1, n):
             m[i][j] = m[j][i] = float(next(it))
-    cert = validate_metric(MetricSpace.finite(m))
+    with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+        cert = validate_metric(MetricSpace.finite(m))
     expected = _first_triangle_violation(m)
     assert cert.witness == expected
     assert cert.verdict is (Verdict.PASS if expected is None else Verdict.FAIL)
+
+
+def test_validate_metric_passes_entries_whose_sums_overflow():
+    # 1e308 + 1e308 is +inf, which no entry exceeds
+    m = [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_metric(MetricSpace.finite(m)).verdict is Verdict.PASS
 
 
 FINITE2 = MetricSpace.finite([[0.0, 1.0], [1.0, 0.0]])
