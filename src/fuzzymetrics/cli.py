@@ -258,6 +258,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if "alpha_grid" in args:
+            # every mode takes the flag, so every mode rejects a bad value,
+            # before the document is read
+            check_grid_size(args.alpha_grid)
         doc = load_document(args.document, default_seed=args.seed)
         cert = None
         if args.command == "metrics":

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .common import TOL, InputError, real
-from .sets import FiniteSet, directed_hausdorff, finite_set, hausdorff
+from .sets import FiniteSet, _held, finite_set, hausdorff
 from .space import MetricSpace, Point
 
 # Sorted ascending tuple of levels in (0,1).
@@ -54,7 +54,7 @@ class StepFuzzySet:
 
 
 def _is_subset(a: FiniteSet, b: FiniteSet) -> bool:
-    return directed_hausdorff(a, b) <= TOL
+    return bool(_held(a.space, a.array, b.array).all())
 
 
 def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
@@ -116,7 +116,7 @@ def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     out = np.zeros(len(points))
     left = np.arange(len(points))
     for a, cut in u.levels:
-        held = cut.gaps(points[left]) <= TOL
+        held = _held(cut.space, points[left], cut.array)
         out[left[held]] = a
         left = left[~held]
     return out

@@ -3,7 +3,9 @@
 FiniteSet is a nonempty deduplicated point array standing in for a nonempty
 compact subset of the space. On such sets the Hausdorff metric, greedy
 eps-nets, set-sequence tail diagnostics and the constructive Cauchy limit are
-all exactly computable. Every distance comes from `space.dist_matrix`.
+all exactly computable. Every distance comes from `space.dist_matrix`, or
+for identity at TOL from the near-pair search `space._near`, which shares
+its arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .certificates import Certificate, tail_certificate
 from .common import TOL, InputError, check_positive
-from .space import EUCLIDEAN, MetricSpace, Point, dist_matrix
+from .space import EUCLIDEAN, MetricSpace, Point, _near, dist_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +68,31 @@ def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarra
     return kept
 
 
+def _dedup(space: MetricSpace, pts: np.ndarray) -> np.ndarray:
+    """Mask of the keep-first scan at TOL from the near pairs of the points
+    with themselves. A point with no earlier point within TOL, measuring
+    d(new, earlier), is kept outright; the others are kept, in input order,
+    iff none of those is kept (a row split over chunks, by every part)."""
+    kept = np.ones(len(pts), dtype=bool)
+    for i, j in _near(space, pts, pts, TOL):
+        earlier = j < i
+        if not earlier.any():
+            continue
+        rows, starts = np.unique(i[earlier], return_index=True)
+        for r, js in zip(rows.tolist(), np.split(j[earlier], starts[1:])):
+            kept[r] &= not kept[js].any()
+    return kept
+
+
+def _held(space: MetricSpace, points: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Mask of the points of a point array within TOL of some point of
+    `cut`, measuring d(point, cut point)."""
+    held = np.zeros(len(points), dtype=bool)
+    for i, _ in _near(space, points, cut, TOL):
+        held[i] = True
+    return held
+
+
 def _greedy(space: MetricSpace, pts: np.ndarray, radius: float, start: np.ndarray | None = None) -> np.ndarray:
     """The points the keep-first scan keeps; those of `start` count as kept."""
     if start is not None and len(start):
@@ -84,7 +111,7 @@ def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     pts = space.point_array(points)
     if not len(pts):
         raise InputError("finite set must be nonempty")
-    return FiniteSet(space=space, array=_greedy(space, pts, TOL))
+    return FiniteSet(space=space, array=pts[_dedup(space, pts)])
 
 
 def _check_pair(a: FiniteSet, b: FiniteSet) -> None:
@@ -135,23 +162,26 @@ def _family_space(family: Sequence[FiniteSet]) -> MetricSpace:
 def union_family(family: Sequence[FiniteSet]) -> FiniteSet:
     """Deduplicated union of a nonempty family, first-occurrence order."""
     space = _family_space(family)
-    return FiniteSet(space=space, array=_greedy(space, np.concatenate([s.array for s in family]), TOL))
+    pts = np.concatenate([s.array for s in family])
+    return FiniteSet(space=space, array=pts[_dedup(space, pts)])
 
 
 def _prefix_unions(family: Sequence[FiniteSet]) -> Iterator[tuple[FiniteSet, np.ndarray]]:
     """The union of each prefix of a nonempty family, with the points its
     last member added.
 
-    A prefix union in first-occurrence order only gains points at its end,
-    so each member is deduplicated against the union so far instead of the
-    union being rebuilt; prefix k equals union_family(family[:k+1]).
+    The keep-first scan of a prefix of the points keeps a prefix of what the
+    scan of all of them keeps, so one scan of the whole family gives every
+    prefix union: prefix k is the kept points up to member k's end, and it
+    equals union_family(family[:k+1]).
     """
     space = _family_space(family)
-    union = family[0].array[:0]
-    for s in family:
-        fresh = _greedy(space, s.array, TOL, union)
-        union = np.concatenate([union, fresh])
-        yield FiniteSet(space=space, array=union), fresh
+    pts = np.concatenate([s.array for s in family])
+    kept = _dedup(space, pts)
+    union = pts[kept]
+    sizes = np.cumsum(kept)[np.cumsum([len(s) for s in family]) - 1].tolist()
+    for before, size in zip([0] + sizes, sizes):
+        yield FiniteSet(space=space, array=union[:size]), union[before:size]
 
 
 def prefix_net_sizes(family: Sequence[FiniteSet], eps: float) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
-"""Ambient metric spaces, points in them, and the one pairwise-distance kernel.
+"""Ambient metric spaces, points in them, the one pairwise-distance kernel and
+the near-pair search that decides identity at TOL with the kernel's arithmetic.
 
 Two desk-scale models are provided: Euclidean coordinates of any dimension and
 a finite space given by an explicit distance matrix.
@@ -10,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -173,15 +174,27 @@ def _coords(p):
     return (p,) if isinstance(p, (int, float)) else p
 
 
+def _root_sum_squares(xs, ys, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Euclidean distances into `out` from coordinate sequences xs and ys
+    whose k-th entries broadcast to its shape: squared differences summed
+    left to right (the later ones through `tmp`), as numpy's sum over an
+    axis shorter than 8 does, then the square root. Every Euclidean distance
+    is taken here, so a cell has the same bits whichever caller takes it."""
+    np.subtract(xs[0], ys[0], out=out)
+    np.multiply(out, out, out=out)
+    for k in range(1, len(ys)):
+        np.subtract(xs[k], ys[k], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    return np.sqrt(out, out=out)
+
+
 def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise distances d(a_i, b_j) between two point arrays of one space.
 
-    This is the one distance kernel. Euclidean rows are filled in blocks:
-    each block takes the squared first-coordinate difference, adds each
-    further squared coordinate from one rows x m scratch buffer (capped by
-    BLOCK_BYTES) and takes the square root in place. The sum runs left to
-    right, as numpy's sum over an axis shorter than 8 does. Finite mode
-    gathers from the matrix.
+    This is the one distance kernel. Euclidean rows are filled in blocks by
+    `_root_sum_squares`, whose second buffer is one rows x m scratch buffer
+    capped by BLOCK_BYTES. Finite mode gathers from the matrix.
     """
     if space.mode == FINITE:
         return space.matrix_array[np.ix_(a, b)]
@@ -190,16 +203,63 @@ def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scratch = np.empty((min(step, len(a)), len(b)))
     columns = np.ascontiguousarray(b.T)
     for s in range(0, len(a), step):
-        blk = out[s:s + step]
-        np.subtract(a[s:s + step, 0, None], columns[0], out=blk)
-        np.multiply(blk, blk, out=blk)
-        tmp = scratch[:len(blk)]
-        for k in range(1, len(columns)):
-            np.subtract(a[s:s + step, k, None], columns[k], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            blk += tmp
-        np.sqrt(blk, out=blk)
+        rows = a[s:s + step]
+        _root_sum_squares(rows.T[:, :, None], columns, out[s:s + step], scratch[:len(rows)])
     return out
+
+
+def _cells(rows: np.ndarray, columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The dist_matrix cells [i, j] of index vectors i and j, bit for bit,
+    from the coordinate columns rows = a.T and columns = b.T."""
+    out, tmp = np.empty(len(i)), np.empty(len(i))
+    return _root_sum_squares(rows[:, i], columns[:, j], out, tmp)
+
+
+def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The cells (i, j) that dist_matrix(space, a, b) <= radius marks, as
+    index vectors in chunks of nondecreasing rows i; radius is at least
+    1e-150, as TOL is.
+
+    Finite mode gathers the matrix in row blocks. Euclidean mode sorts b on
+    its first coordinate and measures, for each row, only the window of b
+    whose first coordinate lies in [fl(x0 - 2 radius), fl(x0 + 2 radius)],
+    in chunks of candidate cells whose 4 + 2 dim words each (the indices,
+    the gathered coordinates and the two buffers of _root_sum_squares) fit
+    BLOCK_BYTES, and at least one per chunk. A cell outside the
+    window is never within radius: say y0 < fl(x0 - 2r). Rounding is
+    monotone and y0 is a float, so x0 - y0 > 2r exactly, and since 2r is a
+    float, fl(x0 - y0) >= 2r. The kernel's sum adds nonnegative squares
+    with monotone rounding, so it is at least fl((2r)**2) = 4 fl(r**2)
+    >= 4 r**2 (1 - 2**-53): r**2 >= 1e-300 is a normal float, and coordinates
+    within COORD_MAX keep every square finite. Its square root then exceeds
+    r (1 + 2**-52), which bounds the next float above r, so the rounded
+    distance is > r. The case y0 > fl(x0 + 2r) is the mirror image. Cells
+    inside the window are measured by _cells, as dist_matrix measures them.
+    """
+    if space.mode == FINITE:
+        step = space.block_rows(len(b))
+        for s in range(0, len(a), step):
+            i, j = np.nonzero(dist_matrix(space, a[s:s + step], b) <= radius)
+            yield i + s, j
+        return
+    order = np.argsort(b[:, 0], kind="stable")
+    columns = np.ascontiguousarray(b[order].T)
+    rows = np.ascontiguousarray(a.T)
+    first = np.searchsorted(columns[0], rows[0] - 2 * radius, "left")
+    counts = np.searchsorted(columns[0], rows[0] + 2 * radius, "right") - first
+    ends = np.cumsum(counts)
+    total = int(counts.sum())
+    # flat candidate p of row r is sorted column p + shift[r]
+    shift = first + counts - ends
+    budget = space.block_rows(4 + 2 * space.dim)
+    for p in range(0, total, budget):
+        q = min(p + budget, total)
+        r0, r1 = np.searchsorted(ends, [p, q - 1], "right")
+        spans = np.minimum(ends[r0:r1 + 1], q) - np.maximum(ends[r0:r1 + 1] - counts[r0:r1 + 1], p)
+        i = np.repeat(np.arange(r0, r1 + 1), spans)
+        j = np.arange(p, q) + shift[i]
+        near = _cells(rows, columns, i, j) <= radius
+        yield i[near], order[j[near]]
 
 
 def validate_metric(space: MetricSpace) -> Certificate:

@@ -8,8 +8,10 @@ temporary over its last axis, the oracles' directed distance sampled level
 by level, the random generator that drew each coordinate on its own and
 built each cut with its own finite_set call, the triangle check that
 scanned one row of a distance matrix at a time, and the membership scan
-that measured every point at every level from the lowest up.
-test_differential.py compares the library against them.
+that measured every point at every level from the lowest up. Last come
+the identity decisions at TOL read from full kernel matrices, as dedup and
+nestedness took them before the near-pair search. test_differential.py
+and test_near.py compare the library against them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from fuzzymetrics import TOL, InputError, Point, StepFuzzySet
 from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
-from fuzzymetrics.space import EUCLIDEAN
+from fuzzymetrics.space import EUCLIDEAN, dist_matrix
 
 
 def distance(space, p: Point, q: Point) -> float:
@@ -177,3 +179,30 @@ def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     for a, cut in reversed(u.levels):
         out[cut.gaps(points) <= TOL] = a
     return out
+
+
+def dense_keep_first(space, pts: np.ndarray) -> np.ndarray:
+    """Keep-first mask at TOL from the full matrix of the points with
+    themselves, one row at a time: row i is kept iff no earlier kept point
+    lies within TOL of it, measuring d(new, kept)."""
+    near = dist_matrix(space, pts, pts) <= TOL
+    kept = np.zeros(len(pts), dtype=bool)
+    for i, row in enumerate(near):
+        kept[i] = not (row[:i] & kept[:i]).any()
+    return kept
+
+
+def dense_prefix_unions(space, arrays) -> list[np.ndarray]:
+    """The deduplicated union of each prefix of a list of point arrays, each
+    rebuilt from the full matrix of its points."""
+    out = []
+    for k in range(len(arrays)):
+        pts = np.concatenate(arrays[:k + 1])
+        out.append(pts[dense_keep_first(space, pts)])
+    return out
+
+
+def dense_subset(space, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every point of a lies within TOL of some point of b, from
+    the full matrix d(a_i, b_j): the directed Hausdorff distance <= TOL."""
+    return bool((dist_matrix(space, a, b) <= TOL).any(axis=1).all())

@@ -274,3 +274,27 @@ def test_negative_seed_is_rejected_by_the_cli(capsys, doc_path):
     assert captured.out == ""
     assert "--seed" in captured.err and "nonnegative" in captured.err
     assert main(["gen", doc_path, "--seed", "0"]) == 0
+
+
+# the modes that build no alpha grid: before the flag was checked at parse
+# time, they ignored a bad --alpha-grid and exited on their verdicts
+NON_GRID_MODES = [
+    ["converge", "--sequence", "col", "--limit", "u0", "--mode", "end"],
+    ["converge", "--sequence", "col", "--limit", "u0", "--mode", "send"],
+    ["compact", "--family", "tr", "--mode", "tb_send", "--eps", "0.4"],
+    ["compact", "--family", "tr", "--mode", "erc"],
+    ["compact", "--family", "tr", "--mode", "rel_send"],
+    ["compact", "--family", "fixed", "--mode", "closedness", "--candidate", "u0"],
+]
+
+
+@pytest.mark.parametrize("grid", ["0", "-5", str(10**8)])
+@pytest.mark.parametrize("argv", NON_GRID_MODES, ids=lambda argv: f"{argv[0]}-{argv[argv.index('--mode') + 1]}")
+def test_bad_alpha_grid_is_an_input_error_on_every_mode(capsys, doc_path, argv, grid):
+    # the command itself is valid: with a good grid it exits on its verdicts
+    assert main([argv[0], doc_path, *argv[1:], "--alpha-grid", "5"]) in (0, 1)
+    capsys.readouterr()
+    code = main([argv[0], doc_path, *argv[1:], "--alpha-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: alpha grid size must be an integer in 1..10000, got {grid}\n"
