@@ -26,7 +26,6 @@ from .fuzzy import (
     alpha_cut,
     crisp,
     make_fuzzy,
-    membership,
     p0_points,
     platform_points,
     same_representation,
@@ -39,7 +38,6 @@ from .metrics import (
     endograph_metric,
     endograph_oracle,
     gamma_diagnostic,
-    levelwise_distance,
     levelwise_profile,
     metric_matrix,
     send_decomposition_check,
@@ -49,7 +47,6 @@ from .metrics import (
 from .sets import (
     FiniteSet,
     cauchy_limit_construct,
-    covering_number,
     directed_hausdorff,
     eps_net,
     finite_set,
@@ -59,7 +56,6 @@ from .sets import (
 )
 from .space import (
     MetricSpace,
-    Point,
     validate_metric,
 )
 
@@ -72,7 +68,6 @@ __all__ = [
     "InputError",
     "MetricSpace",
     "PlatformSet",
-    "Point",
     "StepFuzzySet",
     "TOL",
     "Verdict",
@@ -80,7 +75,6 @@ __all__ = [
     "cauchy_limit_construct",
     "cauchy_tail_profile",
     "closedness_witness",
-    "covering_number",
     "crisp",
     "default_alpha_grid",
     "default_window",
@@ -95,11 +89,9 @@ __all__ = [
     "gamma_diagnostic",
     "hausdorff",
     "kuratowski_tail_diagnostic",
-    "levelwise_distance",
     "levelwise_profile",
     "load_document",
     "make_fuzzy",
-    "membership",
     "metric_matrix",
     "p0_points",
     "parse_document",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .common import TOL, InputError, real
 from .sets import FiniteSet, _held, finite_set, hausdorff
-from .space import MetricSpace, Point
+from .space import MetricSpace
 
 # Sorted ascending tuple of levels in (0,1).
 PlatformSet = tuple[float, ...]
@@ -122,11 +122,6 @@ def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def membership(u: StepFuzzySet, x: Point) -> float:
-    """Membership value at x: the highest stored level whose cut contains x."""
-    return float(memberships(u, u.space.point_array([x]))[0])
-
-
 def alpha_cut(u: StepFuzzySet, alpha: float) -> FiniteSet:
     """The cut {membership >= alpha} for alpha in (0,1]: the stored cut at the
     smallest stored level >= alpha."""
@@ -199,7 +194,7 @@ def p0_points(u: StepFuzzySet) -> PlatformSet:
     return tuple(sorted(out))
 
 
-def same_representation(u: StepFuzzySet, v: StepFuzzySet, tol: float = TOL) -> bool:
+def same_representation(u: StepFuzzySet, v: StepFuzzySet) -> bool:
     """Exact representation equality: same levels, equal cuts at tolerance."""
     if u.space != v.space or len(u.levels) != len(v.levels):
         return False

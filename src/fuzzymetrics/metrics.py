@@ -37,7 +37,7 @@ from .fuzzy import (
     platform_points,
     support,
 )
-from .sets import FiniteSet, hausdorff, union_family
+from .sets import FiniteSet, union_family
 from .space import MetricSpace, dist_matrix
 
 
@@ -252,16 +252,11 @@ def sendograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> fl
     )
 
 
-def levelwise_distance(u: StepFuzzySet, v: StepFuzzySet, alpha: float) -> float:
-    """Hausdorff distance between the alpha-cuts, alpha in (0,1]."""
-    _check_same_space(u, v)
-    return hausdorff(alpha_cut(u, alpha), alpha_cut(v, alpha))
-
-
 def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple[float, ...]:
     """n evenly spaced levels in (0,1); with a limit given, grid points that
     hit one of its platform levels are bisected toward the previous grid
-    point until they sit in a non-platform gap."""
+    point until they sit in a non-platform gap, or an InputError names the
+    grid point once a halving no longer moves it."""
     check_grid_size(n)
     base = [k / (n + 1) for k in range(1, n + 1)]
     if limit is None:
@@ -272,6 +267,8 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
         lo = base[i - 1] if i > 0 else 0.0
         val = g
         while any(abs(val - p) <= 1e-12 for p in plat):
+            if (val + lo) / 2.0 == val:
+                raise InputError(f"default alpha grid point {i} ({fmt(g)}) cannot leave the limit's platform levels")
             val = (val + lo) / 2.0
         out.append(val)
     return tuple(out)

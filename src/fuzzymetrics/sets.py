@@ -11,14 +11,13 @@ its arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .certificates import Certificate, tail_certificate
 from .common import TOL, InputError, check_positive
-from .space import EUCLIDEAN, MetricSpace, Point, _near, dist_matrix
+from .space import MetricSpace, _near, dist_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,20 +37,6 @@ class FiniteSet:
 
     def __len__(self) -> int:
         return len(self.array)
-
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        if self.space.mode == EUCLIDEAN:
-            return tuple(Point(coords=tuple(row)) for row in self.array.tolist())
-        return tuple(Point(index=i) for i in self.array.tolist())
-
-    def gaps(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each point of a point array to this set."""
-        return dist_matrix(self.space, points, self.array).min(axis=1)
-
-    def contains(self, x: Point, tol: float = TOL) -> bool:
-        """Whether x coincides with a member point within tol."""
-        return bool(self.gaps(self.space.point_array([x]))[0] <= tol)
 
 
 def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarray:
@@ -104,8 +89,8 @@ def _greedy(space: MetricSpace, pts: np.ndarray, radius: float, start: np.ndarra
 def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     """Build a FiniteSet, validating points and deduplicating at tolerance.
 
-    Points may be Point values, coordinate tuples (or bare numbers in
-    dimension 1) for Euclidean spaces, or integer indices for finite spaces.
+    Points are coordinate tuples (or bare numbers in dimension 1) for
+    Euclidean spaces, or integer indices for finite spaces.
     Input order is preserved for the points that survive deduplication.
     """
     pts = space.point_array(points)
@@ -124,7 +109,7 @@ def _check_pair(a: FiniteSet, b: FiniteSet) -> None:
 def directed_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """One-sided Hausdorff distance: max over a of the distance to b."""
     _check_pair(a, b)
-    return float(b.gaps(a.array).max())
+    return float(dist_matrix(a.space, a.array, b.array).min(axis=1).max())
 
 
 def hausdorff(a: FiniteSet, b: FiniteSet) -> float:
@@ -143,11 +128,6 @@ def eps_net(a: FiniteSet, eps: float) -> FiniteSet:
     """
     check_positive("eps", eps)
     return FiniteSet(space=a.space, array=_greedy(a.space, a.array, eps))
-
-
-def covering_number(a: FiniteSet, eps: float) -> int:
-    """Size of the greedy eps-net of `a`."""
-    return len(eps_net(a, eps))
 
 
 def _family_space(family: Sequence[FiniteSet]) -> MetricSpace:
@@ -189,7 +169,7 @@ def prefix_net_sizes(family: Sequence[FiniteSet], eps: float) -> tuple[int, ...]
 
     The greedy net of a prefix union only gains centers at its end, so only
     the points each member adds to the union are tested against the centers
-    so far; entry k equals covering_number(union_family(family[:k+1]), eps).
+    so far; entry k equals len(eps_net(union_family(family[:k+1]), eps)).
     """
     check_positive("eps", eps)
     space = _family_space(family)

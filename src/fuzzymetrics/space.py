@@ -1,4 +1,4 @@
-"""Ambient metric spaces, points in them, the one pairwise-distance kernel and
+"""Ambient metric spaces, the one pairwise-distance kernel and
 the near-pair search that decides identity at TOL with the kernel's arithmetic.
 
 Two desk-scale models are provided: Euclidean coordinates of any dimension and
@@ -7,7 +7,6 @@ a finite space given by an explicit distance matrix.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,35 +45,6 @@ def _float_array(rows, entry: str, shape: str) -> np.ndarray:
         for j, x in enumerate(row):
             real(entry.format(i, j), x)
     raise AssertionError("unreachable: some entry is not a real number within float range")
-
-
-@dataclass(frozen=True)
-class Point:
-    """An element of a metric space: coordinates (Euclidean mode) or an index
-    into the distance matrix (finite mode)."""
-
-    coords: tuple[float, ...] | None = None
-    index: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.coords is None) == (self.index is None):
-            raise InputError("point needs exactly one of coords or index")
-        if self.coords is not None:
-            row = _float_array([self.coords], "coordinate {1}", "point coordinates must be a sequence of numbers")[0]
-            coords = tuple(row.tolist())
-            if any(not math.isfinite(c) for c in coords):
-                raise InputError(f"non-finite coordinate in {coords}")
-            object.__setattr__(self, "coords", coords)
-        else:
-            object.__setattr__(self, "index", int(check_integer("point index", self.index, 0)))
-
-    @staticmethod
-    def euclidean(*coords: float) -> "Point":
-        return Point(coords=tuple(coords))
-
-    @staticmethod
-    def finite(index: int) -> "Point":
-        return Point(index=index)
 
 
 @dataclass(frozen=True)
@@ -122,13 +92,14 @@ class MetricSpace:
     def point_array(self, points: Iterable) -> np.ndarray:
         """Validated point array of an iterable of points.
 
-        Points may be Point values, coordinate sequences (or bare numbers in
-        dimension 1) in Euclidean mode, or integer indices in finite mode.
+        Points are coordinate sequences (or bare numbers in dimension 1) in
+        Euclidean mode, or integer indices in finite mode.
         The result is (n, dim) floats in Euclidean mode and an index vector
         in finite mode.
         """
         if self.mode == EUCLIDEAN:
-            arr = _float_array([_coords(p) for p in points], "coordinate {1} of point {0}",
+            arr = _float_array([(p,) if isinstance(p, (int, float)) else p for p in points],
+                               "coordinate {1} of point {0}",
                                "euclidean points must be coordinate sequences of numbers")
             if arr.shape == (0,):
                 arr = arr.reshape(0, self.dim)
@@ -144,8 +115,8 @@ class MetricSpace:
         indices = []
         for k, p in enumerate(points):
             try:
-                # a coordinate Point has index None, which operator.index rejects
-                i = _index(p.index if isinstance(p, Point) else p)
+                # a bool is not a point index
+                i = -1 if type(p) is bool else operator.index(p)
             except TypeError:
                 i = -1
             if not 0 <= i < n:
@@ -158,20 +129,9 @@ class MetricSpace:
         BLOCK_BYTES."""
         return max(1, BLOCK_BYTES // (8 * max(m, 1)))
 
-    def distance(self, p: Point, q: Point) -> float:
+    # d(p, q) of two points; kept because perfbench/tracer.py wraps it unconditionally
+    def distance(self, p, q) -> float:
         return float(dist_matrix(self, self.point_array([p]), self.point_array([q]))[0, 0])
-
-
-def _index(p) -> int:
-    if type(p) is bool:
-        raise TypeError("a bool is not a point index")
-    return operator.index(p)
-
-
-def _coords(p):
-    if isinstance(p, Point):
-        return p.coords
-    return (p,) if isinstance(p, (int, float)) else p
 
 
 def _root_sum_squares(xs, ys, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:

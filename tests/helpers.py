@@ -14,7 +14,6 @@ from fuzzymetrics import (
     FuzzyFamily,
     InputError,
     MetricSpace,
-    Point,
     StepFuzzySet,
     alpha_cut,
     crisp,
@@ -70,16 +69,18 @@ def part_maxima(cert, side: int = 0) -> tuple[float, ...]:
     return tuple(list(p.tail_max.values())[side] for p in cert.parts)
 
 
-def distance(space: MetricSpace, p: Point, q: Point) -> float:
-    """Metric distance d(p, q) in the given space."""
+def distance(space: MetricSpace, p, q) -> float:
+    """Metric distance d(p, q) in the given space, each point a coordinate
+    sequence (a bare number in dimension 1) or an index."""
     return space.distance(p, q)
 
 
 @dataclass(frozen=True)
 class LiftedPoint:
-    """A point of space x [0,1]: a base point together with a level."""
+    """A point of space x [0,1]: a base point (a coordinate tuple or an int
+    index) together with a level."""
 
-    point: Point
+    point: tuple[float, ...] | int
     level: float
 
     def __post_init__(self) -> None:

@@ -1,8 +1,9 @@
 """Plain-Python reference for the point-set layer.
 
-These are the per-Point routines that preceded the array kernel: one Python
+These are the per-point routines that preceded the array kernel: one Python
 distance call per pair of points, keep-first greedy scans in input order.
-Sets are tuples of Point values. Five routines that the library has since
+Points are coordinate tuples in Euclidean mode and int indices in finite
+mode, and sets are tuples of them. Five routines that the library has since
 replaced sit at the end: the Euclidean kernel that reduced a difference
 temporary over its last axis, the oracles' directed distance sampled level
 by level, the random generator that drew each coordinate on its own and
@@ -21,31 +22,37 @@ import operator
 
 import numpy as np
 
-from fuzzymetrics import TOL, InputError, Point, StepFuzzySet
+from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet
 from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
 from fuzzymetrics.space import EUCLIDEAN, dist_matrix
 
 
-def distance(space, p: Point, q: Point) -> float:
+def distance(space, p, q) -> float:
     if space.mode == EUCLIDEAN:
-        return math.dist(p.coords, q.coords)
-    return space.matrix[p.index][q.index]
+        return math.dist(p, q)
+    return space.matrix[p][q]
 
 
-def as_point(space, raw) -> Point:
-    if isinstance(raw, Point):
-        return raw
+def as_point(space, raw):
+    """A coordinate tuple (a bare number in dimension 1 is one coordinate)
+    or an int index."""
     if space.mode == EUCLIDEAN:
         if isinstance(raw, (int, float)):
             raw = (raw,)
-        return Point(coords=tuple(float(c) for c in raw))
-    return Point(index=operator.index(raw))
+        return tuple(float(c) for c in raw)
+    return operator.index(raw)
 
 
-def finite_set(space, points) -> tuple[Point, ...]:
-    kept: list[Point] = []
-    for raw in points:
+def points(s: FiniteSet) -> tuple:
+    """The points of a library set in the reference's form."""
+    rows = s.array.tolist()
+    return tuple(map(tuple, rows)) if s.space.mode == EUCLIDEAN else tuple(rows)
+
+
+def finite_set(space, raws) -> tuple:
+    kept: list = []
+    for raw in raws:
         p = as_point(space, raw)
         if not any(distance(space, p, q) <= TOL for q in kept):
             kept.append(p)
@@ -54,8 +61,8 @@ def finite_set(space, points) -> tuple[Point, ...]:
     return tuple(kept)
 
 
-def union_family(space, family) -> tuple[Point, ...]:
-    kept: list[Point] = []
+def union_family(space, family) -> tuple:
+    kept: list = []
     for s in family:
         for p in s:
             if not any(distance(space, p, q) <= TOL for q in kept):
@@ -63,8 +70,8 @@ def union_family(space, family) -> tuple[Point, ...]:
     return tuple(kept)
 
 
-def eps_net(space, a, eps: float) -> tuple[Point, ...]:
-    centers: list[Point] = []
+def eps_net(space, a, eps: float) -> tuple:
+    centers: list = []
     for p in a:
         if all(distance(space, p, c) > eps for c in centers):
             centers.append(p)
@@ -75,8 +82,8 @@ def directed_hausdorff(space, a, b) -> float:
     return max(min(distance(space, pa, pb) for pb in b) for pa in a)
 
 
-def membership(space, levels, x: Point) -> float:
-    """levels: (alpha, cut) pairs from 1.0 down, cuts as tuples of Points."""
+def membership(space, levels, x) -> float:
+    """levels: (alpha, cut) pairs from 1.0 down, cuts as tuples of points."""
     for a, cut in levels:
         if any(distance(space, x, p) <= TOL for p in cut):
             return a
@@ -177,7 +184,7 @@ def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     each level measuring every point and overwriting the lower ones."""
     out = np.zeros(len(points))
     for a, cut in reversed(u.levels):
-        out[cut.gaps(points) <= TOL] = a
+        out[dist_matrix(cut.space, points, cut.array).min(axis=1) <= TOL] = a
     return out
 
 

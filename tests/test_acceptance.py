@@ -117,7 +117,7 @@ def _divergent_family(seed):
     limit = random_fuzzy(SP2, rng, box=(0.0, 0.7), max_levels=4, max_points=6)
     shifted = make_fuzzy(
         [
-            (a, finite_set(SP2, [(p.coords[0] + 0.25, p.coords[1]) for p in cut.points]))
+            (a, finite_set(SP2, [(p[0] + 0.25, p[1]) for p in cut.array.tolist()]))
             for a, cut in limit.levels
         ]
     )
@@ -224,7 +224,7 @@ def test_criterion_9_hausdorff_tail_implies_kuratowski():
     for k in range(60):
         space = SP1 if k % 2 == 0 else SP2
         target = support(random_fuzzy(space, rng, box=(0.0, 2.0), max_points=5))
-        center = np.asarray([p.coords for p in target.points]).mean(axis=0)
+        center = target.array.mean(axis=0)
         style = k % 3
         prefix = []
         for n in range(1, 61):
@@ -233,14 +233,14 @@ def test_criterion_9_hausdorff_tail_implies_kuratowski():
                 prefix.append(
                     finite_set(
                         space,
-                        [tuple(c + t * (m - c) for c, m in zip(p.coords, center)) for p in target.points],
+                        [tuple(c + t * (m - c) for c, m in zip(p, center)) for p in target.array.tolist()],
                     )
                 )
             elif style == 1:  # constant
                 prefix.append(target)
             else:  # drifting away
                 prefix.append(
-                    finite_set(space, [tuple(c + 0.5 for c in p.coords) for p in target.points])
+                    finite_set(space, [tuple(c + 0.5 for c in p) for p in target.array.tolist()])
                 )
         series = [hausdorff(c, target) for c in prefix]
         if max(series[-window:]) < tol:

@@ -1,5 +1,5 @@
 """Differential checks of the array point-set layer against the plain-Python
-per-Point reference in reference_pointwise.py, on 1-D, 2-D and finite-mode
+per-point reference in reference_pointwise.py, on 1-D, 2-D and finite-mode
 sets, at the default row-block cap and at a cap that forces one row per
 block. The incremental prefix unions and nets are checked against unions and
 nets rebuilt from scratch, the one-matrix graph metrics against the closed
@@ -26,13 +26,11 @@ import reference_pointwise as ref
 from fuzzymetrics import (
     TOL,
     MetricSpace,
-    Point,
     Verdict,
     alpha_cut,
     cauchy_limit_construct,
     cauchy_tail_profile,
     closedness_witness,
-    covering_number,
     directed_hausdorff,
     endograph_convergence,
     endograph_metric,
@@ -42,10 +40,8 @@ from fuzzymetrics import (
     fuzzy_family,
     gamma_diagnostic,
     hausdorff,
-    levelwise_distance,
     levelwise_profile,
     make_fuzzy,
-    membership,
     metric_matrix,
     same_representation,
     send_decomposition_check,
@@ -106,8 +102,8 @@ def test_dedup_and_union_match_reference(data):
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             sets = [finite_set(space, r) for r in raws]
-            assert [s.points for s in sets] == expected
-            assert union_family(sets).points == ref.union_family(space, expected)
+            assert [ref.points(s) for s in sets] == expected
+            assert ref.points(union_family(sets)) == ref.union_family(space, expected)
 
 
 @given(st.data())
@@ -119,7 +115,7 @@ def test_eps_net_matches_reference(data):
     expected = ref.eps_net(space, ref.finite_set(space, raw), eps)
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            assert eps_net(finite_set(space, raw), eps).points == expected
+            assert ref.points(eps_net(finite_set(space, raw), eps)) == expected
 
 
 @given(st.data())
@@ -167,9 +163,8 @@ def test_membership_matches_reference(data):
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             u = make_fuzzy([(a, finite_set(space, r)) for a, r in raw_levels])
-            for q in queries:
-                p = ref.as_point(space, q)
-                assert membership(u, p) == ref.membership(space, ref_levels, p)
+            assert memberships(u, space.point_array(queries)).tolist() == [
+                ref.membership(space, ref_levels, ref.as_point(space, q)) for q in queries]
             expected = [ref.membership(space, ref_levels, p) for p in ref_levels[-1][1]]
             assert u.support_memberships.tolist() == expected
 
@@ -177,15 +172,15 @@ def test_membership_matches_reference(data):
 def test_near_duplicate_chain_keeps_first_and_third():
     p = 0.3
     chain = [p, p + 0.8e-9, p + 1.6e-9]
-    kept = [q.coords[0] for q in finite_set(SP1, chain).points]
-    assert kept == [c.coords[0] for c in ref.finite_set(SP1, chain)] == [chain[0], chain[2]]
-    assert union_family([finite_set(SP1, [c]) for c in chain]).points == ref.finite_set(SP1, chain)
+    kept = finite_set(SP1, chain).array[:, 0].tolist()
+    assert kept == [c[0] for c in ref.finite_set(SP1, chain)] == [chain[0], chain[2]]
+    assert ref.points(union_family([finite_set(SP1, [c]) for c in chain])) == ref.finite_set(SP1, chain)
 
 
 def test_points_exactly_eps_apart_on_a_grid():
     pts = [0.025 * k for k in range(41)]
     for eps in (0.025, 0.05, 0.075):
-        assert eps_net(finite_set(SP1, pts), eps).points == ref.eps_net(SP1, ref.finite_set(SP1, pts), eps)
+        assert ref.points(eps_net(finite_set(SP1, pts), eps)) == ref.eps_net(SP1, ref.finite_set(SP1, pts), eps)
 
 
 def test_sets_larger_than_one_row_block():
@@ -197,18 +192,17 @@ def test_sets_larger_than_one_row_block():
     ys = [0.003 * ((k * 104729) % 800) for k in range(n)]
     a, b = finite_set(SP1, xs), finite_set(SP1, ys)
     pa, pb = ref.finite_set(SP1, xs), ref.finite_set(SP1, ys)
-    assert a.points == pa and b.points == pb
+    assert ref.points(a) == pa and ref.points(b) == pb
     assert len(a) == 700
-    assert eps_net(a, 0.01).points == ref.eps_net(SP1, pa, 0.01)
-    assert union_family([a, b]).points == ref.union_family(SP1, [pa, pb])
+    assert ref.points(eps_net(a, 0.01)) == ref.eps_net(SP1, pa, 0.01)
+    assert ref.points(union_family([a, b])) == ref.union_family(SP1, [pa, pb])
     assert directed_hausdorff(a, b) == ref.directed_hausdorff(SP1, pa, pb)
     assert directed_hausdorff(b, a) == ref.directed_hausdorff(SP1, pb, pa)
 
 
 def test_contains_at_tolerance():
-    s = finite_set(SP1, [0.0, 1.0])
-    assert s.contains(Point.euclidean(1.0 + TOL / 2))
-    assert not s.contains(Point.euclidean(1.0 + 2 * TOL))
+    s = make_fuzzy([(1.0, finite_set(SP1, [0.0, 1.0]))])
+    assert memberships(s, SP1.point_array([1.0 + TOL / 2, 1.0 + 2 * TOL])).tolist() == [1.0, 0.0]
 
 
 @given(st.data())
@@ -222,7 +216,7 @@ def test_prefix_net_sizes_match_from_scratch_nets(data):
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             cuts = [finite_set(space, r) for r in raws]
             assert prefix_net_sizes(cuts, eps) == expected
-            assert expected == tuple(covering_number(union_family(cuts[:k + 1]), eps) for k in range(len(cuts)))
+            assert expected == tuple(len(eps_net(union_family(cuts[:k + 1]), eps)) for k in range(len(cuts)))
 
 
 @given(st.data())
@@ -235,8 +229,8 @@ def test_cauchy_partial_unions_match_reference(data):
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             partial, limit, residuals = cauchy_limit_construct([finite_set(space, r) for r in raws])
-            assert [p.points for p in partial] == unions
-            assert limit.points == unions[-1]
+            assert [ref.points(p) for p in partial] == unions
+            assert ref.points(limit) == unions[-1]
             assert residuals == [
                 max(ref.directed_hausdorff(space, p, unions[-1]), ref.directed_hausdorff(space, unions[-1], p))
                 for p in unions
@@ -307,10 +301,10 @@ def test_prefix_nets_of_cuts_larger_than_one_row_block():
     cuts = [finite_set(SP1, c) for c in (xs, ys, zs)]
     assert SP1.block_rows(len(cuts[0])) < len(cuts[0])
     for eps in (TOL, 0.0025, 0.01):
-        expected = tuple(covering_number(union_family(cuts[:k + 1]), eps) for k in range(len(cuts)))
+        expected = tuple(len(eps_net(union_family(cuts[:k + 1]), eps)) for k in range(len(cuts)))
         assert prefix_net_sizes(cuts, eps) == expected
     partial, _, _ = cauchy_limit_construct(cuts)
-    assert [p.points for p in partial] == [union_family(cuts[:k + 1]).points for k in range(len(cuts))]
+    assert [p.array.tolist() for p in partial] == [union_family(cuts[:k + 1]).array.tolist() for k in range(len(cuts))]
 
 
 @pytest.mark.parametrize("dim", range(1, 10))
@@ -384,7 +378,7 @@ def shared_cut_sequences(draw, kinds=SERIES_KINDS):
 
 
 def ref_levels(u):
-    return [(a, cut.points) for a, cut in u.levels]
+    return [(a, ref.points(cut)) for a, cut in u.levels]
 
 
 @given(shared_cut_sequences())
@@ -491,7 +485,7 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
 ONE_PAIR = {
     "end": endograph_metric,
     "send": sendograph_metric,
-    "level": lambda u, v: levelwise_distance(u, v, 0.6),
+    "level": lambda u, v: hausdorff(alpha_cut(u, 0.6), alpha_cut(v, 0.6)),
 }
 
 

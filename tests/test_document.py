@@ -126,7 +126,7 @@ def test_finite_space_document(tmp_path):
         ],
     }
     doc = load_document(write_doc(tmp_path, data))
-    assert doc.fuzzy("a").levels[1][1].points[1].index == 2
+    assert doc.fuzzy("a").levels[1][1].array[1] == 2
 
 
 def test_finite_space_rejects_bad_metric(tmp_path):
@@ -162,7 +162,7 @@ def test_round_trip_through_expansion(tmp_path):
     assert doc2.declared[0] == "u0"
     assert set(doc2.family("tr").names) == set(doc.family("tr").names)
     for name in doc.family("tr").names:
-        assert doc2.fuzzy(name).levels[0][1].points[0].coords == doc.fuzzy(name).levels[0][1].points[0].coords
+        assert doc2.fuzzy(name).levels[0][1].array[0].tolist() == doc.fuzzy(name).levels[0][1].array[0].tolist()
 
 
 def test_unknown_generator_kind(tmp_path):
@@ -190,7 +190,7 @@ def test_random_generator_seed_is_deterministic(tmp_path):
         u1, u2 = d1.fuzzy(n1), d2.fuzzy(n2)
         assert u1.alphas == u2.alphas
         for (_, c1), (_, c2) in zip(u1.levels, u2.levels):
-            assert [p.coords for p in c1.points] == [p.coords for p in c2.points]
+            assert c1.array.tolist() == c2.array.tolist()
 
 
 FINITE_OK = {

@@ -18,8 +18,8 @@ from fuzzymetrics import (
     finite_set,
     fuzzy_family,
     gamma_diagnostic,
-    levelwise_distance,
     make_fuzzy,
+    metric_matrix,
     send_decomposition_check,
     sendograph_metric,
     sendograph_oracle,
@@ -39,7 +39,7 @@ def test_finite_space_graph_metrics():
     # the base distance d(0,2)=2 dominates the sendograph side
     assert endograph_metric(u, v) == 1.0
     assert sendograph_metric(u, v) == 2.0
-    assert levelwise_distance(u, v, 0.5) == 2.0
+    assert metric_matrix([u, v], "level", 0.5)[0, 1] == 2.0
 
 
 def test_finite_space_oracle_agreement():

@@ -5,8 +5,8 @@ from fuzzymetrics import (
     Verdict,
     cauchy_tail_profile,
     closedness_witness,
-    covering_number,
     crisp,
+    eps_net,
     erc_modulus,
     fuzzy_family,
     make_fuzzy,
@@ -28,7 +28,7 @@ from helpers import SP1, SP2, family_union_cut, singleton, two_level
 
 
 def xs(s):
-    return sorted(p.coords[0] for p in s.points)
+    return sorted(s.array[:, 0].tolist())
 
 
 GRID10 = tuple(k / 10 for k in range(1, 11))
@@ -90,7 +90,7 @@ def test_tb_send_matches_direct_union_covering():
     # the report is the same computation as covering the support union
     fam = fuzzy_family([two_level(), singleton(0.25), singleton(3.0)])
     cert = tb_send_report(fam, 0.4)
-    direct = covering_number(union_family([support(u) for u in fam.members]), 0.4)
+    direct = len(eps_net(union_family([support(u) for u in fam.members]), 0.4))
     assert cert.evidence["net_size[support]"] == (float(direct),)
 
 

@@ -2,23 +2,24 @@ import pytest
 
 from fuzzymetrics import (
     InputError,
-    Point,
     alpha_cut,
     crisp,
+    directed_hausdorff,
     finite_set,
     make_fuzzy,
-    membership,
     p0_points,
     platform_points,
     same_representation,
     strict_cut_closure,
     support,
 )
+from fuzzymetrics.common import TOL
+from fuzzymetrics.fuzzy import memberships
 from helpers import SP1, fuzzy_corpus, singleton, two_level
 
 
 def xs(s):
-    return sorted(p.coords[0] for p in s.points)
+    return sorted(s.array[:, 0].tolist())
 
 
 def test_crisp_singleton():
@@ -55,9 +56,7 @@ def test_levels_must_strictly_decrease():
 
 def test_membership_values():
     u = two_level()
-    assert membership(u, Point.euclidean(0.0)) == 1.0
-    assert membership(u, Point.euclidean(1.0)) == 0.5
-    assert membership(u, Point.euclidean(2.0)) == 0.0
+    assert memberships(u, SP1.point_array([0.0, 1.0, 2.0])).tolist() == [1.0, 0.5, 0.0]
 
 
 def test_alpha_cut_scans_stored_levels():
@@ -130,14 +129,13 @@ def test_reconstruction_round_trip():
         for a, cut in u.levels:
             got = alpha_cut(rebuilt, a)
             assert xs(got) == xs(cut)
-            assert all(membership(u, p) >= a for p in cut.points)
+            assert (memberships(u, cut.array) >= a).all()
 
 
 def test_membership_lives_on_stored_alphas():
     for u in fuzzy_corpus(40, seed=43):
         allowed = {0.0, *u.alphas}
-        for p in support(u).points:
-            assert membership(u, p) in allowed
+        assert set(memberships(u, support(u).array).tolist()) <= allowed
 
 
 def test_normality():
@@ -150,9 +148,10 @@ def test_cut_monotonicity():
         grid = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
         for lo, hi in zip(grid, grid[1:]):
             big, small = alpha_cut(u, lo), alpha_cut(u, hi)
-            assert all(big.contains(p) for p in small.points)
+            assert directed_hausdorff(small, big) <= TOL
 
 
 def test_membership_space_checked():
+    u = two_level()
     with pytest.raises(InputError):
-        membership(two_level(), Point.euclidean(0.0, 0.0))
+        memberships(u, u.space.point_array([(0.0, 0.0)]))

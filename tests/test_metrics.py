@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fuzzymetrics import (
@@ -7,10 +13,11 @@ from fuzzymetrics import (
     endograph_convergence,
     endograph_metric,
     endograph_oracle,
+    finite_set,
     gamma_diagnostic,
     kuratowski_tail_diagnostic,
-    levelwise_distance,
     levelwise_profile,
+    make_fuzzy,
     metric_matrix,
     send_decomposition_check,
     sendograph_metric,
@@ -99,9 +106,9 @@ def test_metric_axioms_small_sample():
 
 def test_levelwise_distance_examples():
     u, s = two_level(), singleton(0.0)
-    assert levelwise_distance(u, s, 0.7) == 0.0
-    assert levelwise_distance(u, s, 0.5) == 1.0
-    assert levelwise_distance(u, u, 0.3) == 0.0
+    assert metric_matrix([u, s], "level", 0.7)[0, 1] == 0.0
+    assert metric_matrix([u, s], "level", 0.5)[0, 1] == 1.0
+    assert metric_matrix([u, u], "level", 0.3)[0, 1] == 0.0
 
 
 def test_default_alpha_grid_plain():
@@ -120,6 +127,49 @@ def test_default_alpha_grid_avoids_platform_levels():
     # the replacement sits in the gap just below the platform level
     replaced = [a for a in grid if 50 / 102 < a < 51 / 102]
     assert len(replaced) == 1
+
+
+def halving_chain_limit():
+    """A limit whose platform levels are 2/102, every midpoint that halving
+    2/102 toward 1/102 reaches, and 1/102 itself: the default grid point 1
+    (2/102) halves toward grid point 0 (1/102) and never leaves them."""
+    lo, val = 1 / 102, 2 / 102
+    alphas = [1.0, val]
+    while (val + lo) / 2 != val:
+        val = (val + lo) / 2
+        alphas.append(val)
+    assert alphas[-1] == lo and len(alphas) == 55
+    return make_fuzzy([(a, finite_set(SP1, [float(k) for k in range(i + 1)])) for i, a in enumerate(alphas)])
+
+
+def test_default_alpha_grid_rejects_a_point_halving_cannot_move():
+    limit = halving_chain_limit()
+    with pytest.raises(InputError, match=r"default alpha grid point 1 \(0\.0196078431\)"):
+        default_alpha_grid(limit)
+    # on 50 levels, grid point 0 (1/51 = 2/102) halves toward 0.0, past
+    # 1/102, and leaves the chain at 1/204
+    assert default_alpha_grid(limit, 50)[0] == 1 / 204
+
+
+def test_converge_level_rejects_a_point_halving_cannot_move(tmp_path):
+    limit = halving_chain_limit()
+    doc = {
+        "space": {"type": "euclidean", "dim": 1},
+        "fuzzy_sets": [
+            {"name": "lim", "levels": [{"alpha": a, "points": cut.array.tolist()} for a, cut in limit.levels]},
+            {"name": "u0", "levels": [{"alpha": 1.0, "points": [[0.0]]}]},
+        ],
+        "sequences": [{"name": "s", "members": ["u0", "lim"]}],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "fuzzymetrics.cli", "converge", str(path), "--sequence", "s",
+                           "--limit", "lim", "--mode", "level"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: default alpha grid point 1 (0.0196078431) cannot leave the limit's platform levels"]
 
 
 def test_levelwise_profile_reciprocal_sequence():

@@ -4,7 +4,6 @@ from fuzzymetrics import (
     InputError,
     Verdict,
     cauchy_limit_construct,
-    covering_number,
     directed_hausdorff,
     eps_net,
     finite_set,
@@ -12,11 +11,12 @@ from fuzzymetrics import (
     kuratowski_tail_diagnostic,
     union_family,
 )
+from fuzzymetrics.common import TOL
 from helpers import SP1, SP2
 
 
 def pts(s):
-    return sorted(p.coords[0] for p in s.points)
+    return sorted(s.array[:, 0].tolist())
 
 
 def test_directed_identical():
@@ -82,20 +82,21 @@ def test_eps_net_covers_and_is_subset():
     a = finite_set(SP1, [0.0, 0.3, 0.7, 1.1, 1.2, 2.5])
     for eps in (0.2, 0.5, 1.0):
         net = eps_net(a, eps)
-        assert all(a.contains(c) for c in net.points)
-        assert all(min(abs(p.coords[0] - c.coords[0]) for c in net.points) <= eps for p in a.points)
+        assert directed_hausdorff(net, a) <= TOL
+        centers = net.array[:, 0].tolist()
+        assert all(min(abs(x - c) for c in centers) <= eps for x in a.array[:, 0].tolist())
 
 
 def test_covering_number_examples():
-    assert covering_number(finite_set(SP1, [0.0]), 0.25) == 1
-    assert covering_number(finite_set(SP1, [0.0, 0.4, 1.0]), 0.5) == 2
+    assert len(eps_net(finite_set(SP1, [0.0]), 0.25)) == 1
+    assert len(eps_net(finite_set(SP1, [0.0, 0.4, 1.0]), 0.5)) == 2
     ints = finite_set(SP1, [float(k) for k in range(1, 11)])
-    assert covering_number(ints, 0.4) == 10
+    assert len(eps_net(ints, 0.4)) == 10
 
 
 def test_covering_number_monotone_in_eps():
     a = finite_set(SP1, [0.0, 0.3, 0.7, 1.1, 1.2, 2.5])
-    values = [covering_number(a, eps) for eps in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2)]
+    values = [len(eps_net(a, eps)) for eps in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2)]
     assert all(x >= y for x, y in zip(values, values[1:]))
 
 
@@ -192,4 +193,4 @@ def test_family_greedy_net_under_hausdorff_covers():
     assert all(min(hausdorff(s, c) for c in centers) <= eps for s in family)
     # and the pointwise union is coverable with a net no larger than itself
     union = union_family(family)
-    assert covering_number(union, eps) <= len(union)
+    assert len(eps_net(union, eps)) <= len(union)

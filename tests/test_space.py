@@ -10,7 +10,6 @@ from hypothesis import given
 from fuzzymetrics import (
     InputError,
     MetricSpace,
-    Point,
     Verdict,
     finite_set,
     load_document,
@@ -24,36 +23,36 @@ SP2 = MetricSpace.euclidean(2)
 
 
 def test_distance_identity():
-    assert distance(SP1, Point.euclidean(0.0), Point.euclidean(0.0)) == 0.0
+    assert distance(SP1, (0.0,), (0.0,)) == 0.0
 
 
 def test_distance_1d_absolute_difference():
-    assert distance(SP1, Point.euclidean(0.0), Point.euclidean(3.0)) == 3.0
+    assert distance(SP1, (0.0,), (3.0,)) == 3.0
 
 
 def test_distance_2d_pythagoras():
-    assert distance(SP2, Point.euclidean(0.0, 0.0), Point.euclidean(3.0, 4.0)) == pytest.approx(5.0, abs=1e-9)
+    assert distance(SP2, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(InputError):
-        distance(SP2, Point.euclidean(0.0), Point.euclidean(1.0, 2.0))
+        distance(SP2, (0.0,), (1.0, 2.0))
 
 
 def test_finite_space_distance_and_bounds():
     sp = MetricSpace.finite([[0.0, 1.0], [1.0, 0.0]])
-    assert distance(sp, Point.finite(0), Point.finite(1)) == 1.0
+    assert distance(sp, 0, 1) == 1.0
     with pytest.raises(InputError):
-        distance(sp, Point.finite(0), Point.finite(2))
+        distance(sp, 0, 2)
     with pytest.raises(InputError):
-        distance(sp, Point.euclidean(0.0), Point.finite(1))
+        distance(sp, (0.0,), 1)
 
 
 def test_point_rejects_nan():
     with pytest.raises(InputError):
-        Point.euclidean(float("nan"))
+        SP1.point_array([(float("nan"),)])
     with pytest.raises(InputError):
-        Point.euclidean(float("inf"))
+        SP1.point_array([(float("inf"),)])
 
 
 def test_matrix_must_be_square_and_nonnegative():
@@ -64,33 +63,33 @@ def test_matrix_must_be_square_and_nonnegative():
 
 
 def test_lifted_distance_same_base_point():
-    a = LiftedPoint(Point.euclidean(0.0), 0.2)
-    b = LiftedPoint(Point.euclidean(0.0), 0.9)
+    a = LiftedPoint((0.0,), 0.2)
+    b = LiftedPoint((0.0,), 0.9)
     assert lifted_distance(SP1, a, b) == pytest.approx(0.7, abs=1e-9)
 
 
 def test_lifted_distance_combined():
-    a = LiftedPoint(Point.euclidean(0.0), 0.0)
-    b = LiftedPoint(Point.euclidean(1.0), 1.0)
+    a = LiftedPoint((0.0,), 0.0)
+    b = LiftedPoint((1.0,), 1.0)
     assert lifted_distance(SP1, a, b) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_lifted_distance_identity():
-    a = LiftedPoint(Point.euclidean(0.5), 0.3)
+    a = LiftedPoint((0.5,), 0.3)
     assert lifted_distance(SP1, a, a) == 0.0
 
 
 def test_lifted_level_range():
     with pytest.raises(InputError):
-        LiftedPoint(Point.euclidean(0.0), 1.5)
+        LiftedPoint((0.0,), 1.5)
 
 
 def test_lifted_distance_dominates_components():
     pts = [(0.0, 0.1), (1.0, 0.9), (0.25, 0.5), (2.0, 0.0)]
     for x, s in pts:
         for y, t in pts:
-            a = LiftedPoint(Point.euclidean(x), s)
-            b = LiftedPoint(Point.euclidean(y), t)
+            a = LiftedPoint((x,), s)
+            b = LiftedPoint((y,), t)
             d = lifted_distance(SP1, a, b)
             assert d >= abs(s - t) - 1e-12
             assert d >= abs(x - y) - 1e-12
@@ -121,10 +120,10 @@ def test_validate_metric_rejects_euclidean():
 
 
 def test_metric_axioms_on_sampled_triples():
-    pts2 = [Point.euclidean(x, y) for x in (0.0, 0.5, 1.5) for y in (0.0, 1.0)]
+    pts2 = [(x, y) for x in (0.0, 0.5, 1.5) for y in (0.0, 1.0)]
     sp_fin = MetricSpace.finite([[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
     assert validate_metric(sp_fin).verdict is Verdict.PASS
-    pts_fin = [Point.finite(i) for i in range(3)]
+    pts_fin = list(range(3))
     for sp, pts in ((SP2, pts2), (sp_fin, pts_fin)):
         for p in pts:
             for q in pts:
@@ -134,7 +133,7 @@ def test_metric_axioms_on_sampled_triples():
 
 
 def test_distance_zero_iff_equal():
-    p, q = Point.euclidean(0.0, 0.0), Point.euclidean(1e-3, 0.0)
+    p, q = (0.0, 0.0), (1e-3, 0.0)
     assert distance(SP2, p, p) <= 1e-9
     assert distance(SP2, p, q) > 1e-9
 
@@ -209,11 +208,11 @@ FINITE2 = MetricSpace.finite([[0.0, 1.0], [1.0, 0.0]])
         lambda: MetricSpace.finite([[0, "1"], ["1", 0]]),
         lambda: MetricSpace.finite([[0.0, True], [True, 0.0]]),
         lambda: MetricSpace.finite(np.array([[False, True], [True, False]])),
-        lambda: Point.euclidean("1.5"),
-        lambda: Point.finite(True),
-        lambda: Point.finite(1.5),
-        lambda: LiftedPoint(Point.euclidean(0.0), True),
-        lambda: LiftedPoint(Point.euclidean(0.0), "0.5"),
+        lambda: SP1.point_array([("1.5",)]),
+        lambda: FINITE2.point_array([True]),
+        lambda: FINITE2.point_array([1.5]),
+        lambda: LiftedPoint((0.0,), True),
+        lambda: LiftedPoint((0.0,), "0.5"),
         lambda: MetricSpace.euclidean(True),
         lambda: MetricSpace.euclidean(2.5),
     ],
@@ -232,7 +231,7 @@ def test_library_constructors_accept_ints_and_numpy_numbers():
     assert finite_set(SP2, np.array([[0.5, 1.0]])).array.tolist() == [[0.5, 1.0]]
     assert finite_set(FINITE2, [np.int64(1), 0]).array.tolist() == [1, 0]
     assert MetricSpace.euclidean(np.int64(2)).dim == 2
-    assert LiftedPoint(Point.euclidean(0.0), 1).level == 1
+    assert LiftedPoint((0.0,), 1).level == 1
     space = MetricSpace.finite(np.array([[0, 2], [2, 0]]))
     assert space.matrix == ((0.0, 2.0), (2.0, 0.0))
     assert space.matrix_array.tolist() == [[0.0, 2.0], [2.0, 0.0]]
