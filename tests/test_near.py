@@ -7,6 +7,7 @@ one candidate pair per chunk. Last, two checks that the search's memory
 stays within a multiple of BLOCK_BYTES."""
 
 import tracemalloc
+from datetime import timedelta
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -31,6 +32,11 @@ BASES = (0.0, 0.3, 1.0, -1.0, 2.0 ** 20, np.nextafter(2.0 ** 20, np.inf), np.nex
          2.0 ** -3, COORD_MAX, -COORD_MAX, np.nextafter(COORD_MAX, 0.0))
 OFFSETS = (0.0, TOL, TOL * (1 + ULP), TOL * (1 - ULP), 0.5 * TOL, 2 * TOL, 0.25)
 RADII = (TOL, TOL * (1 + ULP), TOL * (1 - ULP), 0.25, 1.0)
+
+# At the smallest cap every candidate pair is a chunk of its own, so an
+# example of 20 points on one sort coordinate takes about 0.2 s on a desktop
+# core, around Hypothesis's default deadline; the limit is set well above it.
+DEADLINE = timedelta(seconds=5)
 
 coordinate = st.tuples(st.sampled_from(BASES), st.sampled_from(OFFSETS)).map(lambda t: t[0] + t[1])
 
@@ -69,7 +75,7 @@ def dense_pairs(space, a, b, radius):
 
 
 @given(scenes(), st.sampled_from(RADII))
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=DEADLINE)
 def test_near_pairs_match_the_full_matrix(scene, radius):
     space, ra, rb = scene
     a, b = space.point_array(ra), space.point_array(rb)
@@ -108,7 +114,7 @@ def test_candidate_cells_are_bit_equal_to_the_kernel(dim):
 
 
 @given(scenes())
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=DEADLINE)
 def test_dedup_and_unions_match_the_dense_scan(scene):
     space, ra, rb = scene
     a, b = space.point_array(ra), space.point_array(rb)
@@ -135,7 +141,7 @@ def fuzzy_or_none(levels):
 
 
 @given(scenes(), st.data())
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=DEADLINE)
 def test_nestedness_and_memberships_match_the_dense_checks(scene, data):
     space, ra, rb = scene
     # the lower cut either extends the upper one or is drawn on its own
