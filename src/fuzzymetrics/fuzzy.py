@@ -91,15 +91,12 @@ def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
     return StepFuzzySet(levels=tuple(pairs))
 
 
-def _prefix_fuzzy(levels: tuple[tuple[float, FiniteSet], ...]) -> StepFuzzySet:
+def _prefix_fuzzy(levels: tuple[tuple[float, FiniteSet], ...], values: np.ndarray) -> StepFuzzySet:
     """Unchecked step set of decreasing levels whose cuts are prefixes of the
-    deduplicated support: each level is the membership of the points it adds."""
-    values: list[float] = []
-    for a, cut in levels:
-        values += [a] * (len(cut.array) - len(values))
+    deduplicated support, with `values`, a read-only view, as its support
+    memberships: each level is the membership of the points it adds."""
     u = StepFuzzySet(levels=levels)
-    u.__dict__["support_memberships"] = out = np.array(values)
-    out.flags.writeable = False
+    u.__dict__["support_memberships"] = values
     return u
 
 

@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 
-from .common import TOL, InputError, check_integer, real
+from .common import InputError, check_integer, real
 from .families import FuzzyFamily, GeneratorTag, fuzzy_family
 from .fuzzy import StepFuzzySet, _prefix_fuzzy, crisp, make_fuzzy, support
-from .sets import FiniteSet, _keep_first, finite_set
+from .sets import FiniteSet, _dedup, finite_set
 from .space import COORD_MAX, EUCLIDEAN, MetricSpace
 
 # Bounds that let every family of a document that loads be built: members,
@@ -121,10 +121,14 @@ def collapse_family(
     collapse_count(space, count, base, far)
     # cuts are immutable, so every member shares the same two; dedup keeps
     # the base point first, so core is a prefix of pair and, with 1 > 1/n,
-    # every member is a valid step set without make_fuzzy checking it again
+    # every member is a valid step set without make_fuzzy checking it again;
+    # member n's memberships are 1 and 1/n, cut to len(pair) (1 if far ~ base)
     core = finite_set(space, [_axis_point(space, base)])
     pair = finite_set(space, [_axis_point(space, base), _axis_point(space, far)])
-    members = [_prefix_fuzzy(((1.0, core), (1.0 / n, pair)) if n > 1 else ((1.0, pair),)) for n in range(1, count + 1)]
+    values = np.column_stack([np.ones(count), 1.0 / np.arange(1, count + 1)])[:, :len(pair)]
+    values.flags.writeable = False
+    members = [_prefix_fuzzy(((1.0, core), (1.0 / n, pair)) if n > 1 else ((1.0, pair),), values[n - 1])
+               for n in range(1, count + 1)]
     names = [f"c[{n}]" for n in range(1, count + 1)]
     params = tuple(1.0 / n for n in range(1, count + 1))
     return fuzzy_family(members, names, GeneratorTag("collapse", params))
@@ -134,9 +138,11 @@ def crisp_interval(space: MetricSpace, low: float, high: float, step: float = 0.
     """Crisp set sampling the interval [low, high] on the first axis at the
     given step (endpoint included)."""
     _require_euclidean(space)
+    low, high, step = real("'low'", low), real("'high'", high), real("'step'", step)
     if high < low or step <= 0:
         raise InputError("need low <= high and step > 0")
     n = _grid_steps((high - low) / step)
+    _check_size(space, 1, n + 2)
     xs = [low + k * step for k in range(n + 1)]
     if xs[-1] < high - 1e-12:
         xs.append(high)
@@ -173,14 +179,10 @@ def crisp_interval_family(
     return fuzzy_family(members, names, GeneratorTag("crisp_intervals", tuple(xs)))
 
 
-def random_fuzzy(
-    space: MetricSpace,
-    rng: np.random.Generator,
-    box: tuple[float, float] = (0.0, 1.0),
-    max_levels: int = 4,
-    max_points: int = 6,
-) -> StepFuzzySet:
-    """One random step fuzzy set with cuts inside the box.
+def _random_members(space: MetricSpace, rng: np.random.Generator, count: int, box: tuple[float, float],
+                    max_levels: int, max_points: int) -> list[StepFuzzySet]:
+    """`count` random step fuzzy sets with cuts inside the box, drawn one
+    after another from rng and built in one pass.
 
     Levels below 1.0 are drawn in (0.05, 0.95) with pairwise gaps of at least
     0.02; a level may add no new points, which keeps non-platform stored
@@ -188,33 +190,58 @@ def random_fuzzy(
     """
     _require_euclidean(space)
     lo, hi = _check_box(box)
-    n_levels = int(rng.integers(1, max_levels + 1))
-    alphas = [1.0]
-    for _ in range(_RANDOM_LEVELS - 1):
-        if len(alphas) == n_levels:
-            break
-        a = float(rng.uniform(0.05, 0.95))
-        if all(abs(a - b) >= 0.02 for b in alphas):
-            alphas.append(a)
-    alphas = [1.0] + sorted(alphas[1:], reverse=True)
-    blocks, ends = [], [0]
-    for i in range(len(alphas)):
-        cap = min(2, max_points - ends[-1])
-        n_new = int(rng.integers(1 if i == 0 else 0, cap + 1)) if cap > 0 else 0
-        blocks.append(rng.uniform(lo, hi, size=(n_new, space.dim)))  # the values scalar draws give
-        ends.append(ends[-1] + n_new)
-    # keep-first dedup keeps of each prefix what the prefix alone keeps, so
-    # every cut is a prefix of the support and the set is valid as built
+    check_integer("'max_levels'", max_levels, 1, MAX_LEVELS)
+    check_integer("'max_points'", max_points, 1)
+    members, blocks, sizes = [], [], []
+    for _ in range(count):
+        n_levels = int(rng.integers(1, max_levels + 1))
+        alphas = [1.0]
+        for _ in range(_RANDOM_LEVELS - 1):
+            if len(alphas) == n_levels:
+                break
+            a = float(rng.uniform(0.05, 0.95))
+            if all(abs(a - b) >= 0.02 for b in alphas):
+                alphas.append(a)
+        alphas = [1.0] + sorted(alphas[1:], reverse=True)
+        end = 0
+        for i in range(len(alphas)):
+            cap = min(2, max_points - end)
+            n_new = int(rng.integers(1 if i == 0 else 0, cap + 1)) if cap > 0 else 0
+            blocks.append(rng.uniform(lo, hi, size=(n_new, space.dim)))  # the values scalar draws give
+            sizes.append(n_new)
+            end += n_new
+        members.append((alphas, end))
+    # keep-first dedup within each member keeps of each prefix of it what
+    # the prefix alone keeps, so every cut is a prefix of the member's
+    # support and the set is valid as built
     pts = np.concatenate(blocks)
-    kept = _keep_first(space, pts, TOL)
-    kept_before, supp = [0] + kept.cumsum().tolist(), pts[kept]
-    levels, size = [], 0
-    for a, end in zip(alphas, ends[1:]):
-        if kept_before[end] > size:
-            size = kept_before[end]
-            cut = FiniteSet(space=space, array=supp[:size])
-        levels.append((a, cut))
-    return _prefix_fuzzy(tuple(levels))
+    kept = _dedup(space, pts, np.array([end for _, end in members]))
+    supp, values = pts[kept], np.repeat([a for alphas, _ in members for a in alphas], sizes)[kept]
+    supp.flags.writeable = values.flags.writeable = False
+    kept_before = np.concatenate([[0], np.cumsum(kept)])[np.cumsum([0] + sizes)].tolist()
+    out, level = [], 0
+    for alphas, _ in members:
+        start = size = kept_before[level]
+        levels = []
+        for a in alphas:
+            level += 1
+            if kept_before[level] > size:
+                size = kept_before[level]
+                cut = FiniteSet(space=space, array=supp[start:size])
+            levels.append((a, cut))
+        out.append(_prefix_fuzzy(tuple(levels), values[start:size]))
+    return out
+
+
+def random_fuzzy(
+    space: MetricSpace,
+    rng: np.random.Generator,
+    box: tuple[float, float] = (0.0, 1.0),
+    max_levels: int = 4,
+    max_points: int = 6,
+) -> StepFuzzySet:
+    """One random step fuzzy set with cuts inside the box; see _random_members."""
+    return _random_members(space, rng, 1, box, max_levels, max_points)[0]
 
 
 def random_count(
@@ -246,8 +273,7 @@ def random_family(
 ) -> FuzzyFamily:
     """Seeded family of random step fuzzy sets inside the box."""
     random_count(space, count, seed, box, max_levels, max_points)
-    rng = np.random.default_rng(seed)
-    members = [random_fuzzy(space, rng, box, max_levels, max_points) for _ in range(count)]
+    members = _random_members(space, np.random.default_rng(seed), count, box, max_levels, max_points)
     names = [f"r[{k + 1}]" for k in range(count)]
     params = tuple(float(k + 1) for k in range(count))
     return fuzzy_family(members, names, GeneratorTag("random", params))

@@ -4,8 +4,8 @@ FiniteSet is a nonempty deduplicated point array standing in for a nonempty
 compact subset of the space. On such sets the Hausdorff metric, greedy
 eps-nets, set-sequence tail diagnostics and the constructive Cauchy limit are
 all exactly computable. Every distance comes from `space.dist_matrix`, or
-for identity at TOL from the near-pair search `space._near`, which shares
-its arithmetic.
+for identity at TOL from the near-pair search `space._near` or the run
+window `space._window`, which share its arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificates import Certificate, tail_certificate
 from .common import TOL, InputError, check_positive
-from .space import MetricSpace, _near, dist_matrix
+from .space import MetricSpace, _near, _window, dist_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +53,22 @@ def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarra
     return kept
 
 
-def _dedup(space: MetricSpace, pts: np.ndarray) -> np.ndarray:
+def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
     """Mask of the keep-first scan at TOL from the near pairs of the points
-    with themselves. A point with no earlier point within TOL, measuring
-    d(new, earlier), is kept outright; the others are kept, in input order,
-    iff none of those is kept (a row split over chunks, by every part)."""
+    with themselves, or, given the lengths of consecutive runs of Euclidean
+    points, of each run on its own: then the window of a point is every
+    earlier point of its run. A point with no earlier point within TOL,
+    measuring d(new, earlier), is kept outright; the others are kept, in
+    input order, iff none of those is kept (a row split over chunks, by
+    every part)."""
+    if runs is None:
+        pairs = _near(space, pts, pts, TOL)
+    else:
+        coords = np.ascontiguousarray(pts.T)
+        first = np.repeat(np.cumsum(runs) - runs, runs)
+        pairs = _window(space, coords, coords, first, np.arange(len(pts)) - first, TOL)
     kept = np.ones(len(pts), dtype=bool)
-    for i, j in _near(space, pts, pts, TOL):
+    for i, j in pairs:
         earlier = j < i
         if not earlier.any():
             continue

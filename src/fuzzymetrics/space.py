@@ -183,18 +183,15 @@ def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> It
     Finite mode gathers the matrix in row blocks. Euclidean mode sorts b on
     its first coordinate and measures, for each row, only the window of b
     whose first coordinate lies in [fl(x0 - 2 radius), fl(x0 + 2 radius)],
-    in chunks of candidate cells whose 4 + 2 dim words each (the indices,
-    the gathered coordinates and the two buffers of _root_sum_squares) fit
-    BLOCK_BYTES, and at least one per chunk. A cell outside the
-    window is never within radius: say y0 < fl(x0 - 2r). Rounding is
-    monotone and y0 is a float, so x0 - y0 > 2r exactly, and since 2r is a
-    float, fl(x0 - y0) >= 2r. The kernel's sum adds nonnegative squares
-    with monotone rounding, so it is at least fl((2r)**2) = 4 fl(r**2)
-    >= 4 r**2 (1 - 2**-53): r**2 >= 1e-300 is a normal float, and coordinates
-    within COORD_MAX keep every square finite. Its square root then exceeds
-    r (1 + 2**-52), which bounds the next float above r, so the rounded
-    distance is > r. The case y0 > fl(x0 + 2r) is the mirror image. Cells
-    inside the window are measured by _cells, as dist_matrix measures them.
+    through _window. A cell outside the window is never within radius: say
+    y0 < fl(x0 - 2r). Rounding is monotone and y0 is a float, so x0 - y0 > 2r
+    exactly, and since 2r is a float, fl(x0 - y0) >= 2r. The kernel's sum
+    adds nonnegative squares with monotone rounding, so it is at least
+    fl((2r)**2) = 4 fl(r**2) >= 4 r**2 (1 - 2**-53): r**2 >= 1e-300 is a
+    normal float, and coordinates within COORD_MAX keep every square finite.
+    Its square root then exceeds r (1 + 2**-52), which bounds the next float
+    above r, so the rounded distance is > r. The case y0 > fl(x0 + 2r) is
+    the mirror image.
     """
     if space.mode == FINITE:
         step = space.block_rows(len(b))
@@ -207,9 +204,21 @@ def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> It
     rows = np.ascontiguousarray(a.T)
     first = np.searchsorted(columns[0], rows[0] - 2 * radius, "left")
     counts = np.searchsorted(columns[0], rows[0] + 2 * radius, "right") - first
+    for i, j in _window(space, rows, columns, first, counts, radius):
+        yield i, order[j]
+
+
+def _window(space: MetricSpace, rows: np.ndarray, columns: np.ndarray, first: np.ndarray, counts: np.ndarray,
+            radius: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The cells (i, j) within radius, j in [first[i], first[i] + counts[i]),
+    of the Euclidean coordinate columns rows = a.T and columns = b.T, which
+    _cells measures as dist_matrix(space, a, b) does, as index vectors in
+    chunks of nondecreasing rows: at least one candidate cell a chunk, and
+    as many as fit BLOCK_BYTES at 4 + 2 dim words each (the indices, the
+    gathered coordinates and the two buffers of _root_sum_squares)."""
     ends = np.cumsum(counts)
     total = int(counts.sum())
-    # flat candidate p of row r is sorted column p + shift[r]
+    # flat candidate p of row r is column p + shift[r]
     shift = first + counts - ends
     budget = space.block_rows(4 + 2 * space.dim)
     for p in range(0, total, budget):
@@ -219,7 +228,7 @@ def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> It
         i = np.repeat(np.arange(r0, r1 + 1), spans)
         j = np.arange(p, q) + shift[i]
         near = _cells(rows, columns, i, j) <= radius
-        yield i[near], order[j[near]]
+        yield i[near], j[near]
 
 
 def validate_metric(space: MetricSpace) -> Certificate:

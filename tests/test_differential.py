@@ -56,7 +56,7 @@ from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships
 from fuzzymetrics.metrics import graph_matrices
-from fuzzymetrics.generators import collapse_family, random_fuzzy
+from fuzzymetrics.generators import collapse_family, random_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
 from helpers import CAPS, SP1, SP2, part_maxima, part_series
@@ -618,6 +618,35 @@ def test_random_members_match_per_level_construction(dim, box):
         # both generators leave the stream at the same place
         assert rng.random() == rng_ref.random()
     assert (reused > 0) == (box[1] < TOL)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("box", [(0.0, 1.0), (-2.0, 3.5), (0.0, 1e-10), (0.0, 3e-9)],
+                         ids=["unit", "wide", "tiny", "near-tol"])
+def test_random_family_matches_members_drawn_one_at_a_time(dim, box):
+    # the family deduplicates all members' points in one pass; in the tiny
+    # box every pair of points, of one member or of two, lies within TOL,
+    # and only pairs of one member may merge
+    space = MetricSpace.euclidean(dim)
+    for seed in range(4):
+        for max_levels, max_points in ((4, 6), (6, 9), (3, 1), (5, 2)):
+            rng = np.random.default_rng(seed)
+            expected = [ref.random_fuzzy(space, rng, box, max_levels, max_points) for _ in range(25)]
+            for cap in CAPS:
+                with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+                    fam = random_family(space, 25, seed, box, max_levels, max_points)
+                for u, v in zip(fam.members, expected, strict=True):
+                    assert u.alphas == v.alphas
+                    cuts, cuts_ref = [c for _, c in u.levels], [c for _, c in v.levels]
+                    assert [c.array.tobytes() for c in cuts] == [c.array.tobytes() for c in cuts_ref]
+                    # a cut is reused exactly when its level kept no new point
+                    assert [a is b for a, b in zip(cuts, cuts[1:])] == [
+                        len(a) == len(b) for a, b in zip(cuts_ref, cuts_ref[1:])]
+                    assert u.support_memberships.tobytes() == ref.memberships(v, support(v).array).tobytes()
+                    assert not u.support_memberships.flags.writeable
+                    assert not any(c.array.flags.writeable for c in cuts)
+                if box[1] < TOL:
+                    assert all(len(support(u)) == 1 for u in fam.members)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,9 +1,10 @@
 """Differential checks of the near-pair search `space._near` and of the
-identity decisions at TOL built on it: dedup (finite_set, union_family and
-the prefix unions), nestedness (make_fuzzy) and memberships. Each is
-compared with the full kernel matrix, or with the dense references in
-reference_pointwise.py, at the default BLOCK_BYTES and at a cap that leaves
-one candidate pair per chunk. Last, two checks that the search's memory
+identity decisions at TOL built on it: dedup (finite_set, union_family,
+the prefix unions, and the dedup within runs through `space._window`),
+nestedness (make_fuzzy) and memberships. Each is compared with the full
+kernel matrix, or with the dense references in reference_pointwise.py, at
+the default BLOCK_BYTES and at a cap that leaves one candidate pair per
+chunk. Last, two checks that the search's memory
 stays within a multiple of BLOCK_BYTES."""
 
 import tracemalloc
@@ -19,7 +20,7 @@ import reference_pointwise as ref
 from fuzzymetrics import TOL, InputError, MetricSpace, finite_set, make_fuzzy, union_family
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships
-from fuzzymetrics.sets import _prefix_unions
+from fuzzymetrics.sets import _dedup, _prefix_unions
 from fuzzymetrics.space import COORD_MAX, _cells, _near, dist_matrix
 from helpers import CAPS, SP2
 
@@ -131,6 +132,38 @@ def test_dedup_and_unions_match_the_dense_scan(scene):
                 assert union.array.tobytes() == expected.tobytes()
                 assert fresh.tobytes() == expected[before:].tobytes()
                 before = len(expected)
+
+
+@st.composite
+def runs(draw):
+    """A Euclidean space, points and the lengths of consecutive runs of
+    them, runs of one point among them; shared coordinates put
+    near-duplicates within runs and across them."""
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=20))
+    lengths = []
+    while sum(lengths) < len(points):
+        lengths.append(min(draw(st.integers(1, 6)), len(points) - sum(lengths)))
+    return MetricSpace.euclidean(dim), points, lengths
+
+
+@given(runs())
+@settings(max_examples=300, deadline=DEADLINE)
+def test_run_dedup_matches_the_dense_scan_of_each_run(scene):
+    space, raw, lengths = scene
+    pts = space.point_array(raw)
+    ends = np.cumsum(lengths)
+    expected = np.concatenate([ref.dense_keep_first(space, pts[end - n:end]) for n, end in zip(lengths, ends)])
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert _dedup(space, pts, np.array(lengths)).tolist() == expected.tolist()
+
+
+def test_run_dedup_keeps_duplicates_of_other_runs():
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, TOL], [0.0, 0.0], [TOL, 0.0], [5.0, 5.0]])
+    assert _dedup(SP2, pts, np.array([2, 1, 3])).tolist() == [True, False, True, True, False, True]
+    assert _dedup(SP2, pts, np.ones(6, dtype=int)).all()
+    assert _dedup(SP2, pts).tolist() == [True, False, False, False, False, True]
 
 
 def fuzzy_or_none(levels):

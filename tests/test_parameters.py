@@ -36,6 +36,7 @@ from fuzzymetrics.generators import (
     MAX_MEMBERS,
     collapse_count,
     collapse_family,
+    crisp_interval,
     crisp_interval_count,
     crisp_interval_family,
     random_count,
@@ -163,6 +164,20 @@ def test_random_generator_box_must_lie_in_the_coordinate_range(box):
         random_fuzzy(SP1, np.random.default_rng(0), box=box)
 
 
+@pytest.mark.parametrize("param,value", [
+    ("max_points", 0), ("max_points", -3), ("max_points", True), ("max_points", 2.0),
+    ("max_levels", 0), ("max_levels", 2.5), ("max_levels", MAX_LEVELS + 1),
+])
+def test_random_member_size_parameters_are_checked(param, value):
+    # random_fuzzy used to leave these to the draws: a max_points below 1
+    # then raised an UnboundLocalError, a max_levels of 0 numpy's ValueError,
+    # and a bool or a fractional value was accepted
+    with pytest.raises(InputError, match=f"'{param}' must be an integer"):
+        random_fuzzy(SP1, np.random.default_rng(0), **{param: value})
+    with pytest.raises(InputError, match=f"'{param}' must be an integer"):
+        random_family(SP1, 3, **{param: value})
+
+
 def test_random_generator_box_at_the_coordinate_bound_is_accepted():
     fam = random_family(MetricSpace.euclidean(2), 20, box=(-1e150, 1e150))
     coords = np.concatenate([u.levels[-1][1].array for u in fam.members])
@@ -201,6 +216,29 @@ def test_make_fuzzy_rejects_a_level_that_is_not_a_real_number(level):
 def test_generators_reject_a_param_that_is_not_a_real_number(make, args, param, value):
     with pytest.raises(InputError, match=f"'{param}' must be a real number"):
         make(SP1, *args, **{param: value})
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("param", ["low", "high", "step"])
+def test_crisp_interval_rejects_a_bound_that_is_not_a_real_number(param, value):
+    # a bool low was coerced to 1.0 and a string high raised a TypeError
+    args = {"low": 0.0, "high": 1.0, "step": 0.1, param: value}
+    with pytest.raises(InputError, match=f"'{param}' must be a real number"):
+        crisp_interval(SP1, **args)
+
+
+def test_crisp_interval_is_bounded_before_its_grid_is_built():
+    # the step 5e-7 used to build 2,000,001 points, beyond the bound of 10**6
+    # coordinates, and a smaller step could exhaust memory
+    for step in (5e-7, 1e-300):
+        with pytest.raises(InputError, match="1 members of up to .* points in dimension 1 exceed the bound"):
+            crisp_interval(SP1, 0.0, 1.0, step)
+    with pytest.raises(InputError, match="in dimension 2 exceed the bound"):
+        crisp_interval(MetricSpace.euclidean(2), 0.0, 1.0, 2e-6)
+    # up to n + 2 points for the n steps: the grid and the endpoint
+    with pytest.raises(InputError, match="up to 1000001 points"):
+        crisp_interval(SP1, 0.0, 0.999999, 1e-6)
+    assert len(crisp_interval(SP1, 0.0, 1.0, 1e-4).levels[0][1]) == 10**4 + 1
 
 
 @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
