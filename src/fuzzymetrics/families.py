@@ -22,10 +22,10 @@ from .certificates import (
     tail_verdict,
     trend_verdict,
 )
-from .common import InputError, check_positive, fmt
-from .fuzzy import StepFuzzySet, alpha_cut, same_representation, support
-from .metrics import graph_series, metric_matrix
-from .sets import FiniteSet, hausdorff, prefix_net_sizes
+from .common import InputError, check_positive, fmt, real
+from .fuzzy import StepFuzzySet, same_representation, support
+from .metrics import _CutTable, graph_series, metric_matrix
+from .sets import FiniteSet, _segment_extrema, prefix_net_sizes
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,22 @@ def tb_end_report(
     when stabilized. Untagged families PASS with the union net size recorded.
     """
     check_positive("eps", eps)
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(real("alpha", a) for a in alphas)
     if not alphas:
         raise InputError("empty alpha grid")
-    # alpha_cut rejects an alpha outside (0,1]. The cut map of a member
-    # changes only at its stored levels, so the grid alphas repeat few
-    # distinct tuples of cuts; each gets one series
-    series_of: dict[tuple[FiniteSet, ...], tuple[int, ...]] = {}
+    for a in alphas:
+        if not 0.0 < a <= 1.0:
+            raise InputError(f"alpha {a} outside (0,1]")
+    # The table reads cuts only for alpha in (0,1]. A member's cut map changes
+    # only at stored levels, so few cut-id vectors repeat: one series each
+    table = _CutTable(family.members)
+    series_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     parts = []
     for a in alphas:
-        cuts = tuple(alpha_cut(u, a) for u in family.members)
-        if cuts not in series_of:
-            series_of[cuts] = _net_sizes(family, cuts, eps)
-        parts.append((f"alpha={fmt(a)}", series_of[cuts]))
+        ids = tuple(table.at(a).tolist())
+        if ids not in series_of:
+            series_of[ids] = _net_sizes(family, [table.cuts[i] for i in ids], eps)
+        parts.append((f"alpha={fmt(a)}", series_of[ids]))
     verdict, witness = _family_verdict(family, window, parts, "increasing", _GROWTH)
     evidence = {f"net_size[{label}]": tuple(map(float, series)) for label, series in parts}
     return Certificate(kind="TB_END", verdict=verdict, evidence=evidence, witness=witness)
@@ -138,15 +141,11 @@ def tb_send_report(family: FuzzyFamily, eps: float, window: int | None = None) -
 def _member_modulus(u: StepFuzzySet, eps: float) -> float:
     """Largest stored level m such that every cut at a level <= m stays
     within eps of the support. The lowest level always qualifies."""
-    supp = support(u)
-    best = None
-    for a, cut in reversed(u.levels):
-        if hausdorff(cut, supp) < eps:
-            best = a
-        else:
-            break
-    assert best is not None
-    return best
+    levels = u.levels[::-1]
+    far = _segment_extrema(u.space, [cut.array for _, cut in levels], support(u).array).max(axis=0) >= eps
+    assert not far[0]
+    # with no far level argmax is 0, and index -1 is the top level
+    return levels[int(far.argmax()) - 1][0]
 
 
 def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> Certificate:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .common import TOL, InputError, real
-from .sets import FiniteSet, _held, finite_set, hausdorff
+from .sets import FiniteSet, _held, _segment_extrema, finite_set
 from .space import MetricSpace
 
 # Sorted ascending tuple of levels in (0,1).
@@ -179,14 +179,9 @@ def p0_points(u: StepFuzzySet) -> PlatformSet:
         a, cut = u.levels[i]
         if a >= 1.0:
             continue
-        above_probe = (a + alphas[i - 1]) / 2.0
         below = alphas[i + 1] if i + 1 < len(alphas) else 0.0
-        below_probe = (a + below) / 2.0
-        jump = max(
-            hausdorff(alpha_cut(u, above_probe), cut),
-            hausdorff(alpha_cut(u, below_probe), cut),
-        )
-        if jump > TOL:
+        probes = [alpha_cut(u, (a + alphas[i - 1]) / 2.0).array, alpha_cut(u, (a + below) / 2.0).array]
+        if _segment_extrema(u.space, probes, cut.array).max() > TOL:
             out.append(a)
     return tuple(sorted(out))
 

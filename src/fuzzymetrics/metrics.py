@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import Certificate, Verdict, tail_certificate
-from .common import InputError, check_grid_size, fmt
+from .common import InputError, check_grid_size, fmt, real
 from .fuzzy import (
     StepFuzzySet,
     alpha_cut,
@@ -37,8 +37,8 @@ from .fuzzy import (
     platform_points,
     support,
 )
-from .sets import FiniteSet, union_family
-from .space import MetricSpace, dist_matrix
+from .sets import FiniteSet, _segment_extrema, union_family
+from .space import dist_matrix
 
 
 def _check_same_space(u: StepFuzzySet, v: StepFuzzySet) -> None:
@@ -51,53 +51,6 @@ def _check_sequence(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> None:
         raise InputError("empty sequence")
     for u in seq:
         _check_same_space(u, limit)
-
-
-def _segment_extrema(
-    space: MetricSpace,
-    blocks: Sequence[np.ndarray],
-    target: np.ndarray,
-    lifts: tuple[Sequence[np.ndarray], np.ndarray] | None = None,
-    transposed: bool = False,
-) -> np.ndarray:
-    """Directed distances between each of many point arrays and one target.
-
-    The blocks are concatenated into row chunks of at most
-    space.block_rows(len(target)) rows (a block larger than that is a chunk
-    of its own), each chunk is measured against the target by one dist_matrix
-    call, and each block's values come from segment reductions over its rows.
-    Row 0 of the result holds, per block, the max over its points x of the
-    min over the target points y of c(x, y); row 1 the max over y of the min
-    over x of c'(y, x). The kernel is read as d(x, y), or with `transposed` as
-    d(y, x) from dist_matrix(target, block), so each direction can keep the
-    orientation of its per-pair form. With lifts = (block heights, target
-    heights), c(x, y) adds max(0, h(x) - h(y)) to the distance and c'(y, x)
-    adds max(0, h(y) - h(x)), as in the graph closed forms, and rows 2 and 3
-    repeat rows 0 and 1 with each inner minimum capped at its source height.
-    """
-    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
-    ends = np.cumsum(sizes)
-    cap = space.block_rows(len(target))
-    out = np.empty((2 if lifts is None else 4, len(blocks)))
-    lo = 0
-    while lo < len(blocks):
-        base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
-        starts = ends[lo:hi] - sizes[lo:hi] - base
-        rows = np.concatenate(blocks[lo:hi])
-        d = dist_matrix(space, target, rows).T if transposed else dist_matrix(space, rows, target)
-        if lifts is None:
-            inner, inner_back = d.min(axis=1), np.minimum.reduceat(d, starts, axis=0)
-        else:
-            h, ht = np.concatenate(lifts[0][lo:hi]), lifts[1]
-            inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
-            inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)
-            out[2, lo:hi] = np.maximum.reduceat(np.minimum(h, inner), starts)
-            out[3, lo:hi] = np.minimum(ht, inner_back).max(axis=1)
-        out[0, lo:hi] = np.maximum.reduceat(inner, starts)
-        out[1, lo:hi] = inner_back.max(axis=1)
-        lo = hi
-    return out
 
 
 def _distinct(items) -> tuple[list, list[int]]:
@@ -342,7 +295,7 @@ def _level_series(
 def _validated_alphas(alphas, limit, necessity: bool) -> tuple[float, ...]:
     if alphas is None:
         return default_alpha_grid(limit)
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(real("alpha", a) for a in alphas)
     if not alphas:
         raise InputError("empty alpha grid")
     for a in alphas:

@@ -3,9 +3,9 @@
 FiniteSet is a nonempty deduplicated point array standing in for a nonempty
 compact subset of the space. On such sets the Hausdorff metric, greedy
 eps-nets, set-sequence tail diagnostics and the constructive Cauchy limit are
-all exactly computable. Every distance comes from `space.dist_matrix`, or
-for identity at TOL from the near-pair search `space._near` or the run
-window `space._window`, which share its arithmetic.
+all exactly computable. Every Hausdorff value is one max-of-min reduction,
+`_segment_extrema`, of `space.dist_matrix`; identity at TOL comes from
+`space._near` or `space._window`, which share the kernel's arithmetic.
 """
 
 from __future__ import annotations
@@ -115,17 +115,63 @@ def _check_pair(a: FiniteSet, b: FiniteSet) -> None:
         raise InputError("sets must be nonempty")
 
 
+def _segment_extrema(
+    space: MetricSpace,
+    blocks: Sequence[np.ndarray],
+    target: np.ndarray,
+    lifts: tuple[Sequence[np.ndarray], np.ndarray] | None = None,
+    transposed: bool = False,
+) -> np.ndarray:
+    """Directed distances between each of many point arrays and one target.
+
+    The blocks are concatenated into row chunks of at most
+    space.block_rows(len(target)) rows (a block larger than that is a chunk
+    of its own), each chunk is measured against the target by one dist_matrix
+    call, and each block's values come from segment reductions over its rows.
+    Row 0 of the result holds, per block, the max over its points x of the
+    min over the target points y of c(x, y); row 1 the max over y of the min
+    over x of c'(y, x). The kernel is read as d(x, y), or with `transposed` as
+    d(y, x) from dist_matrix(target, block), so each direction can keep the
+    orientation of its per-pair form. With lifts = (block heights, target
+    heights), c(x, y) adds max(0, h(x) - h(y)) to the distance and c'(y, x)
+    adds max(0, h(y) - h(x)), as in the graph closed forms, and rows 2 and 3
+    repeat rows 0 and 1 with each inner minimum capped at its source height.
+    """
+    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    ends = np.cumsum(sizes)
+    cap = space.block_rows(len(target))
+    out = np.empty((2 if lifts is None else 4, len(blocks)))
+    lo = 0
+    while lo < len(blocks):
+        base = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        starts = ends[lo:hi] - sizes[lo:hi] - base
+        rows = np.concatenate(blocks[lo:hi])
+        d = dist_matrix(space, target, rows).T if transposed else dist_matrix(space, rows, target)
+        if lifts is None:
+            inner, inner_back = d.min(axis=1), np.minimum.reduceat(d, starts, axis=0)
+        else:
+            h, ht = np.concatenate(lifts[0][lo:hi]), lifts[1]
+            inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
+            inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)
+            out[2, lo:hi] = np.maximum.reduceat(np.minimum(h, inner), starts)
+            out[3, lo:hi] = np.minimum(ht, inner_back).max(axis=1)
+        out[0, lo:hi] = np.maximum.reduceat(inner, starts)
+        out[1, lo:hi] = inner_back.max(axis=1)
+        lo = hi
+    return out
+
+
 def directed_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """One-sided Hausdorff distance: max over a of the distance to b."""
     _check_pair(a, b)
-    return float(dist_matrix(a.space, a.array, b.array).min(axis=1).max())
+    return float(_segment_extrema(a.space, [a.array], b.array)[0, 0])
 
 
 def hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """Hausdorff distance: max of the two directed distances."""
     _check_pair(a, b)
-    d = dist_matrix(a.space, a.array, b.array)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(_segment_extrema(a.space, [a.array], b.array).max())
 
 
 def eps_net(a: FiniteSet, eps: float) -> FiniteSet:
@@ -207,8 +253,11 @@ def kuratowski_tail_diagnostic(
     """
     if not prefix:
         raise InputError("empty sequence prefix")
-    deficit = tuple(directed_hausdorff(target, c) for c in prefix)
-    excess = tuple(directed_hausdorff(c, target) for c in prefix)
+    for c in prefix:
+        _check_pair(c, target)
+    blocks = [c.array for c in prefix]
+    excess = tuple(_segment_extrema(target.space, blocks, target.array)[0].tolist())
+    deficit = tuple(_segment_extrema(target.space, blocks, target.array, transposed=True)[1].tolist())
     return tail_certificate(
         "KURATOWSKI_TAIL", [("sandwich", {"liminf_deficit": deficit, "limsup_excess": excess})], window, tol
     )
@@ -228,5 +277,5 @@ def cauchy_limit_construct(
         raise InputError("empty sequence prefix")
     partial = [u for u, _ in _prefix_unions(prefix)]
     limit = partial[-1]
-    residuals = [hausdorff(p, limit) for p in partial]
+    residuals = _segment_extrema(limit.space, [p.array for p in partial], limit.array).max(axis=0).tolist()
     return partial, limit, residuals

@@ -11,8 +11,11 @@ built each cut with its own finite_set call, the triangle check that
 scanned one row of a distance matrix at a time, and the membership scan
 that measured every point at every level from the lowest up. Last come
 the identity decisions at TOL read from full kernel matrices, as dedup and
-nestedness took them before the near-pair search. test_differential.py
-and test_near.py compare the library against them.
+nestedness took them before the near-pair search, and the Hausdorff
+distances each reduced from its own full kernel matrix, with the level
+modulus and the discontinuity levels that measured one pair of cuts at a
+time through them. test_differential.py and test_near.py compare the
+library against them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import operator
 
 import numpy as np
 
-from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet
+from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet, alpha_cut
 from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
 from fuzzymetrics.space import EUCLIDEAN, dist_matrix
@@ -213,3 +216,42 @@ def dense_subset(space, a: np.ndarray, b: np.ndarray) -> bool:
     """Whether every point of a lies within TOL of some point of b, from
     the full matrix d(a_i, b_j): the directed Hausdorff distance <= TOL."""
     return bool((dist_matrix(space, a, b) <= TOL).any(axis=1).all())
+
+
+def dense_directed_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
+    """sets.directed_hausdorff from the full matrix d(a_i, b_j): the max of
+    its row minima."""
+    return float(dist_matrix(a.space, a.array, b.array).min(axis=1).max())
+
+
+def dense_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
+    """sets.hausdorff from the full matrix d(a_i, b_j): the max of its row
+    minima and of its column minima."""
+    d = dist_matrix(a.space, a.array, b.array)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def member_modulus(u: StepFuzzySet, eps: float) -> float:
+    """The largest stored level at or below which every cut lies within eps
+    of the support, measuring dense_hausdorff(cut, support) one level at a
+    time from the lowest up."""
+    best = None
+    for a, cut in reversed(u.levels):
+        if dense_hausdorff(cut, u.levels[-1][1]) >= eps:
+            break
+        best = a
+    return best
+
+
+def p0_points(u: StepFuzzySet) -> tuple[float, ...]:
+    """The stored levels in (0,1) where a probe cut halfway to the next level
+    above or below lies more than TOL from the cut, measuring
+    dense_hausdorff(probe cut, cut) one probe at a time."""
+    out = []
+    for i in range(1, len(u.levels)):
+        a, cut = u.levels[i]
+        below = u.alphas[i + 1] if i + 1 < len(u.alphas) else 0.0
+        probes = (alpha_cut(u, (a + u.alphas[i - 1]) / 2.0), alpha_cut(u, (a + below) / 2.0))
+        if a < 1.0 and max(dense_hausdorff(p, cut) for p in probes) > TOL:
+            out.append(a)
+    return tuple(sorted(out))

@@ -8,6 +8,8 @@ against the last-axis reduction it replaced, the oracles against their
 level-by-level sampling, the convergence series and the metric matrices
 (the endograph and sendograph ones also from one pass per column) batched
 over a whole sequence against the same distances taken one pair at a time,
+the Hausdorff distances and the batched set diagnostics, level moduli and
+discontinuity levels against reductions of one full kernel matrix per pair,
 the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
 measured, the memberships measured from 1.0 down against the scan from the
@@ -36,13 +38,16 @@ from fuzzymetrics import (
     endograph_metric,
     endograph_oracle,
     eps_net,
+    erc_modulus,
     finite_set,
     fuzzy_family,
     gamma_diagnostic,
     hausdorff,
+    kuratowski_tail_diagnostic,
     levelwise_profile,
     make_fuzzy,
     metric_matrix,
+    p0_points,
     same_representation,
     send_decomposition_check,
     sendograph_metric,
@@ -53,6 +58,7 @@ from fuzzymetrics import (
     validate_metric,
 )
 from fuzzymetrics import metrics as metrics_module
+from fuzzymetrics import sets as sets_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships
 from fuzzymetrics.metrics import graph_matrices
@@ -464,7 +470,7 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
         return dist_matrix(space, a, b)
 
     alphas = (0.3, 0.45, 0.5, 0.7)
-    with mock.patch.object(metrics_module, "dist_matrix", recording):
+    with mock.patch.object(sets_module, "dist_matrix", recording):
         profile = levelwise_profile(seq, limit, alphas, window=5)
         diag = gamma_diagnostic(seq, limit, alphas, window=5)
         cert = send_decomposition_check(seq, limit, window=5)
@@ -480,6 +486,73 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
         assert part_series(diag, 1)[i] == tuple(directed_hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
     assert cert.evidence["end"] == tuple(endograph_metric(u, limit) for u in seq)
     assert cert.evidence["cut0"] == tuple(hausdorff(support(u), support(limit)) for u in seq)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_hausdorff_matches_the_dense_reduction_bit_for_bit(data):
+    # at the cap of 8 bytes a row chunk holds one row, so every set of two
+    # or more points is taller than one chunk
+    space, point, _ = data.draw(scenes(SERIES_KINDS))
+    ra, rb = data.draw(point_lists(point)), data.draw(point_lists(point))
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            a, b = finite_set(space, ra), finite_set(space, rb)
+            for x, y in ((a, b), (b, a)):
+                assert directed_hausdorff(x, y) == ref.dense_directed_hausdorff(x, y)
+                assert hausdorff(x, y) == ref.dense_hausdorff(x, y)
+
+
+def test_hausdorff_of_sets_taller_than_one_row_chunk_matches_the_dense_reduction():
+    xs = [0.0025 * ((k * 7919) % 700) for k in range(1000)]
+    ys = [0.003 * ((k * 104729) % 800) for k in range(1000)]
+    a, b = finite_set(SP1, xs), finite_set(SP1, ys)
+    assert len(a) > SP1.block_rows(len(b)) and len(b) > SP1.block_rows(len(a))
+    for x, y in ((a, b), (b, a)):
+        assert directed_hausdorff(x, y) == ref.dense_directed_hausdorff(x, y)
+        assert hausdorff(x, y) == ref.dense_hausdorff(x, y)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_batched_set_diagnostics_match_per_pair_dense_reductions(data):
+    space, point, _ = data.draw(scenes(SERIES_KINDS))
+    raws = data.draw(st.lists(point_lists(point, max_size=12), min_size=1, max_size=6))
+    raw_target = data.draw(point_lists(point, max_size=12))
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            prefix, target = [finite_set(space, r) for r in raws], finite_set(space, raw_target)
+            diag = kuratowski_tail_diagnostic(prefix, target, window=1)
+            partial, limit, residuals = cauchy_limit_construct(prefix)
+        assert diag.evidence["liminf_deficit"] == tuple(ref.dense_directed_hausdorff(target, c) for c in prefix)
+        assert diag.evidence["limsup_excess"] == tuple(ref.dense_directed_hausdorff(c, target) for c in prefix)
+        assert residuals == [ref.dense_hausdorff(p, limit) for p in partial]
+
+
+def test_kuratowski_series_keep_their_orientation_on_an_asymmetric_matrix():
+    # d(0, 1) exceeds d(1, 0) by 5e-10: the deficit reads d(target, member),
+    # the excess d(member, target)
+    space = MetricSpace.finite([[0.0, 1.0 + 5e-10, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    diag = kuratowski_tail_diagnostic([finite_set(space, [1])], finite_set(space, [0]), window=1)
+    assert diag.evidence["liminf_deficit"] == (1.0 + 5e-10,)
+    assert diag.evidence["limsup_excess"] == (1.0,)
+
+
+@given(shared_cut_sequences(), st.data())
+@settings(max_examples=150)
+def test_erc_moduli_and_p0_points_match_per_pair_dense_reductions(scene, data):
+    _, seq, limit, _ = scene
+    members = seq + [limit]
+    # an eps equal to some cut's distance from its support decides that cut
+    # on the boundary, where the cut is already too far
+    gaps = {ref.dense_hausdorff(cut, support(u)) for u in members for _, cut in u.levels}
+    eps = data.draw(st.sampled_from(sorted(gaps - {0.0}) + [0.025]))
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            moduli = erc_modulus(fuzzy_family(members), eps).evidence["modulus"]
+            points = [p0_points(u) for u in members]
+        assert moduli == tuple(ref.member_modulus(u, eps) for u in members)
+        assert points == [ref.p0_points(u) for u in members]
 
 
 ONE_PAIR = {

@@ -1,8 +1,8 @@
 """Radius and tolerance parameters must be finite and positive, windows
 integers, alpha grids nonempty and at most 10,000 levels and generator boxes
 within the coordinate range, in the library and through the CLI; levels,
-coordinates and generator params are real numbers within float range, never
-a coerced bool or string; stored point arrays are read-only."""
+grid alphas, coordinates and generator params are real numbers within float
+range, never a coerced bool or string; stored point arrays are read-only."""
 
 from pathlib import Path
 
@@ -130,6 +130,25 @@ def test_alpha_grid_sizes_are_bounded(capsys):
         default_alpha_grid(two_level(), MAX_GRID_LEVELS + 1)
     assert main(["compact", DEMO, "--family", "iv", "--mode", "tb_end", "--eps", "0.05", "--alpha-grid", "10001"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("alpha", ["0.5", b"0.5", True], ids=["string", "bytes", "bool"])
+def test_alpha_grids_take_only_real_numbers(alpha):
+    # each of these used to be read through float(), and all three
+    # functions returned a verdict for the strings
+    seq = [two_level()] * 3
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        levelwise_profile(seq, two_level(), [alpha])
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        gamma_diagnostic(seq, two_level(), [alpha])
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        tb_end_report(translates_family(SP1, 6), 0.05, [0.25, alpha])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")], ids=["zero", "above-one", "nan"])
+def test_tb_end_alphas_must_lie_in_the_unit_interval(alpha):
+    with pytest.raises(InputError, match=r"alpha .* outside \(0,1\]"):
+        tb_end_report(translates_family(SP1, 6), 0.05, [0.5, alpha])
 
 
 @pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "2", np.float64(2.0)])
