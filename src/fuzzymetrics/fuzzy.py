@@ -156,8 +156,6 @@ def platform_points(u: StepFuzzySet) -> PlatformSet:
     out = []
     for i in range(1, len(u.levels)):
         a, cut = u.levels[i]
-        if a >= 1.0:
-            continue
         _, above = u.levels[i - 1]
         if not _is_subset(cut, above):
             out.append(a)
@@ -167,21 +165,19 @@ def platform_points(u: StepFuzzySet) -> PlatformSet:
 def p0_points(u: StepFuzzySet) -> PlatformSet:
     """Levels in (0,1) where the cut map is Hausdorff-discontinuous.
 
-    Computed from the one-sided limits of the step structure: probe the cut
-    map strictly between adjacent stored levels on both sides and compare in
-    Hausdorff distance. The cut map is constant between stored levels, so
-    only stored levels can be discontinuities. Agrees with platform_points
-    on every valid StepFuzzySet.
+    Computed from the one-sided limits of the step structure. The cut map is
+    constant between stored levels, so only stored levels can be
+    discontinuities, and it is left-continuous there: a probe strictly
+    between a level and the next lower one returns the level's own cut. So
+    each level below 1.0 is compared in Hausdorff distance with a probe
+    halfway to the next level above. Agrees with platform_points on every
+    valid StepFuzzySet.
     """
-    alphas = u.alphas
     out = []
     for i in range(1, len(u.levels)):
         a, cut = u.levels[i]
-        if a >= 1.0:
-            continue
-        below = alphas[i + 1] if i + 1 < len(alphas) else 0.0
-        probes = [alpha_cut(u, (a + alphas[i - 1]) / 2.0).array, alpha_cut(u, (a + below) / 2.0).array]
-        if _segment_extrema(u.space, probes, cut.array).max() > TOL:
+        above = alpha_cut(u, (a + u.alphas[i - 1]) / 2.0)
+        if _segment_extrema(u.space, [above.array], cut.array).max() > TOL:
             out.append(a)
     return tuple(sorted(out))
 

@@ -37,7 +37,7 @@ from .fuzzy import (
     platform_points,
     support,
 )
-from .sets import FiniteSet, _segment_extrema, union_family
+from .sets import FiniteSet, _run_starts, _segment_extrema, union_family
 from .space import dist_matrix
 
 
@@ -166,9 +166,16 @@ def _directed_sampled(k_src: np.ndarray, k_tgt: np.ndarray, d: np.ndarray, resol
     index min(k, k_tgt[j]); the level gap is max(k - k_tgt[j], 0)*resolution.
     That cost is nondecreasing in k, and so is its minimum over j, so the
     maximum over the samples of column i is reached at its top, k = k_src[i].
+
+    The gap is constant on each group of target columns of equal k_tgt, so d
+    is reduced over those groups first and the gap added to the minima: for
+    a fixed c, fl(d + c) is monotone in d, so the minimum over a group of
+    fl(d + c) is fl(min d + c), bit for bit.
     """
-    gap = np.maximum(k_src[:, None] - k_tgt[None, :], 0) * resolution
-    return float((d + gap).min(axis=1).max())
+    order = np.argsort(k_tgt, kind="stable")
+    groups = _run_starts(k_tgt[order])
+    gap = np.maximum(k_src[:, None] - k_tgt[order][groups], 0) * resolution
+    return float((np.minimum.reduceat(d[:, order], groups, axis=1) + gap).min(axis=1).max())
 
 
 def endograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> float:

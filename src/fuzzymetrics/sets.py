@@ -115,6 +115,11 @@ def _check_pair(a: FiniteSet, b: FiniteSet) -> None:
         raise InputError("sets must be nonempty")
 
 
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of entries equal in every key."""
+    return np.flatnonzero(np.r_[True, np.logical_or.reduce([k[1:] != k[:-1] for k in keys])])
+
+
 def _segment_extrema(
     space: MetricSpace,
     blocks: Sequence[np.ndarray],
@@ -136,24 +141,40 @@ def _segment_extrema(
     heights), c(x, y) adds max(0, h(x) - h(y)) to the distance and c'(y, x)
     adds max(0, h(y) - h(x)), as in the graph closed forms, and rows 2 and 3
     repeat rows 0 and 1 with each inner minimum capped at its source height.
+
+    A lift is constant on each target height group and on each run of rows
+    of one block and height, so the target is sorted by height and each
+    chunk's rows by (block, height), the kernel block is reduced over those
+    groups and runs, and the lift added to the few minima. For a fixed c,
+    fl(d + c) is monotone in d, so min over y of fl(d + c) is fl(min d + c):
+    bit for bit the sum over every cell, with no other full-size array.
     """
     sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
     ends = np.cumsum(sizes)
     cap = space.block_rows(len(target))
     out = np.empty((2 if lifts is None else 4, len(blocks)))
+    if lifts is not None:
+        by_height = np.argsort(lifts[1], kind="stable")
+        target, ht = target[by_height], lifts[1][by_height]
+        groups = _run_starts(ht)
     lo = 0
     while lo < len(blocks):
         base = ends[lo] - sizes[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
         starts = ends[lo:hi] - sizes[lo:hi] - base
         rows = np.concatenate(blocks[lo:hi])
+        if lifts is not None:
+            block, h = np.repeat(np.arange(hi - lo), sizes[lo:hi]), np.concatenate(lifts[0][lo:hi])
+            order = np.lexsort((h, block))
+            rows, h = rows[order], h[order]
+            runs = _run_starts(block, h)
         d = dist_matrix(space, target, rows).T if transposed else dist_matrix(space, rows, target)
         if lifts is None:
             inner, inner_back = d.min(axis=1), np.minimum.reduceat(d, starts, axis=0)
         else:
-            h, ht = np.concatenate(lifts[0][lo:hi]), lifts[1]
-            inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
-            inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)
+            inner = (np.minimum.reduceat(d, groups, axis=1) + np.maximum(0.0, h[:, None] - ht[groups])).min(axis=1)
+            lifted = np.minimum.reduceat(d, runs, axis=0) + np.maximum(0.0, ht - h[runs, None])
+            inner_back = np.minimum.reduceat(lifted, np.searchsorted(runs, starts), axis=0)
             out[2, lo:hi] = np.maximum.reduceat(np.minimum(h, inner), starts)
             out[3, lo:hi] = np.minimum(ht, inner_back).max(axis=1)
         out[0, lo:hi] = np.maximum.reduceat(inner, starts)

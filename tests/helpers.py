@@ -5,6 +5,7 @@ library against."""
 from __future__ import annotations
 
 import numbers
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,17 @@ def fuzzy_corpus(
         random_fuzzy(space, rng, box=box, max_levels=max_levels, max_points=max_points)
         for _ in range(count)
     ]
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while fn(*args) runs, beyond what was live
+    before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def part_series(cert, side: int = 0) -> tuple[tuple[float, ...], ...]:

@@ -14,14 +14,16 @@ the identity decisions at TOL read from full kernel matrices, as dedup and
 nestedness took them before the near-pair search, and the Hausdorff
 distances each reduced from its own full kernel matrix, with the level
 modulus and the discontinuity levels that measured one pair of cuts at a
-time through them. test_differential.py and test_near.py compare the
-library against them.
+time through them. The last is the lifted segment reduction that added the
+lift to every cell of a chunk's kernel block before taking any minimum.
+test_differential.py and test_near.py compare the library against them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from typing import Sequence
 
 import numpy as np
 
@@ -255,3 +257,36 @@ def p0_points(u: StepFuzzySet) -> tuple[float, ...]:
         if a < 1.0 and max(dense_hausdorff(p, cut) for p in probes) > TOL:
             out.append(a)
     return tuple(sorted(out))
+
+
+def dense_segment_extrema(
+    space,
+    blocks: Sequence[np.ndarray],
+    target: np.ndarray,
+    lifts: tuple[Sequence[np.ndarray], np.ndarray],
+    transposed: bool = False,
+) -> np.ndarray:
+    """sets._segment_extrema with lifts, each chunk adding the lift to every
+    cell of its kernel block in both directions before the minima: rows 0
+    and 1 the lifted directed distances per block, rows 2 and 3 the same with
+    each inner minimum capped at its source height."""
+    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    ends = np.cumsum(sizes)
+    cap = space.block_rows(len(target))
+    out = np.empty((4, len(blocks)))
+    lo = 0
+    while lo < len(blocks):
+        base = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        starts = ends[lo:hi] - sizes[lo:hi] - base
+        rows = np.concatenate(blocks[lo:hi])
+        d = dist_matrix(space, target, rows).T if transposed else dist_matrix(space, rows, target)
+        h, ht = np.concatenate(lifts[0][lo:hi]), lifts[1]
+        inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
+        inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)
+        out[2, lo:hi] = np.maximum.reduceat(np.minimum(h, inner), starts)
+        out[3, lo:hi] = np.minimum(ht, inner_back).max(axis=1)
+        out[0, lo:hi] = np.maximum.reduceat(inner, starts)
+        out[1, lo:hi] = inner_back.max(axis=1)
+        lo = hi
+    return out

@@ -10,6 +10,8 @@ level-by-level sampling, the convergence series and the metric matrices
 over a whole sequence against the same distances taken one pair at a time,
 the Hausdorff distances and the batched set diagnostics, level moduli and
 discontinuity levels against reductions of one full kernel matrix per pair,
+the lifted segment reduction, which adds each lift to minima per height
+group, against the one that added it to every kernel cell,
 the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
 measured, the memberships measured from 1.0 down against the scan from the
@@ -22,7 +24,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import reference_pointwise as ref
 from fuzzymetrics import (
@@ -248,16 +250,29 @@ def nested_levels(raw, k1, k2):
     return [(1.0, raw[:k1]), (0.6, raw[:k2]), (0.3, raw)]
 
 
+def tiered_levels(raw, tiers):
+    """Three levels whose k-th cut holds the points of tier at most k in list
+    order, so a point of a higher cut may follow points only lower cuts hold
+    and the support is not in level order."""
+    return [(a, [p for p, t in zip(raw, tiers) if t <= k]) for k, a in enumerate((1.0, 0.6, 0.3))]
+
+
 @st.composite
 def fuzzy_sequences(draw, min_size=2, max_size=2, kinds=KINDS):
-    """A space and a list of (raw levels, reference levels) of nested sets."""
+    """A space and a list of (raw levels, reference levels) of nested sets,
+    each with cuts that are prefixes of its points or drawn by tier."""
     space, point, _ = draw(scenes(kinds))
     out = []
     for _ in range(draw(st.integers(min_size, max_size))):
         raw = draw(point_lists(point, max_size=10))
-        k1 = draw(st.integers(1, len(raw)))
-        k2 = draw(st.integers(k1, len(raw)))
-        raw_levels = nested_levels(raw, k1, k2)
+        if draw(st.booleans()):
+            tiers = draw(st.lists(st.integers(0, 2), min_size=len(raw), max_size=len(raw)))
+            tiers[draw(st.integers(0, len(raw) - 1))] = 0  # the 1.0 cut is nonempty
+            raw_levels = tiered_levels(raw, tiers)
+        else:
+            k1 = draw(st.integers(1, len(raw)))
+            k2 = draw(st.integers(k1, len(raw)))
+            raw_levels = nested_levels(raw, k1, k2)
         out.append((raw_levels, [(a, ref.finite_set(space, r)) for a, r in raw_levels]))
     return space, out
 
@@ -486,6 +501,47 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
         assert part_series(diag, 1)[i] == tuple(directed_hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
     assert cert.evidence["end"] == tuple(endograph_metric(u, limit) for u in seq)
     assert cert.evidence["cut0"] == tuple(hausdorff(support(u), support(limit)) for u in seq)
+
+
+@st.composite
+def lifted_scenes(draw):
+    """A space, blocks of (raw points, height per point) and a target of the
+    same shape. Heights come from three levels in any order, so a block's
+    points are not in level order, blocks share heights and the target's
+    levels interleave. Points may repeat with different heights."""
+    space, point, _ = draw(scenes(SERIES_KINDS))
+
+    def lifted(max_size):
+        raw = draw(point_lists(point, max_size))
+        return raw, draw(st.lists(st.sampled_from((1.0, 0.6, 0.3)), min_size=len(raw), max_size=len(raw)))
+
+    return space, [lifted(8) for _ in range(draw(st.integers(1, 6)))], lifted(12)
+
+
+ASYMMETRIC_CYCLE = MetricSpace.finite(
+    [[x + 5e-10 * (i < j) for j, x in enumerate(row)]
+     for i, row in enumerate([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])])
+
+
+@given(lifted_scenes())
+# a cut-1.0 point after points only the 0.3 cut holds, equal heights in both
+# blocks and a target whose levels interleave, in 1-D and on a finite matrix
+# that is asymmetric within TOL
+@example((SP1, [([0.0, 0.5, 1.0], [0.3, 0.3, 1.0]), ([0.25, 1.5], [0.3, 1.0])],
+          ([0.1, 0.9, 0.4, 1.2, 0.6], [1.0, 0.3, 1.0, 0.6, 0.3])))
+@example((ASYMMETRIC_CYCLE, [([2, 0, 1], [0.6, 0.6, 1.0]), ([3, 1], [0.6, 0.3])],
+          ([1, 3, 0, 2], [0.3, 1.0, 0.3, 1.0])))
+@settings(max_examples=200)
+def test_grouped_lifted_reduction_matches_the_dense_one_bit_for_bit(scene):
+    space, lifted_blocks, (raw_target, target_heights) = scene
+    blocks = [space.point_array(raw) for raw, _ in lifted_blocks]
+    lifts = ([np.array(h) for _, h in lifted_blocks], np.array(target_heights))
+    target = space.point_array(raw_target)
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            for transposed in (False, True):
+                got = sets_module._segment_extrema(space, blocks, target, lifts, transposed)
+                assert got.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts, transposed).tobytes()
 
 
 @given(st.data())

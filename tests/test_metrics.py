@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzymetrics import (
@@ -23,8 +24,10 @@ from fuzzymetrics import (
     sendograph_metric,
     sendograph_oracle,
 )
+from fuzzymetrics import space as space_module
 from fuzzymetrics.generators import collapse_family, contracting_sequence
-from helpers import SP1, fuzzy_corpus, part_series, singleton, two_level
+from fuzzymetrics.metrics import graph_series
+from helpers import SP1, SP2, fuzzy_corpus, part_series, singleton, traced_peak, two_level
 
 
 def test_endograph_identity():
@@ -320,3 +323,19 @@ def test_levelwise_pass_lifts_to_kuratowski():
             window=prof.evidence["window"][0], tol=prof.evidence["tol"][0],
         )
         assert diag.verdict is Verdict.PASS
+
+
+def test_graph_series_memory_stays_within_one_kernel_block():
+    # three-level sets of 400 and 800 points: the only full-size array of the
+    # lifted pass is its 400 x 800 kernel block, which dist_matrix fills
+    # through one scratch buffer within BLOCK_BYTES; the lifts are added to
+    # minima per height group. A lift matrix and a lifted sum per direction
+    # would take four more blocks.
+    def three_level(n, seed):
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2)).tolist()
+        return make_fuzzy([(a, finite_set(SP2, pts[:k])) for a, k in ((1.0, n // 4), (0.6, n // 2), (0.3, n))])
+
+    u, v = three_level(400, 0), three_level(800, 1)
+    assert len(u.support_memberships) == 400 and len(v.support_memberships) == 800  # measured before tracing
+    peak = traced_peak(graph_series, [u], v)
+    assert peak <= 400 * 800 * 8 + space_module.BLOCK_BYTES + (1 << 19)

@@ -7,7 +7,6 @@ the default BLOCK_BYTES and at a cap that leaves one candidate pair per
 chunk. Last, two checks that the search's memory
 stays within a multiple of BLOCK_BYTES."""
 
-import tracemalloc
 from datetime import timedelta
 from unittest import mock
 
@@ -22,7 +21,7 @@ from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships
 from fuzzymetrics.sets import _dedup, _prefix_unions
 from fuzzymetrics.space import COORD_MAX, _cells, _near, dist_matrix
-from helpers import CAPS, SP2
+from helpers import CAPS, SP2, traced_peak
 
 ULP = 2.0 ** -52
 
@@ -188,17 +187,6 @@ def test_nestedness_and_memberships_match_the_dense_checks(scene, data):
                 queries = space.point_array(ra + rb)
                 assert memberships(u, queries).tolist() == ref.memberships(u, queries).tolist()
                 assert u.support_memberships.tolist() == ref.memberships(u, lo.array).tolist()
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes allocated while fn(*args) runs, beyond what was live
-    before."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # A dedup holds two kinds of memory: the candidate chunks of the search,
