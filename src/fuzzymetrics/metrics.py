@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .certificates import Certificate, Verdict, tail_certificate
-from .common import InputError, check_grid_size, fmt, real
+from .common import TOL, InputError, check_grid_size, fmt, real
 from .fuzzy import (
     StepFuzzySet,
     alpha_cut,
@@ -147,8 +147,11 @@ def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None =
 
 
 def _check_resolution(resolution: float) -> None:
-    if not 0.0 < resolution <= 0.1:
-        raise InputError(f"resolution {resolution} outside (0, 0.1]")
+    # below TOL the closed form and the oracle would have to agree closer
+    # than points are told apart, and membership / resolution could leave
+    # the integer range of the sample indices
+    if not TOL <= resolution <= 0.1:
+        raise InputError(f"resolution {resolution} outside [{TOL}, 0.1]")
 
 
 def _top_indices(u: StepFuzzySet, bases: FiniteSet, resolution: float) -> np.ndarray:

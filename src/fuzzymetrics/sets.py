@@ -11,7 +11,7 @@ all exactly computable. Every Hausdorff value is one max-of-min reduction,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,15 +41,23 @@ class FiniteSet:
 
 def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarray:
     """Mask of the keep-first greedy scan in input order: each point farther than
-    radius from every point kept before it, measuring d(new, kept), is kept."""
+    radius from every point kept before it, measuring d(new, kept), is kept.
+
+    Each row block is measured against the points kept before it, which drops
+    every row within radius of one of them; the scan then runs over the rows
+    left, measured among themselves. So a block costs its rows times the
+    kept points, not times every earlier point."""
     kept = np.zeros(len(pts), dtype=bool)
+    centers = pts[:0]
     step = space.block_rows(len(pts))
     for begin in range(0, len(pts), step):
-        stop = begin + step
-        near = dist_matrix(space, pts[begin:stop], pts[:stop]) <= radius
+        block = np.arange(begin, min(begin + step, len(pts)))
+        rows = block[dist_matrix(space, pts[block], centers).min(axis=1, initial=np.inf) > radius]
+        near = dist_matrix(space, pts[rows], pts[rows]) <= radius
         for i, row in enumerate(near):
-            # later rows are still False, so only earlier kept points count
-            kept[begin + i] = not row.dot(kept[:stop])
+            # later rows are still False, so only earlier kept rows count
+            kept[rows[i]] = not row.dot(kept[rows])
+        centers = np.concatenate([centers, pts[rows[kept[rows]]]])
     return kept
 
 
@@ -85,14 +93,6 @@ def _held(space: MetricSpace, points: np.ndarray, cut: np.ndarray) -> np.ndarray
     for i, _ in _near(space, points, cut, TOL):
         held[i] = True
     return held
-
-
-def _greedy(space: MetricSpace, pts: np.ndarray, radius: float, start: np.ndarray | None = None) -> np.ndarray:
-    """The points the keep-first scan keeps; those of `start` count as kept."""
-    if start is not None and len(start):
-        # a point covered by `start` is never kept, so it affects no later point
-        pts = pts[dist_matrix(space, pts, start).min(axis=1) > radius]
-    return pts[_keep_first(space, pts, radius)]
 
 
 def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
@@ -203,7 +203,7 @@ def eps_net(a: FiniteSet, eps: float) -> FiniteSet:
     net is deterministic.
     """
     check_positive("eps", eps)
-    return FiniteSet(space=a.space, array=_greedy(a.space, a.array, eps))
+    return FiniteSet(space=a.space, array=a.array[_keep_first(a.space, a.array, eps)])
 
 
 def _family_space(family: Sequence[FiniteSet]) -> MetricSpace:
@@ -217,44 +217,36 @@ def _family_space(family: Sequence[FiniteSet]) -> MetricSpace:
 
 def union_family(family: Sequence[FiniteSet]) -> FiniteSet:
     """Deduplicated union of a nonempty family, first-occurrence order."""
-    space = _family_space(family)
-    pts = np.concatenate([s.array for s in family])
-    return FiniteSet(space=space, array=pts[_dedup(space, pts)])
+    space, union, _ = _prefix_unions(family)
+    return FiniteSet(space=space, array=union)
 
 
-def _prefix_unions(family: Sequence[FiniteSet]) -> Iterator[tuple[FiniteSet, np.ndarray]]:
-    """The union of each prefix of a nonempty family, with the points its
-    last member added.
+def _prefix_unions(family: Sequence[FiniteSet]) -> tuple[MetricSpace, np.ndarray, np.ndarray]:
+    """The space, the deduplicated union of a nonempty family and the size
+    of the union of each prefix of it.
 
     The keep-first scan of a prefix of the points keeps a prefix of what the
     scan of all of them keeps, so one scan of the whole family gives every
-    prefix union: prefix k is the kept points up to member k's end, and it
-    equals union_family(family[:k+1]).
+    prefix union: prefix k is union[:sizes[k]], and it equals
+    union_family(family[:k+1]).
     """
     space = _family_space(family)
     pts = np.concatenate([s.array for s in family])
     kept = _dedup(space, pts)
-    union = pts[kept]
-    sizes = np.cumsum(kept)[np.cumsum([len(s) for s in family]) - 1].tolist()
-    for before, size in zip([0] + sizes, sizes):
-        yield FiniteSet(space=space, array=union[:size]), union[before:size]
+    return space, pts[kept], np.cumsum(kept)[np.cumsum([len(s) for s in family]) - 1]
 
 
 def prefix_net_sizes(family: Sequence[FiniteSet], eps: float) -> tuple[int, ...]:
     """Greedy eps-net size of each prefix union of a nonempty family.
 
-    The greedy net of a prefix union only gains centers at its end, so only
-    the points each member adds to the union are tested against the centers
-    so far; entry k equals len(eps_net(union_family(family[:k+1]), eps)).
+    By the same prefix property, at eps as at TOL, the greedy net of prefix
+    union k is the part of the net of the whole union up to its end, so one
+    scan of the union gives every entry: entry k equals
+    len(eps_net(union_family(family[:k+1]), eps)).
     """
     check_positive("eps", eps)
-    space = _family_space(family)
-    centers = family[0].array[:0]
-    sizes = []
-    for _, fresh in _prefix_unions(family):
-        centers = np.concatenate([centers, _greedy(space, fresh, eps, centers)])
-        sizes.append(len(centers))
-    return tuple(sizes)
+    space, union, sizes = _prefix_unions(family)
+    return tuple(np.cumsum(_keep_first(space, union, eps))[sizes - 1].tolist())
 
 
 def kuratowski_tail_diagnostic(
@@ -296,7 +288,8 @@ def cauchy_limit_construct(
     """
     if not prefix:
         raise InputError("empty sequence prefix")
-    partial = [u for u, _ in _prefix_unions(prefix)]
+    space, union, sizes = _prefix_unions(prefix)
+    partial = [FiniteSet(space=space, array=union[:size]) for size in sizes.tolist()]
     limit = partial[-1]
     residuals = _segment_extrema(limit.space, [p.array for p in partial], limit.array).max(axis=0).tolist()
     return partial, limit, residuals

@@ -1,9 +1,10 @@
 """Differential checks of the array point-set layer against the plain-Python
 per-point reference in reference_pointwise.py, on 1-D, 2-D and finite-mode
 sets, at the default row-block cap and at a cap that forces one row per
-block. The incremental prefix unions and nets are checked against unions and
-nets rebuilt from scratch, the one-matrix graph metrics against the closed
-form taken one direction at a time, the per-coordinate Euclidean kernel
+block. The prefix unions and nets read off one scan are checked against
+unions and nets rebuilt from scratch (the nets also at three-row blocks),
+the one-matrix graph metrics against the closed form taken one direction at
+a time, the per-coordinate Euclidean kernel
 against the last-axis reduction it replaced, the oracles against their
 level-by-level sampling, the convergence series and the metric matrices
 (the endograph and sendograph ones also from one pass per column) batched
@@ -114,16 +115,45 @@ def test_dedup_and_union_match_reference(data):
             assert ref.points(union_family(sets)) == ref.union_family(space, expected)
 
 
+def net_radii(space, points, radii):
+    """The scene's radii and every positive kernel cell among the points, so
+    that some pairs lie exactly eps apart, in either orientation of an
+    asymmetric matrix."""
+    d = dist_matrix(space, space.point_array(points), space.point_array(points))
+    return st.sampled_from(sorted(set(radii) | set(d[d > 0].tolist())))
+
+
+def net_caps(n):
+    """CAPS, and a cap of three-row blocks for n points: each block is then
+    measured against the centers kept before it and scanned within itself."""
+    return CAPS + (8 * 3 * n,)
+
+
 @given(st.data())
 @settings(max_examples=150)
 def test_eps_net_matches_reference(data):
-    space, point, radii = data.draw(scenes())
+    space, point, radii = data.draw(scenes(KINDS + ("asymmetric",)))
     raw = data.draw(point_lists(point))
-    eps = data.draw(st.sampled_from(radii))
-    expected = ref.eps_net(space, ref.finite_set(space, raw), eps)
-    for cap in CAPS:
+    eps = data.draw(net_radii(space, raw, radii))
+    pa = ref.finite_set(space, raw)
+    expected = ref.eps_net(space, pa, eps)
+    for cap in net_caps(len(pa)):
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             assert ref.points(eps_net(finite_set(space, raw), eps)) == expected
+
+
+def test_greedy_nets_keep_the_orientation_of_an_asymmetric_matrix():
+    # d(1, 0) = 0.5 but d(0, 1) = 0.5 + 1e-10, so at eps 0.5 point 1 is
+    # covered by center 0 and point 0 is not covered by center 1, measuring
+    # d(new, kept): across blocks (one row each at the smallest cap) and
+    # within one block alike
+    space = MetricSpace.finite([[0.0, 0.5 + 1e-10], [0.5, 0.0]])
+    for cap in net_caps(2):
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert eps_net(finite_set(space, [0, 1]), 0.5).array.tolist() == [0]
+            assert eps_net(finite_set(space, [1, 0]), 0.5).array.tolist() == [1, 0]
+            assert prefix_net_sizes([finite_set(space, [0]), finite_set(space, [1])], 0.5) == (1, 1)
+            assert prefix_net_sizes([finite_set(space, [1]), finite_set(space, [0])], 0.5) == (1, 2)
 
 
 @given(st.data())
@@ -216,11 +246,12 @@ def test_contains_at_tolerance():
 @given(st.data())
 @settings(max_examples=150)
 def test_prefix_net_sizes_match_from_scratch_nets(data):
-    space, point, radii = data.draw(scenes())
+    space, point, radii = data.draw(scenes(KINDS + ("asymmetric",)))
     raws = data.draw(st.lists(point_lists(point, max_size=12), min_size=1, max_size=6))
-    eps = data.draw(st.sampled_from(radii))
-    expected = ref.prefix_net_sizes(space, [ref.finite_set(space, r) for r in raws], eps)
-    for cap in CAPS:
+    eps = data.draw(net_radii(space, [p for r in raws for p in r], radii))
+    pieces = [ref.finite_set(space, r) for r in raws]
+    expected = ref.prefix_net_sizes(space, pieces, eps)
+    for cap in net_caps(len(ref.union_family(space, pieces))):
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             cuts = [finite_set(space, r) for r in raws]
             assert prefix_net_sizes(cuts, eps) == expected

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fuzzymetrics import (
+    TOL,
     InputError,
     Verdict,
     default_alpha_grid,
@@ -25,6 +26,7 @@ from fuzzymetrics import (
     sendograph_oracle,
 )
 from fuzzymetrics import space as space_module
+from fuzzymetrics.cli import main
 from fuzzymetrics.generators import collapse_family, contracting_sequence
 from fuzzymetrics.metrics import graph_series
 from helpers import SP1, SP2, fuzzy_corpus, part_series, singleton, traced_peak, two_level
@@ -77,10 +79,17 @@ def test_sendograph_oracle_values():
 
 
 def test_oracle_resolution_range():
-    with pytest.raises(InputError):
-        endograph_oracle(two_level(), two_level(), 0.0)
-    with pytest.raises(InputError):
-        sendograph_oracle(two_level(), two_level(), 0.2)
+    # below TOL, membership / resolution overflowed the sample indices
+    # (from about 1e-19) and gave garbage oracle values
+    for resolution in (0.0, 0.2, 1e-300, 1e-20, TOL / 2):
+        with pytest.raises(InputError):
+            endograph_oracle(two_level(), two_level(), resolution)
+        with pytest.raises(InputError):
+            sendograph_oracle(two_level(), two_level(), resolution)
+    demo = str(Path(__file__).resolve().parent.parent / "demo" / "demo.json")
+    assert main(["oracle", demo, "--resolution", "1e-300"]) == 2
+    for resolution in (TOL, 0.1):
+        assert abs(endograph_oracle(two_level(), singleton(0.0), resolution) - 0.5) <= 2 * resolution
 
 
 def test_oracle_agreement_on_seeded_pairs():

@@ -126,11 +126,14 @@ def test_dedup_and_unions_match_the_dense_scan(scene):
             assert sa.array.tobytes() == expected_a.tobytes()
             assert sb.array.tobytes() == expected_b.tobytes()
             assert union_family([sa, sb]).array.tobytes() == unions[1].tobytes()
+            _, union, sizes = _prefix_unions([sa, sb, sa])
+            assert len(sizes) == len(unions)
             before = 0
-            for (union, fresh), expected in zip(_prefix_unions([sa, sb, sa]), unions):
-                assert union.array.tobytes() == expected.tobytes()
-                assert fresh.tobytes() == expected[before:].tobytes()
-                before = len(expected)
+            for size, expected in zip(sizes.tolist(), unions):
+                assert union[:size].tobytes() == expected.tobytes()
+                # the points each member adds to the union
+                assert union[before:size].tobytes() == expected[before:].tobytes()
+                before = size
 
 
 @st.composite

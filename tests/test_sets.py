@@ -1,3 +1,6 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from fuzzymetrics import (
@@ -11,8 +14,12 @@ from fuzzymetrics import (
     kuratowski_tail_diagnostic,
     union_family,
 )
+from fuzzymetrics import sets as sets_module
+from fuzzymetrics import space as space_module
 from fuzzymetrics.common import TOL
-from helpers import SP1, SP2
+from fuzzymetrics.sets import prefix_net_sizes
+from fuzzymetrics.space import dist_matrix
+from helpers import SP1, SP2, traced_peak
 
 
 def pts(s):
@@ -194,3 +201,28 @@ def test_family_greedy_net_under_hausdorff_covers():
     # and the pointwise union is coverable with a net no larger than itself
     union = union_family(family)
     assert len(eps_net(union, eps)) <= len(union)
+
+
+# The greedy scan measures each row block against the centers kept before
+# it, then the rows left among themselves. Measuring every block against
+# every earlier point took 4.6M cells on the first set below, and the prefix
+# nets of the second once took a full matrix of the new points against the
+# centers (31.8 MiB).
+def test_eps_net_measures_each_block_against_the_kept_centers_only():
+    a = finite_set(SP2, np.random.default_rng(2).uniform(0.0, 1.0, size=(3000, 2)).tolist())
+    cells = []
+
+    def counted(space, x, y):
+        cells.append(len(x) * len(y))
+        return dist_matrix(space, x, y)
+
+    with mock.patch.object(sets_module, "dist_matrix", counted):
+        net = eps_net(a, 0.05)
+    assert sum(cells) <= len(a) * (len(net) + SP2.block_rows(len(a)))
+
+
+def test_prefix_net_memory_stays_within_two_blocks_when_every_point_is_a_center():
+    rng = np.random.default_rng(3)
+    family = [finite_set(SP2, rng.uniform(0.0, 1.0, size=(2000, 2)).tolist()) for _ in range(2)]
+    assert prefix_net_sizes(family, 1e-6) == (2000, 4000)
+    assert traced_peak(prefix_net_sizes, family, 1e-6) <= 2 * space_module.BLOCK_BYTES + (1 << 20)
