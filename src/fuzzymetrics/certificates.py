@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .common import check_integer, check_positive, fmt
+from .common import InputError, check_integer, check_positive, fmt
 
 
 class Verdict(str, Enum):
@@ -77,9 +77,10 @@ def tail_verdict(series: Sequence[float], window: int, tol: float) -> tuple[Verd
     """Decide a 'tends to zero' claim from the last `window` entries.
 
     Returns (verdict, tail_max). PASS below tol, FAIL at or above 2*tol,
-    INCONCLUSIVE in between.
+    INCONCLUSIVE in between. The window is an integer in 1..len(series).
     """
     check_positive("tol", tol)
+    check_integer("window", window, 1, len(series))
     tail = series[len(series) - window:]
     m = max(tail)
     if m < tol:
@@ -127,14 +128,16 @@ def trend_verdict(series: Sequence[float], window: int, failing: str = "increasi
 
     PASS when the tail is constant, FAIL when it is strictly monotone in the
     `failing` direction ("increasing" or "decreasing"), INCONCLUSIVE otherwise.
+    The window is an integer in 1..len(series).
     """
+    check_integer("window", window, 1, len(series))
+    if failing not in ("increasing", "decreasing"):
+        raise InputError(f"failing must be 'increasing' or 'decreasing', got {failing!r}")
     tail = list(series[len(series) - window:])
     if all(x == tail[0] for x in tail):
         return Verdict.PASS
     pairs = list(zip(tail, tail[1:]))
-    if failing == "increasing" and all(b > a for a, b in pairs):
-        return Verdict.FAIL
-    if failing == "decreasing" and all(b < a for a, b in pairs):
+    if all(b > a if failing == "increasing" else b < a for a, b in pairs):
         return Verdict.FAIL
     return Verdict.INCONCLUSIVE
 

@@ -200,8 +200,7 @@ def closedness_witness(
     check_positive("tol", tol)
     if candidate.space != family.members[0].space:
         raise InputError("candidate lives in a different space")
-    # transposed, each distance reads the kernel as metric(candidate, u) does
-    distances = graph_series(family.members, candidate, transposed=True)[metric == "send"]
+    distances = graph_series(family.members, candidate)[metric == "send"]
     best = min(distances)
     nearest = family.names[distances.index(best)]
     is_member = any(same_representation(candidate, u) for u in family.members)

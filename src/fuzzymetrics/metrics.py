@@ -24,7 +24,7 @@ metric, so closed form and oracle must agree within twice the resolution.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,16 +61,12 @@ def _distinct(items) -> tuple[list, list[int]]:
     return list(index), ids
 
 
-def graph_series(
-    seq: Sequence[StepFuzzySet], limit: StepFuzzySet, transposed: bool = False
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def graph_series(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Endograph and sendograph distance from each member to the limit.
 
     One lifted pass of _segment_extrema over the distinct members' supports
-    against the limit support: each direction reads the kernel with the
-    member points as rows, as the one-pair metric(member, limit) does, or
-    with `transposed` the limit points, as metric(limit, member) does; the
-    endograph caps the same inner minimum that the sendograph takes whole.
+    against the limit support; the endograph caps the same inner minimum
+    that the sendograph takes whole.
     """
     _check_sequence(seq, limit)
     members, ids = _distinct(seq)
@@ -79,7 +75,6 @@ def graph_series(
         [support(u).array for u in members],
         support(limit).array,
         ([u.support_memberships for u in members], limit.support_memberships),
-        transposed,
     )
     end = np.maximum(ext[2], ext[3]).tolist()
     send = np.maximum(ext[0], ext[1]).tolist()
@@ -129,8 +124,8 @@ def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None =
     "send" or "level", the Hausdorff distance between the alpha-cuts.
 
     Column j is one batched pass of sets[:j] against sets[j], so entry
-    (i, j) with i < j reads the kernel as the one-pair metric(sets[i],
-    sets[j]) does, bit for bit, and entry (j, i) repeats it.
+    (i, j) with i < j is the one-pair metric(sets[i], sets[j]), bit for bit,
+    and entry (j, i) repeats it.
     """
     if kind in ("end", "send"):
         return graph_matrices(sets)[kind == "send"]
@@ -266,17 +261,19 @@ def _level_series(
     seq: Sequence[StepFuzzySet],
     limit: StepFuzzySet,
     alphas: tuple[float, ...],
-    sides: Sequence[tuple[Callable[[list[np.ndarray], np.ndarray], np.ndarray], bool]],
+    sides: Sequence[tuple[int, bool]],
 ) -> list[list[tuple[float, ...]]]:
-    """For each side (measure, strict) and each alpha, the series
-    measure(member cut at alpha, limit cut at alpha) over the members, the
-    limit cut being the strict one when `strict`.
+    """For each side (row, strict) and each alpha, the series over the
+    members of one distance between the member cut at alpha and the limit
+    cut at alpha, the strict one when `strict`: row 0 of _segment_extrema
+    (from the member cut into the limit cut), row 1 (from the limit cut into
+    the member cut) or row 2, the larger of the two (the Hausdorff distance).
 
     A first pass over the grid marks which distinct member cuts meet which
-    limit cut; `measure` then takes those cuts' arrays and the limit cut's
-    array, once per limit cut, and returns one value per cut. A second pass
-    reads the series through the table: entries share the float objects of
-    the distinct values, and no (grid x members) array is built.
+    limit cut on any side; one _segment_extrema call per limit cut measures
+    those cuts against it, and each side reads its row. A second pass reads
+    the series through the table: entries share the float objects of the
+    distinct values, and no (grid x members) array is built.
     """
     members, lim = _CutTable(seq), _CutTable([limit])
 
@@ -284,21 +281,19 @@ def _level_series(
         for a in alphas:
             yield members.at(a), [int(lim.at(a, strict)[0]) for _, strict in sides]
 
-    meets = np.zeros((len(sides), len(lim.cuts), len(members.cuts)), dtype=bool)
+    meets = np.zeros((len(lim.cuts), len(members.cuts)), dtype=bool)
     for ids, ks in rows():
-        for side, k in enumerate(ks):
-            meets[side, k, ids] = True
-    values = np.empty(meets.shape, dtype=object)
-    for side, (measure, _) in enumerate(sides):
-        for k, target in enumerate(lim.cuts):
-            sel = np.flatnonzero(meets[side, k])
-            if sel.size:
-                found = measure([members.cuts[i].array for i in sel], target.array)
-                values[side, k, sel] = found.astype(object)
+        meets[np.ix_(ks, ids)] = True
+    values = np.empty((3,) + meets.shape, dtype=object)
+    for k, target in enumerate(lim.cuts):
+        sel = np.flatnonzero(meets[k])
+        if sel.size:
+            ext = _segment_extrema(limit.space, [members.cuts[i].array for i in sel], target.array)
+            values[:, k, sel] = np.vstack([ext, ext.max(axis=0)]).astype(object)
     out: list[list[tuple[float, ...]]] = [[] for _ in sides]
     for ids, ks in rows():
-        for side, k in enumerate(ks):
-            out[side].append(tuple(values[side, k, ids].tolist()))
+        for side, ((row, _), k) in enumerate(zip(sides, ks)):
+            out[side].append(tuple(values[row, k, ids].tolist()))
     return out
 
 
@@ -341,10 +336,7 @@ def levelwise_profile(
     """
     _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity)
-    space = limit.space
-    (distances,) = _level_series(seq, limit, alphas, [
-        (lambda cuts, t: _segment_extrema(space, cuts, t).max(axis=0), False),
-    ])
+    (distances,) = _level_series(seq, limit, alphas, [(2, False)])
     keys = [f"alpha={fmt(a)}" for a in alphas]
     return tail_certificate(
         "LEVEL_PROFILE", [(k, {k: s}) for k, s in zip(keys, distances)], window, tol,
@@ -369,17 +361,11 @@ def gamma_diagnostic(
     out of cut(limit, a). The sandwich is asymmetric on purpose: the inner
     side is measured against the strict cut, the outer side against the full
     cut. Platform collisions are allowed here since the sandwich holds at
-    every level. Each directed distance reads the kernel in the orientation
-    of directed_hausdorff: deficits as d(strict limit cut, member cut),
-    excesses as d(member cut, limit cut). Each distinct pair of cuts is
-    measured once."""
+    every level. Each limit cut is measured against every member cut it
+    meets in one pass, which gives both directions."""
     _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity=False)
-    space = limit.space
-    deficits, excesses = _level_series(seq, limit, alphas, [
-        (lambda cuts, t: _segment_extrema(space, cuts, t, transposed=True)[1], True),
-        (lambda cuts, t: _segment_extrema(space, cuts, t)[0], False),
-    ])
+    deficits, excesses = _level_series(seq, limit, alphas, [(1, True), (0, False)])
     parts = [(f"alpha={fmt(a)}", {f"deficit[alpha={fmt(a)}]": d, f"excess[alpha={fmt(a)}]": e})
              for a, d, e in zip(alphas, deficits, excesses)]
     return tail_certificate("GAMMA_SANDWICH", parts, window, tol, alpha_grid=alphas)

@@ -41,7 +41,7 @@ class FiniteSet:
 
 def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarray:
     """Mask of the keep-first greedy scan in input order: each point farther than
-    radius from every point kept before it, measuring d(new, kept), is kept.
+    radius from every point kept before it is kept.
 
     Each row block is measured against the points kept before it, which drops
     every row within radius of one of them; the scan then runs over the rows
@@ -65,10 +65,9 @@ def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) 
     """Mask of the keep-first scan at TOL from the near pairs of the points
     with themselves, or, given the lengths of consecutive runs of Euclidean
     points, of each run on its own: then the window of a point is every
-    earlier point of its run. A point with no earlier point within TOL,
-    measuring d(new, earlier), is kept outright; the others are kept, in
-    input order, iff none of those is kept (a row split over chunks, by
-    every part)."""
+    earlier point of its run. A point with no earlier point within TOL is
+    kept outright; the others are kept, in input order, iff none of those is
+    kept (a row split over chunks, by every part)."""
     if runs is None:
         pairs = _near(space, pts, pts, TOL)
     else:
@@ -88,7 +87,7 @@ def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) 
 
 def _held(space: MetricSpace, points: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """Mask of the points of a point array within TOL of some point of
-    `cut`, measuring d(point, cut point)."""
+    `cut`."""
     held = np.zeros(len(points), dtype=bool)
     for i, _ in _near(space, points, cut, TOL):
         held[i] = True
@@ -125,7 +124,6 @@ def _segment_extrema(
     blocks: Sequence[np.ndarray],
     target: np.ndarray,
     lifts: tuple[Sequence[np.ndarray], np.ndarray] | None = None,
-    transposed: bool = False,
 ) -> np.ndarray:
     """Directed distances between each of many point arrays and one target.
 
@@ -135,11 +133,9 @@ def _segment_extrema(
     call, and each block's values come from segment reductions over its rows.
     Row 0 of the result holds, per block, the max over its points x of the
     min over the target points y of c(x, y); row 1 the max over y of the min
-    over x of c'(y, x). The kernel is read as d(x, y), or with `transposed` as
-    d(y, x) from dist_matrix(target, block), so each direction can keep the
-    orientation of its per-pair form. With lifts = (block heights, target
-    heights), c(x, y) adds max(0, h(x) - h(y)) to the distance and c'(y, x)
-    adds max(0, h(y) - h(x)), as in the graph closed forms, and rows 2 and 3
+    over x of c'(y, x). With lifts = (block heights, target heights), c(x, y)
+    adds max(0, h(x) - h(y)) to the distance and c'(y, x) adds
+    max(0, h(y) - h(x)), as in the graph closed forms, and rows 2 and 3
     repeat rows 0 and 1 with each inner minimum capped at its source height.
 
     A lift is constant on each target height group and on each run of rows
@@ -168,7 +164,7 @@ def _segment_extrema(
             order = np.lexsort((h, block))
             rows, h = rows[order], h[order]
             runs = _run_starts(block, h)
-        d = dist_matrix(space, target, rows).T if transposed else dist_matrix(space, rows, target)
+        d = dist_matrix(space, rows, target)
         if lifts is None:
             inner, inner_back = d.min(axis=1), np.minimum.reduceat(d, starts, axis=0)
         else:
@@ -268,9 +264,7 @@ def kuratowski_tail_diagnostic(
         raise InputError("empty sequence prefix")
     for c in prefix:
         _check_pair(c, target)
-    blocks = [c.array for c in prefix]
-    excess = tuple(_segment_extrema(target.space, blocks, target.array)[0].tolist())
-    deficit = tuple(_segment_extrema(target.space, blocks, target.array, transposed=True)[1].tolist())
+    excess, deficit = map(tuple, _segment_extrema(target.space, [c.array for c in prefix], target.array).tolist())
     return tail_certificate(
         "KURATOWSKI_TAIL", [("sandwich", {"liminf_deficit": deficit, "limsup_excess": excess})], window, tol
     )

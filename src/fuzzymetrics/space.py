@@ -72,6 +72,11 @@ class MetricSpace:
             arr.flags.writeable = False
             object.__setattr__(self, "matrix", tuple(map(tuple, arr.tolist())))
             self.__dict__["matrix_array"] = arr
+            # the kernel reads the larger of d(i, j) and d(j, i), so it is
+            # symmetric bit for bit, as the Euclidean kernel is
+            symmetric = np.maximum(arr, arr.T)
+            symmetric.flags.writeable = False
+            self.__dict__["_symmetric"] = symmetric
         else:
             raise InputError(f"unknown space mode {self.mode!r}")
 
@@ -154,10 +159,12 @@ def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     This is the one distance kernel. Euclidean rows are filled in blocks by
     `_root_sum_squares`, whose second buffer is one rows x m scratch buffer
-    capped by BLOCK_BYTES. Finite mode gathers from the matrix.
+    capped by BLOCK_BYTES. Finite mode gathers from the larger of each
+    matrix entry and its mirror. Either way dist_matrix(space, b, a) is the
+    transpose of dist_matrix(space, a, b), bit for bit.
     """
     if space.mode == FINITE:
-        return space.matrix_array[np.ix_(a, b)]
+        return space._symmetric[np.ix_(a, b)]
     out = np.empty((len(a), len(b)))
     step = space.block_rows(len(b))
     scratch = np.empty((min(step, len(a)), len(b)))

@@ -34,9 +34,11 @@ from fuzzymetrics.space import EUCLIDEAN, dist_matrix
 
 
 def distance(space, p, q) -> float:
+    """d(p, q): math.dist in Euclidean mode, the larger of the two matrix
+    entries in finite mode."""
     if space.mode == EUCLIDEAN:
         return math.dist(p, q)
-    return space.matrix[p][q]
+    return max(space.matrix[p][q], space.matrix[q][p])
 
 
 def as_point(space, raw):
@@ -101,24 +103,19 @@ def prefix_net_sizes(space, cuts, eps: float) -> tuple[int, ...]:
     return tuple(len(eps_net(space, union_family(space, cuts[:k + 1]), eps)) for k in range(len(cuts)))
 
 
-def graph_distance(space, levels_u, levels_v, truncate: bool, u_first: bool = False) -> float:
+def graph_distance(space, levels_u, levels_v, truncate: bool) -> float:
     """Endograph (truncate=True) or sendograph distance by the closed form,
-    one direction at a time, each measuring d(source point, target point);
-    with u_first, both directions measure d(point of u, point of v), as the
-    library's one-matrix form reads its kernel. The two agree bit for bit on
-    a symmetric matrix and within TOL on one that is asymmetric within TOL."""
+    one direction at a time."""
 
-    def directed(src, tgt, dist):
+    def directed(src, tgt):
         best = 0.0
         for x in src[-1][1]:
             mx = membership(space, src, x)
-            inner = min(dist(x, y) + max(0.0, mx - membership(space, tgt, y)) for y in tgt[-1][1])
+            inner = min(distance(space, x, y) + max(0.0, mx - membership(space, tgt, y)) for y in tgt[-1][1])
             best = max(best, min(mx, inner) if truncate else inner)
         return best
 
-    forward = lambda x, y: distance(space, x, y)  # noqa: E731
-    backward = (lambda y, x: distance(space, x, y)) if u_first else forward
-    return max(directed(levels_u, levels_v, forward), directed(levels_v, levels_u, backward))
+    return max(directed(levels_u, levels_v), directed(levels_v, levels_u))
 
 
 def dist_matrix_reduction(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,7 +193,7 @@ def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
 def dense_keep_first(space, pts: np.ndarray) -> np.ndarray:
     """Keep-first mask at TOL from the full matrix of the points with
     themselves, one row at a time: row i is kept iff no earlier kept point
-    lies within TOL of it, measuring d(new, kept)."""
+    lies within TOL of it."""
     near = dist_matrix(space, pts, pts) <= TOL
     kept = np.zeros(len(pts), dtype=bool)
     for i, row in enumerate(near):
@@ -264,7 +261,6 @@ def dense_segment_extrema(
     blocks: Sequence[np.ndarray],
     target: np.ndarray,
     lifts: tuple[Sequence[np.ndarray], np.ndarray],
-    transposed: bool = False,
 ) -> np.ndarray:
     """sets._segment_extrema with lifts, each chunk adding the lift to every
     cell of its kernel block in both directions before the minima: rows 0
@@ -280,7 +276,7 @@ def dense_segment_extrema(
         hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
         starts = ends[lo:hi] - sizes[lo:hi] - base
         rows = np.concatenate(blocks[lo:hi])
-        d = dist_matrix(space, target, rows).T if transposed else dist_matrix(space, rows, target)
+        d = dist_matrix(space, rows, target)
         h, ht = np.concatenate(lifts[0][lo:hi]), lifts[1]
         inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
         inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)

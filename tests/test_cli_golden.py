@@ -11,7 +11,10 @@ and `converge` commands on demo/finite.json and demo/plane.json were
 recorded before the pairwise tables became one metric matrix and every
 verdict one Certificate; the four commands that name generated members as a
 limit, a candidate or a sequence member were recorded before generated
-families were built on first read. A change to any number, verdict, row
+families were built on first read; the three Γ and level commands on
+demo/finite.json (limit ß) and demo/plane.json (sequence cloud) were
+recorded at commit ddcf732 (before the finite branch of the kernel read one
+symmetric matrix). A change to any number, verdict, row
 order or JSON byte shows here."""
 
 import hashlib
@@ -66,6 +69,9 @@ GOLDEN = [
     (["converge", "PLANE", "--sequence", "to origin", "--limit", "col[5]", "--mode", "level", "--alpha-grid", "7"], 1, "8638d729fa6b52eeb77f97c4a733f94f1bb2def637172010805eecc99c277fca"),
     (["converge", "DOC", "--sequence", "col", "--limit", "tr[1]", "--mode", "end"], 1, "4efdd3b31bb792a6f60223eee47211e7b41ab1618713592c0c93fa783dd24b0e"),
     (["compact", "PLANE", "--family", "tr", "--mode", "closedness", "--candidate", "col[1]"], 0, "34fdbe58429d0e2e7035c2117160a39e5e82ba4a14511eff4c093e269457cc84"),
+    (["converge", "FINITE", "--sequence", "seq", "--limit", "ß", "--mode", "gamma", "--alpha-grid", "7", "--window", "4"], 1, "d4aa281f6e31bd7372f137b2490f42999ca30114e73a2eee059e1c1103001a5f"),
+    (["converge", "FINITE", "--sequence", "seq", "--limit", "ß", "--mode", "level", "--alpha-grid", "7", "--window", "4"], 1, "71e2a5c5b7487c9ef4cd8552aed9302effd42a9f07b099ec07b8060b698cdbd2"),
+    (["converge", "PLANE", "--sequence", "cloud", "--limit", "origin", "--mode", "gamma", "--alpha-grid", "7"], 1, "c0e349260d6de9bf8fb0fea15fd4b1f5a431b4c8dcaa3213f60d816c047abb5e"),
 ]
 
 

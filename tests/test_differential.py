@@ -93,7 +93,7 @@ def scenes(draw, kinds=KINDS):
     matrix = [[(abs(xa - xb) + abs(ya - yb)) / 8 for xb, yb in cells] for xa, ya in cells]
     if kind == "asymmetric":
         # d(i, j) exceeds d(j, i) by up to 0.7e-9 for i < j, still a metric
-        # within TOL, so each distance must be read in its own orientation
+        # within TOL, whose larger entry the kernel reads both ways
         matrix = [[x + 1e-10 * ((3 * i + j) % 8) * (i < j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
     return MetricSpace.finite(matrix), st.integers(0, len(cells) - 1), (0.125, 0.25, 0.5)
 
@@ -117,8 +117,7 @@ def test_dedup_and_union_match_reference(data):
 
 def net_radii(space, points, radii):
     """The scene's radii and every positive kernel cell among the points, so
-    that some pairs lie exactly eps apart, in either orientation of an
-    asymmetric matrix."""
+    that some pairs lie exactly eps apart."""
     d = dist_matrix(space, space.point_array(points), space.point_array(points))
     return st.sampled_from(sorted(set(radii) | set(d[d > 0].tolist())))
 
@@ -142,18 +141,19 @@ def test_eps_net_matches_reference(data):
             assert ref.points(eps_net(finite_set(space, raw), eps)) == expected
 
 
-def test_greedy_nets_keep_the_orientation_of_an_asymmetric_matrix():
-    # d(1, 0) = 0.5 but d(0, 1) = 0.5 + 1e-10, so at eps 0.5 point 1 is
-    # covered by center 0 and point 0 is not covered by center 1, measuring
-    # d(new, kept): across blocks (one row each at the smallest cap) and
-    # within one block alike
+def test_greedy_nets_read_the_larger_entry_of_an_asymmetric_matrix():
+    # d(1, 0) = 0.5 but d(0, 1) = 0.5 + 1e-10: the kernel reads 0.5 + 1e-10
+    # both ways, so at eps 0.5 neither point covers the other, in either
+    # order, across blocks (one row each at the smallest cap) and within
+    # one block alike
     space = MetricSpace.finite([[0.0, 0.5 + 1e-10], [0.5, 0.0]])
+    a, b = finite_set(space, [0]), finite_set(space, [1])
+    assert hausdorff(a, b) == hausdorff(b, a) == 0.5 + 1e-10
     for cap in net_caps(2):
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            assert eps_net(finite_set(space, [0, 1]), 0.5).array.tolist() == [0]
+            assert eps_net(finite_set(space, [0, 1]), 0.5).array.tolist() == [0, 1]
             assert eps_net(finite_set(space, [1, 0]), 0.5).array.tolist() == [1, 0]
-            assert prefix_net_sizes([finite_set(space, [0]), finite_set(space, [1])], 0.5) == (1, 1)
-            assert prefix_net_sizes([finite_set(space, [1]), finite_set(space, [0])], 0.5) == (1, 2)
+            assert prefix_net_sizes([a, b], 0.5) == prefix_net_sizes([b, a], 0.5) == (1, 2)
 
 
 @given(st.data())
@@ -363,7 +363,8 @@ def test_prefix_nets_of_cuts_larger_than_one_row_block():
 def test_kernel_matches_last_axis_reduction(dim):
     # the kernel adds squared coordinates left to right, as numpy's sum does
     # over an axis shorter than 8, so it is bit-identical there; numpy sums
-    # longer axes pairwise
+    # longer axes pairwise. Swapping its arguments transposes it bit for bit,
+    # in Euclidean mode and on a finite matrix that is asymmetric within TOL
     space = MetricSpace.euclidean(dim)
     rng = np.random.default_rng(dim)
     sizes = [tuple(rng.integers(1, 40, size=2)) for _ in range(12)] + [(1, 1), (300, 700)]
@@ -377,6 +378,9 @@ def test_kernel_matches_last_axis_reduction(dim):
             with mock.patch.object(space_module, "BLOCK_BYTES", cap):
                 got = dist_matrix(space, a, b)
                 want = ref.dist_matrix_reduction(space, a, b)
+                assert got.tobytes() == dist_matrix(space, b, a).T.tobytes()
+                i, j = np.arange(n) % 4, np.arange(m)[::-1] % 4
+                assert dist_matrix(ASYMMETRIC_CYCLE, i, j).tobytes() == dist_matrix(ASYMMETRIC_CYCLE, j, i).T.tobytes()
             if dim <= 7:
                 assert got.tobytes() == want.tobytes()
             else:
@@ -457,9 +461,8 @@ def test_batched_level_and_gamma_series_match_per_pair_distances(scene):
 @settings(max_examples=150)
 def test_batched_graph_series_match_the_closed_form_per_pair(scene):
     space, seq, limit, _ = scene
-    u_first = space.mode == "finite"  # the asymmetric matrices agree with the symmetric only within TOL
-    end = tuple(ref.graph_distance(space, ref_levels(u), ref_levels(limit), True, u_first) for u in seq)
-    send = tuple(ref.graph_distance(space, ref_levels(u), ref_levels(limit), False, u_first) for u in seq)
+    end = tuple(ref.graph_distance(space, ref_levels(u), ref_levels(limit), True) for u in seq)
+    send = tuple(ref.graph_distance(space, ref_levels(u), ref_levels(limit), False) for u in seq)
     cut0 = tuple(hausdorff(support(u), support(limit)) for u in seq)
     for cap in SERIES_CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
@@ -484,13 +487,13 @@ def test_closedness_distances_match_the_one_pair_metrics(scene):
             assert cert.evidence["min_distance"] == (min(distances),)
 
 
-def test_closedness_distances_keep_the_one_pair_orientation_of_an_asymmetric_matrix():
-    # d(0, 1) exceeds d(1, 0) by 5e-10: metric(candidate, member) reads d(0, 1)
-    # from the candidate's side and d(1, 0) from the member's
+def test_closedness_distances_read_the_larger_entry_of_an_asymmetric_matrix():
+    # d(0, 1) exceeds d(1, 0) by 5e-10: the distance between the crisp
+    # points reads d(0, 1) whichever of them is the candidate
     space = MetricSpace.finite([[0.0, 1.0 + 5e-10, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     u, v = (make_fuzzy([(1.0, finite_set(space, [k]))]) for k in range(2))
     assert closedness_witness(fuzzy_family([v, u]), u, "send", 1e-3).evidence["distance"] == (1.0 + 5e-10, 0.0)
-    assert closedness_witness(fuzzy_family([u, v]), v, "send", 1e-3).evidence["distance"] == (1.0, 0.0)
+    assert closedness_witness(fuzzy_family([u, v]), v, "send", 1e-3).evidence["distance"] == (1.0 + 5e-10, 0.0)
 
 
 def test_batched_kernel_calls_stay_within_one_row_chunk():
@@ -534,6 +537,43 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
     assert cert.evidence["cut0"] == tuple(hausdorff(support(u), support(limit)) for u in seq)
 
 
+def test_gamma_and_kuratowski_series_take_one_kernel_pass():
+    # the strict and the full limit cuts coincide at every grid alpha, so
+    # the deficits and the excesses read one pass per limit cut, as the level
+    # distances do; the Kuratowski series read one pass over the prefix,
+    # one call per row chunk of block_rows(2000) = 65 rows
+    xs = [0.001 * k for k in range(2000)]
+    limit = make_fuzzy([(1.0, finite_set(SP1, xs[:500])), (0.5, finite_set(SP1, xs))])
+    rng = np.random.default_rng(1)
+    seq = []
+    for k in range(200):
+        pts = rng.uniform(0.0, 2.5, size=1 + k % 3).tolist()
+        seq.append(make_fuzzy([(1.0, finite_set(SP1, pts[:1])), (0.4, finite_set(SP1, pts))]))
+    alphas = (0.3, 0.45, 0.7)
+    assert all(strict_cut_closure(limit, a) is alpha_cut(limit, a) for a in alphas)
+    prefix, target = [support(u) for u in seq], support(limit)
+    chunks, rows = 0, SP1.block_rows(len(target))
+    for size in map(len, prefix):
+        if rows + size > SP1.block_rows(len(target)):
+            chunks, rows = chunks + 1, 0
+        rows += size
+    counts = []
+    for call in (lambda: levelwise_profile(seq, limit, alphas, window=5),
+                 lambda: gamma_diagnostic(seq, limit, alphas, window=5),
+                 lambda: kuratowski_tail_diagnostic(prefix, target, window=5)):
+        shapes = []
+
+        def recording(space, a, b):
+            shapes.append((len(a), len(b)))
+            return dist_matrix(space, a, b)
+
+        with mock.patch.object(sets_module, "dist_matrix", recording):
+            call()
+        counts.append(len(shapes))
+    assert counts[0] == counts[1] > 2
+    assert counts[2] == chunks > 1
+
+
 @st.composite
 def lifted_scenes(draw):
     """A space, blocks of (raw points, height per point) and a target of the
@@ -570,9 +610,8 @@ def test_grouped_lifted_reduction_matches_the_dense_one_bit_for_bit(scene):
     target = space.point_array(raw_target)
     for cap in SERIES_CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            for transposed in (False, True):
-                got = sets_module._segment_extrema(space, blocks, target, lifts, transposed)
-                assert got.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts, transposed).tobytes()
+            got = sets_module._segment_extrema(space, blocks, target, lifts)
+            assert got.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts).tobytes()
 
 
 @given(st.data())
@@ -588,6 +627,8 @@ def test_hausdorff_matches_the_dense_reduction_bit_for_bit(data):
             for x, y in ((a, b), (b, a)):
                 assert directed_hausdorff(x, y) == ref.dense_directed_hausdorff(x, y)
                 assert hausdorff(x, y) == ref.dense_hausdorff(x, y)
+                # row 1 of the pass over x is the directed distance from y
+                assert directed_hausdorff(y, x) == sets_module._segment_extrema(space, [x.array], y.array)[1, 0]
 
 
 def test_hausdorff_of_sets_taller_than_one_row_chunk_matches_the_dense_reduction():
@@ -616,13 +657,13 @@ def test_batched_set_diagnostics_match_per_pair_dense_reductions(data):
         assert residuals == [ref.dense_hausdorff(p, limit) for p in partial]
 
 
-def test_kuratowski_series_keep_their_orientation_on_an_asymmetric_matrix():
-    # d(0, 1) exceeds d(1, 0) by 5e-10: the deficit reads d(target, member),
-    # the excess d(member, target)
+def test_kuratowski_series_read_the_larger_entry_of_an_asymmetric_matrix():
+    # d(0, 1) exceeds d(1, 0) by 5e-10: the deficit and the excess both read
+    # d(0, 1), whichever point is the target
     space = MetricSpace.finite([[0.0, 1.0 + 5e-10, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    diag = kuratowski_tail_diagnostic([finite_set(space, [1])], finite_set(space, [0]), window=1)
-    assert diag.evidence["liminf_deficit"] == (1.0 + 5e-10,)
-    assert diag.evidence["limsup_excess"] == (1.0,)
+    for member, target in ((1, 0), (0, 1)):
+        diag = kuratowski_tail_diagnostic([finite_set(space, [member])], finite_set(space, [target]), window=1)
+        assert diag.evidence["liminf_deficit"] == diag.evidence["limsup_excess"] == (1.0 + 5e-10,)
 
 
 @given(shared_cut_sequences(), st.data())
@@ -654,8 +695,9 @@ ONE_PAIR = {
 def test_metric_matrix_matches_one_pair_metrics(scene, kind):
     space, members = scene
     sets = [build(space, raw) for raw, _ in members]
-    # the one-pair calls, each in the orientation of entry (i, j) with i < j
     upper = {(i, j): ONE_PAIR[kind](sets[i], sets[j]) for j in range(len(sets)) for i in range(j)}
+    # the one-pair metrics are symmetric bit for bit, on every kind of scene
+    assert all(ONE_PAIR[kind](sets[j], sets[i]) == x for (i, j), x in upper.items())
     for cap in SERIES_CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             d = metric_matrix(sets, kind, 0.6 if kind == "level" else None)
@@ -684,22 +726,23 @@ def test_graph_matrices_match_one_pair_metrics(scene):
                        for j in range(len(sets)) for i in range(j))
 
 
-def test_metric_matrix_keeps_the_one_pair_orientation_of_an_asymmetric_matrix():
+def test_metric_matrix_reads_the_larger_entry_of_an_asymmetric_matrix():
     # d(0, 1) exceeds d(1, 0) by 5e-10: a metric within TOL, whose sendograph
-    # distance between the crisp points reads d(0, 1) from u and d(1, 0) from v
+    # and level distances between the crisp points read d(0, 1) in either
+    # order of u and v
     space = MetricSpace.finite([[0.0, 1.0 + 5e-10, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     u, v, w = (make_fuzzy([(1.0, finite_set(space, [k]))]) for k in range(3))
-    assert sendograph_metric(u, v) == 1.0 + 5e-10 and sendograph_metric(v, u) == 1.0
+    assert sendograph_metric(u, v) == sendograph_metric(v, u) == 1.0 + 5e-10
+    assert ONE_PAIR["level"](u, v) == ONE_PAIR["level"](v, u) == 1.0 + 5e-10
     for kind in ("send", "level"):
-        d = metric_matrix([u, v, w], kind, 1.0)
-        assert d[0, 1] == d[1, 0] == 1.0 + 5e-10
-        d = metric_matrix([v, u, w], kind, 1.0)
-        assert d[0, 1] == d[1, 0] == 1.0
-    assert graph_matrices([u, v, w])[1][1, 0] == 1.0 + 5e-10 and graph_matrices([v, u, w])[1][1, 0] == 1.0
+        for sets in ([u, v, w], [v, u, w]):
+            d = metric_matrix(sets, kind, 1.0)
+            assert d[0, 1] == d[1, 0] == 1.0 + 5e-10
+    assert graph_matrices([u, v, w])[1][1, 0] == graph_matrices([v, u, w])[1][1, 0] == 1.0 + 5e-10
     assert cauchy_tail_profile([u, v, w], "send", window=1).evidence["residual"][0] == 2.0
     assert cauchy_tail_profile([u, w, v], "send", window=1).evidence["residual"][0] == 2.0
-    assert cauchy_tail_profile([u, v, u], "send", window=1).evidence["residual"][1] == 1.0
-    assert cauchy_tail_profile([v, u, v], "send", window=1).evidence["residual"][1] == 1.0 + 5e-10
+    for sets in ([u, v, u], [v, u, v]):
+        assert cauchy_tail_profile(sets, "send", window=1).evidence["residual"][1] == 1.0 + 5e-10
 
 
 def assert_known_memberships(u):

@@ -28,6 +28,7 @@ from fuzzymetrics import (
     tail_verdict,
     tb_end_report,
     tb_send_report,
+    trend_verdict,
 )
 from fuzzymetrics.cli import main
 from fuzzymetrics.common import MAX_GRID_LEVELS
@@ -151,21 +152,32 @@ def test_tb_end_alphas_must_lie_in_the_unit_interval(alpha):
         tb_end_report(translates_family(SP1, 6), 0.05, [0.5, alpha])
 
 
-@pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "2", np.float64(2.0)])
+@pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "2", np.float64(2.0), 0, -1, 5])
 def test_window_must_be_an_integer(window):
-    # True used to count as window 1, and 2.5 failed with a TypeError
+    # True used to count as window 1, and 2.5 failed with a TypeError; every
+    # call takes a series of 4, so window 5 is one past its length. The
+    # public trend rule used to PASS the empty tail of window 0 or -1 and
+    # read window 5 as 1, and the tail rule raised a bare ValueError from
+    # max() on an empty tail
     seq = [two_level()] * 4
     target = alpha_cut(two_level(), 0.5)
+    series = [0.1, 0.2, 0.3, 0.4]
     calls = [
         lambda: levelwise_profile(seq, two_level(), alphas=[0.5], window=window),
         lambda: gamma_diagnostic(seq, two_level(), alphas=[0.5], window=window),
         lambda: send_decomposition_check(seq, two_level(), window=window),
         lambda: kuratowski_tail_diagnostic([target] * 4, target, window=window),
-        lambda: tb_send_report(translates_family(SP1, 6), 0.5, window=window),
+        lambda: tb_send_report(translates_family(SP1, 4), 0.5, window=window),
+        lambda: tail_verdict(series, window, 1e-3),
+        lambda: trend_verdict(series, window),
+        lambda: trend_verdict(series, window, failing="decreasing"),
     ]
     for call in calls:
         with pytest.raises(InputError, match="window must be an integer"):
             call()
+    # a direction other than increasing or decreasing could never FAIL
+    with pytest.raises(InputError, match="failing must be 'increasing' or 'decreasing'"):
+        trend_verdict(series, 2, failing="sideways")
 
 
 def test_integer_windows_of_any_integral_type_are_accepted():
