@@ -16,12 +16,12 @@ class InputError(ValueError):
 
 
 def check_positive(name: str, x: float) -> None:
-    """Reject a radius or tolerance parameter unless it is finite and > 0.
+    """Reject a radius or tolerance unless it is a real number, finite and > 0.
 
     NaN fails every comparison, so a NaN eps would silently cover nothing and
     a NaN tol would never pass or fail; both are input errors instead.
     """
-    if not (x > 0 and math.isfinite(x)):
+    if not (real(name, x) > 0 and math.isfinite(x)):
         raise InputError(f"{name} must be finite and positive, got {x}")
 
 

@@ -38,7 +38,7 @@ from .fuzzy import (
     support,
 )
 from .sets import FiniteSet, _run_starts, _segment_extrema, union_family
-from .space import dist_matrix
+from .space import MetricSpace, dist_matrix
 
 
 def _check_same_space(u: StepFuzzySet, v: StepFuzzySet) -> None:
@@ -145,7 +145,7 @@ def _check_resolution(resolution: float) -> None:
     # below TOL the closed form and the oracle would have to agree closer
     # than points are told apart, and membership / resolution could leave
     # the integer range of the sample indices
-    if not TOL <= resolution <= 0.1:
+    if not TOL <= real("resolution", resolution) <= 0.1:
         raise InputError(f"resolution {resolution} outside [{TOL}, 0.1]")
 
 
@@ -155,25 +155,43 @@ def _top_indices(u: StepFuzzySet, bases: FiniteSet, resolution: float) -> np.nda
     return np.floor(memberships(u, bases.array) / resolution + 1e-9).astype(int)
 
 
-def _directed_sampled(k_src: np.ndarray, k_tgt: np.ndarray, d: np.ndarray, resolution: float) -> float:
+def _directed_sampled(space: MetricSpace, src: np.ndarray, k_src: np.ndarray, tgt: np.ndarray, k_tgt: np.ndarray,
+                      resolution: float) -> float:
     """Directed Hausdorff distance between two sampled graphs.
 
-    Column i of the source holds lifted samples (x_i, k*resolution) for
+    Column i of the source holds lifted samples (src_i, k*resolution) for
     k = 0..k_src[i]; likewise for the target. Both columns share the grid
     step, so the nearest target sample in column j to source level k sits at
     index min(k, k_tgt[j]); the level gap is max(k - k_tgt[j], 0)*resolution.
     That cost is nondecreasing in k, and so is its minimum over j, so the
     maximum over the samples of column i is reached at its top, k = k_src[i].
 
-    The gap is constant on each group of target columns of equal k_tgt, so d
-    is reduced over those groups first and the gap added to the minima: for
-    a fixed c, fl(d + c) is monotone in d, so the minimum over a group of
-    fl(d + c) is fl(min d + c), bit for bit.
+    The target is sorted by k_tgt and the source measured in row chunks of
+    space.block_rows(len(tgt)) rows; each kernel block is reduced over the
+    groups of equal k_tgt, on which the gap is constant, before the gap is
+    added: for a fixed c, fl(d + c) is monotone in d, so the minimum over a
+    group of fl(d + c) is fl(min d + c), bit for bit.
     """
     order = np.argsort(k_tgt, kind="stable")
-    groups = _run_starts(k_tgt[order])
-    gap = np.maximum(k_src[:, None] - k_tgt[order][groups], 0) * resolution
-    return float((np.minimum.reduceat(d[:, order], groups, axis=1) + gap).min(axis=1).max())
+    tgt, k_tgt = tgt[order], k_tgt[order]
+    groups = _run_starts(k_tgt)
+    step = space.block_rows(len(tgt))
+    return max(float((np.minimum.reduceat(dist_matrix(space, src[s:s + step], tgt), groups, axis=1)
+                      + np.maximum(k_src[s:s + step, None] - k_tgt[groups], 0) * resolution).min(axis=1).max())
+               for s in range(0, len(src), step))
+
+
+def _sampled_graphs(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared: bool) -> float:
+    """Hausdorff distance between the sampled graphs of u and v, on the
+    union of both supports when `shared`, else each on its own support."""
+    _check_same_space(u, v)
+    _check_resolution(resolution)
+    su, sv = support(u), support(v)
+    if shared:
+        su = sv = union_family([su, sv])
+    ku, kv = _top_indices(u, su, resolution), _top_indices(v, sv, resolution)
+    return max(_directed_sampled(u.space, su.array, ku, sv.array, kv, resolution),
+               _directed_sampled(u.space, sv.array, kv, su.array, ku, resolution))
 
 
 def endograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> float:
@@ -184,30 +202,12 @@ def endograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> flo
     outside a support contribute that set's zero-sheet sample (x, 0). The
     value is within `resolution` of the true endograph metric.
     """
-    _check_same_space(u, v)
-    _check_resolution(resolution)
-    bases = union_family([support(u), support(v)])
-    ku = _top_indices(u, bases, resolution)
-    kv = _top_indices(v, bases, resolution)
-    d = dist_matrix(u.space, bases.array, bases.array)
-    return max(
-        _directed_sampled(ku, kv, d, resolution),
-        _directed_sampled(kv, ku, d, resolution),
-    )
+    return _sampled_graphs(u, v, resolution, True)
 
 
 def sendograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> float:
     """Sampled sendograph distance; samples only over each set's own support."""
-    _check_same_space(u, v)
-    _check_resolution(resolution)
-    su, sv = support(u), support(v)
-    ku = _top_indices(u, su, resolution)
-    kv = _top_indices(v, sv, resolution)
-    d = dist_matrix(u.space, su.array, sv.array)
-    return max(
-        _directed_sampled(ku, kv, d, resolution),
-        _directed_sampled(kv, ku, d.T, resolution),
-    )
+    return _sampled_graphs(u, v, resolution, False)
 
 
 def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple[float, ...]:

@@ -127,10 +127,6 @@ def _segment_extrema(
 ) -> np.ndarray:
     """Directed distances between each of many point arrays and one target.
 
-    The blocks are concatenated into row chunks of at most
-    space.block_rows(len(target)) rows (a block larger than that is a chunk
-    of its own), each chunk is measured against the target by one dist_matrix
-    call, and each block's values come from segment reductions over its rows.
     Row 0 of the result holds, per block, the max over its points x of the
     min over the target points y of c(x, y); row 1 the max over y of the min
     over x of c'(y, x). With lifts = (block heights, target heights), c(x, y)
@@ -138,44 +134,56 @@ def _segment_extrema(
     max(0, h(y) - h(x)), as in the graph closed forms, and rows 2 and 3
     repeat rows 0 and 1 with each inner minimum capped at its source height.
 
+    The blocks are concatenated and measured in row chunks of
+    space.block_rows(len(target)) rows, one dist_matrix call each, so a block
+    may span chunks: each row's inner minimum is kept for the block maxima
+    at the end, and the column minima of the block open at a chunk edge
+    carry into the next chunk. Min and max are exact, so no bit changes.
+
     A lift is constant on each target height group and on each run of rows
-    of one block and height, so the target is sorted by height and each
-    chunk's rows by (block, height), the kernel block is reduced over those
-    groups and runs, and the lift added to the few minima. For a fixed c,
-    fl(d + c) is monotone in d, so min over y of fl(d + c) is fl(min d + c):
+    of one block and height, so the target is sorted by height and the rows
+    by (block, height), and the lift is added to the minima of each kernel
+    block over those groups and runs: for a fixed c, fl(d + c) is monotone
+    in d, so min over y of fl(d + c) is fl(min d + c) however a run is split,
     bit for bit the sum over every cell, with no other full-size array.
     """
     sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
-    ends = np.cumsum(sizes)
-    cap = space.block_rows(len(target))
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(len(blocks)), sizes)
+    rows = np.concatenate(blocks)
+    inner = np.empty(len(rows))
     out = np.empty((2 if lifts is None else 4, len(blocks)))
     if lifts is not None:
         by_height = np.argsort(lifts[1], kind="stable")
         target, ht = target[by_height], lifts[1][by_height]
         groups = _run_starts(ht)
-    lo = 0
-    while lo < len(blocks):
-        base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
-        starts = ends[lo:hi] - sizes[lo:hi] - base
-        rows = np.concatenate(blocks[lo:hi])
-        if lifts is not None:
-            block, h = np.repeat(np.arange(hi - lo), sizes[lo:hi]), np.concatenate(lifts[0][lo:hi])
-            order = np.lexsort((h, block))
-            rows, h = rows[order], h[order]
-            runs = _run_starts(block, h)
-        d = dist_matrix(space, rows, target)
+        h = np.concatenate(lifts[0])
+        order = np.lexsort((h, block))
+        rows, h = rows[order], h[order]
+    cap = space.block_rows(len(target))
+    for s in range(0, len(rows), cap):
+        e = min(s + cap, len(rows))
+        first, last = block[s], block[e - 1] + 1
+        # each block's first row in the chunk, 0 for one begun before it
+        local = np.maximum(starts[first:last] - s, 0)
+        d = dist_matrix(space, rows[s:e], target)
         if lifts is None:
-            inner, inner_back = d.min(axis=1), np.minimum.reduceat(d, starts, axis=0)
+            inner[s:e], back = d.min(axis=1), np.minimum.reduceat(d, local, axis=0)
         else:
-            inner = (np.minimum.reduceat(d, groups, axis=1) + np.maximum(0.0, h[:, None] - ht[groups])).min(axis=1)
-            lifted = np.minimum.reduceat(d, runs, axis=0) + np.maximum(0.0, ht - h[runs, None])
-            inner_back = np.minimum.reduceat(lifted, np.searchsorted(runs, starts), axis=0)
-            out[2, lo:hi] = np.maximum.reduceat(np.minimum(h, inner), starts)
-            out[3, lo:hi] = np.minimum(ht, inner_back).max(axis=1)
-        out[0, lo:hi] = np.maximum.reduceat(inner, starts)
-        out[1, lo:hi] = inner_back.max(axis=1)
-        lo = hi
+            runs = _run_starts(block[s:e], h[s:e])
+            lift = np.maximum(0.0, h[s:e, None] - ht[groups])
+            inner[s:e] = (np.minimum.reduceat(d, groups, axis=1) + lift).min(axis=1)
+            lifted = np.minimum.reduceat(d, runs, axis=0) + np.maximum(0.0, ht - h[s + runs, None])
+            back = np.minimum.reduceat(lifted, np.searchsorted(runs, local), axis=0)
+        if starts[first] < s:
+            np.minimum(back[0], carry, out=back[0])
+        carry = back[-1].copy()
+        out[1, first:last] = back.max(axis=1)
+        if lifts is not None:
+            out[3, first:last] = np.minimum(ht, back).max(axis=1)
+    out[0] = np.maximum.reduceat(inner, starts)
+    if lifts is not None:
+        out[2] = np.maximum.reduceat(np.minimum(h, inner), starts)
     return out
 
 

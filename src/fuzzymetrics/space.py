@@ -20,8 +20,9 @@ from .common import TOL, InputError, check_integer, is_real, real
 EUCLIDEAN = "euclidean"
 FINITE = "finite"
 
-# Cap on the bytes of the rows x m scratch buffer that dist_matrix fills per
-# row block, so memory stays bounded on large point sets.
+# Cap on the bytes of one rows x m kernel block: every caller of dist_matrix
+# passes at most block_rows(m) rows at a time, so memory stays bounded on
+# large point sets.
 BLOCK_BYTES = 1 << 20
 
 # Largest coordinate magnitude accepted in a point array. dist_matrix squares
@@ -157,22 +158,18 @@ def _root_sum_squares(xs, ys, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise distances d(a_i, b_j) between two point arrays of one space.
 
-    This is the one distance kernel. Euclidean rows are filled in blocks by
-    `_root_sum_squares`, whose second buffer is one rows x m scratch buffer
-    capped by BLOCK_BYTES. Finite mode gathers from the larger of each
-    matrix entry and its mirror. Either way dist_matrix(space, b, a) is the
-    transpose of dist_matrix(space, a, b), bit for bit.
+    This is the one distance kernel. It measures exactly the block it is
+    handed: Euclidean cells come from one `_root_sum_squares` call into the
+    result and one scratch buffer of its shape, so a caller bounds memory by
+    passing at most space.block_rows(len(b)) rows. Finite mode gathers from
+    the larger of each matrix entry and its mirror. Either way
+    dist_matrix(space, b, a) is the transpose of dist_matrix(space, a, b),
+    bit for bit.
     """
     if space.mode == FINITE:
         return space._symmetric[np.ix_(a, b)]
     out = np.empty((len(a), len(b)))
-    step = space.block_rows(len(b))
-    scratch = np.empty((min(step, len(a)), len(b)))
-    columns = np.ascontiguousarray(b.T)
-    for s in range(0, len(a), step):
-        rows = a[s:s + step]
-        _root_sum_squares(rows.T[:, :, None], columns, out[s:s + step], scratch[:len(rows)])
-    return out
+    return _root_sum_squares(a.T[:, :, None], np.ascontiguousarray(b.T), out, np.empty_like(out))
 
 
 def _cells(rows: np.ndarray, columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

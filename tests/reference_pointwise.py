@@ -130,9 +130,12 @@ def dist_matrix_reduction(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def directed_sampled(k_src: np.ndarray, k_tgt: np.ndarray, d: np.ndarray, resolution: float) -> float:
+def directed_sampled(space, src: np.ndarray, k_src: np.ndarray, tgt: np.ndarray, k_tgt: np.ndarray,
+                     resolution: float) -> float:
     """Directed distance between two sampled graphs, taken over every sample
-    k = 0..k_src[i] of each source column i."""
+    k = 0..k_src[i] of each source column i, from one full matrix of the
+    source against the target."""
+    d = dist_matrix(space, src, tgt)
     best = 0.0
     for i, top in enumerate(k_src):
         ks = np.arange(top + 1)
@@ -262,27 +265,20 @@ def dense_segment_extrema(
     target: np.ndarray,
     lifts: tuple[Sequence[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """sets._segment_extrema with lifts, each chunk adding the lift to every
-    cell of its kernel block in both directions before the minima: rows 0
-    and 1 the lifted directed distances per block, rows 2 and 3 the same with
-    each inner minimum capped at its source height."""
+    """sets._segment_extrema with lifts, from one full kernel matrix of every
+    block's rows against the target, adding the lift to every cell in both
+    directions before the minima: rows 0 and 1 the lifted directed distances
+    per block, rows 2 and 3 the same with each inner minimum capped at its
+    source height."""
     sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
-    ends = np.cumsum(sizes)
-    cap = space.block_rows(len(target))
-    out = np.empty((4, len(blocks)))
-    lo = 0
-    while lo < len(blocks):
-        base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
-        starts = ends[lo:hi] - sizes[lo:hi] - base
-        rows = np.concatenate(blocks[lo:hi])
-        d = dist_matrix(space, rows, target)
-        h, ht = np.concatenate(lifts[0][lo:hi]), lifts[1]
-        inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
-        inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)
-        out[2, lo:hi] = np.maximum.reduceat(np.minimum(h, inner), starts)
-        out[3, lo:hi] = np.minimum(ht, inner_back).max(axis=1)
-        out[0, lo:hi] = np.maximum.reduceat(inner, starts)
-        out[1, lo:hi] = inner_back.max(axis=1)
-        lo = hi
-    return out
+    starts = np.cumsum(sizes) - sizes
+    d = dist_matrix(space, np.concatenate(blocks), target)
+    h, ht = np.concatenate(lifts[0]), lifts[1]
+    inner = (d + np.maximum(0.0, h[:, None] - ht[None, :])).min(axis=1)
+    inner_back = np.minimum.reduceat(d + np.maximum(0.0, ht[None, :] - h[:, None]), starts, axis=0)
+    return np.array([
+        np.maximum.reduceat(inner, starts),
+        inner_back.max(axis=1),
+        np.maximum.reduceat(np.minimum(h, inner), starts),
+        np.minimum(ht, inner_back).max(axis=1),
+    ])

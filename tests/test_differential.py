@@ -30,6 +30,7 @@ from hypothesis import example, given, settings
 import reference_pointwise as ref
 from fuzzymetrics import (
     TOL,
+    FiniteSet,
     MetricSpace,
     Verdict,
     alpha_cut,
@@ -368,7 +369,7 @@ def test_kernel_matches_last_axis_reduction(dim):
     space = MetricSpace.euclidean(dim)
     rng = np.random.default_rng(dim)
     sizes = [tuple(rng.integers(1, 40, size=2)) for _ in range(12)] + [(1, 1), (300, 700)]
-    assert space.block_rows(700) < 300  # the last size spans row blocks at the default cap
+    assert space.block_rows(700) < 300  # the last size spans the reference's row blocks at the default cap
     for n, m in sizes:
         a = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3)
         b = rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-3, 3)
@@ -397,9 +398,12 @@ def test_oracles_match_level_by_level_sampling(kind, data, resolution):
     def oracles():
         return [f(x, y, resolution) for f in (endograph_oracle, sendograph_oracle) for x, y in ((u, v), (v, u))]
 
-    got = oracles()
     with mock.patch.object(metrics_module, "_directed_sampled", ref.directed_sampled):
-        assert got == oracles()
+        want = oracles()
+    # at the cap of 8 bytes each source row is a chunk of its own
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert oracles() == want
 
 
 # Stored levels of the shared-cut sequences, and grid alphas both exactly at
@@ -499,9 +503,8 @@ def test_closedness_distances_read_the_larger_entry_of_an_asymmetric_matrix():
 def test_batched_kernel_calls_stay_within_one_row_chunk():
     # 300 members of one to three points and one member of 100 points against
     # a limit with cuts of 500 and 2000 points: a row chunk against the
-    # support holds block_rows(2000) = 65 rows, so there the big member takes
-    # a chunk of its own, no larger than its per-pair matrix, and every other
-    # chunk stays within the cap
+    # support holds block_rows(2000) = 65 rows, so the big member spans two
+    # chunks there, and no call measures more rows than its target allows
     xs = [0.001 * k for k in range(2000)]
     limit = make_fuzzy([(1.0, finite_set(SP1, xs[:500])), (0.5, finite_set(SP1, xs))])
     rng = np.random.default_rng(0)
@@ -524,10 +527,8 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
         diag = gamma_diagnostic(seq, limit, alphas, window=5)
         cert = send_decomposition_check(seq, limit, window=5)
     # (chunk rows, target size) of each call; the targets are the limit cuts
-    chunks = [(n, m) for a, b in shapes for n, m in ((a, b), (b, a)) if m in (500, 2000) and n not in (500, 2000)]
-    assert len(chunks) == len(shapes)
-    assert all(n <= SP1.block_rows(m) for n, m in chunks if (n, m) != (100, 2000))
-    assert (100, 2000) in chunks
+    assert {m for _, m in shapes} == {500, 2000}
+    assert all(n <= SP1.block_rows(m) for n, m in shapes)
     for i, a in enumerate(alphas):
         assert part_series(profile)[i] == tuple(hausdorff(alpha_cut(u, a), alpha_cut(limit, a)) for u in seq)
         assert part_series(diag)[i] == tuple(
@@ -541,7 +542,8 @@ def test_gamma_and_kuratowski_series_take_one_kernel_pass():
     # the strict and the full limit cuts coincide at every grid alpha, so
     # the deficits and the excesses read one pass per limit cut, as the level
     # distances do; the Kuratowski series read one pass over the prefix,
-    # one call per row chunk of block_rows(2000) = 65 rows
+    # one call per row chunk of block_rows(2000) = 65 rows, a member split
+    # between two chunks where a chunk edge falls inside it
     xs = [0.001 * k for k in range(2000)]
     limit = make_fuzzy([(1.0, finite_set(SP1, xs[:500])), (0.5, finite_set(SP1, xs))])
     rng = np.random.default_rng(1)
@@ -552,11 +554,7 @@ def test_gamma_and_kuratowski_series_take_one_kernel_pass():
     alphas = (0.3, 0.45, 0.7)
     assert all(strict_cut_closure(limit, a) is alpha_cut(limit, a) for a in alphas)
     prefix, target = [support(u) for u in seq], support(limit)
-    chunks, rows = 0, SP1.block_rows(len(target))
-    for size in map(len, prefix):
-        if rows + size > SP1.block_rows(len(target)):
-            chunks, rows = chunks + 1, 0
-        rows += size
+    chunks = math.ceil(sum(map(len, prefix)) / SP1.block_rows(len(target)))
     counts = []
     for call in (lambda: levelwise_profile(seq, limit, alphas, window=5),
                  lambda: gamma_diagnostic(seq, limit, alphas, window=5),
@@ -612,6 +610,42 @@ def test_grouped_lifted_reduction_matches_the_dense_one_bit_for_bit(scene):
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             got = sets_module._segment_extrema(space, blocks, target, lifts)
             assert got.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts).tobytes()
+
+
+# Points on a line (0-based indices), taken as 1-D points, as 2-D points off
+# the axis and as indices of their L1 distance matrix: blocks of 1, 5 and 1
+# points against a 4-point target, each point with a height. At two rows
+# per chunk the 5-point block spans rows 1..5, and its (block, height) run
+# of height 0.6, rows 2..4 once sorted, splits at the edge between rows 3
+# and 4.
+SPLIT_LINE = (0.0, 0.5, 1.25, 2.0, 3.5, 4.0, 0.75, 2.75, 5.0, 1.0)
+SPLIT_BLOCKS = ([9], [1, 2, 3, 4, 5], [6])
+SPLIT_HEIGHTS = ([0.6], [1.0, 0.6, 0.3, 0.6, 0.6], [0.3])
+SPLIT_TARGET, SPLIT_TARGET_HEIGHTS = [0, 7, 8, 3], [1.0, 0.3, 0.6, 0.3]
+SPLIT_SCENES = {
+    "1d": (SP1, [(x,) for x in SPLIT_LINE]),
+    "2d": (SP2, [(x, (3 * x) % 1.75) for x in SPLIT_LINE]),
+    "finite": (MetricSpace.finite([[abs(x - y) for y in SPLIT_LINE] for x in SPLIT_LINE]), list(range(10))),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_split_at_two_row_chunk_edges_match_the_dense_reductions(kind):
+    space, points = SPLIT_SCENES[kind]
+    blocks = [space.point_array([points[i] for i in b]) for b in SPLIT_BLOCKS]
+    target = space.point_array([points[i] for i in SPLIT_TARGET])
+    lifts = ([np.array(h) for h in SPLIT_HEIGHTS], np.array(SPLIT_TARGET_HEIGHTS))
+    sets, t = [FiniteSet(space, b) for b in blocks], FiniteSet(space, target)
+    with mock.patch.object(space_module, "BLOCK_BYTES", 8 * 2 * len(target)):
+        assert space.block_rows(len(target)) == 2
+        lifted = sets_module._segment_extrema(space, blocks, target, lifts)
+        plain = sets_module._segment_extrema(space, blocks, target)
+        one_pair = [(directed_hausdorff(b, t), directed_hausdorff(t, b), hausdorff(b, t)) for b in sets]
+    assert lifted.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts).tobytes()
+    dense = [(ref.dense_directed_hausdorff(b, t), ref.dense_directed_hausdorff(t, b), ref.dense_hausdorff(b, t))
+             for b in sets]
+    assert one_pair == dense
+    assert [tuple(col) + (max(col),) for col in plain.T.tolist()] == dense
 
 
 @given(st.data())

@@ -17,6 +17,7 @@ from fuzzymetrics import (
     endograph_oracle,
     finite_set,
     gamma_diagnostic,
+    hausdorff,
     kuratowski_tail_diagnostic,
     levelwise_profile,
     make_fuzzy,
@@ -24,6 +25,7 @@ from fuzzymetrics import (
     send_decomposition_check,
     sendograph_metric,
     sendograph_oracle,
+    support,
 )
 from fuzzymetrics import space as space_module
 from fuzzymetrics.cli import main
@@ -80,8 +82,9 @@ def test_sendograph_oracle_values():
 
 def test_oracle_resolution_range():
     # below TOL, membership / resolution overflowed the sample indices
-    # (from about 1e-19) and gave garbage oracle values
-    for resolution in (0.0, 0.2, 1e-300, 1e-20, TOL / 2):
+    # (from about 1e-19) and gave garbage oracle values; a string or bytes
+    # raised a bare TypeError
+    for resolution in (0.0, 0.2, 1e-300, 1e-20, TOL / 2, "0.01", b"0.01"):
         with pytest.raises(InputError):
             endograph_oracle(two_level(), two_level(), resolution)
         with pytest.raises(InputError):
@@ -334,17 +337,34 @@ def test_levelwise_pass_lifts_to_kuratowski():
         assert diag.verdict is Verdict.PASS
 
 
+# Every kernel call measures at most block_rows(m) rows against m target
+# points, so a pass holds at most a kernel block, the kernel's scratch
+# buffer and one reduction of the block at once, each within BLOCK_BYTES.
+KERNEL_PASS_BYTES = 3 * space_module.BLOCK_BYTES + (1 << 20)
+
+
 def test_graph_series_memory_stays_within_one_kernel_block():
-    # three-level sets of 400 and 800 points: the only full-size array of the
-    # lifted pass is its 400 x 800 kernel block, which dist_matrix fills
-    # through one scratch buffer within BLOCK_BYTES; the lifts are added to
-    # minima per height group. A lift matrix and a lifted sum per direction
-    # would take four more blocks.
+    # three-level sets of 400 and 800 points: the lifts are added to minima
+    # per height group, and no array of n x m cells is built
     def three_level(n, seed):
         pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2)).tolist()
         return make_fuzzy([(a, finite_set(SP2, pts[:k])) for a, k in ((1.0, n // 4), (0.6, n // 2), (0.3, n))])
 
     u, v = three_level(400, 0), three_level(800, 1)
     assert len(u.support_memberships) == 400 and len(v.support_memberships) == 800  # measured before tracing
-    peak = traced_peak(graph_series, [u], v)
-    assert peak <= 400 * 800 * 8 + space_module.BLOCK_BYTES + (1 << 19)
+    assert traced_peak(graph_series, [u], v) <= KERNEL_PASS_BYTES
+
+
+def test_one_pair_metrics_and_oracles_stay_within_one_kernel_pass_at_large_n():
+    # two-level 2-D sets of 2,000 and 3,000 points: a full 2,000 x 3,000
+    # matrix alone would take 48 MB, a bases x bases one 200 MB
+    def two_level_2d(n, seed):
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2)).tolist()
+        return make_fuzzy([(1.0, finite_set(SP2, pts[:n // 2])), (0.5, finite_set(SP2, pts))])
+
+    u, v = two_level_2d(2000, 2), two_level_2d(3000, 3)
+    assert len(u.support_memberships) == 2000 and len(v.support_memberships) == 3000  # measured before tracing
+    su, sv = support(u), support(v)
+    for call, *args in ((hausdorff, su, sv), (graph_series, [u], v), (endograph_oracle, u, v, 0.05),
+                        (sendograph_oracle, u, v, 0.05)):
+        assert traced_peak(call, *args) <= KERNEL_PASS_BYTES, call.__name__
