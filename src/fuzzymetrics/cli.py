@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .certificates import Certificate, Verdict
@@ -208,7 +209,9 @@ def _seed(text: str) -> int:
     return seed
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing leaves it as it is)."""
     parser = argparse.ArgumentParser(prog="fuzzymetrics")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -63,6 +63,23 @@ def check_grid_size(n: int) -> int:
     return check_integer("alpha grid size", n, 1, MAX_GRID_LEVELS)
 
 
+def check_alpha_grid(alphas, closed: bool) -> tuple[float, ...]:
+    """An explicit alpha grid as floats: nonempty, each level real and in
+    (0,1), or (0,1] when `closed`, and no two alike under fmt, which keys a
+    report's parts and series by level; else an InputError."""
+    grid = tuple(real("alpha", a) for a in alphas)
+    if not grid:
+        raise InputError("empty alpha grid")
+    seen: set[str] = set()
+    for a in grid:
+        if not (0.0 < a < 1.0 or closed and a == 1.0):
+            raise InputError(f"alpha {a} outside (0,1{']' if closed else ')'}")
+        if fmt(a) in seen:
+            raise InputError(f"alpha {fmt(a)} appears twice in the alpha grid")
+        seen.add(fmt(a))
+    return grid
+
+
 def fmt(x: float) -> str:
     """Format a number with 9 significant digits, '.' decimal, no locale."""
     return f"{float(x):.9g}"

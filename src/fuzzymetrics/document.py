@@ -289,13 +289,7 @@ def parse_document(data: Any, default_seed: int = 0) -> Document:
         if name in sequences:
             raise InputError(f"duplicate sequence name {name!r}")
         sequences[name] = tuple(_members(obj, f"sequence {name!r}", fuzzy_sets))
-    return Document(
-        space=space,
-        fuzzy_sets=fuzzy_sets,
-        declared=tuple(declared),
-        families=families,
-        sequences=sequences,
-    )
+    return Document(space, fuzzy_sets, tuple(declared), families, sequences)
 
 
 def load_document(path: str, default_seed: int = 0) -> Document:

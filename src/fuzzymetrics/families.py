@@ -22,7 +22,7 @@ from .certificates import (
     tail_verdict,
     trend_verdict,
 )
-from .common import InputError, check_positive, fmt, real
+from .common import InputError, check_alpha_grid, check_positive, fmt
 from .fuzzy import StepFuzzySet, same_representation, support
 from .metrics import _CutTable, graph_series, metric_matrix
 from .sets import FiniteSet, _segment_extrema, prefix_net_sizes
@@ -107,19 +107,13 @@ def tb_end_report(
     when stabilized. Untagged families PASS with the union net size recorded.
     """
     check_positive("eps", eps)
-    alphas = tuple(real("alpha", a) for a in alphas)
-    if not alphas:
-        raise InputError("empty alpha grid")
-    for a in alphas:
-        if not 0.0 < a <= 1.0:
-            raise InputError(f"alpha {a} outside (0,1]")
+    alphas = check_alpha_grid(alphas, closed=True)
     # The table reads cuts only for alpha in (0,1]. A member's cut map changes
     # only at stored levels, so few cut-id vectors repeat: one series each
     table = _CutTable(family.members)
     series_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     parts = []
-    for a in alphas:
-        ids = tuple(table.at(a).tolist())
+    for a, ids in zip(alphas, map(tuple, table.at(alphas).tolist())):
         if ids not in series_of:
             series_of[ids] = _net_sizes(family, [table.cuts[i] for i in ids], eps)
         parts.append((f"alpha={fmt(a)}", series_of[ids]))

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .certificates import Certificate, Verdict, tail_certificate
-from .common import TOL, InputError, check_grid_size, fmt, real
+from .common import TOL, InputError, check_alpha_grid, check_grid_size, fmt, real
 from .fuzzy import (
     StepFuzzySet,
     alpha_cut,
@@ -234,27 +234,31 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
 
 class _CutTable:
     """The cut maps of some fuzzy sets as one table: their distinct cuts (by
-    identity), and per set its stored levels, zero-padded, with the index of
-    each level's cut among the distinct cuts. Row k of `levels` holds every
-    set's k-th level."""
+    identity), and per set its zero-padded stored levels with the int32 index
+    of each level's cut. Row k of `levels` and `ids` holds every k-th level."""
 
     def __init__(self, sets: Sequence[StepFuzzySet]) -> None:
         index: dict[FiniteSet, int] = {}
-        rows = [[(a, index.setdefault(cut, len(index))) for a, cut in u.levels] for u in sets]
-        pad = [(0.0, 0)] * max(map(len, rows))
-        table = np.array([r + pad[len(r):] for r in rows]).transpose(2, 1, 0)
-        self.cuts = list(index)
-        self.levels = np.ascontiguousarray(table[0])
-        self._ids = table[1].astype(np.intp).T.ravel()
-        self._first = np.arange(len(rows)) * len(pad)
+        flat = [pair for u in sets for pair in u.levels]
+        counts = np.array([len(u.levels) for u in sets])
+        held = np.arange(counts.max()) < counts[:, None]
+        levels, ids = np.zeros(held.shape), np.zeros(held.shape, np.int32)
+        levels[held] = [a for a, _ in flat]
+        ids[held] = [index.setdefault(cut, len(index)) for _, cut in flat]
+        self.cuts, self.levels, self.ids = list(index), levels.T, ids.T
 
-    def at(self, alpha: float, strict: bool = False) -> np.ndarray:
-        """Index of each set's cut at alpha in (0,1): the cut at the smallest
-        stored level >= alpha, as alpha_cut takes it, or > alpha with
-        `strict`, as strict_cut_closure does. Levels decrease, so that cut
-        sits at the count of qualifying levels; the padding never qualifies."""
-        count = (self.levels > alpha if strict else self.levels >= alpha).sum(axis=0)
-        return self._ids[self._first + count - 1]
+    def at(self, alphas: Sequence[float], strict: bool = False) -> np.ndarray:
+        """The (grid x sets) table of each set's cut index at each alpha in
+        (0,1]: the cut at the smallest stored level >= alpha, as alpha_cut
+        takes it, or > alpha with `strict`, as strict_cut_closure does. The
+        levels that qualify are a prefix from 1.0 that padding never joins,
+        so each level below 1.0 writes its ids where one comparison with the
+        grid qualifies it."""
+        grid = np.asarray(alphas, dtype=float)[:, None]
+        out = np.repeat(self.ids[:1], len(grid), axis=0)
+        for level, ids in zip(self.levels[1:], self.ids[1:]):
+            np.copyto(out, ids, where=level > grid if strict else level >= grid)
+        return out
 
 
 def _level_series(
@@ -269,43 +273,32 @@ def _level_series(
     (from the member cut into the limit cut), row 1 (from the limit cut into
     the member cut) or row 2, the larger of the two (the Hausdorff distance).
 
-    A first pass over the grid marks which distinct member cuts meet which
-    limit cut on any side; one _segment_extrema call per limit cut measures
-    those cuts against it, and each side reads its row. A second pass reads
-    the series through the table: entries share the float objects of the
-    distinct values, and no (grid x members) array is built.
-    """
+    One at() call gives the (grid x members) table of member cut ids and one
+    per side the limit's cut id per alpha. The sides mark the (limit cut,
+    member cut) pairs they meet, one _segment_extrema call per limit cut
+    measures its marked member cuts, and each side reads its series with one
+    object gather through the table: entries share the distinct values'
+    float objects, and no entry makes its own. Indexing casts the int32 ids
+    in small buffers, so no intp copy of the table is made."""
     members, lim = _CutTable(seq), _CutTable([limit])
-
-    def rows():
-        for a in alphas:
-            yield members.at(a), [int(lim.at(a, strict)[0]) for _, strict in sides]
-
+    ids = members.at(alphas)
+    ks = [lim.at(alphas, strict)[:, 0] for _, strict in sides]
     meets = np.zeros((len(lim.cuts), len(members.cuts)), dtype=bool)
-    for ids, ks in rows():
-        meets[np.ix_(ks, ids)] = True
+    for k in ks:
+        meets[k[:, None], ids] = True
     values = np.empty((3,) + meets.shape, dtype=object)
     for k, target in enumerate(lim.cuts):
         sel = np.flatnonzero(meets[k])
         if sel.size:
             ext = _segment_extrema(limit.space, [members.cuts[i].array for i in sel], target.array)
             values[:, k, sel] = np.vstack([ext, ext.max(axis=0)]).astype(object)
-    out: list[list[tuple[float, ...]]] = [[] for _ in sides]
-    for ids, ks in rows():
-        for side, ((row, _), k) in enumerate(zip(sides, ks)):
-            out[side].append(tuple(values[row, k, ids].tolist()))
-    return out
+    return [list(map(tuple, values[row][k[:, None], ids].tolist())) for (row, _), k in zip(sides, ks)]
 
 
 def _validated_alphas(alphas, limit, necessity: bool) -> tuple[float, ...]:
     if alphas is None:
         return default_alpha_grid(limit)
-    alphas = tuple(real("alpha", a) for a in alphas)
-    if not alphas:
-        raise InputError("empty alpha grid")
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise InputError(f"alpha {a} outside (0,1)")
+    alphas = check_alpha_grid(alphas, closed=False)
     if necessity:
         plat = platform_points(limit)
         for a in alphas:

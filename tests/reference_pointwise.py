@@ -14,8 +14,10 @@ the identity decisions at TOL read from full kernel matrices, as dedup and
 nestedness took them before the near-pair search, and the Hausdorff
 distances each reduced from its own full kernel matrix, with the level
 modulus and the discontinuity levels that measured one pair of cuts at a
-time through them. The last is the lifted segment reduction that added the
-lift to every cell of a chunk's kernel block before taking any minimum.
+time through them. Then the lifted segment reduction that added the lift
+to every cell of a chunk's kernel block before taking any minimum. Last
+comes the cut table read one alpha at a time, and the level and Γ series
+built from it in two passes over the grid.
 test_differential.py and test_near.py compare the library against them.
 """
 
@@ -30,6 +32,7 @@ import numpy as np
 from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet, alpha_cut
 from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
+from fuzzymetrics.sets import _segment_extrema
 from fuzzymetrics.space import EUCLIDEAN, dist_matrix
 
 
@@ -282,3 +285,52 @@ def dense_segment_extrema(
         np.maximum.reduceat(np.minimum(h, inner), starts),
         np.minimum(ht, inner_back).max(axis=1),
     ])
+
+
+class PointwiseCutTable:
+    """metrics._CutTable as it was read one alpha at a time: the distinct
+    cuts (by identity) and a (levels x sets) table of zero-padded stored
+    levels, built from one nested list of (alpha, cut id) pairs per set."""
+
+    def __init__(self, sets: Sequence[StepFuzzySet]) -> None:
+        index: dict[FiniteSet, int] = {}
+        rows = [[(a, index.setdefault(cut, len(index))) for a, cut in u.levels] for u in sets]
+        pad = [(0.0, 0)] * max(map(len, rows))
+        table = np.array([r + pad[len(r):] for r in rows]).transpose(2, 1, 0)
+        self.cuts = list(index)
+        self.levels = np.ascontiguousarray(table[0])
+        self._ids = table[1].astype(np.intp).T.ravel()
+        self._first = np.arange(len(rows)) * len(pad)
+
+    def at(self, alpha: float, strict: bool = False) -> np.ndarray:
+        """Index of each set's cut at one alpha: the count of stored levels
+        >= alpha (> alpha with `strict`), less one, into the set's row."""
+        count = (self.levels > alpha if strict else self.levels >= alpha).sum(axis=0)
+        return self._ids[self._first + count - 1]
+
+
+def level_series(seq, limit, alphas, sides) -> list[list[tuple[float, ...]]]:
+    """metrics._level_series in two passes over the grid, one alpha at a
+    time: the first marks the (limit cut, member cut) pairs that meet, the
+    second reads each alpha's series through the table after one
+    _segment_extrema call per limit cut."""
+    members, lim = PointwiseCutTable(seq), PointwiseCutTable([limit])
+
+    def rows():
+        for a in alphas:
+            yield members.at(a), [int(lim.at(a, strict)[0]) for _, strict in sides]
+
+    meets = np.zeros((len(lim.cuts), len(members.cuts)), dtype=bool)
+    for ids, ks in rows():
+        meets[np.ix_(ks, ids)] = True
+    values = np.empty((3,) + meets.shape, dtype=object)
+    for k, target in enumerate(lim.cuts):
+        sel = np.flatnonzero(meets[k])
+        if sel.size:
+            ext = _segment_extrema(limit.space, [members.cuts[i].array for i in sel], target.array)
+            values[:, k, sel] = np.vstack([ext, ext.max(axis=0)]).astype(object)
+    out: list[list[tuple[float, ...]]] = [[] for _ in sides]
+    for ids, ks in rows():
+        for side, ((row, _), k) in enumerate(zip(sides, ks)):
+            out[side].append(tuple(values[row, k, ids].tolist()))
+    return out

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fuzzymetrics.cli import main
+from fuzzymetrics.cli import build_parser, main
 from fuzzymetrics.common import fmt
 
 
@@ -298,3 +302,28 @@ def test_bad_alpha_grid_is_an_input_error_on_every_mode(capsys, doc_path, argv, 
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: alpha grid size must be an integer in 1..10000, got {grid}\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_commands_run_in_one_process_match_fresh_runs(capsys, monkeypatch, doc_path):
+    # the parser is built once per process: a passing command, one that
+    # argparse rejects (exit 2) and a passing one again keep the exit codes
+    # and the stdout and stderr bytes that each has in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+    commands = [["metrics", doc_path, "--kind", "send"],
+                ["converge", doc_path, "--sequence", "alt", "--limit", "u0", "--mode", "sideways"],
+                ["converge", doc_path, "--sequence", "col", "--limit", "u0", "--mode", "gamma", "--alpha-grid", "7"]]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    fresh = [subprocess.run([sys.executable, "-m", "fuzzymetrics.cli", *argv], capture_output=True, text=True,
+                            timeout=60, env=env) for argv in commands]
+    assert [p.returncode for p in fresh] == [0, 2, 0]
+    in_process = []
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert "invalid choice: 'sideways'" in in_process[1][2]
+    assert build_parser() is build_parser()

@@ -14,8 +14,11 @@ limit, a candidate or a sequence member were recorded before generated
 families were built on first read; the three Γ and level commands on
 demo/finite.json (limit ß) and demo/plane.json (sequence cloud) were
 recorded at commit ddcf732 (before the finite branch of the kernel read one
-symmetric matrix). A change to any number, verdict, row
-order or JSON byte shows here."""
+symmetric matrix). The sha256 of the `--emit-json` report file of twelve
+`converge` (gamma, level, send, end) and `compact` (tb_end, erc) commands,
+with their exit codes, were recorded at commit 3ca16ca (before the level and
+Γ series were read from one cut-id table). A change to any number, verdict,
+row order or JSON byte shows here."""
 
 import hashlib
 from pathlib import Path
@@ -80,3 +83,28 @@ def test_demo_output_is_byte_identical(capsys, argv, exit_code, sha256):
     code = main([str(DEMO_DIR / DOCS[a]) if a in DOCS else a for a in argv])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (exit_code, sha256)
+
+
+GOLDEN_JSON = [
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "gamma", "--alpha-grid", "7"], 0, "5727dfa7a26cce596f8d854549b967556e3b0dd2d7583c838fe3b43a31e10670"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "level", "--alpha-grid", "7"], 0, "3bc6a961f2f7be554b5ed2a8d5d76709c8496c253c3ca05a3b5e29619bdbd4be"),
+    (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "gamma"], 1, "aca840ea0f85f81f685ab3f4be2e7cacb4cfcb4a0c7253708e687a2b54cf707d"),
+    (["converge", "DOC", "--sequence", "cloud", "--limit", "ramp", "--mode", "level"], 1, "149ec9a0d9d2cf1515aac2ace72dbb253e4470ee6603acb0034d359b4ea30969"),
+    (["converge", "DOC", "--sequence", "col", "--limit", "origin", "--mode", "send", "--tol", "0.01"], 1, "cbed4a6a913b9804f4dc18bb7513dadcb1e1b37d09b50198e8a5203e75053542"),
+    (["converge", "DOC", "--sequence", "alternating", "--limit", "origin", "--mode", "end"], 1, "7fc8b0b79bae0b9f1809c24ec01cbf3ae5b1066a015075b7f0c0e0dd5f1da866"),
+    (["converge", "FINITE", "--sequence", "seq", "--limit", "ß", "--mode", "gamma", "--alpha-grid", "7", "--window", "4"], 1, "7b261772a524e5e182c779df5562b894cb699a194c89594d25e2cdfcb015f182"),
+    (["converge", "FINITE", "--sequence", "seq", "--limit", "ß", "--mode", "level", "--alpha-grid", "7", "--window", "4"], 1, "ab655cb399da1fd9550238bea291c0c2a257ccc9cfac63b13b92c64972378ee3"),
+    (["compact", "DOC", "--family", "iv", "--mode", "tb_end", "--eps", "0.05", "--alpha-grid", "11"], 1, "4f97e14755013068383588ba2b4d05e09e526be7679b1a56c19f029b6254d49d"),
+    (["compact", "DOC", "--family", "cloud", "--mode", "tb_end", "--eps", "0.1"], 0, "a5703efd8ae5a74b15e7fd68d3abf579cf87f1345a620e964753a410056a4135"),
+    (["compact", "DOC", "--family", "col", "--mode", "erc", "--eps", "0.5"], 1, "ba9df3e004ca7c2398507ba05095f5f1175bdc88f807b5fcff1f34951809bb29"),
+    (["compact", "DOC", "--family", "cloud", "--mode", "erc", "--eps", "0.1"], 1, "8aac345c28d62e971084f47ba4c2847c6244935ac2150f9ce2b6fd26eae5bbb2"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,sha256", GOLDEN_JSON,
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_emitted_json_report_is_byte_identical(capsys, tmp_path, argv, exit_code, sha256):
+    report = tmp_path / "report.json"
+    code = main([str(DEMO_DIR / DOCS[a]) if a in DOCS else a for a in argv] + ["--emit-json", str(report)])
+    capsys.readouterr()
+    assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == (exit_code, sha256)

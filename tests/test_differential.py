@@ -16,8 +16,10 @@ group, against the one that added it to every kernel cell,
 the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
 measured, the memberships measured from 1.0 down against the scan from the
-lowest level up, and the blocked triangle check of validate_metric against
-the check one row at a time."""
+lowest level up, the blocked triangle check of validate_metric against
+the check one row at a time, and the level and Γ series and tb_end's cut
+ids, read through one (grid x members) cut-id table, against the table read
+one alpha at a time."""
 
 import math
 from unittest import mock
@@ -52,6 +54,7 @@ from fuzzymetrics import (
     make_fuzzy,
     metric_matrix,
     p0_points,
+    platform_points,
     same_representation,
     send_decomposition_check,
     sendograph_metric,
@@ -65,8 +68,8 @@ from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import sets as sets_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships
-from fuzzymetrics.metrics import graph_matrices
-from fuzzymetrics.generators import collapse_family, random_family, random_fuzzy
+from fuzzymetrics.metrics import default_alpha_grid, graph_matrices
+from fuzzymetrics.generators import collapse_family, crisp_interval_family, random_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
 from helpers import CAPS, SP1, SP2, part_maxima, part_series
@@ -433,7 +436,7 @@ def shared_cut_sequences(draw, kinds=SERIES_KINDS):
 
     pool = [fuzzy() for _ in range(draw(st.integers(1, 4)))]
     seq = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-    alphas = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=6))
+    alphas = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=6, unique=True))
     return space, seq, fuzzy(), alphas
 
 
@@ -932,3 +935,99 @@ def test_triangle_check_matches_per_row_reference(n, seed):
                 cert = validate_metric(MetricSpace.finite(m))
             assert cert.witness == expected
             assert cert.verdict is (Verdict.PASS if expected is None else Verdict.FAIL)
+
+
+# Every count of stored levels from 1.0 alone to 1.0 and all of LEVELS, so
+# the cut table pads every set shorter than the tallest; and the sides that
+# the level profile, the Γ sandwich and a mix of all three rows read.
+TALLEST = len(LEVELS) + 1
+SIDES = ([(2, False)], [(1, True), (0, False)], [(0, False), (1, False), (2, True)])
+
+
+@st.composite
+def padded_cut_sequences(draw, kinds=SERIES_KINDS):
+    """A space, a sequence and a limit whose sets hold 1 to TALLEST stored
+    levels, their cuts runs of one chain of nested cut objects (two of which
+    may hold the same points), and a grid drawn from GRID."""
+    space, point, _ = draw(scenes(kinds))
+    raw = draw(point_lists(point, max_size=12))
+    chain = [finite_set(space, raw[:k])
+             for k in sorted(draw(st.lists(st.integers(1, len(raw)), min_size=1, max_size=TALLEST)))]
+
+    def fuzzy():
+        count = draw(st.integers(1, len(chain)))
+        lo = draw(st.integers(0, len(chain) - count))
+        below = draw(st.lists(st.sampled_from(LEVELS), min_size=count - 1, max_size=count - 1, unique=True))
+        return make_fuzzy(list(zip([1.0] + sorted(below, reverse=True), chain[lo:lo + count])))
+
+    pool = [fuzzy() for _ in range(draw(st.integers(1, 5)))]
+    seq = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    alphas = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=len(GRID), unique=True))
+    return space, seq, fuzzy(), tuple(alphas)
+
+
+def assert_level_series_match(seq, limit, alphas):
+    """The level series on every side list: tuples, bit for bit those of the
+    per-alpha reference."""
+    for sides in SIDES:
+        got = metrics_module._level_series(seq, limit, alphas, sides)
+        want = ref.level_series(seq, limit, alphas, sides)
+        assert all(type(s) is tuple and len(s) == len(seq) for side in got for s in side)
+        assert [[np.array(s).tobytes() for s in side] for side in got] == \
+            [[np.array(s).tobytes() for s in side] for side in want]
+
+
+@given(padded_cut_sequences())
+@settings(max_examples=200)
+def test_level_series_match_the_per_alpha_reference_bit_for_bit(scene):
+    _, seq, limit, alphas = scene
+    assert_level_series_match(seq, limit, alphas)
+
+
+def stepped(space, points, alphas):
+    """A step set whose k-th level holds the first k + 1 points."""
+    return make_fuzzy([(a, finite_set(space, points[:k + 1])) for k, a in enumerate(alphas)])
+
+
+@pytest.mark.parametrize("space", [SP1, SP2, ASYMMETRIC_CYCLE], ids=["1d", "2d", "finite"])
+def test_level_series_at_the_limits_platform_levels_match_the_reference(space):
+    # a limit with four cuts, read at its platform levels, where the strict
+    # cut and the cut part ways, between them and on one-level grids;
+    # members of one to four levels, padded in the table
+    if space.mode == "finite":
+        points = list(range(len(space.matrix)))
+    else:
+        points = np.random.default_rng(7).uniform(-1.0, 2.0, size=(6, space.dim)).tolist()
+    limit = stepped(space, points[::-1], (1.0, 0.7, 0.4, 0.2))
+    assert platform_points(limit) == (0.2, 0.4, 0.7)
+    seq = [stepped(space, points[s:], (1.0, 0.7, 0.55, 0.2)[:count])
+           for count in range(1, 5) for s in range(len(points) - count + 1)]
+    for alphas in ((0.2, 0.4, 0.7), (0.1, 0.3, 0.4, 0.55, 0.7, 0.9), (0.4,), (0.55,)):
+        assert_level_series_match(seq, limit, alphas)
+
+
+def test_level_series_of_the_collapse_family_match_the_reference():
+    # 1,500 members that share two cuts, against a limit with a platform at
+    # 0.5, on the default grid and on a grid that holds the platform level
+    seq = collapse_family(SP1, 1500, base=0.0, far=1.0).members
+    limit = make_fuzzy([(1.0, finite_set(SP1, [0.0])), (0.5, finite_set(SP1, [0.0, 1.0]))])
+    for alphas in (default_alpha_grid(limit), tuple(k / 20 for k in range(1, 20)), (0.5,)):
+        assert_level_series_match(seq, limit, alphas)
+
+
+@pytest.mark.parametrize("family", ["random", "collapse", "intervals"])
+def test_tb_end_cut_ids_match_the_per_alpha_table(family):
+    # the (grid x members) id table of one at() call, on a grid in (0,1]
+    # that ends at 1.0, row for row the per-alpha table's ids, over the
+    # same distinct cuts
+    fam = {"random": lambda: random_family(SP2, 60, 3, (0.0, 1.0), 6, 5),
+           "collapse": lambda: collapse_family(SP1, 40),
+           "intervals": lambda: crisp_interval_family(SP1, 0.0, 1.0, 0.1)}[family]()
+    alphas = tuple(k / 101 for k in range(1, 102))
+    table, want = metrics_module._CutTable(fam.members), ref.PointwiseCutTable(fam.members)
+    assert table.cuts == want.cuts and all(a is b for a, b in zip(table.cuts, want.cuts))
+    ids = table.at(alphas)
+    assert ids.shape == (len(alphas), len(fam.members))
+    assert ids.tolist() == [want.at(a).tolist() for a in alphas]
+    strict = alphas[:-1]
+    assert table.at(strict, strict=True).tolist() == [want.at(a, strict=True).tolist() for a in strict]

@@ -30,7 +30,7 @@ from fuzzymetrics import (
 from fuzzymetrics import space as space_module
 from fuzzymetrics.cli import main
 from fuzzymetrics.generators import collapse_family, contracting_sequence
-from fuzzymetrics.metrics import graph_series
+from fuzzymetrics.metrics import _CutTable, graph_series
 from helpers import SP1, SP2, fuzzy_corpus, part_series, singleton, traced_peak, two_level
 
 
@@ -368,3 +368,19 @@ def test_one_pair_metrics_and_oracles_stay_within_one_kernel_pass_at_large_n():
     for call, *args in ((hausdorff, su, sv), (graph_series, [u], v), (endograph_oracle, u, v, 0.05),
                         (sendograph_oracle, u, v, 0.05)):
         assert traced_peak(call, *args) <= KERNEL_PASS_BYTES, call.__name__
+
+
+def test_gamma_series_memory_is_the_evidence_plus_one_id_table():
+    # 1,500 two-level members that share two cuts, at a 101-level grid: the
+    # series are tuples of pointers to the few distinct distances, so the
+    # peak is their 2 x 101 x 1,500 pointers, one (grid x members) table of
+    # 8-byte ids and at most 1 MiB more, and the id table alone takes one
+    # such table and 1 MiB. One Python float per entry (24 bytes each) or
+    # an 8-byte (levels x grid x members) temporary exceeds them
+    seq = collapse_family(SP1, 1501).members[1:]
+    limit = two_level()
+    grid = default_alpha_grid(limit)
+    assert all(len(u.levels) == 2 for u in seq) and len(grid) == 101
+    table = len(grid) * len(seq) * 8  # bytes of one (grid x members) table of pointers or ids
+    assert traced_peak(gamma_diagnostic, seq, limit, grid) <= 2 * table + table + (1 << 20)
+    assert traced_peak(_CutTable(seq).at, grid) <= table + (1 << 20)

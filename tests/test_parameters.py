@@ -1,8 +1,9 @@
 """Radius and tolerance parameters must be finite and positive, windows
-integers, alpha grids nonempty and at most 10,000 levels and generator boxes
-within the coordinate range, in the library and through the CLI; levels,
-grid alphas, coordinates and generator params are real numbers within float
-range, never a coerced bool or string; stored point arrays are read-only."""
+integers, alpha grids nonempty, at most 10,000 levels and with no two
+levels that print alike, and generator boxes within the coordinate range,
+in the library and through the CLI; levels, grid alphas, coordinates and
+generator params are real numbers within float range, never a coerced bool
+or string; stored point arrays are read-only."""
 
 from pathlib import Path
 
@@ -152,6 +153,39 @@ def test_alpha_grids_take_only_real_numbers(alpha):
 def test_tb_end_alphas_must_lie_in_the_unit_interval(alpha):
     with pytest.raises(InputError, match=r"alpha .* outside \(0,1\]"):
         tb_end_report(translates_family(SP1, 6), 0.05, [0.5, alpha])
+
+
+# a level given twice, or two levels that print alike at 9 significant
+# digits: each report keys its parts and series by the printed level, so
+# the second one used to replace the first
+REPEATS = [(0.3, 0.3), (0.3, 0.30000000001)]
+
+
+@pytest.mark.parametrize("alphas", REPEATS, ids=["equal", "alike-at-9-digits"])
+def test_levelwise_profile_rejects_a_grid_whose_levels_print_alike(alphas):
+    with pytest.raises(InputError, match=r"alpha 0\.3 appears twice in the alpha grid"):
+        levelwise_profile([two_level()] * 3, two_level(), [0.2, *alphas])
+
+
+@pytest.mark.parametrize("alphas", REPEATS, ids=["equal", "alike-at-9-digits"])
+def test_gamma_diagnostic_rejects_a_grid_whose_levels_print_alike(alphas):
+    with pytest.raises(InputError, match=r"alpha 0\.3 appears twice in the alpha grid"):
+        gamma_diagnostic([two_level()] * 3, two_level(), [*alphas, 0.7])
+
+
+@pytest.mark.parametrize("alphas", REPEATS + [(0.5, 0.5)], ids=["equal", "alike-at-9-digits", "equal-0.5"])
+def test_tb_end_report_rejects_a_grid_whose_levels_print_alike(alphas):
+    with pytest.raises(InputError, match=rf"alpha {alphas[0]} appears twice in the alpha grid"):
+        tb_end_report(translates_family(SP1, 6), 0.05, [*alphas, 1.0])
+
+
+def test_grids_whose_levels_print_apart_are_accepted():
+    # levels that differ in the 9th significant digit print apart and stay
+    alphas = (0.3, 0.300000001, 0.5)
+    prof = levelwise_profile([two_level()] * 3, two_level(), alphas)
+    assert [p.key for p in prof.parts] == ["alpha=0.3", "alpha=0.300000001", "alpha=0.5"]
+    assert len(gamma_diagnostic([two_level()] * 3, two_level(), alphas).parts) == 3
+    assert len(tb_end_report(translates_family(SP1, 6), 0.05, (*alphas, 1.0)).evidence) == 4
 
 
 @pytest.mark.parametrize("window", [True, False, 2.5, 2.0, "2", np.float64(2.0), 0, -1, 5])
