@@ -5,6 +5,9 @@ Exit codes: 0 when every requested verdict is PASS, 1 when any verdict is
 FAIL or INCONCLUSIVE, 2 on input errors. Output is deterministic for a fixed
 document and flags: ordering follows input order, numbers are formatted with
 9 significant digits.
+
+Each subcommand binds a handler: (document, args) -> (CSV text, the verdicts
+that drive the exit code, the certificate or None, the report parameters).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import sys
 from functools import cache
 from typing import Sequence
 
-from .certificates import Certificate, Verdict
-from .common import InputError, check_grid_size, fmt
+from .certificates import Verdict
+from .common import InputError, check_grid_size, check_positive, fmt
 from .document import Document, dumps_document, load_document
 from .families import (
     closedness_witness,
@@ -37,71 +40,58 @@ from .metrics import (
     sendograph_oracle,
 )
 
-METRIC_KINDS = ("end", "send")
-CONVERGE_MODES = ("gamma", "end", "send", "level")
-COMPACT_MODES = ("tb_end", "tb_send", "erc", "rel_send", "closedness")
-
-# How `converge` writes each mode's certificate: the prefix of its row
-# labels, whether each series is written entry by entry, and the label of
-# the row of the certificate's own verdict (None: its one part's verdict is
-# the certificate's).
-_CONVERGE_LAYOUT = {
-    "end": ("H_", True, None),
-    "send": ("H_", True, "identity"),
-    "gamma": ("", False, "overall"),
-    "level": ("", False, "overall"),
+# Each `converge` mode: its certificate, whether it takes an alpha grid (of
+# --alpha-grid levels), the prefix of its row labels, whether each series is
+# written entry by entry, and the label of the row of the certificate's own
+# verdict (None: its one part's verdict is the certificate's).
+_CONVERGE = {
+    "gamma": (gamma_diagnostic, True, "", False, "overall"),
+    "end": (endograph_convergence, False, "H_", True, None),
+    "send": (send_decomposition_check, False, "H_", True, "identity"),
+    "level": (levelwise_profile, True, "", False, "overall"),
 }
 
-Report = tuple[str, list[Verdict], Certificate, dict]
+# Each `compact` mode: its certificate from (document, family, args), and
+# whether it reads a --candidate, which its report then names with --tol.
+_COMPACT = {
+    "tb_end": (lambda doc, fam, a: tb_end_report(
+        fam, a.eps, tuple(k / a.alpha_grid for k in range(1, a.alpha_grid + 1)), a.window), False),
+    "tb_send": (lambda doc, fam, a: tb_send_report(fam, a.eps, a.window), False),
+    "erc": (lambda doc, fam, a: erc_modulus(fam, a.eps, a.window), False),
+    "rel_send": (lambda doc, fam, a: rel_compact_send_report(fam, a.eps, a.window), False),
+    "closedness": (lambda doc, fam, a: closedness_witness(fam, doc.fuzzy(a.candidate), "send", a.tol), True),
+}
 
 
 def _csv(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def run_metrics(doc: Document, kind: str) -> str:
+def run_metrics(doc: Document, args: argparse.Namespace) -> tuple:
     """Symmetric distance matrix over the declared fuzzy sets as CSV."""
     names = doc.declared
     if len(names) < 2:
         raise InputError("metrics needs at least 2 fuzzy sets")
-    alpha = None
+    kind, alpha = args.kind, None
     if kind.startswith("level:"):
         try:
             alpha = float(kind.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad level kind {kind!r}") from None
         kind = "level"
-    elif kind not in METRIC_KINDS:
+    elif kind not in ("end", "send"):
         raise InputError(f"unknown metrics kind {kind!r}")
     d = metric_matrix([doc.fuzzy(n) for n in names], kind, alpha).tolist()
-    return _csv([["name", *names]] + [[name, *map(fmt, row)] for name, row in zip(names, d)])
+    return _csv([["name", *names]] + [[name, *map(fmt, row)] for name, row in zip(names, d)]), [], None, {}
 
 
-def run_convergence(
-    doc: Document,
-    sequence_name: str,
-    limit_name: str,
-    mode: str,
-    alpha_grid: int = 101,
-    window: int | None = None,
-    tol: float = 1e-3,
-) -> Report:
-    """Convergence report for one sequence against a limit: the CSV text,
-    the verdicts it states (they drive the exit code), the certificate and
-    the report's parameters."""
-    seq = doc.sequence(sequence_name)
-    limit = doc.fuzzy(limit_name)
-    if mode == "end":
-        cert = endograph_convergence(seq, limit, window, tol)
-    elif mode == "send":
-        cert = send_decomposition_check(seq, limit, window, tol)
-    elif mode == "gamma":
-        cert = gamma_diagnostic(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
-    elif mode == "level":
-        cert = levelwise_profile(seq, limit, default_alpha_grid(limit, alpha_grid), window, tol)
-    else:
-        raise InputError(f"unknown converge mode {mode!r}")
-    prefix, series, last = _CONVERGE_LAYOUT[mode]
+def run_convergence(doc: Document, args: argparse.Namespace) -> tuple:
+    """Convergence report for one sequence against a limit, by --mode."""
+    seq = doc.sequence(args.sequence)
+    limit = doc.fuzzy(args.limit)
+    certify, gridded, prefix, series, last = _CONVERGE[args.mode]
+    alphas = (default_alpha_grid(limit, args.alpha_grid),) if gridded else ()
+    cert = certify(seq, limit, *alphas, args.window, args.tol)
     rows = [["record", "key", "index", "value"]]
     platform = cert.evidence.get("platform", ())
     rows += [["excluded_alpha", "platform", str(k), fmt(p)] for k, p in enumerate(platform, 1)]
@@ -117,46 +107,20 @@ def run_convergence(
     if last is not None:
         rows.append(["verdict", last, "", cert.verdict.value])
         verdicts.append(cert.verdict)
-    params = {"sequence": sequence_name, "limit": limit_name, "mode": mode}
+    params = {"sequence": args.sequence, "limit": args.limit, "mode": args.mode}
     return _csv(rows), verdicts, cert, {**params, "verdicts": [v.value for v in verdicts]}
 
 
-def _tb_grid(n: int) -> tuple[float, ...]:
-    # grid in (0,1]: includes 1.0
-    check_grid_size(n)
-    return tuple(k / n for k in range(1, n + 1))
-
-
-def run_compactness(
-    doc: Document,
-    family_name: str,
-    eps: float,
-    mode: str,
-    alpha_grid: int = 101,
-    candidate: str | None = None,
-    tol: float = 1e-3,
-    window: int | None = None,
-) -> Report:
-    """Compactness-style certificate for one family: the CSV text, its
-    verdict, the certificate and the report's parameters."""
-    fam = doc.family(family_name)
-    params = {"family": family_name, "eps": fmt(eps), "mode": mode}
-    if mode == "tb_end":
-        cert = tb_end_report(fam, eps, _tb_grid(alpha_grid), window)
-    elif mode == "tb_send":
-        cert = tb_send_report(fam, eps, window)
-    elif mode == "erc":
-        cert = erc_modulus(fam, eps, window)
-    elif mode == "rel_send":
-        cert = rel_compact_send_report(fam, eps, window)
-    elif mode == "closedness":
-        if candidate is None:
-            raise InputError("closedness mode needs --candidate")
-        cert = closedness_witness(fam, doc.fuzzy(candidate), "send", tol)
-        params["candidate"] = candidate
-        params["tol"] = fmt(tol)
-    else:
-        raise InputError(f"unknown compact mode {mode!r}")
+def run_compactness(doc: Document, args: argparse.Namespace) -> tuple:
+    """Compactness-style certificate for one family, by --mode."""
+    fam = doc.family(args.family)
+    certify, takes_candidate = _COMPACT[args.mode]
+    if takes_candidate and args.candidate is None:
+        raise InputError("closedness mode needs --candidate")
+    cert = certify(doc, fam, args)
+    params = {"family": args.family, "eps": fmt(args.eps), "mode": args.mode}
+    if takes_candidate:
+        params.update(candidate=args.candidate, tol=fmt(args.tol))
     rows = [["record", "key", "index", "value"]]
     rows += [["field", k, "", v] for k, v in
              [("kind", cert.kind), ("verdict", cert.verdict.value), ("witness", cert.witness or ""),
@@ -166,20 +130,20 @@ def run_compactness(
     return _csv(rows), [cert.verdict], cert, params
 
 
-def run_oracle_check(doc: Document, resolution: float) -> tuple[str, list[Verdict]]:
+def run_oracle_check(doc: Document, args: argparse.Namespace) -> tuple:
     """Closed form vs sampling oracle for both metrics on all declared pairs."""
     names = doc.declared
     if len(names) < 2:
         raise InputError("oracle check needs at least 2 fuzzy sets")
     sets = [doc.fuzzy(n) for n in names]
     closed = [matrix.tolist() for matrix in graph_matrices(sets)]
-    bound = 2.0 * resolution
+    bound = 2.0 * args.resolution
     rows = [["left", "right", "metric", "closed_form", "oracle", "abs_diff", "bound", "status"]]
     verdicts: list[Verdict] = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            for metric, matrix, oracle_fn in zip(METRIC_KINDS, closed, (endograph_oracle, sendograph_oracle)):
-                sampled = oracle_fn(sets[i], sets[j], resolution)
+            for metric, matrix, oracle_fn in zip(("end", "send"), closed, (endograph_oracle, sendograph_oracle)):
+                sampled = oracle_fn(sets[i], sets[j], args.resolution)
                 diff = abs(matrix[i][j] - sampled)
                 status = Verdict.PASS if diff <= bound else Verdict.FAIL
                 verdicts.append(status)
@@ -187,19 +151,18 @@ def run_oracle_check(doc: Document, resolution: float) -> tuple[str, list[Verdic
                     [names[i], names[j], metric, fmt(matrix[i][j]), fmt(sampled),
                      fmt(diff), fmt(bound), status.value]
                 )
-    return _csv(rows), verdicts
+    return _csv(rows), verdicts, None, {}
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _write(text: str, path: str | None) -> None:
+    if not path:
         sys.stdout.write(text)
-
-
-def _exit_code(verdicts: Sequence[Verdict]) -> int:
-    return 0 if all(v is Verdict.PASS for v in verdicts) else 1
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from None
 
 
 def _seed(text: str) -> int:
@@ -215,29 +178,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuzzymetrics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("document")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         p.add_argument("--seed", type=_seed, default=0, help="default seed for generators")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("metrics", help="pairwise distance matrix")
-    common(p)
+    p = command("metrics", "pairwise distance matrix", run_metrics)
     p.add_argument("--kind", default="end", help="end, send or level:ALPHA")
 
-    p = sub.add_parser("converge", help="convergence report for a sequence")
-    common(p)
+    p = command("converge", "convergence report for a sequence", run_convergence)
     p.add_argument("--sequence", required=True)
     p.add_argument("--limit", required=True)
-    p.add_argument("--mode", choices=CONVERGE_MODES, default="end")
+    p.add_argument("--mode", choices=_CONVERGE, default="end")
     p.add_argument("--alpha-grid", type=int, default=101)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--emit-json", default=None, help="also write a JSON report here")
 
-    p = sub.add_parser("compact", help="compactness-style certificate for a family")
-    common(p)
+    p = command("compact", "compactness-style certificate for a family", run_compactness)
     p.add_argument("--family", required=True)
-    p.add_argument("--mode", choices=COMPACT_MODES, required=True)
+    p.add_argument("--mode", choices=_COMPACT, required=True)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--alpha-grid", type=int, default=101)
     p.add_argument("--candidate", default=None)
@@ -245,12 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--emit-json", default=None, help="also write the certificate as JSON here")
 
-    p = sub.add_parser("oracle", help="closed form vs sampling oracle")
-    common(p)
+    p = command("oracle", "closed form vs sampling oracle", run_oracle_check)
     p.add_argument("--resolution", type=float, default=1e-3)
 
-    p = sub.add_parser("gen", help="expand generators and emit the document")
-    common(p)
+    command("gen", "expand generators and emit the document",
+            lambda doc, args: (dumps_document(doc) + "\n", [], None, {}))
     return parser
 
 
@@ -260,33 +222,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        # every command that takes one of these flags rejects a bad value,
+        # whether or not its mode uses it, before the document is read
         if "alpha_grid" in args:
-            # every mode takes the flag, so every mode rejects a bad value,
-            # before the document is read
             check_grid_size(args.alpha_grid)
-        doc = load_document(args.document, default_seed=args.seed)
-        cert = None
-        if args.command == "metrics":
-            text, verdicts = run_metrics(doc, args.kind), []
-        elif args.command == "converge":
-            text, verdicts, cert, params = run_convergence(
-                doc, args.sequence, args.limit, args.mode,
-                args.alpha_grid, args.window, args.tol,
-            )
-        elif args.command == "compact":
-            text, verdicts, cert, params = run_compactness(
-                doc, args.family, args.eps, args.mode,
-                args.alpha_grid, args.candidate, args.tol, args.window,
-            )
-        elif args.command == "oracle":
-            text, verdicts = run_oracle_check(doc, args.resolution)
-        else:
-            text, verdicts = dumps_document(doc) + "\n", []
+        for name in ("eps", "tol"):
+            if name in args:
+                check_positive(name, getattr(args, name))
+        text, verdicts, cert, params = args.handler(load_document(args.document, default_seed=args.seed), args)
         _write(text, args.out)
-        if cert is not None and args.emit_json:
+        if getattr(args, "emit_json", None):
             report = {**params, **cert.to_json_dict()}
             _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.emit_json)
-        return _exit_code(verdicts)
+        return 0 if all(v is Verdict.PASS for v in verdicts) else 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from .common import InputError, check_alpha_grid, check_positive, fmt
 from .fuzzy import StepFuzzySet, same_representation, support
 from .metrics import _CutTable, graph_series, metric_matrix
 from .sets import FiniteSet, _segment_extrema, prefix_net_sizes
+from .space import _one_space
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,7 @@ def fuzzy_family(
     members = tuple(members)
     if not members:
         raise InputError("family must be nonempty")
-    space = members[0].space
-    for u in members:
-        if u.space != space:
-            raise InputError("family members live in different spaces")
+    _one_space(members, "family members")
     if names is None:
         names = tuple(f"u{i + 1}" for i in range(len(members)))
     else:
@@ -192,8 +190,7 @@ def closedness_witness(
     if metric not in ("end", "send"):
         raise InputError(f"metric must be 'end' or 'send', got {metric!r}")
     check_positive("tol", tol)
-    if candidate.space != family.members[0].space:
-        raise InputError("candidate lives in a different space")
+    _one_space((family.members[0], candidate), "the family and the candidate")
     distances = graph_series(family.members, candidate)[metric == "send"]
     best = min(distances)
     nearest = family.names[distances.index(best)]

@@ -38,19 +38,13 @@ from .fuzzy import (
     support,
 )
 from .sets import FiniteSet, _run_starts, _segment_extrema, union_family
-from .space import MetricSpace, dist_matrix
-
-
-def _check_same_space(u: StepFuzzySet, v: StepFuzzySet) -> None:
-    if u.space != v.space:
-        raise InputError("fuzzy sets live in different spaces")
+from .space import MetricSpace, _one_space, dist_matrix
 
 
 def _check_sequence(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> None:
     if not seq:
         raise InputError("empty sequence")
-    for u in seq:
-        _check_same_space(u, limit)
+    _one_space([limit, *seq], "fuzzy sets")
 
 
 def _distinct(items) -> tuple[list, list[int]]:
@@ -184,7 +178,7 @@ def _directed_sampled(space: MetricSpace, src: np.ndarray, k_src: np.ndarray, tg
 def _sampled_graphs(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared: bool) -> float:
     """Hausdorff distance between the sampled graphs of u and v, on the
     union of both supports when `shared`, else each on its own support."""
-    _check_same_space(u, v)
+    _one_space((u, v), "fuzzy sets")
     _check_resolution(resolution)
     su, sv = support(u), support(v)
     if shared:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificates import Certificate, tail_certificate
 from .common import TOL, InputError, check_positive
-from .space import MetricSpace, _near, _window, dist_matrix
+from .space import MetricSpace, _near, _one_space, _window, dist_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +107,9 @@ def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     return FiniteSet(space=space, array=pts[_dedup(space, pts)])
 
 
-def _check_pair(a: FiniteSet, b: FiniteSet) -> None:
-    if a.space != b.space:
-        raise InputError("sets live in different spaces")
-    if not len(a) or not len(b):
+def _check_sets(sets: Sequence[FiniteSet]) -> None:
+    _one_space(sets, "sets")
+    if not all(map(len, sets)):
         raise InputError("sets must be nonempty")
 
 
@@ -189,13 +188,13 @@ def _segment_extrema(
 
 def directed_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """One-sided Hausdorff distance: max over a of the distance to b."""
-    _check_pair(a, b)
+    _check_sets((a, b))
     return float(_segment_extrema(a.space, [a.array], b.array)[0, 0])
 
 
 def hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """Hausdorff distance: max of the two directed distances."""
-    _check_pair(a, b)
+    _check_sets((a, b))
     return float(_segment_extrema(a.space, [a.array], b.array).max())
 
 
@@ -208,15 +207,6 @@ def eps_net(a: FiniteSet, eps: float) -> FiniteSet:
     """
     check_positive("eps", eps)
     return FiniteSet(space=a.space, array=a.array[_keep_first(a.space, a.array, eps)])
-
-
-def _family_space(family: Sequence[FiniteSet]) -> MetricSpace:
-    if not family:
-        raise InputError("union of an empty family")
-    space = family[0].space
-    if any(s.space != space for s in family):
-        raise InputError("family members live in different spaces")
-    return space
 
 
 def union_family(family: Sequence[FiniteSet]) -> FiniteSet:
@@ -234,7 +224,9 @@ def _prefix_unions(family: Sequence[FiniteSet]) -> tuple[MetricSpace, np.ndarray
     prefix union: prefix k is union[:sizes[k]], and it equals
     union_family(family[:k+1]).
     """
-    space = _family_space(family)
+    if not family:
+        raise InputError("union of an empty family")
+    space = _one_space(family, "family members")
     pts = np.concatenate([s.array for s in family])
     kept = _dedup(space, pts)
     return space, pts[kept], np.cumsum(kept)[np.cumsum([len(s) for s in family]) - 1]
@@ -270,8 +262,7 @@ def kuratowski_tail_diagnostic(
     """
     if not prefix:
         raise InputError("empty sequence prefix")
-    for c in prefix:
-        _check_pair(c, target)
+    _check_sets([target, *prefix])
     excess, deficit = map(tuple, _segment_extrema(target.space, [c.array for c in prefix], target.array).tolist())
     return tail_certificate(
         "KURATOWSKI_TAIL", [("sandwich", {"liminf_deficit": deficit, "limsup_excess": excess})], window, tol

@@ -140,6 +140,19 @@ class MetricSpace:
         return float(dist_matrix(self, self.point_array([p]), self.point_array([q]))[0, 0])
 
 
+def _one_space(items: Sequence, what: str) -> MetricSpace:
+    """The space of the first of a nonempty sequence of sets, which every
+    other one must live in, else an InputError "<what> live in different
+    spaces".
+    The sets of one document share one space object, so identity answers
+    before the dataclass's field-by-field ==."""
+    space = items[0].space
+    for x in items:
+        if x.space is not space and x.space != space:
+            raise InputError(f"{what} live in different spaces")
+    return space
+
+
 def _root_sum_squares(xs, ys, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Euclidean distances into `out` from coordinate sequences xs and ys
     whose k-th entries broadcast to its shape: squared differences summed

@@ -304,6 +304,47 @@ def test_bad_alpha_grid_is_an_input_error_on_every_mode(capsys, doc_path, argv, 
     assert captured.err == f"error: alpha grid size must be an integer in 1..10000, got {grid}\n"
 
 
+COMPACT_MODES = [
+    ["compact", "--family", "iv", "--mode", "tb_end", "--eps", "0.05", "--alpha-grid", "5"],
+    *(argv for argv in NON_GRID_MODES if argv[0] == "compact"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--eps", "--tol"])
+@pytest.mark.parametrize("argv", COMPACT_MODES, ids=lambda argv: argv[argv.index("--mode") + 1])
+def test_bad_eps_or_tol_is_an_input_error_on_every_compact_mode(capsys, doc_path, argv, flag, value):
+    # closedness reads no --eps and the other modes no --tol; before both
+    # flags were checked ahead of the document, such a value was ignored and
+    # the command exited on its verdict
+    assert main([argv[0], doc_path, *argv[1:]]) in (0, 1)
+    capsys.readouterr()
+    code = main([argv[0], doc_path, *argv[1:], flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag[2:]} must be finite and positive, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_path_is_an_input_error(capsys, doc_path, tmp_path, target):
+    path = tmp_path / "no such dir" / "out.csv" if target == "missing" else tmp_path
+    code = main(["metrics", doc_path, "--kind", "send", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_emit_json_path_is_an_input_error(capsys, doc_path, tmp_path, target):
+    # the CSV is written first, so it stays on stdout; the exit code says
+    # that the report was not
+    path = tmp_path / "no such dir" / "report.json" if target == "missing" else tmp_path
+    code = main(["compact", doc_path, "--family", "col", "--mode", "erc", "--eps", "0.5", "--emit-json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out.startswith("record,key,index,value\n")
+    assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -10,20 +10,27 @@ import pytest
 from fuzzymetrics import (
     MetricSpace,
     Verdict,
+    cauchy_limit_construct,
     cauchy_tail_profile,
+    closedness_witness,
     crisp,
+    directed_hausdorff,
+    endograph_convergence,
     endograph_metric,
     endograph_oracle,
     erc_modulus,
     finite_set,
     fuzzy_family,
     gamma_diagnostic,
+    kuratowski_tail_diagnostic,
+    levelwise_profile,
     make_fuzzy,
     metric_matrix,
     send_decomposition_check,
     sendograph_metric,
     sendograph_oracle,
     tb_send_report,
+    union_family,
 )
 from fuzzymetrics.families import GeneratorTag
 from fuzzymetrics.generators import collapse_family, crisp_interval_family
@@ -139,3 +146,43 @@ def test_document_rejects_out_of_range_index(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(InputError):
         load_document(str(path))
+
+
+# u, w, and their supports a, b, with u on the line and w in the plane
+MIXED_SPACE_CALLS = {
+    "directed_hausdorff": lambda u, w, a, b: directed_hausdorff(a, b),
+    "union_family": lambda u, w, a, b: union_family([a, b]),
+    "kuratowski_tail_diagnostic": lambda u, w, a, b: kuratowski_tail_diagnostic([a, a], b),
+    "cauchy_limit_construct": lambda u, w, a, b: cauchy_limit_construct([a, b]),
+    "make_fuzzy": lambda u, w, a, b: make_fuzzy([(1.0, a), (0.5, b)]),
+    "sendograph_metric": lambda u, w, a, b: sendograph_metric(u, w),
+    "endograph_oracle": lambda u, w, a, b: endograph_oracle(u, w, 0.01),
+    "sendograph_oracle": lambda u, w, a, b: sendograph_oracle(u, w, 0.01),
+    "metric_matrix-end": lambda u, w, a, b: metric_matrix([u, w], "end"),
+    "metric_matrix-send": lambda u, w, a, b: metric_matrix([u, w], "send"),
+    "metric_matrix-level": lambda u, w, a, b: metric_matrix([u, w], "level", 0.5),
+    "endograph_convergence": lambda u, w, a, b: endograph_convergence([u, u], w),
+    "send_decomposition_check": lambda u, w, a, b: send_decomposition_check([u, u], w),
+    "levelwise_profile": lambda u, w, a, b: levelwise_profile([u, u], w),
+    "gamma_diagnostic": lambda u, w, a, b: gamma_diagnostic([u, u], w),
+    "cauchy_tail_profile": lambda u, w, a, b: cauchy_tail_profile([u, u, w], "end"),
+    "fuzzy_family": lambda u, w, a, b: fuzzy_family([u, w]),
+    "closedness_witness": lambda u, w, a, b: closedness_witness(fuzzy_family([u]), w, "send", 0.1),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_SPACE_CALLS)
+def test_sets_of_different_spaces_are_rejected_by_every_entry_point(name):
+    from fuzzymetrics import InputError, support
+
+    u, w = singleton(0.0), crisp(MetricSpace.euclidean(2), [(0.0, 0.0)])
+    with pytest.raises(InputError, match="different space"):
+        MIXED_SPACE_CALLS[name](u, w, support(u), support(w))
+
+
+def test_equal_spaces_of_distinct_objects_are_one_space():
+    # identity answers first, but equal spaces built apart still agree
+    a, b = finite_set(MetricSpace.euclidean(1), [0.0]), finite_set(MetricSpace.euclidean(1), [2.0])
+    assert directed_hausdorff(a, b) == 2.0
+    assert len(union_family([a, b])) == 2
+    assert sendograph_metric(singleton(0.0), crisp(MetricSpace.euclidean(1), [1.0])) == 1.0
