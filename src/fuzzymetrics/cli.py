@@ -19,7 +19,7 @@ from functools import cache
 from typing import Sequence
 
 from .certificates import Verdict
-from .common import InputError, check_grid_size, check_positive, fmt
+from .common import InputError, check_grid_size, check_integer, check_positive, fmt
 from .document import Document, dumps_document, load_document
 from .families import (
     closedness_witness,
@@ -229,6 +229,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for name in ("eps", "tol"):
             if name in args:
                 check_positive(name, getattr(args, name))
+        if getattr(args, "window", None) is not None:
+            check_integer("window", args.window, 1)
         text, verdicts, cert, params = args.handler(load_document(args.document, default_seed=args.seed), args)
         _write(text, args.out)
         if getattr(args, "emit_json", None):

@@ -311,7 +311,7 @@ def document_to_json(doc: Document) -> dict:
     space = doc.space
     return {
         "space": ({"type": EUCLIDEAN, "dim": space.dim} if space.mode == EUCLIDEAN
-                  else {"type": FINITE, "matrix": [list(row) for row in space.matrix]}),
+                  else {"type": FINITE, "matrix": space.matrix_array.tolist()}),
         "fuzzy_sets": [{"name": name, "levels": [{"alpha": a, "points": cut.array.tolist()} for a, cut in u.levels]}
                        for name, u in doc.fuzzy_sets.items()],
         "families": [{"name": name, "members": list(fam.names)} for name, fam in doc.families.items()],

@@ -194,7 +194,6 @@ def closedness_witness(
     distances = graph_series(family.members, candidate)[metric == "send"]
     best = min(distances)
     nearest = family.names[distances.index(best)]
-    is_member = any(same_representation(candidate, u) for u in family.members)
     evidence = {"distance": distances, "min_distance": (best,)}
     note = None
     gen = family.generator
@@ -202,7 +201,7 @@ def closedness_witness(
         evidence["discretization_bound"] = ((gen.params[1] - gen.params[0]) / 2.0,)
         note = "interval members discretized; H error at most the recorded discretization_bound"
     witness = f"candidate within {fmt(best)} of member {nearest} but not a member"
-    failed = best <= tol and not is_member
+    failed = best <= tol and not any(same_representation(candidate, u) for u in family.members)
     return Certificate(kind="CLOSEDNESS_WITNESS", verdict=Verdict.FAIL if failed else Verdict.PASS, evidence=evidence,
                        witness=witness if failed else None, note=note)
 

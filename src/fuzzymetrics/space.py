@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,38 +47,47 @@ def _float_array(rows, entry: str, shape: str) -> np.ndarray:
     raise AssertionError("unreachable: some entry is not a real number within float range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpace:
+    """Euclidean of dimension `dim`, or finite on `matrix_array`, a read-only
+    copy of the rows as given, beside `_symmetric`, the array the kernel
+    reads. Equal spaces hash alike, and a hash reads no matrix entry."""
     mode: str
     dim: int | None = None
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    matrix_array: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.mode == EUCLIDEAN:
-            if self.matrix is not None:
+            if self.matrix_array is not None:
                 raise InputError("euclidean space takes no matrix")
             check_integer("dim", self.dim, 1)
         elif self.mode == FINITE:
-            if self.dim is not None or self.matrix is None:
+            if self.dim is not None or self.matrix_array is None:
                 raise InputError("finite space needs a matrix and no dim")
             square = "distance matrix must be square and nonempty"
-            arr = _float_array(self.matrix, "matrix entry ({},{})", square)
+            arr = _float_array(self.matrix_array, "matrix entry ({},{})", square)
             if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[0] != arr.shape[1]:
                 raise InputError(square)
             bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
             if bad.size:
                 i, j = bad[0]
                 raise InputError(f"matrix entry ({i},{j}) must be finite and nonnegative, got {arr[i, j]}")
-            arr.flags.writeable = False
-            object.__setattr__(self, "matrix", tuple(map(tuple, arr.tolist())))
-            self.__dict__["matrix_array"] = arr
             # the kernel reads the larger of d(i, j) and d(j, i), so it is
             # symmetric bit for bit, as the Euclidean kernel is
             symmetric = np.maximum(arr, arr.T)
-            symmetric.flags.writeable = False
-            self.__dict__["_symmetric"] = symmetric
+            arr.flags.writeable = symmetric.flags.writeable = False
+            self.__dict__.update(matrix_array=arr, _symmetric=symmetric)
         else:
             raise InputError(f"unknown space mode {self.mode!r}")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        return (isinstance(other, MetricSpace) and (self.mode, self.dim) == (other.mode, other.dim)
+                and (self.mode == EUCLIDEAN or np.array_equal(self.matrix_array, other.matrix_array)))
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.dim, np.shape(self.matrix_array)))
 
     @staticmethod
     def euclidean(dim: int) -> "MetricSpace":
@@ -87,13 +95,7 @@ class MetricSpace:
 
     @staticmethod
     def finite(matrix: Sequence[Sequence[float]]) -> "MetricSpace":
-        return MetricSpace(mode=FINITE, matrix=tuple(tuple(row) for row in matrix))
-
-    @cached_property
-    def matrix_array(self) -> np.ndarray:
-        """The distance matrix as a read-only array, set when a finite space
-        is built."""
-        raise InputError("matrix_array is only available in finite mode")
+        return MetricSpace(mode=FINITE, matrix_array=matrix)
 
     def point_array(self, points: Iterable) -> np.ndarray:
         """Validated point array of an iterable of points.
@@ -117,7 +119,7 @@ class MetricSpace:
                 raise InputError(f"coordinate {j} of point {i} must be finite with magnitude at most "
                                  f"{COORD_MAX:g}, got {arr[i, j]}")
             return arr
-        n = len(self.matrix)
+        n = len(self.matrix_array)
         indices = []
         for k, p in enumerate(points):
             try:
@@ -143,12 +145,10 @@ class MetricSpace:
 def _one_space(items: Sequence, what: str) -> MetricSpace:
     """The space of the first of a nonempty sequence of sets, which every
     other one must live in, else an InputError "<what> live in different
-    spaces".
-    The sets of one document share one space object, so identity answers
-    before the dataclass's field-by-field ==."""
+    spaces"."""
     space = items[0].space
     for x in items:
-        if x.space is not space and x.space != space:
+        if x.space != space:
             raise InputError(f"{what} live in different spaces")
     return space
 

@@ -41,7 +41,7 @@ def distance(space, p, q) -> float:
     entries in finite mode."""
     if space.mode == EUCLIDEAN:
         return math.dist(p, q)
-    return max(space.matrix[p][q], space.matrix[q][p])
+    return max(space.matrix_array[p, q], space.matrix_array[q, p])
 
 
 def as_point(space, raw):

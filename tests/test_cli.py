@@ -310,19 +310,35 @@ COMPACT_MODES = [
 ]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("flag", ["--eps", "--tol"])
+def bad_flag_message(flag: str, value: str) -> str:
+    if flag == "--window":
+        return f"error: window must be an integer >= 1, got {int(value)}\n"
+    return f"error: {flag[2:]} must be finite and positive, got {float(value)}\n"
+
+
+@pytest.mark.parametrize(("flag", "value"), [*((flag, value) for flag in ("--eps", "--tol")
+                                               for value in ("nan", "inf", "0", "-1")),
+                                             ("--window", "0"), ("--window", "-3")])
 @pytest.mark.parametrize("argv", COMPACT_MODES, ids=lambda argv: argv[argv.index("--mode") + 1])
 def test_bad_eps_or_tol_is_an_input_error_on_every_compact_mode(capsys, doc_path, argv, flag, value):
-    # closedness reads no --eps and the other modes no --tol; before both
-    # flags were checked ahead of the document, such a value was ignored and
-    # the command exited on its verdict
+    # closedness reads no --eps or --window and the other modes no --tol;
+    # before these flags were checked ahead of the document, such a value
+    # was ignored and the command exited on its verdict
     assert main([argv[0], doc_path, *argv[1:]]) in (0, 1)
     capsys.readouterr()
     code = main([argv[0], doc_path, *argv[1:], flag, value])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: {flag[2:]} must be finite and positive, got {float(value)}\n"
+    assert captured.err == bad_flag_message(flag, value)
+
+
+def test_a_window_below_one_is_an_input_error_before_the_document_is_read(capsys, tmp_path):
+    # the document does not exist, so only the window check can answer
+    code = main(["converge", str(tmp_path / "missing.json"), "--sequence", "col", "--limit", "u0",
+                 "--window", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == bad_flag_message("--window", "0")
 
 
 @pytest.mark.parametrize("target", ["missing", "directory"])

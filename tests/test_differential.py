@@ -803,7 +803,7 @@ def with_offset_points(space):
     index."""
     if space.mode != "finite":
         return space, lambda pts, k: pts + np.eye(1, space.dim)[0] * OFFSETS[k]
-    m, n = space.matrix_array, len(space.matrix)
+    m, n = space.matrix_array, len(space.matrix_array)
     base, off = np.tile(np.arange(n), len(OFFSETS) + 1), np.repeat([0.0, *OFFSETS], n)
     big = m[np.ix_(base, base)] + off[:, None] + off[None, :]
     np.fill_diagonal(big, 0.0)
@@ -995,7 +995,7 @@ def test_level_series_at_the_limits_platform_levels_match_the_reference(space):
     # cut and the cut part ways, between them and on one-level grids;
     # members of one to four levels, padded in the table
     if space.mode == "finite":
-        points = list(range(len(space.matrix)))
+        points = list(range(len(space.matrix_array)))
     else:
         points = np.random.default_rng(7).uniform(-1.0, 2.0, size=(6, space.dim)).tolist()
     limit = stepped(space, points[::-1], (1.0, 0.7, 0.4, 0.2))

@@ -5,9 +5,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fuzzymetrics import (
+    InputError,
     MetricSpace,
     Verdict,
     cauchy_limit_construct,
@@ -186,3 +188,16 @@ def test_equal_spaces_of_distinct_objects_are_one_space():
     assert directed_hausdorff(a, b) == 2.0
     assert len(union_family([a, b])) == 2
     assert sendograph_metric(singleton(0.0), crisp(MetricSpace.euclidean(1), [1.0])) == 1.0
+    # finite spaces built apart from equal matrices are one space too, and
+    # hash alike; a different matrix is a different space
+    rows = [[0.0, 1.0], [1.0, 0.0]]
+    p, q = MetricSpace.finite(rows), MetricSpace.finite(np.array(rows))
+    assert p is not q and p == q and hash(p) == hash(q)
+    a, b = finite_set(p, [0]), finite_set(q, [1])
+    assert directed_hausdorff(a, b) == 1.0
+    assert len(union_family([a, b])) == 2
+    other = MetricSpace.finite([[0.0, 2.0], [2.0, 0.0]])
+    assert other != p and p != MetricSpace.euclidean(1)
+    for apart in (directed_hausdorff, lambda x, y: union_family([x, y])):
+        with pytest.raises(InputError, match="live in different spaces"):
+            apart(a, finite_set(other, [1]))

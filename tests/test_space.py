@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -233,9 +234,36 @@ def test_library_constructors_accept_ints_and_numpy_numbers():
     assert MetricSpace.euclidean(np.int64(2)).dim == 2
     assert LiftedPoint((0.0,), 1).level == 1
     space = MetricSpace.finite(np.array([[0, 2], [2, 0]]))
-    assert space.matrix == ((0.0, 2.0), (2.0, 0.0))
     assert space.matrix_array.tolist() == [[0.0, 2.0], [2.0, 0.0]]
     assert not space.matrix_array.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["list", "ndarray"])
+def test_a_finite_space_copies_its_matrix_and_leaves_the_callers_writable(kind):
+    rows = [[0.0, 1.0], [1.0, 0.0]]
+    given = np.array(rows) if kind == "ndarray" else [list(row) for row in rows]
+    space = MetricSpace.finite(given)
+    assert kind == "list" or given.flags.writeable
+    given[0][1] = given[1][0] = 5.0
+    assert space.matrix_array.tolist() == rows and space._symmetric.tolist() == rows
+    assert space_module.dist_matrix(space, np.array([0]), np.array([1])).tolist() == [[1.0]]
+
+
+def test_a_finite_space_retains_two_arrays_of_its_matrix():
+    # the rows as given and the symmetric array the kernel reads take
+    # 2 * 8 n^2 bytes; a third copy, as a tuple of tuples of floats held,
+    # would exceed the bound
+    n = 1000
+    grid = np.arange(n, dtype=float)
+    rows = np.abs(grid[:, None] - grid[None, :]).tolist()
+    tracemalloc.start()
+    try:
+        space = MetricSpace.finite(rows)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert space.matrix_array.shape == (n, n)
+    assert retained <= 3 * 8 * n * n
 
 
 @pytest.mark.parametrize(
