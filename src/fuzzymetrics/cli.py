@@ -41,14 +41,13 @@ from .metrics import (
 )
 
 # Each `converge` mode: its certificate, whether it takes an alpha grid (of
-# --alpha-grid levels), the prefix of its row labels, whether each series is
-# written entry by entry, and the label of the row of the certificate's own
-# verdict (None: its one part's verdict is the certificate's).
+# --alpha-grid levels; else its rows are "H_<series>" and list each series)
+# and the label of its own verdict row (None: its one part's verdict is it).
 _CONVERGE = {
-    "gamma": (gamma_diagnostic, True, "", False, "overall"),
-    "end": (endograph_convergence, False, "H_", True, None),
-    "send": (send_decomposition_check, False, "H_", True, "identity"),
-    "level": (levelwise_profile, True, "", False, "overall"),
+    "gamma": (gamma_diagnostic, True, "overall"),
+    "end": (endograph_convergence, False, None),
+    "send": (send_decomposition_check, False, "identity"),
+    "level": (levelwise_profile, True, "overall"),
 }
 
 # Each `compact` mode: its certificate from (document, family, args), and
@@ -89,7 +88,8 @@ def run_convergence(doc: Document, args: argparse.Namespace) -> tuple:
     """Convergence report for one sequence against a limit, by --mode."""
     seq = doc.sequence(args.sequence)
     limit = doc.fuzzy(args.limit)
-    certify, gridded, prefix, series, last = _CONVERGE[args.mode]
+    certify, gridded, last = _CONVERGE[args.mode]
+    prefix = "" if gridded else "H_"
     alphas = (default_alpha_grid(limit, args.alpha_grid),) if gridded else ()
     cert = certify(seq, limit, *alphas, args.window, args.tol)
     rows = [["record", "key", "index", "value"]]
@@ -99,7 +99,7 @@ def run_convergence(doc: Document, args: argparse.Namespace) -> tuple:
     for part in cert.parts:
         for name, m in part.tail_max.items():
             label = prefix + name
-            if series:
+            if not gridded:
                 rows += [["series", label, str(n), fmt(x)] for n, x in enumerate(cert.evidence[name], 1)]
             rows.append(["tail_max", label, "", fmt(m)])
         rows.append(["verdict", prefix + part.key, "", part.verdict.value])

@@ -6,6 +6,8 @@ import math
 import numbers
 from functools import cache
 
+import numpy as np
+
 # Absolute tolerance for real comparisons and point identity. All inputs are
 # small decimal literals, so a single absolute tolerance is adequate.
 TOL = 1e-9
@@ -32,6 +34,13 @@ def is_real(kind: type) -> bool:
     return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
+@cache
+def is_index(kind: type) -> bool:
+    """Whether values of this type are integers; bool is not, and neither
+    is a numpy timedelta64, a duration that numpy registers as an integer."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, (bool, np.timedelta64))
+
+
 def real(name: str, x) -> float:
     """x as a float if it is a real number within float range, else an
     InputError naming the field; NaN and infinities are left to the caller."""
@@ -44,9 +53,9 @@ def real(name: str, x) -> float:
 
 
 def check_integer(name: str, x, least: int, most: float = math.inf) -> int:
-    """x if it is an integer in least..most, else an InputError naming the
-    field; a bool or a non-integral number is not an integer."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not least <= x <= most:
+    """x if it is an integer (is_index) in least..most, else an InputError
+    naming the field; a bool or a non-integral number is not an integer."""
+    if not (is_index(type(x)) and least <= x <= most):
         bound = f">= {least}" if most == math.inf else f"in {least}..{most}"
         raise InputError(f"{name} must be an integer {bound}, got {x!r}")
     return x

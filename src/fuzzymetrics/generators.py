@@ -66,13 +66,12 @@ def _grid_steps(span: float) -> int:
     return int(round(span))
 
 
-def _axis_point(space: MetricSpace, x: float) -> tuple[float, ...]:
-    return (x,) + (0.0,) * (space.dim - 1)
-
-
-def _check_axis_points(space: MetricSpace, xs: list[float]) -> None:
-    """Reject first-axis points beyond the coordinate bound, as point_array does."""
-    space.point_array([_axis_point(space, x) for x in xs])
+def _axis_points(space: MetricSpace, xs: list[float]) -> np.ndarray:
+    """The (len(xs), dim) coordinates of the points at first coordinates xs
+    on the first axis, unchecked: point_array or finite_set checks them."""
+    points = np.zeros((len(xs), space.dim))
+    points[:, 0] = xs
+    return points
 
 
 def translates_count(space: MetricSpace, count: int, start: float = 1.0, step: float = 1.0) -> int:
@@ -82,7 +81,7 @@ def translates_count(space: MetricSpace, count: int, start: float = 1.0, step: f
     check_integer("'count'", count, 1)
     _check_size(space, count, 1)
     start, step = real("'start'", start), real("'step'", step)
-    _check_axis_points(space, [start + k * step for k in (0, count - 1)])
+    space.point_array(_axis_points(space, [start + k * step for k in (0, count - 1)]))
     return count
 
 
@@ -93,7 +92,7 @@ def translates_family(
     translates_count(space, count, start, step)
     start, step = float(start), float(step)
     offsets = [start + k * step for k in range(count)]
-    members = [crisp(space, [_axis_point(space, x)]) for x in offsets]
+    members = [crisp(space, row[None]) for row in _axis_points(space, offsets)]
     names = [f"t[{k + 1}]" for k in range(count)]
     return fuzzy_family(members, names, GeneratorTag("translates", tuple(offsets)))
 
@@ -103,7 +102,7 @@ def collapse_count(space: MetricSpace, count: int, base: float = 0.0, far: float
     _require_euclidean(space)
     check_integer("'count'", count, 1)
     _check_size(space, count, 2)
-    _check_axis_points(space, [real("'base'", base), real("'far'", far)])
+    space.point_array(_axis_points(space, [real("'base'", base), real("'far'", far)]))
     return count
 
 
@@ -123,8 +122,8 @@ def collapse_family(
     # the base point first, so core is a prefix of pair and, with 1 > 1/n,
     # every member is a valid step set without make_fuzzy checking it again;
     # member n's memberships are 1 and 1/n, cut to len(pair) (1 if far ~ base)
-    core = finite_set(space, [_axis_point(space, base)])
-    pair = finite_set(space, [_axis_point(space, base), _axis_point(space, far)])
+    points = _axis_points(space, [base, far])
+    core, pair = finite_set(space, points[:1]), finite_set(space, points)
     values = np.column_stack([np.ones(count), 1.0 / np.arange(1, count + 1)])[:, :len(pair)]
     values.flags.writeable = False
     members = [_prefix_fuzzy(((1.0, core), (1.0 / n, pair)) if n > 1 else ((1.0, pair),), values[n - 1])
@@ -146,7 +145,7 @@ def crisp_interval(space: MetricSpace, low: float, high: float, step: float = 0.
     xs = [low + k * step for k in range(n + 1)]
     if xs[-1] < high - 1e-12:
         xs.append(high)
-    return crisp(space, [_axis_point(space, x) for x in xs])
+    return crisp(space, _axis_points(space, xs))
 
 
 def crisp_interval_count(space: MetricSpace, low: float = 0.3, high: float = 1.0, step: float = 0.01) -> int:
@@ -163,7 +162,7 @@ def crisp_interval_count(space: MetricSpace, low: float = 0.3, high: float = 1.0
     x = low + count * step
     widest = _grid_steps(x / step)
     _check_size(space, count, widest + 2)
-    _check_axis_points(space, [0.0 + widest * step, x])
+    space.point_array(_axis_points(space, [0.0 + widest * step, x]))
     return count
 
 

@@ -373,7 +373,6 @@ def send_decomposition_check(
     inconclusive. The end and send series come from one lifted pass over
     the members, the 0-cut series from one pass over their distinct supports.
     """
-    _check_sequence(seq, limit)
     end_series, send_series = graph_series(seq, limit)
     supports, ids = _distinct(support(u) for u in seq)
     cut0 = _segment_extrema(limit.space, [s.array for s in supports], support(limit).array).max(axis=0).tolist()

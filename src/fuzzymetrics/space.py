@@ -7,14 +7,13 @@ a finite space given by an explicit distance matrix.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .certificates import Certificate, Verdict
-from .common import TOL, InputError, check_integer, is_real, real
+from .common import TOL, InputError, check_integer, is_index, is_real, real
 
 EUCLIDEAN = "euclidean"
 FINITE = "finite"
@@ -29,22 +28,26 @@ BLOCK_BYTES = 1 << 20
 COORD_MAX = 1e150
 
 
-def _float_array(rows, entry: str, shape: str) -> np.ndarray:
-    """Rows of real numbers as a float array. A bool or a string is never
-    coerced: the first entry that is not a real number within float range
-    is an InputError naming it by `entry`, formatted with its row and column.
-    Rows that are not sequences of one length are the error `shape`."""
+def _number_array(rows, dtype: type, check: Callable, shape: str) -> np.ndarray:
+    """Rows of numbers as a 2-D array of `dtype`, float for reals (is_real) or
+    np.intp for indices (is_index): from a plain 2-D ndarray of a number
+    dtype by its dtype alone, else after one scan of the entry types, where
+    `check(i, j, x)` raises the InputError of the first entry x in row order
+    that is no such number; rows not sequences of one length are `shape`."""
+    accept, kinds = (is_real, "fiu") if dtype is float else (is_index, "iu")
+    if type(rows) is np.ndarray and rows.ndim == 2 and rows.dtype.kind in kinds:
+        return np.array(rows, dtype=dtype, order="C")
     try:
-        if all(map(is_real, {type(x) for row in rows for x in row})):
-            return np.array(rows, dtype=float)
+        if all(map(accept, {type(x) for row in rows for x in row})):
+            return np.array(rows, dtype=dtype)
     except (TypeError, ValueError):
         raise InputError(shape) from None
     except OverflowError:
         pass
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            real(entry.format(i, j), x)
-    raise AssertionError("unreachable: some entry is not a real number within float range")
+            check(i, j, x)
+    raise AssertionError("unreachable: some entry is not a number of the kind")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +68,7 @@ class MetricSpace:
             if self.dim is not None or self.matrix_array is None:
                 raise InputError("finite space needs a matrix and no dim")
             square = "distance matrix must be square and nonempty"
-            arr = _float_array(self.matrix_array, "matrix entry ({},{})", square)
+            arr = _number_array(self.matrix_array, float, lambda i, j, x: real(f"matrix entry ({i},{j})", x), square)
             if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[0] != arr.shape[1]:
                 raise InputError(square)
             bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
@@ -100,16 +103,17 @@ class MetricSpace:
     def point_array(self, points: Iterable) -> np.ndarray:
         """Validated point array of an iterable of points.
 
-        Points are coordinate sequences (or bare numbers in dimension 1) in
-        Euclidean mode, or integer indices in finite mode.
+        Points are coordinate sequences (or bare real numbers in dimension
+        1) in Euclidean mode, or integer indices in finite mode.
         The result is (n, dim) floats in Euclidean mode and an index vector
         in finite mode.
         """
         if self.mode == EUCLIDEAN:
-            arr = _float_array([(p,) if isinstance(p, (int, float)) else p for p in points],
-                               "coordinate {1} of point {0}",
-                               "euclidean points must be coordinate sequences of numbers")
-            if arr.shape == (0,):
+            if not (type(points) is np.ndarray and points.ndim == 2):
+                points = [(p,) if is_real(type(p)) else p for p in points]
+            arr = _number_array(points, float, lambda i, j, x: real(f"coordinate {j} of point {i}", x),
+                                "euclidean points must be coordinate sequences of numbers")
+            if not len(arr):
                 arr = arr.reshape(0, self.dim)
             if arr.ndim != 2 or arr.shape[1] != self.dim:
                 raise InputError(f"points of shape {arr.shape} do not fit a space of dim {self.dim}")
@@ -120,17 +124,17 @@ class MetricSpace:
                                  f"{COORD_MAX:g}, got {arr[i, j]}")
             return arr
         n = len(self.matrix_array)
-        indices = []
-        for k, p in enumerate(points):
-            try:
-                # a bool is not a point index
-                i = -1 if type(p) is bool else operator.index(p)
-            except TypeError:
-                i = -1
-            if not 0 <= i < n:
+
+        def check(_, k, p) -> None:
+            if not (is_index(type(p)) and 0 <= p < n):
                 raise InputError(f"finite-space point {k} must be an integer index in 0..{n - 1}, got {p!r}")
-            indices.append(i)
-        return np.array(indices, dtype=np.intp)
+
+        rows = points[None] if type(points) is np.ndarray and points.ndim == 1 else [list(points)]
+        arr = _number_array(rows, np.intp, check, "finite-space points must be integer indices")[0]
+        bad = np.flatnonzero((arr < 0) | (arr >= n))
+        if bad.size:
+            check(0, bad[0], rows[0][bad[0]])
+        return arr
 
     def block_rows(self, m: int) -> int:
         """Rows per block that keep a rows x m float buffer within
@@ -148,7 +152,7 @@ def _one_space(items: Sequence, what: str) -> MetricSpace:
     spaces"."""
     space = items[0].space
     for x in items:
-        if x.space != space:
+        if x.space is not space and x.space != space:
             raise InputError(f"{what} live in different spaces")
     return space
 

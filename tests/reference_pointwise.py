@@ -17,8 +17,12 @@ modulus and the discontinuity levels that measured one pair of cuts at a
 time through them. Then the lifted segment reduction that added the lift
 to every cell of a chunk's kernel block before taking any minimum. Last
 comes the cut table read one alpha at a time, and the level and Γ series
-built from it in two passes over the grid.
-test_differential.py and test_near.py compare the library against them.
+built from it in two passes over the grid. Last of all, the input
+conversions that preceded the one strict array conversion: the float
+conversion that scanned the type of every entry, also of an ndarray, and
+the finite-space index check that ran once per point.
+test_differential.py, test_near.py and test_conversion.py compare the
+library against them.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ import numpy as np
 from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet, alpha_cut
 from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
+from fuzzymetrics.common import is_real, real
 from fuzzymetrics.sets import _segment_extrema
-from fuzzymetrics.space import EUCLIDEAN, dist_matrix
+from fuzzymetrics.space import COORD_MAX, EUCLIDEAN, dist_matrix
 
 
 def distance(space, p, q) -> float:
@@ -334,3 +339,63 @@ def level_series(seq, limit, alphas, sides) -> list[list[tuple[float, ...]]]:
         for side, ((row, _), k) in enumerate(zip(sides, ks)):
             out[side].append(tuple(values[row, k, ids].tolist()))
     return out
+
+
+def float_array(rows, entry: str, shape: str) -> np.ndarray:
+    """space._float_array: rows of real numbers as a float array, after one
+    scan of the types of all entries; the first entry that is not a real
+    number within float range is an InputError naming it by `entry`."""
+    try:
+        if all(map(is_real, {type(x) for row in rows for x in row})):
+            return np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(shape) from None
+    except OverflowError:
+        pass
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            real(entry.format(i, j), x)
+    raise AssertionError("unreachable: some entry is not a real number within float range")
+
+
+def point_array(space, points) -> np.ndarray:
+    """MetricSpace.point_array: in Euclidean mode a bare int or float is a
+    point of one coordinate; in finite mode each point passes
+    operator.index, a bool excepted, and the range check on its own."""
+    if space.mode == EUCLIDEAN:
+        arr = float_array([(p,) if isinstance(p, (int, float)) else p for p in points],
+                          "coordinate {1} of point {0}", "euclidean points must be coordinate sequences of numbers")
+        if arr.shape == (0,):
+            arr = arr.reshape(0, space.dim)
+        if arr.ndim != 2 or arr.shape[1] != space.dim:
+            raise InputError(f"points of shape {arr.shape} do not fit a space of dim {space.dim}")
+        bad = np.argwhere(~(np.abs(arr) <= COORD_MAX))
+        if bad.size:
+            i, j = bad[0]
+            raise InputError(f"coordinate {j} of point {i} must be finite with magnitude at most "
+                             f"{COORD_MAX:g}, got {arr[i, j]}")
+        return arr
+    n = len(space.matrix_array)
+    indices = []
+    for k, p in enumerate(points):
+        try:
+            i = -1 if type(p) is bool else operator.index(p)
+        except TypeError:
+            i = -1
+        if not 0 <= i < n:
+            raise InputError(f"finite-space point {k} must be an integer index in 0..{n - 1}, got {p!r}")
+        indices.append(i)
+    return np.array(indices, dtype=np.intp)
+
+
+def finite_matrix(matrix) -> np.ndarray:
+    """The matrix_array of MetricSpace.finite(matrix), or its InputError."""
+    square = "distance matrix must be square and nonempty"
+    arr = float_array(matrix, "matrix entry ({},{})", square)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[0] != arr.shape[1]:
+        raise InputError(square)
+    bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0)))
+    if bad.size:
+        i, j = bad[0]
+        raise InputError(f"matrix entry ({i},{j}) must be finite and nonnegative, got {arr[i, j]}")
+    return arr
