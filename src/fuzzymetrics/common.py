@@ -29,16 +29,17 @@ def check_positive(name: str, x: float) -> None:
 
 @cache
 def is_real(kind: type) -> bool:
-    """Whether values of this type are real numbers; bool is not, and
-    neither is a string, so neither is ever coerced to a number."""
-    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+    """Whether values of this type are real numbers; bool is not, nor is a
+    string, nor a numpy timedelta64, a duration that numpy registers as an
+    integer, so none is ever coerced to a number."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, (bool, np.timedelta64))
 
 
 @cache
 def is_index(kind: type) -> bool:
-    """Whether values of this type are integers; bool is not, and neither
-    is a numpy timedelta64, a duration that numpy registers as an integer."""
-    return issubclass(kind, numbers.Integral) and not issubclass(kind, (bool, np.timedelta64))
+    """Whether values of this type are integers: the real numbers (is_real)
+    that are integral."""
+    return issubclass(kind, numbers.Integral) and is_real(kind)
 
 
 def real(name: str, x) -> float:

@@ -15,10 +15,10 @@ with the outer truncation at u(x) present only for the endograph variant
 source point). The sendograph variant drops the truncation because
 sendographs carry no zero sheet outside the supports.
 
-The closed forms are validated against sampling oracles that enumerate
-lifted grid points of both graphs and compute the Hausdorff distance of the
-samples directly; the oracle value is within one resolution step of the true
-metric, so closed form and oracle must agree within twice the resolution.
+The closed forms are validated against sampling oracles, the Hausdorff
+distance between lifted grid samples of both graphs: one lifted reduction
+over the top sample of each base point. The oracle value is within one
+resolution step of the true metric, so the two must agree within twice it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .fuzzy import (
     platform_points,
     support,
 )
-from .sets import FiniteSet, _run_starts, _segment_extrema, union_family
-from .space import MetricSpace, _one_space, dist_matrix
+from .sets import FiniteSet, _segment_extrema, union_family
+from .space import _one_space
 
 
 def _check_sequence(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> None:
@@ -104,13 +104,24 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
     return upper
 
 
+def _column_passes(sets: Sequence[StepFuzzySet], blocks: list, heights: list | None = None) -> np.ndarray:
+    """Entry [:, i, j], i < j, holds the rows of the one _segment_extrema pass
+    of blocks[:j] against blocks[j], lifted by `heights` when given; the rest
+    is 0. The space of two or more sets is checked once."""
+    if len(sets) > 1:
+        _one_space(sets, "fuzzy sets")
+    out = np.zeros((2 if heights is None else 4, len(sets), len(sets)))
+    for j in range(1, len(sets)):
+        lifts = None if heights is None else (heights[:j], heights[j])
+        out[:, :j, j] = _segment_extrema(sets[j].space, blocks[:j], blocks[j], lifts)
+    return out
+
+
 def graph_matrices(sets: Sequence[StepFuzzySet]) -> tuple[np.ndarray, np.ndarray]:
     """The endograph and the sendograph matrix of metric_matrix, both from
-    one lifted pass per column."""
-    end, send = np.zeros((len(sets), len(sets))), np.zeros((len(sets), len(sets)))
-    for j in range(1, len(sets)):
-        end[:j, j], send[:j, j] = graph_series(sets[:j], sets[j])
-    return _mirrored(end), _mirrored(send)
+    one lifted pass per column, as graph_series takes them."""
+    ext = _column_passes(sets, [support(u).array for u in sets], [u.support_memberships for u in sets])
+    return _mirrored(np.maximum(ext[2], ext[3])), _mirrored(np.maximum(ext[0], ext[1]))
 
 
 def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None = None) -> np.ndarray:
@@ -127,65 +138,36 @@ def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None =
         raise InputError(f"unknown metric kind {kind!r}")
     if alpha is None:
         raise InputError("the level metric needs an alpha")
-    cuts = [alpha_cut(u, alpha).array for u in sets]
-    out = np.zeros((len(sets), len(sets)))
-    for j in range(1, len(sets)):
-        _check_sequence(sets[:j], sets[j])
-        out[:j, j] = _segment_extrema(sets[j].space, cuts[:j], cuts[j]).max(axis=0)
-    return _mirrored(out)
+    return _mirrored(_column_passes(sets, [alpha_cut(u, alpha).array for u in sets]).max(axis=0))
 
 
 def _check_resolution(resolution: float) -> None:
     # below TOL the closed form and the oracle would have to agree closer
-    # than points are told apart, and membership / resolution could leave
-    # the integer range of the sample indices
+    # than points are told apart
     if not TOL <= real("resolution", resolution) <= 0.1:
         raise InputError(f"resolution {resolution} outside [{TOL}, 0.1]")
 
 
-def _top_indices(u: StepFuzzySet, bases: FiniteSet, resolution: float) -> np.ndarray:
-    """Index of the highest sample k with k*resolution <= membership, per base
-    point (within 1e-9 slack against float division fuzz)."""
-    return np.floor(memberships(u, bases.array) / resolution + 1e-9).astype(int)
-
-
-def _directed_sampled(space: MetricSpace, src: np.ndarray, k_src: np.ndarray, tgt: np.ndarray, k_tgt: np.ndarray,
-                      resolution: float) -> float:
-    """Directed Hausdorff distance between two sampled graphs.
-
-    Column i of the source holds lifted samples (src_i, k*resolution) for
-    k = 0..k_src[i]; likewise for the target. Both columns share the grid
-    step, so the nearest target sample in column j to source level k sits at
-    index min(k, k_tgt[j]); the level gap is max(k - k_tgt[j], 0)*resolution.
-    That cost is nondecreasing in k, and so is its minimum over j, so the
-    maximum over the samples of column i is reached at its top, k = k_src[i].
-
-    The target is sorted by k_tgt and the source measured in row chunks of
-    space.block_rows(len(tgt)) rows; each kernel block is reduced over the
-    groups of equal k_tgt, on which the gap is constant, before the gap is
-    added: for a fixed c, fl(d + c) is monotone in d, so the minimum over a
-    group of fl(d + c) is fl(min d + c), bit for bit.
-    """
-    order = np.argsort(k_tgt, kind="stable")
-    tgt, k_tgt = tgt[order], k_tgt[order]
-    groups = _run_starts(k_tgt)
-    step = space.block_rows(len(tgt))
-    return max(float((np.minimum.reduceat(dist_matrix(space, src[s:s + step], tgt), groups, axis=1)
-                      + np.maximum(k_src[s:s + step, None] - k_tgt[groups], 0) * resolution).min(axis=1).max())
-               for s in range(0, len(src), step))
-
-
 def _sampled_graphs(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared: bool) -> float:
     """Hausdorff distance between the sampled graphs of u and v, on the
-    union of both supports when `shared`, else each on its own support."""
+    union of both supports when `shared`, else each on its own support.
+
+    Column x holds the samples (x, k*r) for k = 0..K(x), K(x) the highest
+    k with k*r <= membership(x) (within 1e-9 slack against float division
+    fuzz). Both sets share the grid step r, so the nearest sample of column
+    y to (x, k*r) sits at min(k, K(y)), at cost d(x, y) + max(0, k*r - K(y)*r).
+    That cost is nondecreasing in k, and so is its minimum over y, so the
+    maximum over column x is reached at its top, height K(x)*r. The
+    distance of the samples is thus rows 0 and 1 of one lifted
+    _segment_extrema pass over the tops, bit for bit.
+    """
     _one_space((u, v), "fuzzy sets")
     _check_resolution(resolution)
     su, sv = support(u), support(v)
     if shared:
         su = sv = union_family([su, sv])
-    ku, kv = _top_indices(u, su, resolution), _top_indices(v, sv, resolution)
-    return max(_directed_sampled(u.space, su.array, ku, sv.array, kv, resolution),
-               _directed_sampled(u.space, sv.array, kv, su.array, ku, resolution))
+    hu, hv = (np.floor(memberships(w, s.array) / resolution + 1e-9) * resolution for w, s in ((u, su), (v, sv)))
+    return float(_segment_extrema(u.space, [su.array], sv.array, ([hu], hv))[:2].max())
 
 
 def endograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> float:

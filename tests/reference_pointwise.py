@@ -3,13 +3,14 @@
 These are the per-point routines that preceded the array kernel: one Python
 distance call per pair of points, keep-first greedy scans in input order.
 Points are coordinate tuples in Euclidean mode and int indices in finite
-mode, and sets are tuples of them. Five routines that the library has since
-replaced sit at the end: the Euclidean kernel that reduced a difference
-temporary over its last axis, the oracles' directed distance sampled level
-by level, the random generator that drew each coordinate on its own and
-built each cut with its own finite_set call, the triangle check that
-scanned one row of a distance matrix at a time, and the membership scan
-that measured every point at every level from the lowest up. Last come
+mode, and sets are tuples of them. After them comes the oracles' distance
+between sampled graphs by brute force over every pair of samples. Four
+routines that the library has since replaced sit at the end: the Euclidean
+kernel that reduced a difference temporary over its last axis, the random
+generator that drew each coordinate on its own and built each cut with its
+own finite_set call, the triangle check that scanned one row of a distance
+matrix at a time, and the membership scan that measured every point at
+every level from the lowest up. Last come
 the identity decisions at TOL read from full kernel matrices, as dedup and
 nestedness took them before the near-pair search, and the Hausdorff
 distances each reduced from its own full kernel matrix, with the level
@@ -33,8 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet, alpha_cut
+from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet, alpha_cut, support
 from fuzzymetrics import finite_set as library_finite_set
+from fuzzymetrics import union_family as library_union_family
 from fuzzymetrics import space as space_module
 from fuzzymetrics.common import is_real, real
 from fuzzymetrics.sets import _segment_extrema
@@ -126,6 +128,33 @@ def graph_distance(space, levels_u, levels_v, truncate: bool) -> float:
     return max(directed(levels_u, levels_v), directed(levels_v, levels_u))
 
 
+def sampled_graph_distance(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared: bool) -> float:
+    """The oracles' Hausdorff distance between sampled graphs by brute force
+    over every pair of samples. Each base point x of a set (the union of
+    both supports when `shared`, else the set's own support) holds the
+    samples (x, k*resolution) for k = 0..K(x), K(x) the floor of
+    membership / resolution + 1e-9; samples (x, k*r) and (y, k'*r) are
+    k*r - k'*r apart in height, at cost d(x, y) plus its magnitude."""
+    su, sv = support(u), support(v)
+    if shared:
+        su = sv = library_union_family([su, sv])
+
+    def samples(w, s):
+        tops = np.floor(memberships(w, s.array) / resolution + 1e-9).astype(int)
+        ks = np.concatenate([np.arange(top + 1) for top in tops])
+        return np.repeat(np.arange(len(tops)), tops + 1), ks * resolution
+
+    (iu, hu), (iv, hv) = samples(u, su), samples(v, sv)
+    d = dist_matrix(u.space, su.array, sv.array)
+    out, back = 0.0, np.full(len(hv), np.inf)
+    for i in range(len(su)):
+        # every sample of base point i against every sample of v
+        cost = d[i, iv] + np.abs(hu[iu == i, None] - hv)
+        out = max(out, cost.min(axis=1).max())
+        back = np.minimum(back, cost.min(axis=0))
+    return float(max(out, back.max()))
+
+
 def dist_matrix_reduction(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean pairwise distances with each row block building a
     rows x m x dim difference temporary, within BLOCK_BYTES, and summing its
@@ -136,20 +165,6 @@ def dist_matrix_reduction(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = a[s:s + step, None, :] - b[None, :, :]
         np.sqrt((diff * diff).sum(axis=2), out=out[s:s + step])
     return out
-
-
-def directed_sampled(space, src: np.ndarray, k_src: np.ndarray, tgt: np.ndarray, k_tgt: np.ndarray,
-                     resolution: float) -> float:
-    """Directed distance between two sampled graphs, taken over every sample
-    k = 0..k_src[i] of each source column i, from one full matrix of the
-    source against the target."""
-    d = dist_matrix(space, src, tgt)
-    best = 0.0
-    for i, top in enumerate(k_src):
-        ks = np.arange(top + 1)
-        gap = np.maximum(ks[:, None] - k_tgt[None, :], 0) * resolution
-        best = max(best, float((d[i][None, :] + gap).min(axis=1).max()))
-    return best
 
 
 def random_fuzzy(space, rng, box=(0.0, 1.0), max_levels: int = 4, max_points: int = 6) -> StepFuzzySet:

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 import reference_pointwise as ref
 from fuzzymetrics import InputError, MetricSpace, finite_set
 from fuzzymetrics import space as space_module
-from fuzzymetrics.common import is_index, is_real
+from fuzzymetrics.common import is_index, is_real, real
 
 SP1 = MetricSpace.euclidean(1)
 SP2 = MetricSpace.euclidean(2)
@@ -135,6 +135,20 @@ def test_a_zero_dimensional_integer_array_is_no_index():
 def test_a_numpy_timedelta_is_no_integer_parameter():
     with pytest.raises(InputError, match=r"^dim must be an integer >= 1, got np.timedelta64\(2\)$"):
         MetricSpace.euclidean(np.timedelta64(2))
+
+
+@pytest.mark.parametrize("delta", [np.timedelta64(3, "D"), np.timedelta64(3)])
+def test_a_numpy_timedelta_is_no_real_parameter(delta):
+    # with a unit, float() of it raised a TypeError; without one it read 3.0
+    with pytest.raises(InputError, match="^tol must be a real number within float range, got np.timedelta64"):
+        real("tol", delta)
+
+
+def test_a_timedelta_point_array_is_no_coordinates():
+    with pytest.raises(InputError) as e:
+        SP1.point_array(np.array([[3], [1]], dtype="m8[D]"))
+    assert str(e.value) == ("coordinate 0 of point 0 must be a real number within float range, "
+                            f"got {np.timedelta64(3, 'D')!r}")
 
 
 # inputs whose acceptance holds

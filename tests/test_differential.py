@@ -5,14 +5,15 @@ block. The prefix unions and nets read off one scan are checked against
 unions and nets rebuilt from scratch (the nets also at three-row blocks),
 the one-matrix graph metrics against the closed form taken one direction at
 a time, the per-coordinate Euclidean kernel
-against the last-axis reduction it replaced, the oracles against their
-level-by-level sampling, the convergence series and the metric matrices
+against the last-axis reduction it replaced, the oracles against a brute
+force over every pair of samples, the convergence series and the metric matrices
 (the endograph and sendograph ones also from one pass per column) batched
 over a whole sequence against the same distances taken one pair at a time,
 the Hausdorff distances and the batched set diagnostics, level moduli and
 discontinuity levels against reductions of one full kernel matrix per pair,
 the lifted segment reduction, which adds each lift to minima per height
-group, against the one that added it to every kernel cell,
+group, against the one that added it to every kernel cell, its column
+minima against np.minimum.reduceat,
 the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
 measured, the memberships measured from 1.0 down against the scan from the
@@ -28,6 +29,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 
 import reference_pointwise as ref
 from fuzzymetrics import (
@@ -394,19 +396,17 @@ def test_kernel_matches_last_axis_reduction(dim):
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data(), resolution=st.sampled_from((0.1, 0.05, 0.025, 0.01, 0.007)))
 @settings(max_examples=60)
-def test_oracles_match_level_by_level_sampling(kind, data, resolution):
+def test_oracles_match_a_brute_force_over_all_sample_pairs(kind, data, resolution):
     space, [(raw_u, _), (raw_v, _)] = data.draw(fuzzy_sequences(kinds=(kind,)))
     u, v = build(space, raw_u), build(space, raw_v)
-
-    def oracles():
-        return [f(x, y, resolution) for f in (endograph_oracle, sendograph_oracle) for x, y in ((u, v), (v, u))]
-
-    with mock.patch.object(metrics_module, "_directed_sampled", ref.directed_sampled):
-        want = oracles()
+    # the union keeps the first of two points within TOL, so the endograph
+    # samples, and their distance, may depend on the order of u and v
+    pairs = [(oracle, x, y) for oracle in (endograph_oracle, sendograph_oracle) for x, y in ((u, v), (v, u))]
+    want = [ref.sampled_graph_distance(x, y, resolution, oracle is endograph_oracle) for oracle, x, y in pairs]
     # at the cap of 8 bytes each source row is a chunk of its own
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            assert oracles() == want
+            assert [oracle(x, y, resolution) for oracle, x, y in pairs] == want
 
 
 # Stored levels of the shared-cut sequences, and grid alphas both exactly at
@@ -649,6 +649,18 @@ def test_blocks_split_at_two_row_chunk_edges_match_the_dense_reductions(kind):
              for b in sets]
     assert one_pair == dense
     assert [tuple(col) + (max(col),) for col in plain.T.tolist()] == dense
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_column_minima_match_reduceat_for_one_and_several_segments(data):
+    rows, cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 6))
+    a = data.draw(hnp.arrays(np.float64, (rows, cols), elements=st.floats(0.0, 4.0)))
+    cuts = data.draw(st.lists(st.integers(1, rows - 1), max_size=rows - 1, unique=True)) if rows > 1 else []
+    for starts in (np.array([0]), np.array([0] + sorted(cuts))):
+        got = sets_module._column_minima(a, starts)
+        assert got.tobytes() == np.minimum.reduceat(a, starts, axis=0).tobytes()
+        assert got.shape == (len(starts), cols)
 
 
 @given(st.data())

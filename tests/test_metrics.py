@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fuzzymetrics import (
     sendograph_oracle,
     support,
 )
+from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.cli import main
 from fuzzymetrics.generators import collapse_family, contracting_sequence
@@ -250,6 +252,19 @@ def test_metric_matrix_rejects_an_unknown_kind_or_a_level_without_alpha():
     with pytest.raises(InputError, match="outside"):
         metric_matrix(sets, "level", 1.5)
     assert metric_matrix(sets, "level", 0.5).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("kind, alpha", [("end", None), ("send", None), ("level", 0.5)])
+def test_a_metric_matrix_checks_the_space_once(kind, alpha):
+    sets = fuzzy_corpus(6, 0)
+    with mock.patch.object(metrics_module, "_one_space", wraps=metrics_module._one_space) as check:
+        d = metric_matrix(sets, kind, alpha)
+    assert check.call_count == 1
+    assert d[0, 5] == metric_matrix(sets[:1] + sets[5:], kind, alpha)[0, 1]
+    for n in (0, 1):
+        assert metric_matrix(sets[:n], kind, alpha).tolist() == np.zeros((n, n)).tolist()
+    with pytest.raises(InputError, match="^fuzzy sets live in different spaces$"):
+        metric_matrix(sets[:3] + [singleton(0.0, SP2)], kind, alpha)
 
 
 def test_tail_diagnostics_share_the_certificate_shape():
