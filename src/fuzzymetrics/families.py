@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .certificates import (
     Certificate,
     Verdict,
@@ -25,7 +27,7 @@ from .certificates import (
 from .common import InputError, check_alpha_grid, check_positive, fmt
 from .fuzzy import StepFuzzySet, same_representation, support
 from .metrics import _CutTable, graph_series, metric_matrix
-from .sets import FiniteSet, _segment_extrema, prefix_net_sizes
+from .sets import FiniteSet, _run_starts, _segment_extrema, prefix_net_sizes
 from .space import _one_space
 
 
@@ -130,24 +132,41 @@ def tb_send_report(family: FuzzyFamily, eps: float, window: int | None = None) -
     return Certificate(kind="TB_SEND", verdict=verdict, evidence=evidence, witness=witness)
 
 
-def _member_modulus(u: StepFuzzySet, eps: float) -> float:
-    """Largest stored level m such that every cut at a level <= m stays
-    within eps of the support. The lowest level always qualifies."""
-    levels = u.levels[::-1]
-    far = _segment_extrema(u.space, [cut.array for _, cut in levels], support(u).array).max(axis=0) >= eps
-    assert not far[0]
-    # with no far level argmax is 0, and index -1 is the top level
-    return levels[int(far.argmax()) - 1][0]
-
-
 def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> Certificate:
     """Equi-right-continuity at 0: per-member modulus series and the family
     modulus (their minimum).
 
+    A member's modulus is the stored level just below its lowest far cut,
+    one at Hausdorff distance >= eps from its support, or 1.0 when no cut is
+    far: every cut at or below it lies within eps of the support. Cuts are
+    nested only within TOL, so the far flags need not be monotone and the
+    highest near level is no substitute (levels 1.0: {5e-10}, 0.5: {0},
+    0.2: {0, 1} at eps 0.9999999998 give 0.2, not 1.0). One _segment_extrema
+    call per distinct support, read from one _CutTable, measures the
+    distinct cuts of the members that hold it.
+
     Generator-tagged families FAIL when the modulus series is strictly
     decreasing over the last window (tending to 0 along the parameter)."""
     check_positive("eps", eps)
-    moduli = tuple(_member_modulus(u, eps) for u in family.members)
+    table = _CutTable(family.members)
+    members = np.arange(len(family.members))
+    rows, cols = np.nonzero(table.levels)  # the held levels: padding is 0
+    top = np.bincount(cols) - 1  # each member's support row
+    sup, cut = table.ids[top, members][cols], table.ids[rows, cols]
+    order = np.lexsort((cut, sup))
+    sup, cut = sup[order], cut[order]
+    pairs = _run_starts(sup, cut)
+    groups = np.append(_run_starts(sup[pairs]), len(pairs)).tolist()
+    far = np.empty(len(pairs), dtype=bool)
+    for s, e in zip(groups, groups[1:]):
+        blocks = [table.cuts[i].array for i in cut[pairs[s:e]]]
+        far[s:e] = _segment_extrema(table.cuts[0].space, blocks, table.cuts[sup[pairs[s]]].array).max(axis=0) >= eps
+    flags = np.zeros(table.levels.shape, dtype=bool)
+    flags[rows[order], cols[order]] = np.repeat(far, np.diff(pairs, append=len(order)))
+    assert not flags[top, members].any()
+    # the row after the lowest far level, or row 0 (level 1.0) if none is far
+    below = np.where(flags.any(axis=0), len(flags) - flags[::-1].argmax(axis=0), 0)
+    moduli = tuple(table.levels[below, members].tolist())
     verdict, witness = _family_verdict(family, window, [("modulus", moduli)], "decreasing",
                                        "modulus strictly decreasing along {kind} (members {first}..{last})")
     evidence = {"modulus": moduli, "family_modulus": (min(moduli),)}

@@ -90,9 +90,13 @@ def translates_family(
 ) -> FuzzyFamily:
     """Crisp singletons marching along the first axis: start, start+step, ..."""
     translates_count(space, count, start, step)
+    # translates_count checked the coordinates and a singleton needs no dedup:
+    # each member is a row of one read-only array, with one shared membership
     start, step = float(start), float(step)
     offsets = [start + k * step for k in range(count)]
-    members = [crisp(space, row[None]) for row in _axis_points(space, offsets)]
+    points, ones = _axis_points(space, offsets), np.ones(1)
+    points.flags.writeable = ones.flags.writeable = False
+    members = [_prefix_fuzzy(((1.0, FiniteSet(space, points[k:k + 1])),), ones) for k in range(count)]
     names = [f"t[{k + 1}]" for k in range(count)]
     return fuzzy_family(members, names, GeneratorTag("translates", tuple(offsets)))
 

@@ -720,15 +720,19 @@ def test_kuratowski_series_read_the_larger_entry_of_an_asymmetric_matrix():
 def test_erc_moduli_and_p0_points_match_per_pair_dense_reductions(scene, data):
     _, seq, limit, _ = scene
     members = seq + [limit]
+    # the same members ending in one shared support object, the largest cut
+    # of the chain, below their own levels, as collapse_family's share theirs
+    top = max((cut for u in members for _, cut in u.levels), key=len)
+    shared = [u if support(u) is top else make_fuzzy(u.levels + ((u.alphas[-1] / 2, top),)) for u in members]
     # an eps equal to some cut's distance from its support decides that cut
     # on the boundary, where the cut is already too far
-    gaps = {ref.dense_hausdorff(cut, support(u)) for u in members for _, cut in u.levels}
+    gaps = {ref.dense_hausdorff(cut, support(u)) for u in members + shared for _, cut in u.levels}
     eps = data.draw(st.sampled_from(sorted(gaps - {0.0}) + [0.025]))
     for cap in SERIES_CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            moduli = erc_modulus(fuzzy_family(members), eps).evidence["modulus"]
+            moduli = [erc_modulus(fuzzy_family(fam), eps).evidence["modulus"] for fam in (members, shared)]
             points = [p0_points(u) for u in members]
-        assert moduli == tuple(ref.member_modulus(u, eps) for u in members)
+        assert moduli == [tuple(ref.member_modulus(u, eps) for u in fam) for fam in (members, shared)]
         assert points == [ref.p0_points(u) for u in members]
 
 

@@ -1,3 +1,6 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from fuzzymetrics import (
@@ -8,6 +11,7 @@ from fuzzymetrics import (
     crisp,
     eps_net,
     erc_modulus,
+    finite_set,
     fuzzy_family,
     make_fuzzy,
     rel_compact_send_report,
@@ -24,7 +28,8 @@ from fuzzymetrics.generators import (
     random_family,
     translates_family,
 )
-from helpers import SP1, SP2, family_union_cut, singleton, two_level
+from fuzzymetrics import families as families_module
+from helpers import SP1, SP2, family_union_cut, singleton, traced_peak, two_level
 
 
 def xs(s):
@@ -135,6 +140,30 @@ def test_erc_modulus_monotone_in_eps():
     assert all(a <= b for a, b in zip(small, large))
 
 
+def test_erc_modulus_reads_the_lowest_far_level_from_the_support_up():
+    # cuts nested only within TOL: the top cut {5e-10} lies within eps of the
+    # support {0, 1}, the cut {0} below it does not, so the modulus is the
+    # level below that far cut, not the highest near level 1.0
+    u = make_fuzzy([(1.0, finite_set(SP1, [5e-10])), (0.5, finite_set(SP1, [0.0])),
+                    (0.2, finite_set(SP1, [0.0, 1.0]))])
+    assert erc_modulus(fuzzy_family([u]), 0.9999999998).evidence["modulus"] == (0.2,)
+
+
+def test_erc_modulus_measures_a_shared_support_once():
+    # every collapse member holds the same support and the same two cuts
+    fam = collapse_family(SP1, 300)
+    with mock.patch.object(families_module, "_segment_extrema", wraps=families_module._segment_extrema) as kernel:
+        cert = erc_modulus(fam, 0.5)
+    assert kernel.call_count == 1
+    assert cert.evidence["modulus"] == tuple(1.0 / n for n in range(1, 301))
+
+
+def test_erc_modulus_memory_stays_linear_in_the_cut_table():
+    # about 10^4 distinct cuts: a cuts x cuts table alone would take 190 MB
+    fam = random_family(SP1, 5000, 0)
+    assert traced_peak(erc_modulus, fam, 0.1) <= 16 << 20
+
+
 def test_rel_compact_collapse_fails_via_erc():
     cert = rel_compact_send_report(collapse_family(SP1, 50), 0.5)
     assert cert.verdict is Verdict.FAIL
@@ -242,4 +271,24 @@ def test_generated_members_pass_make_fuzzy_validation(space):
     for seed in range(10):
         members += random_family(space, 20, seed, max_levels=6, max_points=9).members
     for u in members:
+        assert same_representation(make_fuzzy(u.levels), u)
+
+
+@pytest.mark.parametrize(
+    "space, start, step",
+    [(SP1, 1.0, 1.0), (SP2, 1.0, 1.0), (SP1, 2.5, 0.0), (SP2, 0.0, 0.0), (SP1, -3.0, 0.75), (SP2, -1e3, 0.1)],
+)
+def test_translates_members_equal_crisp_singletons(space, start, step):
+    fam = translates_family(space, 7, start, step)
+    assert fam.generator.params == tuple(start + k * step for k in range(7))
+    for offset, u in zip(fam.generator.params, fam.members):
+        want = crisp(space, [[offset] + [0.0] * (space.dim - 1)])
+        (a, cut), = u.levels
+        (b, expected), = want.levels
+        assert a == b == 1.0
+        assert cut.array.dtype == expected.array.dtype and cut.array.shape == expected.array.shape
+        assert cut.array.tobytes() == expected.array.tobytes()
+        assert not cut.array.flags.writeable and not u.support_memberships.flags.writeable
+        assert np.array_equal(u.support_memberships, want.support_memberships)
+        assert u.support_memberships.dtype == want.support_memberships.dtype
         assert same_representation(make_fuzzy(u.levels), u)
