@@ -40,35 +40,47 @@ class FiniteSet:
         return len(self.array)
 
 
-def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarray:
-    """Mask of the keep-first greedy scan in input order: each point farther than
-    radius from every point kept before it is kept.
+def _scan(kept: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """The keep-first rule, row r kept iff no earlier row near it is kept, read from
+    one chunk of near pairs (i, j), those with j >= i ignored. Chunks come in order,
+    so rows i never decrease, and `kept` only goes from True to False. At once: each
+    row below the chunk's first row i[0] is final, its earlier pairs read before or
+    none, so every row near a kept one of them is cleared. In pair order: each pair
+    (r, q) left with both kept clears r if kept[q], which is final as every pair of
+    row q < r was read first, a row split over chunks ending before the next starts."""
+    i, j = i[j < i], j[j < i]
+    below = j < i[:1]
+    kept[i[below & kept[j]]] = False
+    rest = ~below & kept[i] & kept[j]
+    for r, q in zip(i[rest].tolist(), j[rest].tolist()):
+        if kept[q]:
+            kept[r] = False
 
-    Each row block is measured against the points kept before it, which drops
-    every row within radius of one of them; the scan then runs over the rows
-    left, measured among themselves. So a block costs its rows times the
-    kept points, not times every earlier point."""
+
+def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the keep-first scan at `radius` in input order. Each row block is
+    measured against the points kept before it, which drops every row within
+    radius of one of them; `_scan` decides the rows left from their near pairs,
+    a lone row with no kernel call. So a block costs its rows times the kept
+    points, not times every earlier point."""
     kept = np.zeros(len(pts), dtype=bool)
     centers = pts[:0]
     step = space.block_rows(len(pts))
     for begin in range(0, len(pts), step):
         block = np.arange(begin, min(begin + step, len(pts)))
         rows = block[dist_matrix(space, pts[block], centers).min(axis=1, initial=np.inf) > radius]
-        near = dist_matrix(space, pts[rows], pts[rows]) <= radius
-        for i, row in enumerate(near):
-            # later rows are still False, so only earlier kept rows count
-            kept[rows[i]] = not row.dot(kept[rows])
+        kept[rows] = True
+        if len(rows) > 1:
+            i, j = np.nonzero(dist_matrix(space, pts[rows], pts[rows]) <= radius)
+            _scan(kept, rows[i], rows[j])
         centers = np.concatenate([centers, pts[rows[kept[rows]]]])
     return kept
 
 
 def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the keep-first scan at TOL from the near pairs of the points
-    with themselves, or, given the lengths of consecutive runs of Euclidean
-    points, of each run on its own: then the window of a point is every
-    earlier point of its run. A point with no earlier point within TOL is
-    kept outright; the others are kept, in input order, iff none of those is
-    kept (a row split over chunks, by every part)."""
+    """Mask of the keep-first scan at TOL, by `_scan` over the near pairs of the
+    points with themselves or, given the lengths of consecutive runs of Euclidean
+    points, of each run alone: a point's window is then the earlier points of its run."""
     if runs is None:
         pairs = _near(space, pts, pts, TOL)
     else:
@@ -77,12 +89,7 @@ def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) 
         pairs = _window(space, coords, coords, first, np.arange(len(pts)) - first, TOL)
     kept = np.ones(len(pts), dtype=bool)
     for i, j in pairs:
-        earlier = j < i
-        if not earlier.any():
-            continue
-        rows, starts = np.unique(i[earlier], return_index=True)
-        for r, js in zip(rows.tolist(), np.split(j[earlier], starts[1:])):
-            kept[r] &= not kept[js].any()
+        _scan(kept, i, j)
     return kept
 
 

@@ -147,6 +147,23 @@ def test_eps_net_matches_reference(data):
             assert ref.points(eps_net(finite_set(space, raw), eps)) == expected
 
 
+@pytest.mark.parametrize("order", (1, -1), ids=("ascending", "descending"))
+def test_greedy_nets_of_a_chain_match_reference(order):
+    # points 0.6 eps apart, each within eps of its neighbours only: every
+    # block scan decides each survivor from the one before it, in pair order
+    eps = 0.25
+    chain = [0.15 * k for k in range(20)][::order]
+    raws = [chain[k:k + 4] for k in range(0, len(chain), 3)]
+    pieces = [ref.finite_set(SP1, r) for r in raws]
+    expected = ref.eps_net(SP1, ref.finite_set(SP1, chain), eps)
+    assert len(expected) == 10
+    sizes = ref.prefix_net_sizes(SP1, pieces, eps)
+    for cap in net_caps(len(chain)):
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert ref.points(eps_net(finite_set(SP1, chain), eps)) == expected
+            assert prefix_net_sizes([finite_set(SP1, r) for r in raws], eps) == sizes
+
+
 def test_greedy_nets_read_the_larger_entry_of_an_asymmetric_matrix():
     # d(1, 0) = 0.5 but d(0, 1) = 0.5 + 1e-10: the kernel reads 0.5 + 1e-10
     # both ways, so at eps 0.5 neither point covers the other, in either

@@ -13,15 +13,16 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import reference_pointwise as ref
 from fuzzymetrics import TOL, InputError, MetricSpace, finite_set, make_fuzzy, union_family
 from fuzzymetrics import space as space_module
-from fuzzymetrics.fuzzy import memberships
+from fuzzymetrics.fuzzy import memberships, support
+from fuzzymetrics.generators import crisp_interval_family
 from fuzzymetrics.sets import _dedup, _prefix_unions
 from fuzzymetrics.space import COORD_MAX, _cells, _near, dist_matrix
-from helpers import CAPS, SP2, traced_peak
+from helpers import CAPS, SP1, SP2, traced_peak
 
 ULP = 2.0 ** -52
 
@@ -113,26 +114,36 @@ def test_candidate_cells_are_bit_equal_to_the_kernel(dim):
                 assert near_pairs(space, a, b, radius) == dense_pairs(space, a, b, radius)
 
 
+# 30 nested grids [0, x] as crisp_interval_family builds them, each member
+# repeating every point of the one before it exactly: a dedup of their
+# union clears the copies of the rows below a chunk's first row at once
+GRIDS = [support(u).array[:, 0].tolist() for u in crisp_interval_family(SP1, 0.25, 1.0, 0.025).members]
+# points 0.6 TOL apart, each within TOL of its neighbours only: a dedup
+# decides each from the one before it in the same chunk, in pair order
+CHAIN = [1.0 + 0.6 * TOL * k for k in range(20)]
+
+
 @given(scenes())
+@example((SP1, *GRIDS))
+@example((SP1, CHAIN, CHAIN[::-1]))
 @settings(max_examples=200, deadline=DEADLINE)
 def test_dedup_and_unions_match_the_dense_scan(scene):
-    space, ra, rb = scene
-    a, b = space.point_array(ra), space.point_array(rb)
-    expected_a, expected_b = a[ref.dense_keep_first(space, a)], b[ref.dense_keep_first(space, b)]
-    unions = ref.dense_prefix_unions(space, [expected_a, expected_b, expected_a])
+    # the members are the scene's point lists, then its first one again
+    space, *raws = scene
+    expected = [a[ref.dense_keep_first(space, a)] for a in map(space.point_array, raws)]
+    unions = ref.dense_prefix_unions(space, expected + expected[:1])
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            sa, sb = finite_set(space, ra), finite_set(space, rb)
-            assert sa.array.tobytes() == expected_a.tobytes()
-            assert sb.array.tobytes() == expected_b.tobytes()
-            assert union_family([sa, sb]).array.tobytes() == unions[1].tobytes()
-            _, union, sizes = _prefix_unions([sa, sb, sa])
+            sets = [finite_set(space, r) for r in raws]
+            assert [s.array.tobytes() for s in sets] == [e.tobytes() for e in expected]
+            assert union_family(sets).array.tobytes() == unions[-2].tobytes()
+            _, union, sizes = _prefix_unions(sets + sets[:1])
             assert len(sizes) == len(unions)
             before = 0
-            for size, expected in zip(sizes.tolist(), unions):
-                assert union[:size].tobytes() == expected.tobytes()
+            for size, expected_union in zip(sizes.tolist(), unions):
+                assert union[:size].tobytes() == expected_union.tobytes()
                 # the points each member adds to the union
-                assert union[before:size].tobytes() == expected[before:].tobytes()
+                assert union[before:size].tobytes() == expected_union[before:].tobytes()
                 before = size
 
 

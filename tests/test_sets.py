@@ -221,6 +221,24 @@ def test_eps_net_measures_each_block_against_the_kept_centers_only():
     assert sum(cells) <= len(a) * (len(net) + SP2.block_rows(len(a)))
 
 
+# At 30,000 points a row block holds 4 rows, and most blocks keep at most
+# one after the pass against the centers: such a block needs no kernel
+# call among its rows. Two calls a block would be 15,000.
+def test_eps_net_scans_a_block_with_one_survivor_without_a_kernel_call():
+    a = finite_set(SP2, np.random.default_rng(0).uniform(0.0, 1.0, size=(30000, 2)))
+    calls = []
+
+    def counted(space, x, y):
+        calls.append(1)
+        return dist_matrix(space, x, y)
+
+    with mock.patch.object(sets_module, "dist_matrix", counted):
+        net = eps_net(a, 0.05)
+    assert len(calls) <= 7600
+    assert set(map(tuple, net.array.tolist())) <= set(map(tuple, a.array.tolist()))
+    assert directed_hausdorff(a, net) <= 0.05
+
+
 def test_prefix_net_memory_stays_within_two_blocks_when_every_point_is_a_center():
     rng = np.random.default_rng(3)
     family = [finite_set(SP2, rng.uniform(0.0, 1.0, size=(2000, 2)).tolist()) for _ in range(2)]
