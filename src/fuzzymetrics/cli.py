@@ -33,7 +33,7 @@ from .metrics import (
     endograph_convergence,
     endograph_oracle,
     gamma_diagnostic,
-    graph_matrices,
+    graph_series,
     levelwise_profile,
     metric_matrix,
     send_decomposition_check,
@@ -136,21 +136,18 @@ def run_oracle_check(doc: Document, args: argparse.Namespace) -> tuple:
     if len(names) < 2:
         raise InputError("oracle check needs at least 2 fuzzy sets")
     sets = [doc.fuzzy(n) for n in names]
-    closed = [matrix.tolist() for matrix in graph_matrices(sets)]
     bound = 2.0 * args.resolution
     rows = [["left", "right", "metric", "closed_form", "oracle", "abs_diff", "bound", "status"]]
     verdicts: list[Verdict] = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            for metric, matrix, oracle_fn in zip(("end", "send"), closed, (endograph_oracle, sendograph_oracle)):
+            closed = graph_series([sets[i]], sets[j])
+            for metric, (value,), oracle_fn in zip(("end", "send"), closed, (endograph_oracle, sendograph_oracle)):
                 sampled = oracle_fn(sets[i], sets[j], args.resolution)
-                diff = abs(matrix[i][j] - sampled)
+                diff = abs(value - sampled)
                 status = Verdict.PASS if diff <= bound else Verdict.FAIL
                 verdicts.append(status)
-                rows.append(
-                    [names[i], names[j], metric, fmt(matrix[i][j]), fmt(sampled),
-                     fmt(diff), fmt(bound), status.value]
-                )
+                rows.append([names[i], names[j], metric, *map(fmt, (value, sampled, diff, bound)), status.value])
     return _csv(rows), verdicts, None, {}
 
 

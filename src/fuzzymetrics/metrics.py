@@ -37,7 +37,7 @@ from .fuzzy import (
     platform_points,
     support,
 )
-from .sets import FiniteSet, _segment_extrema, union_family
+from .sets import FiniteSet, _segment_extrema
 from .space import _one_space
 
 
@@ -55,23 +55,26 @@ def _distinct(items) -> tuple[list, list[int]]:
     return list(index), ids
 
 
-def graph_series(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Endograph and sendograph distance from each member to the limit.
-
-    One lifted pass of _segment_extrema over the distinct members' supports
-    against the limit support; the endograph caps the same inner minimum
-    that the sendograph takes whole.
-    """
-    _check_sequence(seq, limit)
-    members, ids = _distinct(seq)
+def _graph_rows(members: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[np.ndarray, np.ndarray]:
+    """Endograph and sendograph distance from each member to the limit: one
+    lifted pass of _segment_extrema over the members' supports against the
+    limit support; the endograph caps the same inner minimum that the
+    sendograph takes whole."""
     ext = _segment_extrema(
         limit.space,
         [support(u).array for u in members],
         support(limit).array,
         ([u.support_memberships for u in members], limit.support_memberships),
     )
-    end = np.maximum(ext[2], ext[3]).tolist()
-    send = np.maximum(ext[0], ext[1]).tolist()
+    return np.maximum(ext[2], ext[3]), np.maximum(ext[0], ext[1])
+
+
+def graph_series(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Endograph and sendograph distance from each member to the limit, one
+    _graph_rows pass over the distinct members."""
+    _check_sequence(seq, limit)
+    members, ids = _distinct(seq)
+    end, send = (row.tolist() for row in _graph_rows(members, limit))
     return tuple(map(end.__getitem__, ids)), tuple(map(send.__getitem__, ids))
 
 
@@ -97,48 +100,29 @@ def endograph_convergence(
     return tail_certificate("END_TAIL", [("end", {"end": series})], window, tol)
 
 
-def _mirrored(upper: np.ndarray) -> np.ndarray:
-    """A square matrix filled above the diagonal, copied below it."""
-    i, j = np.triu_indices(len(upper), 1)
-    upper[j, i] = upper[i, j]
-    return upper
-
-
-def _column_passes(sets: Sequence[StepFuzzySet], blocks: list, heights: list | None = None) -> np.ndarray:
-    """Entry [:, i, j], i < j, holds the rows of the one _segment_extrema pass
-    of blocks[:j] against blocks[j], lifted by `heights` when given; the rest
-    is 0. The space of two or more sets is checked once."""
-    if len(sets) > 1:
-        _one_space(sets, "fuzzy sets")
-    out = np.zeros((2 if heights is None else 4, len(sets), len(sets)))
-    for j in range(1, len(sets)):
-        lifts = None if heights is None else (heights[:j], heights[j])
-        out[:, :j, j] = _segment_extrema(sets[j].space, blocks[:j], blocks[j], lifts)
-    return out
-
-
-def graph_matrices(sets: Sequence[StepFuzzySet]) -> tuple[np.ndarray, np.ndarray]:
-    """The endograph and the sendograph matrix of metric_matrix, both from
-    one lifted pass per column, as graph_series takes them."""
-    ext = _column_passes(sets, [support(u).array for u in sets], [u.support_memberships for u in sets])
-    return _mirrored(np.maximum(ext[2], ext[3])), _mirrored(np.maximum(ext[0], ext[1]))
-
-
 def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None = None) -> np.ndarray:
     """Matrix of one metric over a list of fuzzy sets of one space: "end",
     "send" or "level", the Hausdorff distance between the alpha-cuts.
 
     Column j is one batched pass of sets[:j] against sets[j], so entry
     (i, j) with i < j is the one-pair metric(sets[i], sets[j]), bit for bit,
-    and entry (j, i) repeats it.
+    and entry (j, i) repeats it: d + d.T adds the +0.0 lower triangle.
     """
-    if kind in ("end", "send"):
-        return graph_matrices(sets)[kind == "send"]
-    if kind != "level":
+    if kind not in ("end", "send", "level"):
         raise InputError(f"unknown metric kind {kind!r}")
-    if alpha is None:
-        raise InputError("the level metric needs an alpha")
-    return _mirrored(_column_passes(sets, [alpha_cut(u, alpha).array for u in sets]).max(axis=0))
+    if kind == "level":
+        if alpha is None:
+            raise InputError("the level metric needs an alpha")
+        cuts = [alpha_cut(u, alpha).array for u in sets]
+    if len(sets) > 1:
+        _one_space(sets, "fuzzy sets")
+    d = np.zeros((len(sets), len(sets)))
+    for j in range(1, len(sets)):
+        if kind == "level":
+            d[:j, j] = _segment_extrema(sets[j].space, cuts[:j], cuts[j]).max(axis=0)
+        else:
+            d[:j, j] = _graph_rows(sets[:j], sets[j])[kind == "send"]
+    return d + d.T
 
 
 def _check_resolution(resolution: float) -> None:
@@ -149,8 +133,9 @@ def _check_resolution(resolution: float) -> None:
 
 
 def _sampled_graphs(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared: bool) -> float:
-    """Hausdorff distance between the sampled graphs of u and v, on the
-    union of both supports when `shared`, else each on its own support.
+    """Hausdorff distance between the sampled graphs of u and v, both on the
+    two supports as given when `shared` (min and max ignore copies and order,
+    so u and v commute bit for bit), else each on its own support.
 
     Column x holds the samples (x, k*r) for k = 0..K(x), K(x) the highest
     k with k*r <= membership(x) (within 1e-9 slack against float division
@@ -163,20 +148,20 @@ def _sampled_graphs(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared:
     """
     _one_space((u, v), "fuzzy sets")
     _check_resolution(resolution)
-    su, sv = support(u), support(v)
+    su, sv = support(u).array, support(v).array
     if shared:
-        su = sv = union_family([su, sv])
-    hu, hv = (np.floor(memberships(w, s.array) / resolution + 1e-9) * resolution for w, s in ((u, su), (v, sv)))
-    return float(_segment_extrema(u.space, [su.array], sv.array, ([hu], hv))[:2].max())
+        su = sv = np.concatenate([su, sv])
+    hu, hv = (np.floor(memberships(w, s) / resolution + 1e-9) * resolution for w, s in ((u, su), (v, sv)))
+    return float(_segment_extrema(u.space, [su], sv, ([hu], hv))[:2].max())
 
 
 def endograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> float:
     """Sampled endograph distance: brute force over lifted grid points.
 
-    Each point x of the union of both supports contributes samples
-    (x, k*resolution) for every k with k*resolution <= membership(x); points
-    outside a support contribute that set's zero-sheet sample (x, 0). The
-    value is within `resolution` of the true endograph metric.
+    Each point x of either support contributes samples (x, k*resolution)
+    for every k with k*resolution <= membership(x); points outside a support
+    contribute that set's zero-sheet sample (x, 0). The value is within
+    `resolution` of the true endograph metric and symmetric in u and v.
     """
     return _sampled_graphs(u, v, resolution, True)
 

@@ -75,6 +75,10 @@ class MetricSpace:
             if bad.size:
                 i, j = bad[0]
                 raise InputError(f"matrix entry ({i},{j}) must be finite and nonnegative, got {arr[i, j]}")
+            bad = np.flatnonzero(np.diagonal(arr) > TOL)
+            if bad.size:
+                i = bad[0]
+                raise InputError(f"matrix entry ({i},{i}) on the diagonal must be at most {TOL}, got {arr[i, i]}")
             # the kernel reads the larger of d(i, j) and d(j, i), so it is
             # symmetric bit for bit, as the Euclidean kernel is
             symmetric = np.maximum(arr, arr.T)
@@ -255,11 +259,11 @@ def _window(space: MetricSpace, rows: np.ndarray, columns: np.ndarray, first: np
 def validate_metric(space: MetricSpace) -> Certificate:
     """Certify the metric axioms of a finite-mode distance matrix.
 
-    Checks zero diagonal, symmetry, that distinct indices are more than TOL
-    apart (a pseudometric would merge them silently) and the triangle
-    inequality, exhaustively, and reports the first violating pair or triple
-    as witness. Euclidean spaces are valid by construction and are rejected
-    as unsupported input.
+    Checks symmetry, that distinct indices are more than TOL apart (a
+    pseudometric would merge them silently) and the triangle inequality,
+    exhaustively, and reports the first violating pair or triple as witness;
+    the constructor has checked the diagonal. Euclidean spaces are valid by
+    construction and are rejected as unsupported input.
 
     The triangle check takes blocks of rows i that keep a rows x n x n
     buffer within BLOCK_BYTES (one row per block once an n x n buffer
@@ -280,10 +284,6 @@ def validate_metric(space: MetricSpace) -> Certificate:
             evidence={"violation": tuple(float(v) for v in violation)},
         )
 
-    bad = np.flatnonzero(np.abs(np.diag(m)) > TOL)
-    if bad.size:
-        i = int(bad[0])
-        return fail(f"nonzero diagonal at ({i},{i})", m[i, i])
     bad = np.argwhere(np.triu(np.abs(m - m.T) > TOL, 1))
     if bad.size:
         i, j = map(int, bad[0])

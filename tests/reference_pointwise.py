@@ -36,7 +36,6 @@ import numpy as np
 
 from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet, alpha_cut, support
 from fuzzymetrics import finite_set as library_finite_set
-from fuzzymetrics import union_family as library_union_family
 from fuzzymetrics import space as space_module
 from fuzzymetrics.common import is_real, real
 from fuzzymetrics.sets import _segment_extrema
@@ -130,22 +129,23 @@ def graph_distance(space, levels_u, levels_v, truncate: bool) -> float:
 
 def sampled_graph_distance(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared: bool) -> float:
     """The oracles' Hausdorff distance between sampled graphs by brute force
-    over every pair of samples. Each base point x of a set (the union of
-    both supports when `shared`, else the set's own support) holds the
-    samples (x, k*resolution) for k = 0..K(x), K(x) the floor of
-    membership / resolution + 1e-9; samples (x, k*r) and (y, k'*r) are
-    k*r - k'*r apart in height, at cost d(x, y) plus its magnitude."""
-    su, sv = support(u), support(v)
+    over every pair of samples. Each base point x of a set (the points of
+    both supports as given, one after the other, when `shared`, else the
+    set's own support) holds the samples (x, k*resolution) for k = 0..K(x),
+    K(x) the floor of membership / resolution + 1e-9; samples (x, k*r) and
+    (y, k'*r) are k*r - k'*r apart in height, at cost d(x, y) plus its
+    magnitude."""
+    su, sv = support(u).array, support(v).array
     if shared:
-        su = sv = library_union_family([su, sv])
+        su = sv = np.concatenate([su, sv])
 
     def samples(w, s):
-        tops = np.floor(memberships(w, s.array) / resolution + 1e-9).astype(int)
+        tops = np.floor(memberships(w, s) / resolution + 1e-9).astype(int)
         ks = np.concatenate([np.arange(top + 1) for top in tops])
         return np.repeat(np.arange(len(tops)), tops + 1), ks * resolution
 
     (iu, hu), (iv, hv) = samples(u, su), samples(v, sv)
-    d = dist_matrix(u.space, su.array, sv.array)
+    d = dist_matrix(u.space, su, sv)
     out, back = 0.0, np.full(len(hv), np.inf)
     for i in range(len(su)):
         # every sample of base point i against every sample of v
@@ -413,4 +413,7 @@ def finite_matrix(matrix) -> np.ndarray:
     if bad.size:
         i, j = bad[0]
         raise InputError(f"matrix entry ({i},{j}) must be finite and nonnegative, got {arr[i, j]}")
+    for i in range(len(arr)):
+        if arr[i, i] > TOL:
+            raise InputError(f"matrix entry ({i},{i}) on the diagonal must be at most {TOL}, got {arr[i, i]}")
     return arr

@@ -239,6 +239,23 @@ def test_oracle_subcommand(capsys, doc_path):
     assert len(lines) == 1 + 6
 
 
+def test_oracle_writes_the_same_numbers_for_sets_declared_in_reverse(capsys, tmp_path):
+    # b's first point lies within TOL of a's only point
+    sets = [
+        {"name": "a", "levels": [{"alpha": 1.0, "points": [[0.0]]}]},
+        {"name": "b", "levels": [{"alpha": 1.0, "points": [[8e-10], [0.025]]}]},
+        {"name": "c", "levels": [{"alpha": 1.0, "points": [[0.0]]}, {"alpha": 0.5, "points": [[0.0], [0.3]]}]},
+    ]
+    rows = []
+    for order in (sets, sets[::-1]):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"space": {"type": "euclidean", "dim": 1}, "fuzzy_sets": order}), encoding="utf-8")
+        code, out = run(capsys, "oracle", str(path), "--resolution", "0.1")
+        assert code == 0
+        rows.append({(frozenset(f[:2]), f[2]): f[3:] for f in (line.split(",") for line in out.splitlines()[1:])})
+    assert len(rows[0]) == 6 and rows[0] == rows[1]
+
+
 def test_gen_expands_and_reloads(capsys, doc_path, tmp_path):
     out_path = tmp_path / "expanded.json"
     code, _ = run(capsys, "gen", doc_path, "--out", str(out_path))

@@ -6,7 +6,8 @@ unions and nets rebuilt from scratch (the nets also at three-row blocks),
 the one-matrix graph metrics against the closed form taken one direction at
 a time, the per-coordinate Euclidean kernel
 against the last-axis reduction it replaced, the oracles against a brute
-force over every pair of samples, the convergence series and the metric matrices
+force over every pair of samples and against themselves with the two sets
+swapped, the convergence series and the metric matrices
 (the endograph and sendograph ones also from one pass per column) batched
 over a whole sequence against the same distances taken one pair at a time,
 the Hausdorff distances and the batched set diagnostics, level moduli and
@@ -70,7 +71,7 @@ from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import sets as sets_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships
-from fuzzymetrics.metrics import default_alpha_grid, graph_matrices
+from fuzzymetrics.metrics import default_alpha_grid
 from fuzzymetrics.generators import collapse_family, crisp_interval_family, random_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
@@ -416,14 +417,29 @@ def test_kernel_matches_last_axis_reduction(dim):
 def test_oracles_match_a_brute_force_over_all_sample_pairs(kind, data, resolution):
     space, [(raw_u, _), (raw_v, _)] = data.draw(fuzzy_sequences(kinds=(kind,)))
     u, v = build(space, raw_u), build(space, raw_v)
-    # the union keeps the first of two points within TOL, so the endograph
-    # samples, and their distance, may depend on the order of u and v
     pairs = [(oracle, x, y) for oracle in (endograph_oracle, sendograph_oracle) for x, y in ((u, v), (v, u))]
     want = [ref.sampled_graph_distance(x, y, resolution, oracle is endograph_oracle) for oracle, x, y in pairs]
     # at the cap of 8 bytes each source row is a chunk of its own
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             assert [oracle(x, y, resolution) for oracle, x, y in pairs] == want
+
+
+@given(data=st.data(), resolution=st.sampled_from((0.1, 0.05, 0.025, 0.01, 0.007)))
+@settings(max_examples=150)
+def test_oracles_are_symmetric_bit_for_bit(data, resolution):
+    space, [(raw_u, _), (raw_v, _)] = data.draw(fuzzy_sequences(kinds=SERIES_KINDS))
+    u, v = build(space, raw_u), build(space, raw_v)
+    for oracle in (endograph_oracle, sendograph_oracle):
+        assert oracle(u, v, resolution) == oracle(v, u, resolution)
+
+
+def test_the_endograph_oracle_samples_both_supports_as_given():
+    # 8e-10 lies within TOL of 0.0: a base that kept only the first of the
+    # two read 0.025 from {0.0} to {8e-10, 0.025} and 0.0249999992 back
+    u, v = (make_fuzzy([(1.0, finite_set(SP1, pts))]) for pts in ([0.0], [8e-10, 0.025]))
+    assert endograph_oracle(u, v, 0.1) == endograph_oracle(v, u, 0.1) == 0.025 - 8e-10
+    assert sendograph_oracle(u, v, 0.1) == sendograph_oracle(v, u, 0.1)
 
 
 # Stored levels of the shared-cut sequences, and grid alphas both exactly at
@@ -788,7 +804,7 @@ def test_graph_matrices_match_one_pair_metrics(scene):
     sets = [build(space, raw) for raw, _ in members]
     for cap in SERIES_CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            matrices = graph_matrices(sets)
+            matrices = [metric_matrix(sets, kind) for kind in ("end", "send")]
         for kind, d in zip(("end", "send"), matrices):
             assert d.shape == (len(sets), len(sets))
             assert all(d[i, i] == 0.0 for i in range(len(sets)))
@@ -808,7 +824,6 @@ def test_metric_matrix_reads_the_larger_entry_of_an_asymmetric_matrix():
         for sets in ([u, v, w], [v, u, w]):
             d = metric_matrix(sets, kind, 1.0)
             assert d[0, 1] == d[1, 0] == 1.0 + 5e-10
-    assert graph_matrices([u, v, w])[1][1, 0] == graph_matrices([v, u, w])[1][1, 0] == 1.0 + 5e-10
     assert cauchy_tail_profile([u, v, w], "send", window=1).evidence["residual"][0] == 2.0
     assert cauchy_tail_profile([u, w, v], "send", window=1).evidence["residual"][0] == 2.0
     for sets in ([u, v, u], [v, u, v]):

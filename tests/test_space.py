@@ -17,6 +17,7 @@ from fuzzymetrics import (
     validate_metric,
 )
 from fuzzymetrics import space as space_module
+from fuzzymetrics.cli import main
 from helpers import CAPS, LiftedPoint, distance, lifted_distance
 
 SP1 = MetricSpace.euclidean(1)
@@ -155,6 +156,23 @@ def test_document_with_pseudometric_is_rejected(tmp_path):
     }))
     with pytest.raises(InputError, match="distinct points"):
         load_document(str(path))
+
+
+def test_a_finite_space_has_a_zero_diagonal(tmp_path, capsys):
+    # a diagonal above TOL would let finite_set keep index 0 twice and give
+    # hausdorff(s, s) > 0
+    with pytest.raises(InputError, match=r"^matrix entry \(0,0\) on the diagonal must be at most 1e-09, got 1.0$"):
+        MetricSpace.finite([[1, 2], [2, 1]])
+    path = tmp_path / "doc.json"
+    for diagonal, code in ((1e-8, 2), (1e-9, 0)):
+        path.write_text(json.dumps({
+            "space": {"type": "finite", "matrix": [[0.0, 1.0], [1.0, diagonal]]},
+            "fuzzy_sets": [{"name": "u", "levels": [{"alpha": 1.0, "points": [0, 1]}]},
+                           {"name": "v", "levels": [{"alpha": 1.0, "points": [1]}]}],
+        }))
+        assert main(["metrics", str(path), "--kind", "end"]) == code
+    assert capsys.readouterr().err == "error: space: matrix entry (1,1) on the diagonal must be at most 1e-09, got 1e-08\n"
+    assert load_document(str(path)).space.matrix_array[1, 1] == 1e-9
 
 
 def _first_triangle_violation(m):
