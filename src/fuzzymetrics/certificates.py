@@ -73,16 +73,25 @@ def check_window(n: int, window: int | None) -> int:
     return default_window(n) if window is None else int(check_integer("window", window, 1, n))
 
 
+def _window(series: Sequence[float], window: int) -> list[float]:
+    """The last `window` entries of a series, for an integer window in
+    1..len(series); a NaN among them is an InputError naming its index."""
+    start = len(series) - check_integer("window", window, 1, len(series))
+    tail = list(series[start:])
+    for i, x in enumerate(tail, start):
+        if x != x:
+            raise InputError(f"series entry {i} is NaN")
+    return tail
+
+
 def tail_verdict(series: Sequence[float], window: int, tol: float) -> tuple[Verdict, float]:
     """Decide a 'tends to zero' claim from the last `window` entries.
 
     Returns (verdict, tail_max). PASS below tol, FAIL at or above 2*tol,
-    INCONCLUSIVE in between. The window is an integer in 1..len(series).
+    INCONCLUSIVE in between, on the window as _window reads it.
     """
     check_positive("tol", tol)
-    check_integer("window", window, 1, len(series))
-    tail = series[len(series) - window:]
-    m = max(tail)
+    m = max(_window(series, window))
     if m < tol:
         return Verdict.PASS, m
     if m >= 2 * tol:
@@ -128,12 +137,11 @@ def trend_verdict(series: Sequence[float], window: int, failing: str = "increasi
 
     PASS when the tail is constant, FAIL when it is strictly monotone in the
     `failing` direction ("increasing" or "decreasing"), INCONCLUSIVE otherwise.
-    The window is an integer in 1..len(series).
+    The window is as _window reads it.
     """
-    check_integer("window", window, 1, len(series))
+    tail = _window(series, window)
     if failing not in ("increasing", "decreasing"):
         raise InputError(f"failing must be 'increasing' or 'decreasing', got {failing!r}")
-    tail = list(series[len(series) - window:])
     if all(x == tail[0] for x in tail):
         return Verdict.PASS
     pairs = list(zip(tail, tail[1:]))

@@ -52,22 +52,24 @@ from .certificates import Verdict
 
 
 class _BuiltOnRead(Mapping):
-    """A read-only mapping in insertion order whose pending values
-    (functools.partial objects) are called the first time they are read and
-    replaced by what they return, once even under concurrent first reads."""
+    """A read-only view, in insertion order, of a document's fuzzy sets or
+    families. A generated family and its members share one pending build (a
+    functools.partial returning the family's name and the family), called on
+    the first read of any of them, once even under concurrent first reads.
+    Under the lock the document's two views share, the family and its members
+    then replace it; only values change, so iterating a view stays valid."""
 
-    def __init__(self, values: dict[str, Any]):
-        self._values = values
-        self._lock = threading.Lock()
+    def __init__(self, values: dict[str, Any], fams: dict[str, Any], sets: dict[str, Any], lock: threading.Lock):
+        self._values, self._fams, self._sets, self._lock = values, fams, sets, lock
 
     def __getitem__(self, key: str) -> Any:
-        value = self._values[key]
-        if type(value) is partial:
+        if type(self._values[key]) is partial:
             with self._lock:
-                value = self._values[key]
-                if type(value) is partial:
-                    value = self._values[key] = value()
-        return value
+                if type(self._values[key]) is partial:
+                    name, fam = self._values[key]()
+                    self._fams[name] = fam
+                    self._sets.update(zip(fam.names, fam.members))
+        return self._values[key]
 
     def __contains__(self, key: object) -> bool:
         return key in self._values
@@ -221,35 +223,27 @@ def _check_generator(space: MetricSpace, name: str, gen: Any, default_seed: int)
     kind = _need(gen, "kind", f"family {name!r} generator")
     if not isinstance(kind, str) or kind not in _GENERATORS:
         raise InputError(f"family {name!r}: unknown generator kind {kind!r}")
-    allowed = _GENERATORS[kind][2]
+    if kind == "crisp_intervals" and "count" in gen:
+        raise InputError(f"family {name!r}: crisp_intervals derives its count from the grid")
     params = gen.get("params", {})
     if not isinstance(params, Mapping):
         raise InputError(f"family {name!r}: generator params must be an object")
-    bad = sorted(set(params) - set(allowed))
-    if bad:
-        raise InputError(f"family {name!r}: unknown generator params {bad} (allowed: {list(allowed)})")
-    kwargs = dict(params)
-    if kind == "crisp_intervals":
-        if "count" in gen:
-            raise InputError(f"family {name!r}: crisp_intervals derives its count from the grid")
-        args = ()
-    else:
-        args = (_need(gen, "count", f"family {name!r} generator"),)
-        if kind == "random":
-            kwargs["seed"] = gen.get("seed", default_seed)
+    fields = ("kind", "params") + ("count",) * (kind != "crisp_intervals") + ("seed",) * (kind == "random")
+    for what, given, allowed in (("fields", gen, fields), ("params", params, _GENERATORS[kind][2])):
+        bad = sorted(set(given) - set(allowed))
+        if bad:
+            raise InputError(f"family {name!r}: unknown generator {what} {bad} (allowed: {list(allowed)})")
+    args = () if kind == "crisp_intervals" else (_need(gen, "count", f"family {name!r} generator"),)
+    kwargs = {**params, "seed": gen.get("seed", default_seed)} if kind == "random" else dict(params)
     with _prefixed(f"family {name!r}"):
         count = _GENERATORS[kind][1](space, *args, **kwargs)
     names = tuple(f"{name}[{k + 1}]" for k in range(count))
-    return partial(_generate, kind, names, space, *args, **kwargs), names
+    return partial(_generate, kind, name, names, space, *args, **kwargs), names
 
 
-def _generate(kind: str, names: tuple[str, ...], *args, **kwargs) -> FuzzyFamily:
+def _generate(kind: str, name: str, names: tuple[str, ...], *args, **kwargs) -> tuple[str, FuzzyFamily]:
     # the generator validated the family, and these names are distinct too
-    return replace(_GENERATORS[kind][0](*args, **kwargs), names=names)
-
-
-def _member(families: Mapping[str, FuzzyFamily], name: str, k: int) -> StepFuzzySet:
-    return families[name].members[k]
+    return name, replace(_GENERATORS[kind][0](*args, **kwargs), names=names)
 
 
 def parse_document(data: Any, default_seed: int = 0) -> Document:
@@ -259,15 +253,15 @@ def parse_document(data: Any, default_seed: int = 0) -> Document:
         raise InputError("document: top level must be an object")
     space = _parse_space(_need(data, "space", "document"))
     sets: dict[str, Any] = {}
-    declared: list[str] = []
     for obj in _entries(data, "fuzzy_sets"):
         name, u = _parse_fuzzy(space, obj)
         if name in sets:
             raise InputError(f"duplicate fuzzy set name {name!r}")
         sets[name] = u
-        declared.append(name)
+    declared = tuple(sets)
     fams: dict[str, Any] = {}
-    fuzzy_sets, families = _BuiltOnRead(sets), _BuiltOnRead(fams)
+    lock = threading.Lock()
+    fuzzy_sets, families = (_BuiltOnRead(values, fams, sets, lock) for values in (sets, fams))
     for obj in _entries(data, "families"):
         name = _check_name(_need(obj, "name", "families"), "families")
         if name in fams:
@@ -279,17 +273,17 @@ def parse_document(data: Any, default_seed: int = 0) -> Document:
             fams[name] = fuzzy_family([fuzzy_sets[m] for m in member_names], member_names)
         else:
             fams[name], names = _check_generator(space, name, obj["generator"], default_seed)
-            for k, member_name in enumerate(names):
-                if member_name in sets:
-                    raise InputError(f"generated name {member_name!r} collides with a fuzzy set")
-                sets[member_name] = partial(_member, families, name, k)
+            clash = next(filter(sets.__contains__, names), None)
+            if clash is not None:
+                raise InputError(f"generated name {clash!r} collides with a fuzzy set")
+            sets.update(dict.fromkeys(names, fams[name]))
     sequences: dict[str, tuple[str, ...]] = {}
     for obj in _entries(data, "sequences"):
         name = _check_name(_need(obj, "name", "sequences"), "sequences")
         if name in sequences:
             raise InputError(f"duplicate sequence name {name!r}")
         sequences[name] = tuple(_members(obj, f"sequence {name!r}", fuzzy_sets))
-    return Document(space, fuzzy_sets, tuple(declared), families, sequences)
+    return Document(space, fuzzy_sets, declared, families, sequences)
 
 
 def load_document(path: str, default_seed: int = 0) -> Document:

@@ -119,15 +119,19 @@ def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stored_cut(u: StepFuzzySet, alpha, strict: bool) -> FiniteSet:
+    """The stored cut at the smallest stored level >= alpha, or > alpha when
+    `strict`. Alpha is a real number in (0,1], or in (0,1) when `strict`, so
+    level 1.0 always qualifies."""
+    alpha = real("alpha", alpha)
+    if not (0.0 < alpha < 1.0 or alpha == 1.0 and not strict):
+        raise InputError(f"alpha {alpha} outside (0,1{')' if strict else ']'}")
+    return next(cut for a, cut in reversed(u.levels) if a > alpha or a == alpha and not strict)
+
+
 def alpha_cut(u: StepFuzzySet, alpha: float) -> FiniteSet:
-    """The cut {membership >= alpha} for alpha in (0,1]: the stored cut at the
-    smallest stored level >= alpha."""
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha {alpha} outside (0,1]")
-    for a, cut in reversed(u.levels):
-        if a >= alpha:
-            return cut
-    raise AssertionError("unreachable: level 1.0 always qualifies")
+    """The cut {membership >= alpha} for alpha in (0,1]: _stored_cut."""
+    return _stored_cut(u, alpha, False)
 
 
 def support(u: StepFuzzySet) -> FiniteSet:
@@ -137,14 +141,8 @@ def support(u: StepFuzzySet) -> FiniteSet:
 
 
 def strict_cut_closure(u: StepFuzzySet, alpha: float) -> FiniteSet:
-    """Closure of {membership > alpha} for alpha in (0,1): the stored cut at
-    the smallest stored level above alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha {alpha} outside (0,1)")
-    for a, cut in reversed(u.levels):
-        if a > alpha:
-            return cut
-    raise AssertionError("unreachable: level 1.0 exceeds any alpha < 1")
+    """Closure of {membership > alpha}, alpha in (0,1): strict _stored_cut."""
+    return _stored_cut(u, alpha, True)
 
 
 def platform_points(u: StepFuzzySet) -> PlatformSet:

@@ -171,6 +171,10 @@ def sendograph_oracle(u: StepFuzzySet, v: StepFuzzySet, resolution: float) -> fl
     return _sampled_graphs(u, v, resolution, False)
 
 
+def _on_platform(alpha: float, plat: Sequence[float]) -> bool:
+    return any(abs(alpha - p) <= 1e-12 for p in plat)
+
+
 def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple[float, ...]:
     """n evenly spaced levels in (0,1); with a limit given, grid points that
     hit one of its platform levels are bisected toward the previous grid
@@ -185,7 +189,7 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
     for i, g in enumerate(base):
         lo = base[i - 1] if i > 0 else 0.0
         val = g
-        while any(abs(val - p) <= 1e-12 for p in plat):
+        while _on_platform(val, plat):
             if (val + lo) / 2.0 == val:
                 raise InputError(f"default alpha grid point {i} ({fmt(g)}) cannot leave the limit's platform levels")
             val = (val + lo) / 2.0
@@ -210,8 +214,8 @@ class _CutTable:
 
     def at(self, alphas: Sequence[float], strict: bool = False) -> np.ndarray:
         """The (grid x sets) table of each set's cut index at each alpha in
-        (0,1]: the cut at the smallest stored level >= alpha, as alpha_cut
-        takes it, or > alpha with `strict`, as strict_cut_closure does. The
+        (0,1]: the cut at the smallest stored level >= alpha, or > alpha
+        with `strict`, as fuzzy._stored_cut takes it for one set. The
         levels that qualify are a prefix from 1.0 that padding never joins,
         so each level below 1.0 writes its ids where one comparison with the
         grid qualifies it."""
@@ -263,7 +267,7 @@ def _validated_alphas(alphas, limit, necessity: bool) -> tuple[float, ...]:
     if necessity:
         plat = platform_points(limit)
         for a in alphas:
-            if any(abs(a - p) <= 1e-12 for p in plat):
+            if _on_platform(a, plat):
                 raise InputError(f"alpha {fmt(a)} is a platform point of the limit")
     return alphas
 

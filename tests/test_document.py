@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -406,10 +408,12 @@ def generated(gen, base=MINIMAL):
         generated({"kind": "crisp_intervals", "params": {"low": 0.0, "high": 1e200, "step": 1e199}}),
         generated({"kind": "crisp_intervals", "params": {"step": NAN}}),
         generated({"kind": "crisp_intervals", "params": {"high": INF}}),
+        generated({"kind": "collapse", "count": 5, "seed": 3}),
+        generated({"kind": "collapse", "count": 5, "sede": 3}),
     ],
     ids=["finite-space", "crisp-low-negative", "crisp-step-zero", "crisp-step-negative", "crisp-empty-grid",
          "translates-beyond-coordinate-range", "translates-overflow", "collapse-far", "crisp-high",
-         "crisp-step-nan", "crisp-high-infinite"],
+         "crisp-step-nan", "crisp-high-infinite", "collapse-seed", "collapse-misspelt-seed"],
 )
 def test_generator_rejected_at_load_for_every_command(tmp_path, capsys, data):
     with pytest.raises(InputError, match="family 'f'"):
@@ -417,6 +421,29 @@ def test_generator_rejected_at_load_for_every_command(tmp_path, capsys, data):
     assert main(["metrics", write_doc(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: family 'f': ") and err.count("\n") == 1
+
+
+# each of these used to load with the field ignored (the every-command table
+# above holds a misspelt seed); a count on a crisp grid keeps its own message
+@pytest.mark.parametrize(
+    "gen,message",
+    [
+        ({"kind": "collapse", "count": 5, "seed": 3},
+         r"family 'f': unknown generator fields \['seed'\] \(allowed: \['kind', 'params', 'count'\]\)"),
+        ({"kind": "translates", "count": 5, "cout": 4, "parms": {}},
+         r"family 'f': unknown generator fields \['cout', 'parms'\]"),
+        ({"kind": "crisp_intervals", "seed": 1},
+         r"family 'f': unknown generator fields \['seed'\] \(allowed: \['kind', 'params'\]\)"),
+        ({"kind": "random", "count": 3, "seed": 1, "params": {}, "max_points": 2},
+         r"family 'f': unknown generator fields \['max_points'\] \(allowed: \['kind', 'params', 'count', 'seed'\]\)"),
+        ({"kind": "crisp_intervals", "count": 3}, "family 'f': crisp_intervals derives its count from the grid"),
+    ],
+    ids=["collapse-seed", "translates-two", "crisp-seed", "random-param-as-field",
+         "crisp-count"],
+)
+def test_generator_fields_outside_the_kind_are_rejected_naming_them(gen, message):
+    with pytest.raises(InputError, match=message):
+        parse_document(generated(gen))
 
 
 GENERATORS = {"translates": translates_family, "collapse": collapse_family,
@@ -784,3 +811,21 @@ def test_concurrent_first_reads_build_a_family_once(monkeypatch, builds):
     assert not any(t.is_alive() for t in threads)
     assert builds == {"random": 1} and len(seen) == 8
     assert all(fam is seen[0][1] and any(u is v for v in fam.members) for u, fam in seen)
+
+
+def test_a_read_family_and_its_members_die_with_their_document():
+    # no value of a document refers back to the document's dicts, so it is
+    # freed by reference counting alone: a pending build that closed over
+    # the dicts would keep them, and every family read, in a cycle for as
+    # long as another family stays unread
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = parse_document(LAZY)
+        family, member = weakref.ref(doc.families["col"]), weakref.ref(doc.fuzzy("col[3]"))
+        assert member() is family().members[2]
+        del doc
+        assert family() is None and member() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -26,6 +26,9 @@ from fuzzymetrics import (
     finite_set,
     hausdorff,
     make_fuzzy,
+    metric_matrix,
+    strict_cut_closure,
+    Verdict,
     tail_verdict,
     tb_end_report,
     tb_send_report,
@@ -139,8 +142,16 @@ def test_alpha_grid_sizes_are_bounded(capsys):
 @pytest.mark.parametrize("alpha", ["0.5", b"0.5", True], ids=["string", "bytes", "bool"])
 def test_alpha_grids_take_only_real_numbers(alpha):
     # each of these used to be read through float(), and all three
-    # functions returned a verdict for the strings
+    # functions returned a verdict for the strings; the cut functions and
+    # the level matrix took True as 1.0 and failed on a string with a
+    # TypeError
     seq = [two_level()] * 3
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        alpha_cut(two_level(), alpha)
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        strict_cut_closure(two_level(), alpha)
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        metric_matrix(seq, "level", alpha)
     with pytest.raises(InputError, match="alpha must be a real number"):
         levelwise_profile(seq, two_level(), [alpha])
     with pytest.raises(InputError, match="alpha must be a real number"):
@@ -214,6 +225,27 @@ def test_window_must_be_an_integer(window):
     # a direction other than increasing or decreasing could never FAIL
     with pytest.raises(InputError, match="failing must be 'increasing' or 'decreasing'"):
         trend_verdict(series, 2, failing="sideways")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("series,window,index", [
+    ([0.5, NAN], 2, 1), ([NAN, 0.5], 2, 0), ([NAN, NAN], 2, 0), ([0.1, NAN, 0.2, 0.3], 3, 1),
+], ids=["last", "first", "both", "inside"])
+def test_a_nan_in_a_verdict_window_is_an_input_error(series, window, index):
+    # tail_verdict used to FAIL [0.5, nan] and call [nan, 0.5] INCONCLUSIVE,
+    # as max() depends on the order around a NaN; trend_verdict called
+    # [nan, nan] INCONCLUSIVE
+    for call in (lambda: tail_verdict(series, window, 0.1), lambda: trend_verdict(series, window),
+                 lambda: trend_verdict(series, window, failing="decreasing")):
+        with pytest.raises(InputError, match=f"series entry {index} is NaN"):
+            call()
+
+
+def test_a_nan_before_the_window_is_not_read():
+    assert tail_verdict([NAN, 0.5, 0.5], 2, 0.1) == (Verdict.FAIL, 0.5)
+    assert trend_verdict([NAN, 0.5, 0.5], 2) is Verdict.PASS
 
 
 def test_integer_windows_of_any_integral_type_are_accepted():
