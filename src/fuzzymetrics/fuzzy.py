@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import TOL, InputError, real
-from .sets import FiniteSet, _held, _segment_extrema, finite_set
-from .space import MetricSpace
+from .common import TOL, InputError, check_alpha_grid, real
+from .sets import FiniteSet, _segment_extrema, finite_set
+from .space import MetricSpace, _near
 
 # Sorted ascending tuple of levels in (0,1).
 PlatformSet = tuple[float, ...]
@@ -54,7 +54,7 @@ class StepFuzzySet:
 
 
 def _is_subset(a: FiniteSet, b: FiniteSet) -> bool:
-    return bool(_held(a.space, a.array, b.array).all())
+    return bool(memberships(StepFuzzySet(levels=((1.0, b),)), a.array).all())
 
 
 def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
@@ -107,25 +107,21 @@ def crisp(space: MetricSpace, points) -> StepFuzzySet:
 
 def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     """Membership value at each point of a point array: the highest stored
-    level whose cut contains it, 0 outside every cut. One pass over the
-    levels from 1.0 down, each level measuring only the points that no
-    higher level holds."""
+    level whose cut contains it, 0 outside every cut, read from one near-pair
+    search against all cuts, as the largest level among a point's pairs."""
+    cuts = [cut.array for _, cut in u.levels]
+    level = np.repeat(u.alphas, list(map(len, cuts)))
     out = np.zeros(len(points))
-    left = np.arange(len(points))
-    for a, cut in u.levels:
-        held = _held(cut.space, points[left], cut.array)
-        out[left[held]] = a
-        left = left[~held]
+    for i, j in _near(u.space, points, np.concatenate(cuts), TOL):
+        np.maximum.at(out, i, level[j])
     return out
 
 
 def _stored_cut(u: StepFuzzySet, alpha, strict: bool) -> FiniteSet:
     """The stored cut at the smallest stored level >= alpha, or > alpha when
-    `strict`. Alpha is a real number in (0,1], or in (0,1) when `strict`, so
-    level 1.0 always qualifies."""
-    alpha = real("alpha", alpha)
-    if not (0.0 < alpha < 1.0 or alpha == 1.0 and not strict):
-        raise InputError(f"alpha {alpha} outside (0,1{')' if strict else ']'}")
+    `strict`. Alpha is a real number in (0,1], or in (0,1) when `strict`
+    (check_alpha_grid's rule), so level 1.0 always qualifies."""
+    (alpha,) = check_alpha_grid([alpha], closed=not strict)
     return next(cut for a, cut in reversed(u.levels) if a > alpha or a == alpha and not strict)
 
 

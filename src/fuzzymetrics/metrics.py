@@ -113,6 +113,7 @@ def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None =
     if kind == "level":
         if alpha is None:
             raise InputError("the level metric needs an alpha")
+        (alpha,) = check_alpha_grid([alpha], closed=True)
         cuts = [alpha_cut(u, alpha).array for u in sets]
     if len(sets) > 1:
         _one_space(sets, "fuzzy sets")

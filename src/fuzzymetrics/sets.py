@@ -4,9 +4,9 @@ FiniteSet is a nonempty deduplicated point array standing in for a nonempty
 compact subset of the space. On such sets the Hausdorff metric, greedy
 eps-nets, set-sequence tail diagnostics and the constructive Cauchy limit are
 all exactly computable. Every Hausdorff value is one max-of-min reduction,
-`_segment_extrema`, of `space.dist_matrix`, lifted for the graph closed
-forms and the sampling oracles; identity at TOL comes from `space._near` or
-`space._window`, which share the kernel's arithmetic.
+`_segment_extrema`, of the kernel keys of `space.key_block`, lifted for
+the graph closed forms and the sampling oracles; identity at TOL comes from
+`space._near` or `space._window`, which share the kernel's arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .certificates import Certificate, tail_certificate
 from .common import TOL, InputError, check_positive
-from .space import MetricSpace, _near, _one_space, _window, dist_matrix
+from .space import MetricSpace, _distances, _near, _one_space, _window, _workspace, dist_matrix, key_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +93,6 @@ def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) 
     return kept
 
 
-def _held(space: MetricSpace, points: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Mask of the points of a point array within TOL of some point of
-    `cut`."""
-    held = np.zeros(len(points), dtype=bool)
-    for i, _ in _near(space, points, cut, TOL):
-        held[i] = True
-    return held
-
-
 def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     """Build a FiniteSet, validating points and deduplicating at tolerance.
 
@@ -151,14 +142,15 @@ def _segment_extrema(
     repeat rows 0 and 1 with each inner minimum capped at its source height.
 
     The blocks are concatenated and measured in row chunks of
-    space.block_rows(len(target)) rows, one dist_matrix call each, so a block
-    may span chunks: each row's inner minimum is kept for the block maxima
-    at the end, and the column minima of the block open at a chunk edge
-    carry into the next chunk. Min and max are exact, so no bit changes.
+    space.block_rows(len(target)) rows, one key_block call each into one
+    workspace, so a block may span chunks: each row's inner minimum is kept
+    for the block maxima at the end, and the column minima of the block open
+    at a chunk edge carry into the next. Min and max are exact and commute
+    with _distances, taken of minima only, so no bit changes.
 
     A lift is constant on each target height group and on each run of rows
     of one block and height, so the target is sorted by height and the rows
-    by (block, height), and the lift is added to the minima of each kernel
+    by (block, height), and the lift is added to the minima of each key
     block over those groups and runs: for a fixed c, fl(d + c) is monotone
     in d, so min over y of fl(d + c) is fl(min d + c) however a run is split,
     bit for bit the sum over every cell, with no other full-size array.
@@ -177,19 +169,20 @@ def _segment_extrema(
         order = np.lexsort((h, block))
         rows, h = rows[order], h[order]
     cap = space.block_rows(len(target))
+    work = _workspace(space, target, min(cap, len(rows)))
     for s in range(0, len(rows), cap):
         e = min(s + cap, len(rows))
+        keys = key_block(space, rows[s:e], work)
         first, last = block[s], block[e - 1] + 1
         # each block's first row in the chunk, 0 for one begun before it
         local = np.maximum(starts[first:last] - s, 0)
-        d = dist_matrix(space, rows[s:e], target)
         if lifts is None:
-            inner[s:e], back = d.min(axis=1), _column_minima(d, local)
+            inner[s:e], back = keys.min(axis=1), _column_minima(keys, local)
         else:
             runs = _run_starts(block[s:e], h[s:e])
             lift = np.maximum(0.0, h[s:e, None] - ht[groups])
-            inner[s:e] = (np.minimum.reduceat(d, groups, axis=1) + lift).min(axis=1)
-            lifted = _column_minima(d, runs) + np.maximum(0.0, ht - h[s + runs, None])
+            inner[s:e] = (_distances(space, np.minimum.reduceat(keys, groups, axis=1)) + lift).min(axis=1)
+            lifted = _distances(space, _column_minima(keys, runs)) + np.maximum(0.0, ht - h[s + runs, None])
             back = _column_minima(lifted, np.searchsorted(runs, local))
         if starts[first] < s:
             np.minimum(back[0], carry, out=back[0])
@@ -198,8 +191,9 @@ def _segment_extrema(
         if lifts is not None:
             out[3, first:last] = np.minimum(ht, back).max(axis=1)
     out[0] = np.maximum.reduceat(inner, starts)
-    if lifts is not None:
-        out[2] = np.maximum.reduceat(np.minimum(h, inner), starts)
+    if lifts is None:
+        return _distances(space, out)
+    out[2] = np.maximum.reduceat(np.minimum(h, inner), starts)
     return out
 
 

@@ -161,26 +161,26 @@ def _one_space(items: Sequence, what: str) -> MetricSpace:
     return space
 
 
-def _root_sum_squares(xs, ys, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Euclidean distances into `out` from coordinate sequences xs and ys
-    whose k-th entries broadcast to its shape: squared differences summed
-    left to right (the later ones through `tmp`), as numpy's sum over an
-    axis shorter than 8 does, then the square root. Every Euclidean distance
-    is taken here, so a cell has the same bits whichever caller takes it."""
+def _sum_squares(xs, ys, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances into `out` from coordinate sequences xs
+    and ys whose k-th entries broadcast to its shape: squared differences
+    summed left to right (the later ones through `tmp`), as numpy's sum over
+    an axis shorter than 8 does. This is the one Euclidean arithmetic, so a
+    cell has the same bits whichever caller takes it."""
     np.subtract(xs[0], ys[0], out=out)
     np.multiply(out, out, out=out)
     for k in range(1, len(ys)):
         np.subtract(xs[k], ys[k], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         out += tmp
-    return np.sqrt(out, out=out)
+    return out
 
 
 def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise distances d(a_i, b_j) between two point arrays of one space.
 
     This is the one distance kernel. It measures exactly the block it is
-    handed: Euclidean cells come from one `_root_sum_squares` call into the
+    handed: Euclidean cells are the roots of one `_sum_squares` call into the
     result and one scratch buffer of its shape, so a caller bounds memory by
     passing at most space.block_rows(len(b)) rows. Finite mode gathers from
     the larger of each matrix entry and its mirror. Either way
@@ -190,14 +190,39 @@ def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if space.mode == FINITE:
         return space._symmetric[np.ix_(a, b)]
     out = np.empty((len(a), len(b)))
-    return _root_sum_squares(a.T[:, :, None], np.ascontiguousarray(b.T), out, np.empty_like(out))
+    return np.sqrt(_sum_squares(a.T[:, :, None], np.ascontiguousarray(b.T), out, np.empty_like(out)), out=out)
+
+
+def _workspace(space: MetricSpace, target: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
+    """key_block's view of `target` for chunks of at most `rows` rows: the
+    target in finite mode, else its contiguous transpose and two buffers."""
+    if space.mode == FINITE:
+        return (target,)
+    return np.ascontiguousarray(target.T), *np.empty((2, rows, len(target)))
+
+
+def key_block(space: MetricSpace, a: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Keys of dist_matrix(space, a, target), `work` a _workspace of target:
+    the distances in finite mode, else the squared distances, written into
+    a prefix of the workspace and so valid until its next call. _distances
+    is monotone, since a correctly rounded root is, so it commutes with min
+    and max: a caller reduces keys and takes _distances of the result."""
+    if space.mode == FINITE:
+        return space._symmetric[np.ix_(a, work[0])]
+    columns, out, tmp = work
+    return _sum_squares(a.T[:, :, None], columns, out[:len(a)], tmp[:len(a)])
+
+
+def _distances(space: MetricSpace, keys: np.ndarray) -> np.ndarray:
+    """The dist_matrix cells of reduced keys, bit for bit, in place."""
+    return np.sqrt(keys, out=keys) if space.mode == EUCLIDEAN else keys
 
 
 def _cells(rows: np.ndarray, columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The dist_matrix cells [i, j] of index vectors i and j, bit for bit,
     from the coordinate columns rows = a.T and columns = b.T."""
     out, tmp = np.empty(len(i)), np.empty(len(i))
-    return _root_sum_squares(rows[:, i], columns[:, j], out, tmp)
+    return np.sqrt(_sum_squares(rows[:, i], columns[:, j], out, tmp), out=out)
 
 
 def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -240,7 +265,7 @@ def _window(space: MetricSpace, rows: np.ndarray, columns: np.ndarray, first: np
     _cells measures as dist_matrix(space, a, b) does, as index vectors in
     chunks of nondecreasing rows: at least one candidate cell a chunk, and
     as many as fit BLOCK_BYTES at 4 + 2 dim words each (the indices, the
-    gathered coordinates and the two buffers of _root_sum_squares)."""
+    gathered coordinates and the two buffers of _sum_squares)."""
     ends = np.cumsum(counts)
     total = int(counts.sum())
     # flat candidate p of row r is column p + shift[r]

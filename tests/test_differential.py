@@ -17,11 +17,14 @@ group, against the one that added it to every kernel cell, its column
 minima against np.minimum.reduceat,
 the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
-measured, the memberships measured from 1.0 down against the scan from the
-lowest level up, the blocked triangle check of validate_metric against
-the check one row at a time, and the level and Γ series and tb_end's cut
-ids, read through one (grid x members) cut-id table, against the table read
-one alpha at a time."""
+measured, the memberships read from one near-pair search against every
+cut at once against the scan from the lowest level up, the Hausdorff pass
+that reduces squared distances in one reused workspace against the dense
+reductions (a last chunk of one row, ties and near-copies at TOL, the
+capped lifted rows, an asymmetric finite matrix), the blocked triangle
+check of validate_metric against the check one row at a time, and the
+level and Γ series and tb_end's cut ids, read through one (grid x members)
+cut-id table, against the table read one alpha at a time."""
 
 import math
 from unittest import mock
@@ -67,6 +70,7 @@ from fuzzymetrics import (
     union_family,
     validate_metric,
 )
+from fuzzymetrics import fuzzy as fuzzy_module
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import sets as sets_module
 from fuzzymetrics import space as space_module
@@ -74,7 +78,7 @@ from fuzzymetrics.fuzzy import memberships
 from fuzzymetrics.metrics import default_alpha_grid
 from fuzzymetrics.generators import collapse_family, crisp_interval_family, random_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
-from fuzzymetrics.space import dist_matrix
+from fuzzymetrics.space import _near, dist_matrix, key_block
 from helpers import CAPS, SP1, SP2, part_maxima, part_series
 
 
@@ -265,6 +269,46 @@ def test_sets_larger_than_one_row_block():
 def test_contains_at_tolerance():
     s = make_fuzzy([(1.0, finite_set(SP1, [0.0, 1.0]))])
     assert memberships(s, SP1.point_array([1.0 + TOL / 2, 1.0 + 2 * TOL])).tolist() == [1.0, 0.0]
+
+
+def test_a_query_near_only_the_lower_copy_reads_the_lower_level():
+    # the 0.5 cut holds 0.8e-9, a near-copy of the 1.0 cut's 0.0: 1.6e-9 is
+    # within TOL of the copy and 1.6e-9 from 0.0, 0.4e-9 within TOL of both,
+    # 0.5 near no cut point and -TOL only within TOL of 0.0
+    u = make_fuzzy([(1.0, finite_set(SP1, [0.0])), (0.5, finite_set(SP1, [0.8e-9, 2.0]))])
+    queries = [1.6e-9, 0.4e-9, 0.5, 2.0 + TOL / 2, -TOL]
+    levels = [(a, ref.points(cut)) for a, cut in u.levels]
+    want = [ref.membership(SP1, levels, (q,)) for q in queries]
+    assert want == [0.5, 1.0, 0.0, 0.5, 1.0]
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert memberships(u, SP1.point_array(queries)).tolist() == want
+
+
+def test_a_finite_index_repeated_across_levels_reads_its_top_level():
+    # index 2 sits in all three cuts and index 0 in the lower two; 3 is in none
+    space = MetricSpace.finite([[abs(i - j) / 4 for j in range(4)] for i in range(4)])
+    u = make_fuzzy([(1.0, finite_set(space, [2])), (0.6, finite_set(space, [2, 0])),
+                    (0.3, finite_set(space, [0, 1, 2]))])
+    for cap in CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert memberships(u, space.point_array([0, 1, 2, 3, 2])).tolist() == [0.6, 0.3, 1.0, 0.0, 1.0]
+            assert u.support_memberships.tolist() == [0.6, 0.3, 1.0]
+
+
+def test_memberships_take_one_near_pair_search():
+    calls = []
+
+    def counting(space, a, b, radius):
+        calls.append((len(a), len(b)))
+        return _near(space, a, b, radius)
+
+    corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    u = make_fuzzy([(a, finite_set(SP2, corners[:k])) for a, k in ((1.0, 1), (0.6, 2), (0.3, 3), (0.1, 4))])
+    with mock.patch.object(fuzzy_module, "_near", counting):
+        got = memberships(u, SP2.point_array([(1, 1), (0, 1), (5, 5), (1, 0), (0, 0)]))
+    assert got.tolist() == [0.1, 0.3, 0.0, 0.6, 1.0]
+    assert calls == [(5, 10)]
 
 
 @given(st.data())
@@ -536,6 +580,17 @@ def test_closedness_distances_read_the_larger_entry_of_an_asymmetric_matrix():
     assert closedness_witness(fuzzy_family([u, v]), v, "send", 1e-3).evidence["distance"] == (1.0 + 5e-10, 0.0)
 
 
+def recording_key_blocks(shapes):
+    """space.key_block that appends the (chunk rows, target size) shape of
+    each key block to `shapes`: one kernel call per row chunk."""
+    def recording(space, a, work):
+        keys = key_block(space, a, work)
+        shapes.append(keys.shape)
+        return keys
+
+    return recording
+
+
 def test_batched_kernel_calls_stay_within_one_row_chunk():
     # 300 members of one to three points and one member of 100 points against
     # a limit with cuts of 500 and 2000 points: a row chunk against the
@@ -552,13 +607,9 @@ def test_batched_kernel_calls_stay_within_one_row_chunk():
     seq.insert(150, make_fuzzy([(1.0, finite_set(SP1, big))]))
     assert SP1.block_rows(2000) == 65
     shapes = []
-
-    def recording(space, a, b):
-        shapes.append((len(a), len(b)))
-        return dist_matrix(space, a, b)
-
+    recording = recording_key_blocks(shapes)
     alphas = (0.3, 0.45, 0.5, 0.7)
-    with mock.patch.object(sets_module, "dist_matrix", recording):
+    with mock.patch.object(sets_module, "key_block", recording):
         profile = levelwise_profile(seq, limit, alphas, window=5)
         diag = gamma_diagnostic(seq, limit, alphas, window=5)
         cert = send_decomposition_check(seq, limit, window=5)
@@ -596,12 +647,7 @@ def test_gamma_and_kuratowski_series_take_one_kernel_pass():
                  lambda: gamma_diagnostic(seq, limit, alphas, window=5),
                  lambda: kuratowski_tail_diagnostic(prefix, target, window=5)):
         shapes = []
-
-        def recording(space, a, b):
-            shapes.append((len(a), len(b)))
-            return dist_matrix(space, a, b)
-
-        with mock.patch.object(sets_module, "dist_matrix", recording):
+        with mock.patch.object(sets_module, "key_block", recording_key_blocks(shapes)):
             call()
         counts.append(len(shapes))
     assert counts[0] == counts[1] > 2
@@ -682,6 +728,130 @@ def test_blocks_split_at_two_row_chunk_edges_match_the_dense_reductions(kind):
              for b in sets]
     assert one_pair == dense
     assert [tuple(col) + (max(col),) for col in plain.T.tolist()] == dense
+
+
+# Points on a line: a two-point target (0 and 1), a block of six rows near
+# the target's first point and a one-row block far from both. At three rows
+# per chunk the pass takes chunks of 3, 3 and 1 rows, so the last chunk
+# fills one row of a three-row workspace: a reduction that read the other
+# two, left from the chunk before, would find the second block 0.0015 from
+# the target's first point, not 10.5.
+STALE_LINE = (0.0, 1.0, 0.0005, 0.001, 0.0015, 0.002, 0.0025, 0.003, 10.5)
+STALE_BLOCKS, STALE_TARGET = ([2, 3, 4, 5, 6, 7], [8]), [0, 1]
+STALE_HEIGHTS, STALE_TARGET_HEIGHTS = ([1.0, 0.6, 0.3, 1.0, 0.6, 0.3], [0.3]), [1.0, 0.6]
+STALE_SCENES = {
+    "1d": (SP1, [(x,) for x in STALE_LINE]),
+    "2d": (SP2, [(x, 0.25 * x) for x in STALE_LINE]),
+    "finite": (MetricSpace.finite([[abs(x - y) for y in STALE_LINE] for x in STALE_LINE]), list(range(9))),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_last_chunk_of_one_row_reads_no_stale_workspace_cell(kind):
+    space, points = STALE_SCENES[kind]
+    blocks = [space.point_array([points[i] for i in b]) for b in STALE_BLOCKS]
+    target = space.point_array([points[i] for i in STALE_TARGET])
+    lifts = ([np.array(h) for h in STALE_HEIGHTS], np.array(STALE_TARGET_HEIGHTS))
+    sets, t = [FiniteSet(space, b) for b in blocks], FiniteSet(space, target)
+    with mock.patch.object(space_module, "BLOCK_BYTES", 8 * 3 * len(target)):
+        assert space.block_rows(len(target)) == 3
+        plain = sets_module._segment_extrema(space, blocks, target)
+        lifted = sets_module._segment_extrema(space, blocks, target, lifts)
+    dense = [(ref.dense_directed_hausdorff(b, t), ref.dense_directed_hausdorff(t, b)) for b in sets]
+    assert plain.T.tolist() == [list(pair) for pair in dense]
+    assert plain[1, 1] == dist_matrix(space, target[:1], blocks[1])[0, 0]
+    assert lifted.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts).tobytes()
+
+
+def test_every_chunk_of_a_pass_writes_into_one_workspace():
+    # 100 rows against 40 target points at 8 rows per chunk: 13 chunks, the
+    # last of 4 rows, each a prefix of the same buffer
+    rng = np.random.default_rng(5)
+    rows, target = rng.uniform(size=(100, 2)), rng.uniform(size=(40, 2))
+    chunks = []
+
+    def recording(space, a, work):
+        keys = key_block(space, a, work)
+        chunks.append((keys.shape, keys.__array_interface__["data"][0], work[1]))
+        return keys
+
+    with mock.patch.object(space_module, "BLOCK_BYTES", 8 * 8 * 40), \
+            mock.patch.object(sets_module, "key_block", recording):
+        got = sets_module._segment_extrema(SP2, [rows[:30], rows[30:]], target)
+    assert [shape for shape, _, _ in chunks] == [(8, 40)] * 12 + [(4, 40)]
+    buffer = chunks[0][2]
+    assert buffer.shape == (8, 40)
+    assert all(work is buffer and address == buffer.__array_interface__["data"][0] for _, address, work in chunks)
+    dense = [(ref.dense_directed_hausdorff(FiniteSet(SP2, b), FiniteSet(SP2, target)),
+              ref.dense_directed_hausdorff(FiniteSet(SP2, target), FiniteSet(SP2, b))) for b in (rows[:30], rows[30:])]
+    assert got.T.tolist() == [list(pair) for pair in dense]
+
+
+@pytest.mark.parametrize("kind", ("1d", "2d"))
+def test_ties_and_near_copies_at_tol_match_the_dense_reductions(kind):
+    # pairs exactly 0.5 and 2**-k apart, and copies 0.5, 0.8, 1.0, 1.2 and
+    # 2 times TOL off a grid point, on either side of the identity threshold
+    base = [0.0, 0.5, 1.0, 0.25, 0.75]
+    offsets = [0.5 * TOL, 0.8 * TOL, TOL, 1.2 * TOL, 2 * TOL]
+    xs = base + [0.5 + d for d in offsets] + [1.0 - d for d in offsets]
+    if kind == "1d":
+        space, pts = SP1, [(x,) for x in xs]
+    else:
+        space, pts = SP2, [(x, 0.5 - x) for x in xs]
+    a, b = space.point_array(pts[::2]), space.point_array(pts[1::2])
+    heights = (np.resize([1.0, 0.6, 0.3], len(a)), np.resize([0.3, 1.0], len(b)))
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            for x, y, (hx, hy) in ((a, b, heights), (b, a, heights[::-1])):
+                sx, sy = FiniteSet(space, x), FiniteSet(space, y)
+                plain = sets_module._segment_extrema(space, [x, x[:3], x[-1:]], y)
+                want = [[ref.dense_directed_hausdorff(FiniteSet(space, p), sy),
+                         ref.dense_directed_hausdorff(sy, FiniteSet(space, p))] for p in (x, x[:3], x[-1:])]
+                assert plain.T.tolist() == want
+                assert hausdorff(sx, sy) == ref.dense_hausdorff(sx, sy)
+                lifts = ([hx, hx[:3], hx[-1:]], hy)
+                assert (sets_module._segment_extrema(space, [x, x[:3], x[-1:]], y, lifts).tobytes()
+                        == ref.dense_segment_extrema(space, [x, x[:3], x[-1:]], y, lifts).tobytes())
+
+
+@pytest.mark.parametrize("cap", SERIES_CAPS)
+def test_lifted_rows_two_and_three_match_the_dense_ones(cap):
+    # heights up to 1.0 against distances near 0.1 to 2: the caps at the
+    # source heights bind on some blocks and not on others, so rows 2 and 3
+    # differ from rows 0 and 1
+    rng = np.random.default_rng(11)
+    blocks = [rng.uniform(size=(k, 2)) * 2.0 for k in (1, 7, 30, 2)]
+    target = rng.uniform(size=(25, 2)) * 2.0
+    lifts = ([rng.choice([1.0, 0.6, 0.05], size=len(b)) for b in blocks], rng.choice([1.0, 0.3, 0.05], size=25))
+    with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+        got = sets_module._segment_extrema(SP2, blocks, target, lifts)
+    want = ref.dense_segment_extrema(SP2, blocks, target, lifts)
+    assert got.tobytes() == want.tobytes()
+    assert (got[2:] != got[:2]).any() and (got[2:] == got[:2]).any()
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_passes_on_an_asymmetric_finite_matrix_match_the_dense_ones(data):
+    # the pass reads the larger of d(i, j) and d(j, i) in both directions,
+    # so swapping source and target swaps rows 0 and 1 bit for bit
+    space, point, _ = data.draw(scenes(("asymmetric",)))
+    blocks = [space.point_array(data.draw(point_lists(point, 6))) for _ in range(data.draw(st.integers(1, 4)))]
+    target = space.point_array(data.draw(point_lists(point, 8)))
+    heights = st.sampled_from((1.0, 0.6, 0.3))
+    lifts = ([np.array(data.draw(st.lists(heights, min_size=len(b), max_size=len(b)))) for b in blocks],
+             np.array(data.draw(st.lists(heights, min_size=len(target), max_size=len(target)))))
+    for cap in SERIES_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            plain = sets_module._segment_extrema(space, blocks, target)
+            lifted = sets_module._segment_extrema(space, blocks, target, lifts)
+            swapped = [sets_module._segment_extrema(space, [target], b)[::-1, 0] for b in blocks]
+        t = FiniteSet(space, target)
+        want = [[ref.dense_directed_hausdorff(s, t), ref.dense_directed_hausdorff(t, s)]
+                for s in (FiniteSet(space, b) for b in blocks)]
+        assert plain.T.tolist() == want
+        assert [list(s) for s in swapped] == want
+        assert lifted.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts).tobytes()
 
 
 @given(st.data())

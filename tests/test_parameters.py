@@ -160,6 +160,19 @@ def test_alpha_grids_take_only_real_numbers(alpha):
         tb_end_report(translates_family(SP1, 6), 0.05, [0.25, alpha])
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("0.5", "alpha must be a real number"),
+    (float("nan"), r"alpha nan outside \(0,1\]"),
+    (True, "alpha must be a real number"),
+    (2.0, r"alpha 2.0 outside \(0,1\]"),
+], ids=["string", "nan", "bool", "above-one"])
+def test_the_level_matrix_checks_alpha_before_reading_a_cut(alpha, message):
+    # with no sets to cut, each of these used to return an empty matrix
+    for sets in ([], [two_level()] * 2):
+        with pytest.raises(InputError, match=message):
+            metric_matrix(sets, "level", alpha)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")], ids=["zero", "above-one", "nan"])
 def test_tb_end_alphas_must_lie_in_the_unit_interval(alpha):
     with pytest.raises(InputError, match=r"alpha .* outside \(0,1\]"):
