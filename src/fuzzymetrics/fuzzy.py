@@ -21,7 +21,7 @@ import numpy as np
 
 from .common import TOL, InputError, check_alpha_grid, real
 from .sets import FiniteSet, _segment_extrema, finite_set
-from .space import MetricSpace, _near
+from .space import FINITE, MetricSpace, _near
 
 # Sorted ascending tuple of levels in (0,1).
 PlatformSet = tuple[float, ...]
@@ -108,11 +108,16 @@ def crisp(space: MetricSpace, points) -> StepFuzzySet:
 def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     """Membership value at each point of a point array: the highest stored
     level whose cut contains it, 0 outside every cut, read from one near-pair
-    search against all cuts, as the largest level among a point's pairs."""
-    cuts = [cut.array for _, cut in u.levels]
-    level = np.repeat(u.alphas, list(map(len, cuts)))
+    search against all cuts, as the largest level among a point's pairs. A
+    finite search reads whole matrix rows, so it takes each index once, at
+    its first and so highest level: a cell depends only on its two indices."""
+    cuts = np.concatenate([cut.array for _, cut in u.levels])
+    level = np.repeat(u.alphas, [len(cut) for _, cut in u.levels])
+    if u.space.mode == FINITE:
+        cuts, first = np.unique(cuts, return_index=True)
+        level = level[first]
     out = np.zeros(len(points))
-    for i, j in _near(u.space, points, np.concatenate(cuts), TOL):
+    for i, j in _near(u.space, points, cuts, TOL):
         np.maximum.at(out, i, level[j])
     return out
 

@@ -179,26 +179,21 @@ def _sum_squares(xs, ys, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def dist_matrix(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise distances d(a_i, b_j) between two point arrays of one space.
 
-    This is the one distance kernel. It measures exactly the block it is
-    handed: Euclidean cells are the roots of one `_sum_squares` call into the
-    result and one scratch buffer of its shape, so a caller bounds memory by
-    passing at most space.block_rows(len(b)) rows. Finite mode gathers from
-    the larger of each matrix entry and its mirror. Either way
-    dist_matrix(space, b, a) is the transpose of dist_matrix(space, a, b),
-    bit for bit.
+    This is the one distance kernel: _distances of the key_block of exactly
+    the rows it is handed, so a caller bounds memory by passing at most
+    space.block_rows(len(b)) rows. In both modes dist_matrix(space, b, a) is
+    the transpose of dist_matrix(space, a, b), bit for bit.
     """
-    if space.mode == FINITE:
-        return space._symmetric[np.ix_(a, b)]
-    out = np.empty((len(a), len(b)))
-    return np.sqrt(_sum_squares(a.T[:, :, None], np.ascontiguousarray(b.T), out, np.empty_like(out)), out=out)
+    return _distances(space, key_block(space, a, _workspace(space, b, len(a))))
 
 
 def _workspace(space: MetricSpace, target: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
     """key_block's view of `target` for chunks of at most `rows` rows: the
-    target in finite mode, else its contiguous transpose and two buffers."""
+    target in finite mode, else its contiguous transpose and two separate
+    buffers, so keys kept past the pass keep no scratch alive."""
     if space.mode == FINITE:
         return (target,)
-    return np.ascontiguousarray(target.T), *np.empty((2, rows, len(target)))
+    return np.ascontiguousarray(target.T), np.empty((rows, len(target))), np.empty((rows, len(target)))
 
 
 def key_block(space: MetricSpace, a: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -286,14 +286,22 @@ def test_a_query_near_only_the_lower_copy_reads_the_lower_level():
 
 
 def test_a_finite_index_repeated_across_levels_reads_its_top_level():
-    # index 2 sits in all three cuts and index 0 in the lower two; 3 is in none
+    # index 2 sits in all three cuts and index 0 in the lower two; 3 is in none.
+    # The search reads each of the three distinct indices once, not all six.
     space = MetricSpace.finite([[abs(i - j) / 4 for j in range(4)] for i in range(4)])
     u = make_fuzzy([(1.0, finite_set(space, [2])), (0.6, finite_set(space, [2, 0])),
                     (0.3, finite_set(space, [0, 1, 2]))])
+    calls = []
+
+    def counting(space, a, b, radius):
+        calls.append(sorted(b.tolist()))
+        return _near(space, a, b, radius)
+
     for cap in CAPS:
-        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap), mock.patch.object(fuzzy_module, "_near", counting):
             assert memberships(u, space.point_array([0, 1, 2, 3, 2])).tolist() == [0.6, 0.3, 1.0, 0.0, 1.0]
             assert u.support_memberships.tolist() == [0.6, 0.3, 1.0]
+    assert calls and all(b == [0, 1, 2] for b in calls)
 
 
 def test_memberships_take_one_near_pair_search():
