@@ -27,7 +27,7 @@ from .certificates import (
 from .common import InputError, check_alpha_grid, check_positive, fmt
 from .fuzzy import StepFuzzySet, same_representation, support
 from .metrics import _CutTable, graph_series, metric_matrix
-from .sets import FiniteSet, _run_starts, _segment_extrema, prefix_net_sizes
+from .sets import FiniteSet, _pair_extrema, prefix_net_sizes
 from .space import _one_space
 
 
@@ -141,9 +141,10 @@ def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> C
     far: every cut at or below it lies within eps of the support. Cuts are
     nested only within TOL, so the far flags need not be monotone and the
     highest near level is no substitute (levels 1.0: {5e-10}, 0.5: {0},
-    0.2: {0, 1} at eps 0.9999999998 give 0.2, not 1.0). One _segment_extrema
-    call per distinct support, read from one _CutTable, measures the
-    distinct cuts of the members that hold it.
+    0.2: {0, 1} at eps 0.9999999998 give 0.2, not 1.0). One _pair_extrema
+    call, read from one _CutTable, measures each distinct (cut, support)
+    pair once. A support is never far from itself, so its own pair is
+    skipped: a finite diagonal entry up to TOL could exceed eps.
 
     Generator-tagged families FAIL when the modulus series is strictly
     decreasing over the last window (tending to 0 along the parameter)."""
@@ -153,17 +154,13 @@ def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> C
     rows, cols = np.nonzero(table.levels)  # the held levels: padding is 0
     top = np.bincount(cols) - 1  # each member's support row
     sup, cut = table.ids[top, members][cols], table.ids[rows, cols]
-    order = np.lexsort((cut, sup))
-    sup, cut = sup[order], cut[order]
-    pairs = _run_starts(sup, cut)
-    groups = np.append(_run_starts(sup[pairs]), len(pairs)).tolist()
-    far = np.empty(len(pairs), dtype=bool)
-    for s, e in zip(groups, groups[1:]):
-        blocks = [table.cuts[i].array for i in cut[pairs[s:e]]]
-        far[s:e] = _segment_extrema(table.cuts[0].space, blocks, table.cuts[sup[pairs[s]]].array).max(axis=0) >= eps
+    measured = cut != sup
+    pairs, pair = np.unique(sup[measured].astype(np.int64) * len(table.cuts) + cut[measured], return_inverse=True)
+    sup, cut = divmod(pairs, len(table.cuts))
+    extrema = _pair_extrema(table.cuts[0].space, [table.cuts[c].array for c in cut.tolist()],
+                            [table.cuts[t].array for t in sup.tolist()])
     flags = np.zeros(table.levels.shape, dtype=bool)
-    flags[rows[order], cols[order]] = np.repeat(far, np.diff(pairs, append=len(order)))
-    assert not flags[top, members].any()
+    flags[rows[measured], cols[measured]] = extrema.max(axis=0)[pair] >= eps
     # the row after the lowest far level, or row 0 (level 1.0) if none is far
     below = np.where(flags.any(axis=0), len(flags) - flags[::-1].argmax(axis=0), 0)
     moduli = tuple(table.levels[below, members].tolist())

@@ -3,10 +3,11 @@
 FiniteSet is a nonempty deduplicated point array standing in for a nonempty
 compact subset of the space. On such sets the Hausdorff metric, greedy
 eps-nets, set-sequence tail diagnostics and the constructive Cauchy limit are
-all exactly computable. Every Hausdorff value is one max-of-min reduction,
-`_segment_extrema`, of the kernel keys of `space.key_block`, lifted for
-the graph closed forms and the sampling oracles; identity at TOL comes from
-`space._near` or `space._window`, which share the kernel's arithmetic.
+all exactly computable. Every Hausdorff value is one max-of-min reduction
+of kernel keys: `_segment_extrema` over `space.key_block`, lifted for the
+graph closed forms and the sampling oracles, or `_pair_extrema` over the
+cells of `space._window` for pairs each with its own target; identity at
+TOL comes from `space._near` or `space._window`, which share that arithmetic.
 """
 
 from __future__ import annotations
@@ -81,15 +82,15 @@ def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) 
     """Mask of the keep-first scan at TOL, by `_scan` over the near pairs of the
     points with themselves or, given the lengths of consecutive runs of Euclidean
     points, of each run alone: a point's window is then the earlier points of its run."""
-    if runs is None:
-        pairs = _near(space, pts, pts, TOL)
-    else:
-        coords = np.ascontiguousarray(pts.T)
-        first = np.repeat(np.cumsum(runs) - runs, runs)
-        pairs = _window(space, coords, coords, first, np.arange(len(pts)) - first, TOL)
     kept = np.ones(len(pts), dtype=bool)
-    for i, j in pairs:
-        _scan(kept, i, j)
+    if runs is None:
+        for i, j in _near(space, pts, pts, TOL):
+            _scan(kept, i, j)
+        return kept
+    first = np.repeat(np.cumsum(runs) - runs, runs)
+    for i, j, keys in _window(space, pts, pts, first, np.arange(len(pts)) - first):
+        near = _distances(space, keys) <= TOL
+        _scan(kept, i[near], j[near])
     return kept
 
 
@@ -195,6 +196,28 @@ def _segment_extrema(
         return _distances(space, out)
     out[2] = np.maximum.reduceat(np.minimum(h, inner), starts)
     return out
+
+
+def _pair_extrema(space: MetricSpace, sources: Sequence[np.ndarray], targets: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows 0 and 1 of _segment_extrema(space, [sources[k]], targets[k]) for
+    each pair k, bit for bit, from one _window walk: a source row's window is
+    its own target in the concatenated targets, one slot per (pair, column).
+    Row minima reduce each row's run of keys, carried across chunk edges, and
+    column minima reduce by slot; min and max are exact. A flat cell costs a
+    few dense ones, so many blocks against one target keep _segment_extrema."""
+    if not len(sources):
+        return np.empty((2, 0))
+    sizes, widths = (np.fromiter(map(len, x), np.intp, len(x)) for x in (sources, targets))
+    lead = np.cumsum(widths) - widths
+    rows, columns = np.concatenate(sources), np.concatenate(targets)
+    inner, outer = np.full(len(rows), np.inf), np.full(len(columns), np.inf)
+    for i, j, keys in _window(space, rows, columns, np.repeat(lead, sizes), np.repeat(widths, sizes)):
+        # every row has a cell, so the chunk's rows are i[0]..i[-1]
+        held = inner[i[0]:i[-1] + 1]
+        np.minimum(held, np.minimum.reduceat(keys, np.searchsorted(i, np.arange(i[0], i[-1] + 1))), out=held)
+        np.minimum.at(outer, j, keys)
+    return _distances(space, np.stack([np.maximum.reduceat(inner, np.cumsum(sizes) - sizes),
+                                       np.maximum.reduceat(outer, lead)]))
 
 
 def directed_hausdorff(a: FiniteSet, b: FiniteSet) -> float:

@@ -213,13 +213,6 @@ def _distances(space: MetricSpace, keys: np.ndarray) -> np.ndarray:
     return np.sqrt(keys, out=keys) if space.mode == EUCLIDEAN else keys
 
 
-def _cells(rows: np.ndarray, columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The dist_matrix cells [i, j] of index vectors i and j, bit for bit,
-    from the coordinate columns rows = a.T and columns = b.T."""
-    out, tmp = np.empty(len(i)), np.empty(len(i))
-    return np.sqrt(_sum_squares(rows[:, i], columns[:, j], out, tmp), out=out)
-
-
 def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The cells (i, j) that dist_matrix(space, a, b) <= radius marks, as
     index vectors in chunks of nondecreasing rows i; radius is at least
@@ -245,35 +238,46 @@ def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> It
             yield i + s, j
         return
     order = np.argsort(b[:, 0], kind="stable")
-    columns = np.ascontiguousarray(b[order].T)
-    rows = np.ascontiguousarray(a.T)
-    first = np.searchsorted(columns[0], rows[0] - 2 * radius, "left")
-    counts = np.searchsorted(columns[0], rows[0] + 2 * radius, "right") - first
-    for i, j in _window(space, rows, columns, first, counts, radius):
-        yield i, order[j]
+    b = b[order]
+    first = np.searchsorted(b[:, 0], a[:, 0] - 2 * radius, "left")
+    counts = np.searchsorted(b[:, 0], a[:, 0] + 2 * radius, "right") - first
+    for i, j, keys in _window(space, a, b, first, counts):
+        near = _distances(space, keys) <= radius
+        yield i[near], order[j[near]]
 
 
-def _window(space: MetricSpace, rows: np.ndarray, columns: np.ndarray, first: np.ndarray, counts: np.ndarray,
-            radius: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The cells (i, j) within radius, j in [first[i], first[i] + counts[i]),
-    of the Euclidean coordinate columns rows = a.T and columns = b.T, which
-    _cells measures as dist_matrix(space, a, b) does, as index vectors in
-    chunks of nondecreasing rows: at least one candidate cell a chunk, and
-    as many as fit BLOCK_BYTES at 4 + 2 dim words each (the indices, the
-    gathered coordinates and the two buffers of _sum_squares)."""
+def _window(space: MetricSpace, a: np.ndarray, b: np.ndarray, first: np.ndarray,
+            counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The cells (i, j), j in [first[i], first[i] + counts[i]), of dist_matrix(space, a, b)
+    and their keys as key_block gives them, in chunks of nondecreasing rows i: at
+    least one cell a chunk, and as many as fit BLOCK_BYTES at 4 + 2 dim words each
+    (the indices, the gathered points and the two buffers of _sum_squares). Points
+    are gathered by take, whole rows at once, into buffers made at the first chunk
+    and reused, so keys are valid until the next chunk: fresh chunk-sized arrays
+    would fault anew. They go before the last chunk is yielded, so a walk of one
+    chunk holds no more than its cells while they are read."""
     ends = np.cumsum(counts)
     total = int(counts.sum())
     # flat candidate p of row r is column p + shift[r]
     shift = first + counts - ends
-    budget = space.block_rows(4 + 2 * space.dim)
+    budget = space.block_rows(4 + 2 * (space.dim or 1))
     for p in range(0, total, budget):
         q = min(p + budget, total)
         r0, r1 = np.searchsorted(ends, [p, q - 1], "right")
         spans = np.minimum(ends[r0:r1 + 1], q) - np.maximum(ends[r0:r1 + 1] - counts[r0:r1 + 1], p)
         i = np.repeat(np.arange(r0, r1 + 1), spans)
-        j = np.arange(p, q) + shift[i]
-        near = _cells(rows, columns, i, j) <= radius
-        yield i[near], j[near]
+        j = np.repeat(shift[r0:r1 + 1] + p, spans)
+        if not p:
+            steps = np.arange(q)
+            xs, ys = np.empty((q,) + a.shape[1:], a.dtype), np.empty((q,) + b.shape[1:], b.dtype)
+            out, tmp = np.empty(q), np.empty(q)
+        j += steps[:q - p]
+        # the indices are in range; mode "clip" writes straight into out, "raise" buffers
+        x, y = a.take(i, axis=0, out=xs[:q - p], mode="clip"), b.take(j, axis=0, out=ys[:q - p], mode="clip")
+        keys = space._symmetric[x, y] if space.mode == FINITE else _sum_squares(x.T, y.T, out[:q - p], tmp[:q - p])
+        if q == total:
+            del steps, xs, ys, x, y, tmp
+        yield i, j, keys
 
 
 def validate_metric(space: MetricSpace) -> Certificate:

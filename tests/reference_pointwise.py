@@ -259,10 +259,11 @@ def dense_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
 def member_modulus(u: StepFuzzySet, eps: float) -> float:
     """The largest stored level at or below which every cut lies within eps
     of the support, measuring dense_hausdorff(cut, support) one level at a
-    time from the lowest up."""
-    best = None
+    time from the lowest up. The support itself is near: on a finite
+    diagonal entry up to TOL it may measure above eps from itself."""
+    best, top = None, u.levels[-1][1]
     for a, cut in reversed(u.levels):
-        if dense_hausdorff(cut, u.levels[-1][1]) >= eps:
+        if cut is not top and dense_hausdorff(cut, top) >= eps:
             break
         best = a
     return best

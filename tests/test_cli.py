@@ -216,6 +216,23 @@ def test_compact_singleton_family_passes(capsys, doc_path):
     assert "field,verdict,,PASS" in out
 
 
+@pytest.mark.parametrize("mode", ["erc", "rel_send"])
+def test_compact_passes_where_a_finite_diagonal_entry_exceeds_eps(capsys, tmp_path, mode):
+    # d(0, 0) = 5e-10 is within TOL but above eps: the support's own pair is
+    # skipped, not measured as far
+    data = {
+        "space": {"type": "finite", "matrix": [[5e-10, 1.0], [1.0, 5e-10]]},
+        "fuzzy_sets": [{"name": "u", "levels": [{"alpha": 1.0, "points": [0]}, {"alpha": 0.5, "points": [0, 1]}]}],
+        "families": [{"name": "f", "members": ["u"]}],
+    }
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out = run(capsys, "compact", str(path), "--family", "f", "--mode", mode, "--eps", "1e-12")
+    assert code == 0
+    assert "field,verdict,,PASS" in out
+    assert "modulus,1,0.5\n" in out
+
+
 def test_compact_emit_json(capsys, doc_path, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _ = run(

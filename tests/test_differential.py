@@ -14,7 +14,8 @@ the Hausdorff distances and the batched set diagnostics, level moduli and
 discontinuity levels against reductions of one full kernel matrix per pair,
 the lifted segment reduction, which adds each lift to minima per height
 group, against the one that added it to every kernel cell, its column
-minima against np.minimum.reduceat,
+minima against np.minimum.reduceat, the flat reduction over (source,
+target) pairs against one segment pass per pair,
 the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
 measured, the memberships read from one near-pair search against every
@@ -106,6 +107,10 @@ def scenes(draw, kinds=KINDS):
         # d(i, j) exceeds d(j, i) by up to 0.7e-9 for i < j, still a metric
         # within TOL, whose larger entry the kernel reads both ways
         matrix = [[x + 1e-10 * ((3 * i + j) % 8) * (i < j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+    if kind == "diagonal":
+        # diagonal entries 0.5 TOL and TOL, which the space accepts: a set then
+        # lies up to TOL from itself
+        matrix = [[x + 0.5 * TOL * (1 + i % 2) * (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
     return MetricSpace.finite(matrix), st.integers(0, len(cells) - 1), (0.125, 0.25, 0.5)
 
 
@@ -862,6 +867,62 @@ def test_passes_on_an_asymmetric_finite_matrix_match_the_dense_ones(data):
         assert lifted.tobytes() == ref.dense_segment_extrema(space, blocks, target, lifts).tobytes()
 
 
+# Coordinates on a 1/8 grid, on which squared distances are exact and tie,
+# with copies 0.5, 1 and 2 times TOL off a grid point
+tol_coordinate = st.tuples(st.integers(0, 8), st.sampled_from((0.0, 0.5 * TOL, TOL, 2 * TOL))).map(
+    lambda t: t[0] / 8 + t[1])
+# and a cap of a few cells per chunk, which splits rows at chunk edges
+PAIR_CAPS = SERIES_CAPS + (8 * 8 * 3,)
+
+
+@st.composite
+def pair_scenes(draw):
+    """A space and (source, target) pairs of point arrays, one-point arrays
+    among them, where some pairs share one target object."""
+    kind = draw(st.sampled_from(("1d", "2d", "3d", "finite", "asymmetric")))
+    if kind in ("finite", "asymmetric"):
+        space, point, _ = draw(scenes((kind,)))
+    else:
+        space = MetricSpace.euclidean(int(kind[0]))
+        point = st.tuples(*[tol_coordinate] * space.dim)
+    arrays = st.lists(point, min_size=1, max_size=6).map(space.point_array)
+    targets = draw(st.lists(arrays, min_size=1, max_size=3))
+    pairs = draw(st.lists(st.tuples(arrays, st.sampled_from(targets)), max_size=6))
+    return space, [s for s, _ in pairs], [t for _, t in pairs]
+
+
+@given(pair_scenes())
+# no pair at all, as for a family whose members all have one level
+@example((SP1, [], []))
+@settings(max_examples=200)
+def test_pair_extrema_match_one_segment_pass_per_pair_bit_for_bit(scene):
+    space, sources, targets = scene
+    want = np.empty((2, len(sources)))
+    for k, (s, t) in enumerate(zip(sources, targets)):
+        want[:, k] = sets_module._segment_extrema(space, [s], t)[:, 0]
+    for cap in PAIR_CAPS:
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert sets_module._pair_extrema(space, sources, targets).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ("1d", "2d", "3d", "finite"))
+def test_pair_extrema_of_rows_longer_than_a_chunk_match_the_dense_passes(kind):
+    # at the default cap a chunk holds some 10^4 cells, which rows of 300
+    # and 400 cells do not divide, so rows split at chunk edges
+    rng = np.random.default_rng(7)
+    xy = rng.uniform(size=(500, 3))
+    if kind == "finite":
+        space, points = MetricSpace.finite(np.abs(xy[:, None] - xy[None]).sum(axis=2)), np.arange(500)
+    else:
+        space = MetricSpace.euclidean(int(kind[0]))
+        points = xy[:, :space.dim]
+    shared, one, wide = (points[rng.choice(500, size=n, replace=False)] for n in (300, 1, 400))
+    sources = [points[rng.choice(500, size=n, replace=False)] for n in (200, 1, 150, 40)]
+    targets = [shared, one, wide, shared]
+    want = np.concatenate([sets_module._segment_extrema(space, [s], t) for s, t in zip(sources, targets)], axis=1)
+    assert sets_module._pair_extrema(space, sources, targets).tobytes() == want.tobytes()
+
+
 @given(st.data())
 @settings(max_examples=150)
 def test_column_minima_match_reduceat_for_one_and_several_segments(data):
@@ -926,7 +987,7 @@ def test_kuratowski_series_read_the_larger_entry_of_an_asymmetric_matrix():
         assert diag.evidence["liminf_deficit"] == diag.evidence["limsup_excess"] == (1.0 + 5e-10,)
 
 
-@given(shared_cut_sequences(), st.data())
+@given(shared_cut_sequences(SERIES_KINDS + ("diagonal",)), st.data())
 @settings(max_examples=150)
 def test_erc_moduli_and_p0_points_match_per_pair_dense_reductions(scene, data):
     _, seq, limit, _ = scene

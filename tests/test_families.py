@@ -5,6 +5,7 @@ import pytest
 
 from fuzzymetrics import (
     InputError,
+    MetricSpace,
     Verdict,
     cauchy_tail_profile,
     closedness_witness,
@@ -29,6 +30,7 @@ from fuzzymetrics.generators import (
     translates_family,
 )
 from fuzzymetrics import families as families_module
+from fuzzymetrics import sets as sets_module
 from helpers import SP1, SP2, family_union_cut, singleton, traced_peak, two_level
 
 
@@ -150,12 +152,26 @@ def test_erc_modulus_reads_the_lowest_far_level_from_the_support_up():
 
 
 def test_erc_modulus_measures_a_shared_support_once():
-    # every collapse member holds the same support and the same two cuts
+    # every collapse member holds the same support and the same two cuts, so
+    # one (cut, support) pair is left once the support's own pair is skipped,
+    # and no dense pass runs
     fam = collapse_family(SP1, 300)
-    with mock.patch.object(families_module, "_segment_extrema", wraps=families_module._segment_extrema) as kernel:
+    with mock.patch.object(families_module, "_pair_extrema", wraps=families_module._pair_extrema) as flat, \
+            mock.patch.object(sets_module, "_segment_extrema", wraps=sets_module._segment_extrema) as dense:
         cert = erc_modulus(fam, 0.5)
-    assert kernel.call_count == 1
+    assert flat.call_count == 1 and len(flat.call_args.args[1]) == 1
+    assert dense.call_count == 0
     assert cert.evidence["modulus"] == tuple(1.0 / n for n in range(1, 301))
+
+
+def test_erc_modulus_skips_a_support_a_finite_diagonal_puts_beyond_eps():
+    # d(0, 0) = 5e-10 > eps: measured against itself, the support would read
+    # far; the cut {0} is 1.0 from the support {0, 1}, so the modulus is 0.5
+    space = MetricSpace.finite([[5e-10, 1.0], [1.0, 5e-10]])
+    fam = fuzzy_family([make_fuzzy([(1.0, finite_set(space, [0])), (0.5, finite_set(space, [0, 1]))])])
+    for cert in (erc_modulus(fam, 1e-12), rel_compact_send_report(fam, 1e-12)):
+        assert cert.verdict is Verdict.PASS
+    assert erc_modulus(fam, 1e-12).evidence == {"modulus": (0.5,), "family_modulus": (0.5,)}
 
 
 def test_erc_modulus_memory_stays_linear_in_the_cut_table():

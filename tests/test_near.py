@@ -21,7 +21,7 @@ from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships, support
 from fuzzymetrics.generators import crisp_interval_family
 from fuzzymetrics.sets import _dedup, _prefix_unions
-from fuzzymetrics.space import COORD_MAX, _cells, _near, dist_matrix
+from fuzzymetrics.space import COORD_MAX, _near, _window, dist_matrix
 from helpers import CAPS, SP1, SP2, traced_peak
 
 ULP = 2.0 ** -52
@@ -105,8 +105,11 @@ def test_candidate_cells_are_bit_equal_to_the_kernel(dim):
     b[:10] = a[:10]
     b[10:20, 0] = a[10:20, 0]  # shared sort coordinates
     d = dist_matrix(space, a, b)
-    i, j = (x.ravel() for x in np.indices(d.shape))
-    assert _cells(a.T, b.T, i, j).tobytes() == d[i, j].tobytes()
+    # every row's window is all of b; the root of a key is its cell
+    walk = _window(space, a, b, np.zeros(len(a), int), np.full(len(a), len(b)))
+    i, j, cells = map(np.concatenate, zip(*[(i, j, np.sqrt(keys)) for i, j, keys in walk]))
+    assert (i * len(b) + j).tolist() == list(range(d.size))
+    assert cells.tobytes() == d[i, j].tobytes()
     # at a radius equal to a cell, the search marks that cell and all below it
     for radius in rng.choice(d[d >= 1e-150], size=8):
         for cap in CAPS:
