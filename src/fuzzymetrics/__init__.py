@@ -2,8 +2,8 @@
 represented fuzzy sets over metric spaces, with convergence diagnostics and
 compactness-style certificates.
 
-All values are immutable and all operations are pure, so everything here is
-safe for concurrent use without coordination.
+All values are immutable and operations pure; a loaded document builds each
+generated family once under one lock, so everything is safe for concurrent use.
 """
 
 from .certificates import Certificate, Verdict, default_window, tail_verdict, trend_verdict

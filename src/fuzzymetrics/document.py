@@ -157,8 +157,8 @@ def _parse_space(obj: Any) -> MetricSpace:
 
 
 def _parse_points(space: MetricSpace, raw: Any, where: str) -> list:
-    if not isinstance(raw, list) or not raw:
-        raise InputError(f"{where}: points must be a nonempty list")
+    if not isinstance(raw, list):
+        raise InputError(f"{where}: points must be a list")
     # a euclidean point must be a list, although point_array takes a number
     # as a point in dimension 1
     if space.mode == EUCLIDEAN:

@@ -61,9 +61,9 @@ def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
     """Validated constructor; violations are reported with the offending pair.
 
     Requirements: each alpha is a real number (not a bool or a string), the
-    first is exactly 1.0 with a nonempty cut, alphas are strictly decreasing
-    in (0,1], cuts share one space and are nested (each higher-level cut
-    contained in every lower-level cut).
+    first is exactly 1.0, alphas are strictly decreasing in (0,1], cuts
+    (nonempty, as every FiniteSet is) share one space and are nested (each
+    higher-level cut contained in every lower-level cut).
     """
     if not levels:
         raise InputError("a fuzzy set needs at least the level 1.0")
@@ -78,8 +78,6 @@ def make_fuzzy(levels: Sequence[tuple[float, FiniteSet]]) -> StepFuzzySet:
             raise InputError(f"cut at level {a} is not a FiniteSet")
         if cut.space != space:
             raise InputError(f"cut at level {a} lives in a different space")
-        if len(cut) == 0:
-            raise InputError(f"empty cut at level {a}")
     for (a_hi, cut_hi), (a_lo, cut_lo) in zip(pairs, pairs[1:]):
         if not a_hi > a_lo:
             raise InputError(f"levels not strictly decreasing at pair ({a_hi}, {a_lo})")

@@ -191,10 +191,7 @@ def _random_members(space: MetricSpace, rng: np.random.Generator, count: int, bo
     0.02; a level may add no new points, which keeps non-platform stored
     levels in the mix.
     """
-    _require_euclidean(space)
     lo, hi = _check_box(box)
-    check_integer("'max_levels'", max_levels, 1, MAX_LEVELS)
-    check_integer("'max_points'", max_points, 1)
     members, blocks, sizes = [], [], []
     for _ in range(count):
         n_levels = int(rng.integers(1, max_levels + 1))
@@ -243,7 +240,8 @@ def random_fuzzy(
     max_levels: int = 4,
     max_points: int = 6,
 ) -> StepFuzzySet:
-    """One random step fuzzy set with cuts inside the box; see _random_members."""
+    """One random step fuzzy set inside the box, checked as random_family is; see _random_members."""
+    random_count(space, 1, 0, box, max_levels, max_points)
     return _random_members(space, rng, 1, box, max_levels, max_points)[0]
 
 

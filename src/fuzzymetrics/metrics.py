@@ -37,7 +37,7 @@ from .fuzzy import (
     platform_points,
     support,
 )
-from .sets import FiniteSet, _segment_extrema
+from .sets import _segment_extrema
 from .space import _one_space
 
 
@@ -71,11 +71,10 @@ def _graph_rows(members: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[n
 
 def graph_series(seq: Sequence[StepFuzzySet], limit: StepFuzzySet) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Endograph and sendograph distance from each member to the limit, one
-    _graph_rows pass over the distinct members."""
+    _graph_rows pass over the members as given."""
     _check_sequence(seq, limit)
-    members, ids = _distinct(seq)
-    end, send = (row.tolist() for row in _graph_rows(members, limit))
-    return tuple(map(end.__getitem__, ids)), tuple(map(send.__getitem__, ids))
+    end, send = _graph_rows(seq, limit)
+    return tuple(end.tolist()), tuple(send.tolist())
 
 
 def endograph_metric(u: StepFuzzySet, v: StepFuzzySet) -> float:
@@ -180,7 +179,7 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
     """n evenly spaced levels in (0,1); with a limit given, grid points that
     hit one of its platform levels are bisected toward the previous grid
     point until they sit in a non-platform gap, or an InputError names the
-    grid point once a halving no longer moves it."""
+    grid point once a halving would not move it or print it as the one below."""
     check_grid_size(n)
     base = [k / (n + 1) for k in range(1, n + 1)]
     if limit is None:
@@ -191,9 +190,10 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
         lo = base[i - 1] if i > 0 else 0.0
         val = g
         while _on_platform(val, plat):
-            if (val + lo) / 2.0 == val:
+            mid = (val + lo) / 2.0
+            if mid == val or fmt(mid) == fmt(lo):
                 raise InputError(f"default alpha grid point {i} ({fmt(g)}) cannot leave the limit's platform levels")
-            val = (val + lo) / 2.0
+            val = mid
         out.append(val)
     return tuple(out)
 
@@ -204,14 +204,13 @@ class _CutTable:
     of each level's cut. Row k of `levels` and `ids` holds every k-th level."""
 
     def __init__(self, sets: Sequence[StepFuzzySet]) -> None:
-        index: dict[FiniteSet, int] = {}
         flat = [pair for u in sets for pair in u.levels]
         counts = np.array([len(u.levels) for u in sets])
         held = np.arange(counts.max()) < counts[:, None]
         levels, ids = np.zeros(held.shape), np.zeros(held.shape, np.int32)
         levels[held] = [a for a, _ in flat]
-        ids[held] = [index.setdefault(cut, len(index)) for _, cut in flat]
-        self.cuts, self.levels, self.ids = list(index), levels.T, ids.T
+        self.cuts, ids[held] = _distinct(cut for _, cut in flat)
+        self.levels, self.ids = levels.T, ids.T
 
     def at(self, alphas: Sequence[float], strict: bool = False) -> np.ndarray:
         """The (grid x sets) table of each set's cut index at each alpha in

@@ -24,7 +24,7 @@ from .space import MetricSpace, _distances, _near, _one_space, _window, _workspa
 
 @dataclass(frozen=True, eq=False)
 class FiniteSet:
-    """Nonempty finite point set over one space, duplicates removed.
+    """Finite point set over one space, nonempty by construction, duplicates removed.
 
     `array` holds the points read-only: (n, dim) floats in Euclidean mode,
     an index vector in finite mode. Sets compare and hash by identity, so a
@@ -35,6 +35,8 @@ class FiniteSet:
     array: np.ndarray
 
     def __post_init__(self) -> None:
+        if not len(self.array):
+            raise InputError("finite set must be nonempty")
         self.array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -102,15 +104,7 @@ def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     Input order is preserved for the points that survive deduplication.
     """
     pts = space.point_array(points)
-    if not len(pts):
-        raise InputError("finite set must be nonempty")
     return FiniteSet(space=space, array=pts[_dedup(space, pts)])
-
-
-def _check_sets(sets: Sequence[FiniteSet]) -> None:
-    _one_space(sets, "sets")
-    if not all(map(len, sets)):
-        raise InputError("sets must be nonempty")
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -222,13 +216,13 @@ def _pair_extrema(space: MetricSpace, sources: Sequence[np.ndarray], targets: Se
 
 def directed_hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """One-sided Hausdorff distance: max over a of the distance to b."""
-    _check_sets((a, b))
+    _one_space((a, b), "sets")
     return float(_segment_extrema(a.space, [a.array], b.array)[0, 0])
 
 
 def hausdorff(a: FiniteSet, b: FiniteSet) -> float:
     """Hausdorff distance: max of the two directed distances."""
-    _check_sets((a, b))
+    _one_space((a, b), "sets")
     return float(_segment_extrema(a.space, [a.array], b.array).max())
 
 
@@ -296,7 +290,7 @@ def kuratowski_tail_diagnostic(
     """
     if not prefix:
         raise InputError("empty sequence prefix")
-    _check_sets([target, *prefix])
+    _one_space([target, *prefix], "sets")
     excess, deficit = map(tuple, _segment_extrema(target.space, [c.array for c in prefix], target.array).tolist())
     return tail_certificate(
         "KURATOWSKI_TAIL", [("sandwich", {"liminf_deficit": deficit, "limsup_excess": excess})], window, tol

@@ -79,9 +79,10 @@ class MetricSpace:
             if bad.size:
                 i = bad[0]
                 raise InputError(f"matrix entry ({i},{i}) on the diagonal must be at most {TOL}, got {arr[i, i]}")
-            # the kernel reads the larger of d(i, j) and d(j, i), so it is
-            # symmetric bit for bit, as the Euclidean kernel is
+            # the kernel reads the larger of d(i, j) and d(j, i), so it is symmetric
+            # bit for bit, as the Euclidean kernel is, and 0.0 where -0.0 is given
             symmetric = np.maximum(arr, arr.T)
+            symmetric += 0.0
             arr.flags.writeable = symmetric.flags.writeable = False
             self.__dict__.update(matrix_array=arr, _symmetric=symmetric)
         else:
@@ -289,12 +290,12 @@ def validate_metric(space: MetricSpace) -> Certificate:
     the constructor has checked the diagonal. Euclidean spaces are valid by
     construction and are rejected as unsupported input.
 
-    The triangle check takes blocks of rows i that keep a rows x n x n
-    buffer within BLOCK_BYTES (one row per block once an n x n buffer
-    exceeds it) and tests d(i, k) > min over j of
-    (d(i, j) + d(j, k)), plus TOL. Adding TOL after rounding is
-    nondecreasing, so a row fails exactly when some single j violates; the
-    first failing row is then scanned for its first (k, j).
+    The triangle check takes blocks of rows i whose rows x n x n sums
+    fit in BLOCK_BYTES (one row per block once n x n sums exceed it) and
+    tests d(i, k) > min over j of (d(i, j) + d(j, k)), plus TOL. Adding
+    TOL after rounding is nondecreasing, so a row fails exactly when some
+    single j violates; the first failing row is then scanned for its
+    first (k, j).
     """
     if space.mode != FINITE:
         raise InputError("validate_metric supports finite mode only")
@@ -318,14 +319,13 @@ def validate_metric(space: MetricSpace) -> Certificate:
         return fail(f"distinct points ({i},{j}) at distance {m[i, j]}", m[i, j])
     n = len(m)
     step = space.block_rows(n * n)
-    scratch = np.empty((min(step, n), n, n))
     # two entries near the float maximum add up to +inf, which bounds the
     # comparison correctly, so the overflow is no error
     with np.errstate(over="ignore"):
         for s in range(0, n, step):
             rows = m[s:s + step]
             # entry [r, k]: min over j of d(s + r, j) + d(j, k)
-            via = np.add(rows[:, :, None], m, out=scratch[:len(rows)]).min(axis=1)
+            via = (rows[:, :, None] + m).min(axis=1)
             bad = np.flatnonzero((rows > via + TOL).any(axis=1))
             if bad.size:
                 i = s + int(bad[0])

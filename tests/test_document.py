@@ -265,6 +265,12 @@ def test_mistyped_lists_and_objects_rejected_naming_the_field(tmp_path, data, fi
         load_document(write_doc(tmp_path, data))
 
 
+def test_a_level_of_no_points_is_rejected_by_the_finite_set_it_would_build(tmp_path):
+    data = {**NAMED, "fuzzy_sets": [{"name": "u", "levels": [{"alpha": 1.0, "points": []}]}]}
+    with pytest.raises(InputError, match=r"^fuzzy set 'u': finite set must be nonempty$"):
+        load_document(write_doc(tmp_path, data))
+
+
 def test_member_names_load_as_given(tmp_path):
     data = {**NAMED, "families": [{"name": "f", "members": ["True", "o"]}],
             "sequences": [{"name": "s", "members": ["o", "o", "True"]}]}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from fuzzymetrics import (
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.cli import main
+from fuzzymetrics.common import fmt
 from fuzzymetrics.generators import collapse_family, contracting_sequence
 from fuzzymetrics.metrics import _CutTable, graph_series
 from helpers import SP1, SP2, fuzzy_corpus, part_series, singleton, traced_peak, two_level
@@ -166,6 +168,39 @@ def test_default_alpha_grid_rejects_a_point_halving_cannot_move():
     # on 50 levels, grid point 0 (1/51 = 2/102) halves toward 0.0, past
     # 1/102, and leaves the chain at 1/204
     assert default_alpha_grid(limit, 50)[0] == 1 / 204
+
+
+def midpoint_chain_limit():
+    """A limit whose platform levels are 51/102 and the next 27 midpoints that
+    halving it toward 50/102 reaches: the default grid point 50 (51/102) halves
+    to the 28th midpoint, 50/102 + 2**-28/102, which prints as 0.490196078, as
+    grid point 49 (50/102) does."""
+    lo, val = 50 / 102, 51 / 102
+    alphas = [1.0]
+    for _ in range(28):
+        alphas.append(val)
+        val = (val + lo) / 2
+    assert fmt(val) == fmt(lo) != fmt(alphas[-1])
+    return make_fuzzy([(a, finite_set(SP1, [float(k) for k in range(i + 1)])) for i, a in enumerate(alphas)])
+
+
+def test_default_alpha_grid_rejects_a_point_that_would_print_as_the_one_below(tmp_path):
+    # two grid levels that print alike would key one report series twice
+    limit = midpoint_chain_limit()
+    message = "default alpha grid point 50 (0.5) cannot leave the limit's platform levels"
+    with pytest.raises(InputError, match=re.escape(message)):
+        default_alpha_grid(limit)
+    with pytest.raises(InputError, match=re.escape(message)):
+        levelwise_profile([limit], limit)
+    levels = [{"alpha": a, "points": cut.array.tolist()} for a, cut in limit.levels]
+    doc = {
+        "space": {"type": "euclidean", "dim": 1},
+        "fuzzy_sets": [{"name": "lim", "levels": levels}],
+        "sequences": [{"name": "s", "members": ["lim", "lim"]}],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["converge", str(path), "--sequence", "s", "--limit", "lim", "--mode", "level"]) == 2
 
 
 def test_converge_level_rejects_a_point_halving_cannot_move(tmp_path):

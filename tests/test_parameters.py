@@ -290,6 +290,25 @@ def test_random_member_size_parameters_are_checked(param, value):
         random_family(SP1, 3, **{param: value})
 
 
+def test_random_fuzzy_checks_its_parameters_as_random_family_does():
+    # the space first, then the box, then the member sizes, before any draw
+    rng = np.random.default_rng(0)
+    with pytest.raises(InputError, match="^generators support euclidean spaces only$"):
+        random_fuzzy(MetricSpace.finite([[0.0]]), rng, box=(1.0, 0.0))
+    with pytest.raises(InputError, match="'box' must be"):
+        random_fuzzy(SP1, rng, box=(1.0, 0.0), max_levels=0)
+    with pytest.raises(InputError, match="'max_levels' must be an integer"):
+        random_fuzzy(SP1, rng, max_levels=0, max_points=0)
+    assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
+
+
+def test_random_fuzzy_holds_the_size_bound_of_a_family_of_one_member():
+    # a member of at most 2,002 points in dimension 600 may hold 1,201,200
+    # coordinates, above MAX_COORDINATES
+    with pytest.raises(InputError, match="^1 members of up to 2002 points in dimension 600 exceed the bound"):
+        random_fuzzy(MetricSpace.euclidean(600), np.random.default_rng(0), max_levels=1001, max_points=5000)
+
+
 def test_random_generator_box_at_the_coordinate_bound_is_accepted():
     fam = random_family(MetricSpace.euclidean(2), 20, box=(-1e150, 1e150))
     coords = np.concatenate([u.levels[-1][1].array for u in fam.members])

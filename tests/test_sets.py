@@ -5,6 +5,7 @@ import pytest
 
 from fuzzymetrics import (
     InputError,
+    MetricSpace,
     Verdict,
     cauchy_limit_construct,
     directed_hausdorff,
@@ -17,7 +18,7 @@ from fuzzymetrics import (
 from fuzzymetrics import sets as sets_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.common import TOL
-from fuzzymetrics.sets import prefix_net_sizes
+from fuzzymetrics.sets import FiniteSet, prefix_net_sizes
 from fuzzymetrics.space import dist_matrix
 from helpers import SP1, SP2, traced_peak
 
@@ -67,6 +68,13 @@ def test_finite_set_dedup_and_nonempty():
     assert len(a) == 2
     with pytest.raises(InputError):
         finite_set(SP1, [])
+
+
+@pytest.mark.parametrize("space", [SP1, MetricSpace.finite([[0.0, 1.0], [1.0, 0.0]])], ids=["euclidean", "finite"])
+def test_a_finite_set_is_nonempty_by_construction(space):
+    # the constructor holds the rule, so no function that reads a set checks it
+    with pytest.raises(InputError, match="^finite set must be nonempty$"):
+        FiniteSet(space, space.point_array([]))
 
 
 def test_eps_net_singleton():

@@ -13,6 +13,7 @@ from fuzzymetrics import (
     MetricSpace,
     Verdict,
     finite_set,
+    hausdorff,
     load_document,
     validate_metric,
 )
@@ -173,6 +174,28 @@ def test_a_finite_space_has_a_zero_diagonal(tmp_path, capsys):
         assert main(["metrics", str(path), "--kind", "end"]) == code
     assert capsys.readouterr().err == "error: space: matrix entry (1,1) on the diagonal must be at most 1e-09, got 1e-08\n"
     assert load_document(str(path)).space.matrix_array[1, 1] == 1e-9
+
+
+def test_a_negative_zero_diagonal_reads_as_zero_in_every_distance(tmp_path, capsys):
+    # the kernel's array holds +0.0 where the matrix holds -0.0, so no
+    # distance prints as -0; the matrix as given, and gen, keep -0.0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "space": {"type": "finite", "matrix": [[-0.0, 1.0], [1.0, -0.0]]},
+        "fuzzy_sets": [{"name": "a", "levels": [{"alpha": 1.0, "points": [0]}]},
+                       {"name": "b", "levels": [{"alpha": 1.0, "points": [0]}]}],
+        "sequences": [{"name": "s", "members": ["a", "a", "a"]}],
+    }))
+    for mode in ("level", "gamma", "send"):
+        main(["converge", str(path), "--sequence", "s", "--limit", "b", "--mode", mode, "--alpha-grid", "1"])
+        rows = capsys.readouterr().out.splitlines()
+        assert rows and not [row for row in rows if row.endswith(",-0")]
+    space = MetricSpace.finite([[-0.0, 1.0], [1.0, -0.0]])
+    s = finite_set(space, [0])
+    assert str(hausdorff(s, s)) == "0.0"
+    assert str(space.matrix_array[0, 0]) == "-0.0"
+    assert main(["gen", str(path)]) == 0
+    assert str(json.loads(capsys.readouterr().out)["space"]["matrix"][0][0]) == "-0.0"
 
 
 def _first_triangle_violation(m):
