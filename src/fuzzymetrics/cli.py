@@ -29,6 +29,7 @@ from .families import (
     tb_send_report,
 )
 from .metrics import (
+    closed_alpha_grid,
     default_alpha_grid,
     endograph_convergence,
     endograph_oracle,
@@ -53,8 +54,7 @@ _CONVERGE = {
 # Each `compact` mode: its certificate from (document, family, args), and
 # whether it reads a --candidate, which its report then names with --tol.
 _COMPACT = {
-    "tb_end": (lambda doc, fam, a: tb_end_report(
-        fam, a.eps, tuple(k / a.alpha_grid for k in range(1, a.alpha_grid + 1)), a.window), False),
+    "tb_end": (lambda doc, fam, a: tb_end_report(fam, a.eps, closed_alpha_grid(a.alpha_grid), a.window), False),
     "tb_send": (lambda doc, fam, a: tb_send_report(fam, a.eps, a.window), False),
     "erc": (lambda doc, fam, a: erc_modulus(fam, a.eps, a.window), False),
     "rel_send": (lambda doc, fam, a: rel_compact_send_report(fam, a.eps, a.window), False),

@@ -198,6 +198,11 @@ def default_alpha_grid(limit: StepFuzzySet | None = None, n: int = 101) -> tuple
     return tuple(out)
 
 
+def closed_alpha_grid(n: int) -> tuple[float, ...]:
+    """n evenly spaced levels in (0,1], k / n for k = 1..n."""
+    return tuple(k / n for k in range(1, check_grid_size(n) + 1))
+
+
 class _CutTable:
     """The cut maps of some fuzzy sets as one table: their distinct cuts (by
     identity), and per set its zero-padded stored levels with the int32 index

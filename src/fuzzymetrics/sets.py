@@ -6,8 +6,8 @@ eps-nets, set-sequence tail diagnostics and the constructive Cauchy limit are
 all exactly computable. Every Hausdorff value is one max-of-min reduction
 of kernel keys: `_segment_extrema` over `space.key_block`, lifted for the
 graph closed forms and the sampling oracles, or `_pair_extrema` over the
-cells of `space._window` for pairs each with its own target; identity at
-TOL comes from `space._near` or `space._window`, which share that arithmetic.
+cells of `space._window` for pairs each with its own target; `_keep_first`
+decides identity at TOL and greedy eps-nets in that arithmetic via `_near`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificates import Certificate, tail_certificate
 from .common import TOL, InputError, check_positive
-from .space import MetricSpace, _distances, _near, _one_space, _window, _workspace, dist_matrix, key_block
+from .space import FINITE, MetricSpace, _distances, _near, _one_space, _sorted_windows, _window, _workspace, key_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,34 +61,36 @@ def _scan(kept: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
 
 
 def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarray:
-    """Mask of the keep-first scan at `radius` in input order. Each row block is
-    measured against the points kept before it, which drops every row within
-    radius of one of them; `_scan` decides the rows left from their near pairs,
-    a lone row with no kernel call. So a block costs its rows times the kept
-    points, not times every earlier point."""
-    kept = np.zeros(len(pts), dtype=bool)
-    centers = pts[:0]
-    step = space.block_rows(len(pts))
-    for begin in range(0, len(pts), step):
-        block = np.arange(begin, min(begin + step, len(pts)))
-        rows = block[dist_matrix(space, pts[block], centers).min(axis=1, initial=np.inf) > radius]
-        kept[rows] = True
+    """Mask of the keep-first scan at `radius` in input order: row r kept iff no
+    earlier kept row lies within radius of it. A Euclidean row alone in its
+    space._sorted_windows window is near no row, so it is kept with no kernel
+    call. The other rows go in blocks, the first of block_rows rows and each
+    later one as long as all rows before it, finite mode alike: one _near search
+    against the rows kept before a block drops those it covers, and `_scan`
+    decides the rest from one _near search among them, a lone survivor with
+    none. So a scan walks its windows' candidate cells in about log2(n) blocks."""
+    kept = np.ones(len(pts), dtype=bool)
+    rest = np.arange(len(pts)) if space.mode == FINITE else np.flatnonzero(_sorted_windows(pts, pts, radius)[2] > 1)
+    begin, end = 0, space.block_rows(len(rest))
+    while begin < len(rest):
+        block, done = rest[begin:end], rest[:begin]
+        for i, _ in _near(space, pts[block], pts[done[kept[done]]], radius):
+            kept[block[i]] = False
+        rows = block[kept[block]]
         if len(rows) > 1:
-            i, j = np.nonzero(dist_matrix(space, pts[rows], pts[rows]) <= radius)
-            _scan(kept, rows[i], rows[j])
-        centers = np.concatenate([centers, pts[rows[kept[rows]]]])
+            for i, j in _near(space, pts[rows], pts[rows], radius):
+                _scan(kept, rows[i], rows[j])
+        begin, end = end, 2 * end
     return kept
 
 
 def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the keep-first scan at TOL, by `_scan` over the near pairs of the
-    points with themselves or, given the lengths of consecutive runs of Euclidean
-    points, of each run alone: a point's window is then the earlier points of its run."""
-    kept = np.ones(len(pts), dtype=bool)
+    """Mask of the keep-first scan at TOL, of all the points or, given the
+    lengths of consecutive runs of Euclidean points, of each run alone: a
+    point's window is then the earlier points of its run."""
     if runs is None:
-        for i, j in _near(space, pts, pts, TOL):
-            _scan(kept, i, j)
-        return kept
+        return _keep_first(space, pts, TOL)
+    kept = np.ones(len(pts), dtype=bool)
     first = np.repeat(np.cumsum(runs) - runs, runs)
     for i, j, keys in _window(space, pts, pts, first, np.arange(len(pts)) - first):
         near = _distances(space, keys) <= TOL

@@ -1,5 +1,5 @@
 """Ambient metric spaces, the one pairwise-distance kernel and
-the near-pair search that decides identity at TOL with the kernel's arithmetic.
+the near-pair search, in the kernel's arithmetic, behind identity and eps-nets.
 
 Two desk-scale models are provided: Euclidean coordinates of any dimension and
 a finite space given by an explicit distance matrix.
@@ -214,35 +214,38 @@ def _distances(space: MetricSpace, keys: np.ndarray) -> np.ndarray:
     return np.sqrt(keys, out=keys) if space.mode == EUCLIDEAN else keys
 
 
+def _sorted_windows(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order that sorts Euclidean points b on their first coordinate and,
+    per row x of a, the first index and the count of its window in b[order]:
+    the rows whose first coordinate lies in [fl(x0 - 2R), fl(x0 + 2R)], R =
+    max(radius, 1e-150). A cell outside the window is never within radius:
+    say y0 < fl(x0 - 2R). Rounding is monotone and y0 is a float, so x0 - y0
+    > 2R exactly, and since 2R is a float, fl(x0 - y0) >= 2R. The kernel's
+    sum adds nonnegative squares with monotone rounding, so it is at least
+    fl((2R)**2) = 4 fl(R**2) >= 4 R**2 (1 - 2**-53): R**2 >= 1e-300 is a
+    normal float, and coordinates within COORD_MAX keep every square finite.
+    Its square root then exceeds R (1 + 2**-52), which bounds the next float
+    above R, so the rounded distance is > R >= radius. The case y0 > fl(x0 +
+    2R) is the mirror image. Each row of a is in its own window in b = a."""
+    order = np.argsort(b[:, 0], kind="stable")
+    keys, half = b[order, 0], 2 * max(float(radius), 1e-150)
+    first = np.searchsorted(keys, a[:, 0] - half, "left")
+    return order, first, np.searchsorted(keys, a[:, 0] + half, "right") - first
+
+
 def _near(space: MetricSpace, a: np.ndarray, b: np.ndarray, radius: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The cells (i, j) that dist_matrix(space, a, b) <= radius marks, as
-    index vectors in chunks of nondecreasing rows i; radius is at least
-    1e-150, as TOL is.
-
-    Finite mode gathers the matrix in row blocks. Euclidean mode sorts b on
-    its first coordinate and measures, for each row, only the window of b
-    whose first coordinate lies in [fl(x0 - 2 radius), fl(x0 + 2 radius)],
-    through _window. A cell outside the window is never within radius: say
-    y0 < fl(x0 - 2r). Rounding is monotone and y0 is a float, so x0 - y0 > 2r
-    exactly, and since 2r is a float, fl(x0 - y0) >= 2r. The kernel's sum
-    adds nonnegative squares with monotone rounding, so it is at least
-    fl((2r)**2) = 4 fl(r**2) >= 4 r**2 (1 - 2**-53): r**2 >= 1e-300 is a
-    normal float, and coordinates within COORD_MAX keep every square finite.
-    Its square root then exceeds r (1 + 2**-52), which bounds the next float
-    above r, so the rounded distance is > r. The case y0 > fl(x0 + 2r) is
-    the mirror image.
-    """
+    index vectors in chunks of nondecreasing rows i. Finite mode gathers the
+    matrix in row blocks; Euclidean mode measures, through _window, only the
+    cells of each row's _sorted_windows window."""
     if space.mode == FINITE:
         step = space.block_rows(len(b))
         for s in range(0, len(a), step):
             i, j = np.nonzero(dist_matrix(space, a[s:s + step], b) <= radius)
             yield i + s, j
         return
-    order = np.argsort(b[:, 0], kind="stable")
-    b = b[order]
-    first = np.searchsorted(b[:, 0], a[:, 0] - 2 * radius, "left")
-    counts = np.searchsorted(b[:, 0], a[:, 0] + 2 * radius, "right") - first
-    for i, j, keys in _window(space, a, b, first, counts):
+    order, first, counts = _sorted_windows(a, b, radius)
+    for i, j, keys in _window(space, a, b[order], first, counts):
         near = _distances(space, keys) <= radius
         yield i[near], order[j[near]]
 

@@ -216,11 +216,11 @@ def memberships(u: StepFuzzySet, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_keep_first(space, pts: np.ndarray) -> np.ndarray:
-    """Keep-first mask at TOL from the full matrix of the points with
+def dense_keep_first(space, pts: np.ndarray, radius: float = TOL) -> np.ndarray:
+    """Keep-first mask at `radius` from the full matrix of the points with
     themselves, one row at a time: row i is kept iff no earlier kept point
-    lies within TOL of it."""
-    near = dist_matrix(space, pts, pts) <= TOL
+    lies within radius of it."""
+    near = dist_matrix(space, pts, pts) <= radius
     kept = np.zeros(len(pts), dtype=bool)
     for i, row in enumerate(near):
         kept[i] = not (row[:i] & kept[:i]).any()

@@ -32,9 +32,9 @@ from fuzzymetrics import (
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.cli import main
-from fuzzymetrics.common import fmt
+from fuzzymetrics.common import MAX_GRID_LEVELS, fmt
 from fuzzymetrics.generators import collapse_family, contracting_sequence
-from fuzzymetrics.metrics import _CutTable, graph_series
+from fuzzymetrics.metrics import _CutTable, closed_alpha_grid, graph_series
 from helpers import SP1, SP2, fuzzy_corpus, part_series, singleton, traced_peak, two_level
 
 
@@ -135,6 +135,18 @@ def test_default_alpha_grid_plain():
     assert len(grid) == 101
     assert grid[0] == pytest.approx(1 / 102)
     assert all(0.0 < a < 1.0 for a in grid)
+
+
+@pytest.mark.parametrize("n", [1, 101, MAX_GRID_LEVELS])
+def test_closed_alpha_grid_is_the_grid_compact_tb_end_reads(n):
+    assert closed_alpha_grid(n) == tuple(k / n for k in range(1, n + 1))
+    assert closed_alpha_grid(n)[-1] == 1.0
+
+
+@pytest.mark.parametrize("n", [0, MAX_GRID_LEVELS + 1, 2.5])
+def test_closed_alpha_grid_rejects_a_size_out_of_range(n):
+    with pytest.raises(InputError, match="alpha grid size"):
+        closed_alpha_grid(n)
 
 
 def test_default_alpha_grid_avoids_platform_levels():

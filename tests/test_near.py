@@ -1,8 +1,9 @@
 """Differential checks of the near-pair search `space._near` and of the
-identity decisions at TOL built on it: dedup (finite_set, union_family,
-the prefix unions, and the dedup within runs through `space._window`),
-nestedness (make_fuzzy) and memberships. Each is compared with the full
-kernel matrix, or with the dense references in reference_pointwise.py, at
+decisions built on it: the keep-first scan at TOL and at eps on layouts of
+copies, shared coordinates, block edges and extreme radii, dedup
+(finite_set, union_family, the prefix unions, and the dedup within runs
+through `space._window`), nestedness (make_fuzzy) and memberships. Each is
+compared with the full kernel matrix, or with the dense references in reference_pointwise.py, at
 the default BLOCK_BYTES and at a cap that leaves one candidate pair per
 chunk. Last, two checks that the search's memory
 stays within a multiple of BLOCK_BYTES."""
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 
 import reference_pointwise as ref
-from fuzzymetrics import TOL, InputError, MetricSpace, finite_set, make_fuzzy, union_family
+from fuzzymetrics import TOL, FiniteSet, InputError, MetricSpace, eps_net, finite_set, make_fuzzy, union_family
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships, support
 from fuzzymetrics.generators import crisp_interval_family
-from fuzzymetrics.sets import _dedup, _prefix_unions
+from fuzzymetrics.sets import _dedup, _keep_first, _prefix_unions
 from fuzzymetrics.space import COORD_MAX, _near, _window, dist_matrix
 from helpers import CAPS, SP1, SP2, traced_peak
 
@@ -180,6 +181,86 @@ def test_run_dedup_keeps_duplicates_of_other_runs():
     assert _dedup(SP2, pts, np.array([2, 1, 3])).tolist() == [True, False, True, True, False, True]
     assert _dedup(SP2, pts, np.ones(6, dtype=int)).all()
     assert _dedup(SP2, pts).tolist() == [True, False, False, False, False, True]
+
+
+# The support union of 70 nested grids, 4,655 points of which 101 are
+# distinct: each copy is measured against the kept rows of its window only.
+# Measuring every copy against every copy of its grid point walked 268,695
+# candidate cells.
+def test_copies_cost_the_kept_rows_in_their_windows():
+    pts = np.concatenate([support(u).array for u in crisp_interval_family(SP1, 0.3, 1.0, 0.01).members])
+    cells = []
+
+    def counted(space, a, b, first, counts):
+        cells.append(int(counts.sum()))
+        return _window(space, a, b, first, counts)
+
+    with mock.patch.object(space_module, "_window", counted):
+        kept = _dedup(SP1, pts)
+    assert (len(pts), int(kept.sum())) == (4655, 101)
+    assert sum(cells) <= 10 * len(pts)
+
+
+# Layouts that meet the edge cases of the keep-first scan: copies and
+# near-copies, which no lone-row step keeps; one shared first coordinate,
+# where every window holds every row; copies on the edges of the doubling
+# row blocks; coordinates at +-COORD_MAX; and repeated finite indices. At
+# radius 1e-200 a window is 2e-150 wide either side, at 1e308 unbounded.
+def edge_copies():
+    # a chain 0.6 TOL apart of 1,000 points, all within TOL of a neighbour,
+    # whose row at each block edge (of the default cap, a one-row cap and a
+    # three-row cap) is a copy of the row before it
+    pts = 1.0 + 0.6 * TOL * np.arange(1000)[:, None]
+    for rows in (SP1.block_rows(1000), 1, 3):
+        edges = rows * 2 ** np.arange(12)
+        edges = edges[edges < 1000]
+        pts[edges] = pts[edges - 1]
+    return SP1, pts
+
+
+def extremes():
+    values = np.array([COORD_MAX, -COORD_MAX, np.nextafter(COORD_MAX, 0.0), 0.0, TOL, 1.0])
+    return SP2, np.random.default_rng(7).choice(values, size=(200, 2))
+
+
+def finite_repeats():
+    cells = [(x, y) for x in range(4) for y in range(3)]
+    space = MetricSpace.finite([[(abs(xa - xb) + abs(ya - yb)) / 8 for xb, yb in cells] for xa, ya in cells])
+    return space, np.random.default_rng(8).integers(0, len(cells), size=150)
+
+
+def copies():
+    base = np.random.default_rng(4).uniform(0.0, 1.0, size=(40, 2))
+    return SP2, base[np.random.default_rng(5).integers(0, 40, size=300)]
+
+
+def near_copies():
+    rng = np.random.default_rng(6)
+    base = rng.uniform(0.0, 1.0, size=(40, 2))[rng.integers(0, 40, size=300)]
+    return SP2, base + rng.choice(OFFSETS[:-1], size=base.shape)
+
+
+def shared_first_coordinate():
+    rng = np.random.default_rng(9)
+    return SP2, np.column_stack([np.full(300, 0.3), rng.integers(0, 40, size=300) / 32 + rng.choice(OFFSETS, 300)])
+
+
+LAYOUTS = {f.__name__: f for f in (copies, near_copies, shared_first_coordinate, edge_copies, extremes, finite_repeats)}
+
+
+# np.float64(1e308) doubles past the float maximum as a numpy scalar
+@pytest.mark.parametrize("radius", [TOL, 1e-200, 0.05, np.float64(1e308)])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_keep_first_matches_the_dense_scan_on_hard_layouts(layout, radius):
+    space, pts = LAYOUTS[layout]()
+    expected = ref.dense_keep_first(space, pts, radius)
+    # the default cap, one-row blocks and three-row blocks
+    for cap in CAPS + (8 * 3 * len(pts),):
+        with mock.patch.object(space_module, "BLOCK_BYTES", cap):
+            assert _keep_first(space, pts, radius).tolist() == expected.tolist()
+            assert eps_net(FiniteSet(space, pts.copy()), radius).array.tobytes() == pts[expected].tobytes()
+            if radius == TOL:
+                assert _dedup(space, pts).tolist() == expected.tolist()
 
 
 def fuzzy_or_none(levels):

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from fuzzymetrics import sets as sets_module
 from fuzzymetrics import space as space_module
 from fuzzymetrics.common import TOL
 from fuzzymetrics.sets import FiniteSet, prefix_net_sizes
-from fuzzymetrics.space import dist_matrix
+from fuzzymetrics.space import _near, _sorted_windows, _window
 from helpers import SP1, SP2, traced_peak
 
 
@@ -212,37 +213,43 @@ def test_family_greedy_net_under_hausdorff_covers():
 
 
 # The greedy scan measures each row block against the centers kept before
-# it, then the rows left among themselves. Measuring every block against
-# every earlier point took 4.6M cells on the first set below, and the prefix
-# nets of the second once took a full matrix of the new points against the
-# centers (31.8 MiB).
+# it, then the rows left among themselves, each through a near-pair search
+# that walks only the candidate cells of the coordinate-0 windows. Measuring
+# every block against every earlier point took 4.6M cells on the first set
+# below, and the prefix nets of the second once took a full matrix of the
+# new points against the centers (31.8 MiB).
 def test_eps_net_measures_each_block_against_the_kept_centers_only():
     a = finite_set(SP2, np.random.default_rng(2).uniform(0.0, 1.0, size=(3000, 2)).tolist())
     cells = []
 
-    def counted(space, x, y):
-        cells.append(len(x) * len(y))
-        return dist_matrix(space, x, y)
+    def counted(space, x, y, first, counts):
+        cells.append(int(counts.sum()))
+        return _window(space, x, y, first, counts)
 
-    with mock.patch.object(sets_module, "dist_matrix", counted):
+    with mock.patch.object(space_module, "_window", counted):
         net = eps_net(a, 0.05)
     assert sum(cells) <= len(a) * (len(net) + SP2.block_rows(len(a)))
 
 
-# At 30,000 points a row block holds 4 rows, and most blocks keep at most
-# one after the pass against the centers: such a block needs no kernel
-# call among its rows. Two calls a block would be 15,000.
+# At 30,000 points the first row block holds 4 rows and each later one as
+# many rows as all the blocks before it, so 14 blocks cover the points: at
+# most two searches a block, one against the kept centers and one among the
+# rows left, and none for a block that keeps one row. Two kernel calls for
+# each block of 4 rows would be 15,000.
 def test_eps_net_scans_a_block_with_one_survivor_without_a_kernel_call():
     a = finite_set(SP2, np.random.default_rng(0).uniform(0.0, 1.0, size=(30000, 2)))
     calls = []
 
-    def counted(space, x, y):
-        calls.append(1)
-        return dist_matrix(space, x, y)
+    def counted(space, x, y, radius):
+        calls.append(len(x))
+        return _near(space, x, y, radius)
 
-    with mock.patch.object(sets_module, "dist_matrix", counted):
+    with mock.patch.object(sets_module, "_near", counted):
         net = eps_net(a, 0.05)
-    assert len(calls) <= 7600
+    # the rows whose window holds another row, which the blocks take
+    n = int(np.count_nonzero(_sorted_windows(a.array, a.array, 0.05)[2] > 1))
+    assert len(calls) <= 2 * (math.ceil(math.log2(n / SP2.block_rows(n))) + 1)
+    assert min(calls) > 1
     assert set(map(tuple, net.array.tolist())) <= set(map(tuple, a.array.tolist()))
     assert directed_hausdorff(a, net) <= 0.05
 
