@@ -12,6 +12,7 @@ on the parameters, size bounds included.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .space import COORD_MAX, EUCLIDEAN, MetricSpace
 
 # Bounds that let every family of a document that loads be built: members,
 # and coordinates of the member point sets, each member counted at the most
-# points its kind can give it. numpy draws a random member's level count
-# below max_levels + 1, at most 2**63 for an int64, and of at most
-# _RANDOM_LEVELS levels each adds at most two points.
+# points its kind can give it. A random member's level count is drawn as
+# numpy's int64 integers draws it, below max_levels + 1, at most 2**63, and
+# of at most _RANDOM_LEVELS levels each adds at most two points.
 MAX_MEMBERS = 100_000
 MAX_COORDINATES = 10**6
 MAX_LEVELS = 2**63 - 1
@@ -182,39 +183,119 @@ def crisp_interval_family(
     return fuzzy_family(members, names, GeneratorTag("crisp_intervals", tuple(xs)))
 
 
+class _PCG64Draws:
+    """numpy's scalar draws from a Generator on PCG64 or PCG64DXSM, read
+    bit for bit from bulk raw words of its bit generator, a chunk at a time.
+
+    `uniform` reads a double from the top 53 bits of a word; `integers`
+    uses Lemire's rejection on 32-bit halves, the low half of a word first
+    and its high half buffered across calls as the bit generator buffers
+    it, or on whole words for a wider range. `reserve(k)` reserves k doubles
+    that `close` computes in one pass; `close` also leaves the generator
+    where the scalar draws would have left it. That takes a bit generator
+    whose `advance` counts raw words: Philox's counts blocks, SFC64 has
+    none, and MT19937's raw words are 32 bits wide.
+    """
+
+    CHUNK = 256
+
+    def __init__(self, rng) -> None:
+        if not (isinstance(rng, np.random.Generator)
+                and isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))):
+            raise InputError(f"'rng' must be a numpy Generator on PCG64 or PCG64DXSM, as "
+                             f"np.random.default_rng gives, got {rng!r}")
+        self._bits, self._state = rng.bit_generator, rng.bit_generator.state
+        self._has_half, self._half = self._state["has_uint32"], self._state["uinteger"]
+        self._chunks, self._words, self._base, self._read = [], [], -self.CHUNK, 0
+        self._reserved = array("q")  # the word of each reserved double
+
+    def _fetch(self, n: int) -> None:
+        while len(self._chunks) * self.CHUNK < n:
+            self._chunks.append(self._bits.random_raw(self.CHUNK))
+
+    def _word(self) -> int:
+        i = self._read - self._base
+        if i >= self.CHUNK:
+            self._fetch(self._read + 1)
+            self._base = (len(self._chunks) - 1) * self.CHUNK
+            self._words, i = self._chunks[-1].tolist(), self._read - self._base
+        self._read += 1
+        return self._words[i]
+
+    def _half_word(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        w = self._word()
+        self._has_half, self._half = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * ((self._word() >> 11) * 2**-53)
+
+    def integers(self, low: int, high: int) -> int:
+        r = high - 1 - low
+        if r == 0:
+            return low
+        bits, draw = (32, self._half_word) if r <= 0xFFFFFFFF else (64, self._word)
+        mask = (1 << bits) - 1
+        threshold = (mask - r) % (r + 1)
+        m = draw() * (r + 1)
+        while m & mask < threshold:
+            m = draw() * (r + 1)
+        return low + (m >> bits)
+
+    def reserve(self, k: int) -> None:
+        self._reserved.extend(range(self._read, self._read + k))
+        self._read += k
+
+    def close(self, low: float, high: float) -> np.ndarray:
+        """The reserved doubles in [low, high), in order."""
+        self._fetch(self._read)
+        self._bits.state = self._state
+        self._bits.advance(self._read)  # which clears the half buffer
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        self._bits.state = state
+        words = np.concatenate(self._chunks)[np.frombuffer(self._reserved, dtype=np.int64)]
+        return low + (high - low) * ((words >> 11) * 2**-53)
+
+
 def _random_members(space: MetricSpace, rng: np.random.Generator, count: int, box: tuple[float, float],
                     max_levels: int, max_points: int) -> list[StepFuzzySet]:
     """`count` random step fuzzy sets with cuts inside the box, drawn one
-    after another from rng and built in one pass.
+    after another from rng, as its scalar draws would draw them, and built
+    in one pass.
 
     Levels below 1.0 are drawn in (0.05, 0.95) with pairwise gaps of at least
     0.02; a level may add no new points, which keeps non-platform stored
     levels in the mix.
     """
     lo, hi = _check_box(box)
-    members, blocks, sizes = [], [], []
+    draws = _PCG64Draws(rng)
+    members, sizes = [], []
     for _ in range(count):
-        n_levels = int(rng.integers(1, max_levels + 1))
+        n_levels = draws.integers(1, max_levels + 1)
         alphas = [1.0]
         for _ in range(_RANDOM_LEVELS - 1):
             if len(alphas) == n_levels:
                 break
-            a = float(rng.uniform(0.05, 0.95))
+            a = draws.uniform(0.05, 0.95)
             if all(abs(a - b) >= 0.02 for b in alphas):
                 alphas.append(a)
         alphas = [1.0] + sorted(alphas[1:], reverse=True)
         end = 0
         for i in range(len(alphas)):
             cap = min(2, max_points - end)
-            n_new = int(rng.integers(1 if i == 0 else 0, cap + 1)) if cap > 0 else 0
-            blocks.append(rng.uniform(lo, hi, size=(n_new, space.dim)))  # the values scalar draws give
+            n_new = draws.integers(1 if i == 0 else 0, cap + 1) if cap > 0 else 0
+            draws.reserve(n_new * space.dim)
             sizes.append(n_new)
             end += n_new
         members.append((alphas, end))
     # keep-first dedup within each member keeps of each prefix of it what
     # the prefix alone keeps, so every cut is a prefix of the member's
     # support and the set is valid as built
-    pts = np.concatenate(blocks)
+    pts = draws.close(lo, hi).reshape(-1, space.dim)
     kept = _dedup(space, pts, np.array([end for _, end in members]))
     supp, values = pts[kept], np.repeat([a for alphas, _ in members for a in alphas], sizes)[kept]
     supp.flags.writeable = values.flags.writeable = False
@@ -240,7 +321,8 @@ def random_fuzzy(
     max_levels: int = 4,
     max_points: int = 6,
 ) -> StepFuzzySet:
-    """One random step fuzzy set inside the box, checked as random_family is; see _random_members."""
+    """One random step fuzzy set inside the box, checked as random_family is, from rng, a Generator on
+    PCG64 or PCG64DXSM; see _random_members."""
     random_count(space, 1, 0, box, max_levels, max_points)
     return _random_members(space, rng, 1, box, max_levels, max_points)[0]
 
@@ -288,6 +370,9 @@ def contracting_sequence(limit: StepFuzzySet, count: int, scale: float = 0.02) -
     by that amount."""
     _require_euclidean(limit.space)
     check_integer("'count'", count, 1)
+    scale = real("'scale'", scale)
+    if not (math.isfinite(scale) and scale >= 0):
+        raise InputError(f"'scale' must be finite and >= 0, got {scale}")
     space = limit.space
     supp = support(limit)
     center = supp.array.mean(axis=0)

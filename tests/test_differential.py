@@ -18,7 +18,9 @@ minima against np.minimum.reduceat, the flat reduction over (source,
 target) pairs against one segment pass per pair,
 the generated members, built from one deduplicated support with their
 memberships known, against cuts deduplicated level by level and memberships
-measured, the memberships read from one near-pair search against every
+measured, and their draws, read from bulk words of the bit generator,
+against numpy's scalar draws on every integer branch and across whole
+chunks of words, the memberships read from one near-pair search against every
 cut at once against the scan from the lowest level up, the Hausdorff pass
 that reduces squared distances in one reused workspace against the dense
 reductions (a last chunk of one row, ties and near-copies at TOL, the
@@ -1145,6 +1147,45 @@ def test_random_members_match_per_level_construction(dim, box):
         # both generators leave the stream at the same place
         assert rng.random() == rng_ref.random()
     assert (reused > 0) == (box[1] < TOL)
+
+
+@pytest.mark.parametrize("max_levels", [1, 4, 2**31 + 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63 - 1])
+@pytest.mark.parametrize("buffered", [False, True], ids=["no-half", "half-buffered"])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM], ids=["PCG64", "PCG64DXSM"])
+def test_random_members_read_the_scalar_stream_on_every_integer_branch(bit_generator, buffered, max_levels):
+    # the level count is drawn below max_levels + 1, over a range of
+    # max_levels - 1 beyond its low end: 0 draws nothing, 3 and 2**31 read
+    # 32-bit halves (2**31 rejects about half of them), 2**32 - 1 takes a
+    # half as it is, and the wider ranges read whole words (2**62 rejects
+    # about a quarter); the point counts read halves, and one integer drawn
+    # first leaves the high half of a word buffered in the bit generator
+    space = MetricSpace.euclidean(2)
+    for seed in range(6):
+        rng, rng_ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        if buffered:
+            assert rng.integers(7) == rng_ref.integers(7)
+        for _ in range(6):
+            u = random_fuzzy(space, rng, (-1.0, 2.0), max_levels, 7)
+            v = ref.random_fuzzy(space, rng_ref, (-1.0, 2.0), max_levels, 7)
+            assert u.alphas == v.alphas
+            assert [c.array.tobytes() for _, c in u.levels] == [c.array.tobytes() for _, c in v.levels]
+        # the whole state: the word position, the half buffer and its flag
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_random_members_read_the_scalar_stream_across_whole_chunks():
+    # in dimension 300 one level's points reserve up to 600 coordinates,
+    # more than a chunk of raw words, and the last member's may end beyond
+    # the words read so far
+    space = MetricSpace.euclidean(300)
+    for seed in range(4):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            u = random_fuzzy(space, rng, (0.0, 1.0), 4, 7)
+            v = ref.random_fuzzy(space, rng_ref, (0.0, 1.0), 4, 7)
+            assert u.alphas == v.alphas
+            assert [c.array.tobytes() for _, c in u.levels] == [c.array.tobytes() for _, c in v.levels]
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

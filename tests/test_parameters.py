@@ -27,7 +27,9 @@ from fuzzymetrics import (
     hausdorff,
     make_fuzzy,
     metric_matrix,
+    same_representation,
     strict_cut_closure,
+    support,
     Verdict,
     tail_verdict,
     tb_end_report,
@@ -41,6 +43,7 @@ from fuzzymetrics.generators import (
     MAX_MEMBERS,
     collapse_count,
     collapse_family,
+    contracting_sequence,
     crisp_interval,
     crisp_interval_count,
     crisp_interval_family,
@@ -307,6 +310,52 @@ def test_random_fuzzy_holds_the_size_bound_of_a_family_of_one_member():
     # coordinates, above MAX_COORDINATES
     with pytest.raises(InputError, match="^1 members of up to 2002 points in dimension 600 exceed the bound"):
         random_fuzzy(MetricSpace.euclidean(600), np.random.default_rng(0), max_levels=1001, max_points=5000)
+
+
+def drawn_state(rng):
+    """What a draw from rng would change, as text: a bit generator's state,
+    a RandomState's, or rng itself."""
+    if isinstance(rng, np.random.RandomState):
+        return repr(rng.get_state())
+    return repr(rng.bit_generator.state) if isinstance(rng, np.random.Generator) else repr(rng)
+
+
+@pytest.mark.parametrize("rng", [
+    0, np.random.RandomState(0), np.random.Generator(np.random.MT19937(0)),
+    np.random.Generator(np.random.Philox(0)), np.random.Generator(np.random.SFC64(0)),
+], ids=["int", "RandomState", "MT19937", "Philox", "SFC64"])
+def test_random_fuzzy_needs_a_generator_on_pcg64(rng):
+    # an int or a RandomState used to raise an AttributeError in the first
+    # draw; the other bit generators were drawn from, but the members are
+    # read from PCG64 words as numpy's scalar draws read them
+    before = drawn_state(rng)
+    with pytest.raises(InputError, match="^'rng' must be a numpy Generator on PCG64 or PCG64DXSM"):
+        random_fuzzy(SP1, rng)
+    assert drawn_state(rng) == before
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+def test_random_fuzzy_accepts_a_generator_on_either_pcg64(bit_generator):
+    u = random_fuzzy(SP1, np.random.Generator(bit_generator(0)))
+    assert 1 <= len(support(u)) <= 6
+
+
+@pytest.mark.parametrize("scale, message", [
+    ("x", "must be a real number"), (True, "must be a real number"), (10**400, "must be a real number"),
+    (float("nan"), "must be finite and >= 0"), (float("inf"), "must be finite and >= 0"),
+    (-1.0, "must be finite and >= 0"),
+], ids=["string", "bool", "beyond-float-range", "nan", "inf", "negative"])
+def test_contracting_sequence_checks_its_scale(scale, message):
+    # a string used to raise a TypeError, NaN to fail as a coordinate of
+    # the first point, and a negative scale to move the points away from the
+    # centroid, so that the bound of the docstring was negative
+    with pytest.raises(InputError, match=f"^'scale' {message}"):
+        contracting_sequence(two_level(), 3, scale=scale)
+
+
+def test_contracting_sequence_at_scale_zero_repeats_the_limit():
+    limit = two_level()
+    assert all(same_representation(u, limit) for u in contracting_sequence(limit, 3, scale=0))
 
 
 def test_random_generator_box_at_the_coordinate_bound_is_accepted():
