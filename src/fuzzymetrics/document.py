@@ -31,6 +31,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii as _name
 from typing import Any, Iterator, Mapping
 
 from .common import InputError
@@ -300,19 +301,6 @@ def load_document(path: str, default_seed: int = 0) -> Document:
     return parse_document(data, default_seed)
 
 
-def document_to_json(doc: Document) -> dict:
-    """Serialize a document with all generators expanded to member lists."""
-    space = doc.space
-    return {
-        "space": ({"type": EUCLIDEAN, "dim": space.dim} if space.mode == EUCLIDEAN
-                  else {"type": FINITE, "matrix": space.matrix_array.tolist()}),
-        "fuzzy_sets": [{"name": name, "levels": [{"alpha": a, "points": cut.array.tolist()} for a, cut in u.levels]}
-                       for name, u in doc.fuzzy_sets.items()],
-        "families": [{"name": name, "members": list(fam.names)} for name, fam in doc.families.items()],
-        "sequences": [{"name": name, "members": list(ms)} for name, ms in doc.sequences.items()],
-    }
-
-
 # One line from the C encoder; json.dumps with an indent runs pure Python.
 _encode = json.JSONEncoder().encode
 
@@ -337,22 +325,30 @@ def _leaves(arrays: list[list], indent: str) -> list[str]:
 
 
 def dumps_document(doc: Document) -> str:
-    """json.dumps(document_to_json(doc), indent=2, sort_keys=True), from one C
-    encoder call per kind of leaf and one template per kind of object."""
-    data = document_to_json(doc)
-    levels = [lv for obj in data["fuzzy_sets"] for lv in obj["levels"]]
-    alphas = _encode([lv["alpha"] for lv in levels])[1:-1].split(", ")
-    level_objs = iter([f'{{\n          "alpha": {a},\n          "points": {p}\n        }}'
-                       for a, p in zip(alphas, _leaves([lv["points"] for lv in levels], " " * 10))])
+    """The document with every generator expanded, as json.dumps(indent=2,
+    sort_keys=True) writes it, read from the Document: one C encoder call per
+    kind of leaf and one template per kind of object. Cuts hash by identity,
+    so each distinct cut is encoded once; the cut texts, then the level texts,
+    are freed once the objects holding them are laid out."""
+    sets = list(doc.fuzzy_sets.items())
+    levels = [lv for _, u in sets for lv in u.levels]
+    cuts = dict.fromkeys(cut for _, cut in levels)
+    texts = dict(zip(cuts, _leaves([cut.array.tolist() for cut in cuts], " " * 10)))
+    alphas = _encode([a for a, _ in levels])[1:-1].split(", ")
+    level_objs = iter([f'{{\n          "alpha": {a},\n          "points": {texts[cut]}\n        }}'
+                       for a, (_, cut) in zip(alphas, levels)])
+    del texts
 
     def named(key: str, items: list[str], name: str) -> str:
-        return f'{{\n      "{key}": {_array(items, " " * 6)},\n      "name": {_encode(name)}\n    }}'
+        return f'{{\n      "{key}": {_array(items, " " * 6)},\n      "name": {_name(name)}\n    }}'
 
-    fuzzy_sets = [named("levels", [next(level_objs) for _ in obj["levels"]], obj["name"])
-                  for obj in data["fuzzy_sets"]]
-    families, sequences = ([named("members", list(map(_encode, obj["members"])), obj["name"]) for obj in data[key]]
-                           for key in ("families", "sequences"))
-    space = ",\n    ".join(f'"{k}": {_leaves([v], "    ")[0] if k == "matrix" else _encode(v)}'
-                          for k, v in sorted(data["space"].items()))
+    fuzzy_sets = [named("levels", [next(level_objs) for _ in u.levels], name) for name, u in sets]
+    del level_objs
+    families = [named("members", list(map(_name, fam.names)), name) for name, fam in doc.families.items()]
+    sequences = [named("members", list(map(_name, members)), name) for name, members in doc.sequences.items()]
+    space = doc.space
+    shape = (f'"dim": {_encode(space.dim)}' if space.mode == EUCLIDEAN
+             else f'"matrix": {_leaves([space.matrix_array.tolist()], "    ")[0]}')
     return (f'{{\n  "families": {_array(families, "  ")},\n  "fuzzy_sets": {_array(fuzzy_sets, "  ")},\n'
-            f'  "sequences": {_array(sequences, "  ")},\n  "space": {{\n    {space}\n  }}\n}}')
+            f'  "sequences": {_array(sequences, "  ")},\n'
+            f'  "space": {{\n    {shape},\n    "type": {_name(space.mode)}\n  }}\n}}')

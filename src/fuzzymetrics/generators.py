@@ -16,7 +16,7 @@ from array import array
 
 import numpy as np
 
-from .common import InputError, check_integer, real
+from .common import InputError, check_integer, fmt, real
 from .families import FuzzyFamily, GeneratorTag, fuzzy_family
 from .fuzzy import StepFuzzySet, _prefix_fuzzy, crisp, make_fuzzy, support
 from .sets import FiniteSet, _dedup, finite_set
@@ -174,12 +174,12 @@ def crisp_interval_count(space: MetricSpace, low: float = 0.3, high: float = 1.0
 def crisp_interval_family(
     space: MetricSpace, low: float = 0.3, high: float = 1.0, step: float = 0.01
 ) -> FuzzyFamily:
-    """Discretized intervals [0, x] for x on the grid (low, high] at `step`."""
+    """Discretized intervals [0, x] for x on the grid (low, high] at `step`, named iv[fmt(x)]."""
     count = crisp_interval_count(space, low, high, step)
     low, step = float(low), float(step)
     xs = [low + k * step for k in range(1, count + 1)]
     members = [crisp_interval(space, 0.0, x, step) for x in xs]
-    names = [f"iv[{x:.4g}]" for x in xs]
+    names = [f"iv[{fmt(x)}]" for x in xs]
     return fuzzy_family(members, names, GeneratorTag("crisp_intervals", tuple(xs)))
 
 

@@ -37,7 +37,8 @@ class FiniteSet:
     def __post_init__(self) -> None:
         if not len(self.array):
             raise InputError("finite set must be nonempty")
-        self.array.flags.writeable = False
+        if self.array.flags.writeable:  # a view of a read-only support skips the write
+            self.array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.array)

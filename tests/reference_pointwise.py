@@ -21,9 +21,12 @@ comes the cut table read one alpha at a time, and the level and Γ series
 built from it in two passes over the grid. Last of all, the input
 conversions that preceded the one strict array conversion: the float
 conversion that scanned the type of every entry, also of an ndarray, and
-the finite-space index check that ran once per point.
+the finite-space index check that ran once per point. At the very end, the
+dict tree of a document with every generator expanded to member lists, which
+`gen` wrote through json.dumps(indent=2, sort_keys=True) before its writer
+read the Document directly.
 test_differential.py, test_near.py and test_conversion.py compare the
-library against them.
+library against them, and test_document.py the `gen` writer.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
 from fuzzymetrics.common import is_real, real
 from fuzzymetrics.sets import _segment_extrema
-from fuzzymetrics.space import COORD_MAX, EUCLIDEAN, dist_matrix
+from fuzzymetrics.space import COORD_MAX, EUCLIDEAN, FINITE, dist_matrix
 
 
 def distance(space, p, q) -> float:
@@ -418,3 +421,16 @@ def finite_matrix(matrix) -> np.ndarray:
         if arr[i, i] > TOL:
             raise InputError(f"matrix entry ({i},{i}) on the diagonal must be at most {TOL}, got {arr[i, i]}")
     return arr
+
+
+def document_to_json(doc) -> dict:
+    """Serialize a document with all generators expanded to member lists."""
+    space = doc.space
+    return {
+        "space": ({"type": EUCLIDEAN, "dim": space.dim} if space.mode == EUCLIDEAN
+                  else {"type": FINITE, "matrix": space.matrix_array.tolist()}),
+        "fuzzy_sets": [{"name": name, "levels": [{"alpha": a, "points": cut.array.tolist()} for a, cut in u.levels]}
+                       for name, u in doc.fuzzy_sets.items()],
+        "families": [{"name": name, "members": list(fam.names)} for name, fam in doc.families.items()],
+        "sequences": [{"name": name, "members": list(ms)} for name, ms in doc.sequences.items()],
+    }

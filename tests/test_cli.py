@@ -205,6 +205,23 @@ def test_compact_closedness_witness(capsys, tmp_path):
     assert "iv[1]" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["compact", "DOC", "--family", "iv", "--mode", "tb_send", "--eps", "0.05"],
+    ["gen", "DOC"],
+], ids=["compact", "gen"])
+def test_fine_crisp_grid_family_builds(capsys, tmp_path, argv):
+    # its 30 intervals end at x that agree in 4 significant digits; building
+    # the family failed on repeated member names, an exit 2 in every command
+    data = {"space": {"type": "euclidean", "dim": 1},
+            "families": [{"name": "iv", "generator": {"kind": "crisp_intervals",
+                                                      "params": {"low": 0.3, "high": 0.3003, "step": 1e-5}}}]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out = run(capsys, *[str(path) if a == "DOC" else a for a in argv])
+    assert code in (0, 1)
+    assert out
+
+
 def test_compact_closedness_requires_candidate(capsys, doc_path):
     code, _ = run(capsys, "compact", doc_path, "--family", "iv", "--mode", "closedness")
     assert code == 2

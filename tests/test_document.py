@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -18,10 +19,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
+from reference_pointwise import document_to_json
 from fuzzymetrics import InputError, MetricSpace
 from fuzzymetrics import document
 from fuzzymetrics.cli import main
-from fuzzymetrics.document import document_to_json, dumps_document, load_document, parse_document
+from fuzzymetrics.document import dumps_document, load_document, parse_document
 from fuzzymetrics.generators import collapse_family, crisp_interval_family, random_family, translates_family
 
 
@@ -341,9 +343,10 @@ COORDS = (st.sampled_from([-0.0, 0.0, 5e-324, 1e150, -1e150, 0.1, 1 / 3, -7.0, 1
 @st.composite
 def documents(draw):
     """A valid document: Euclidean in 1-3 D or finite with int and float
-    matrix entries, nested fuzzy sets, member families, a random family in
-    Euclidean mode (its box up to the coordinate bound), and sequences; any
-    of the lists may be empty."""
+    matrix entries, nested fuzzy sets, perhaps two of the same levels,
+    member families, in Euclidean mode random (its box up to the coordinate
+    bound), collapse, translates and crisp interval families, and sequences;
+    any of the lists may be empty."""
     if draw(st.booleans()):
         dim = draw(st.integers(1, 3))
         space = {"type": "euclidean", "dim": dim}
@@ -367,12 +370,30 @@ def documents(draw):
     def members(unique):
         return st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=unique)
 
+    if fuzzy_sets and draw(st.booleans()):
+        # a second set of the same levels: equal points in distinct cut objects
+        twin = draw(NAMES.filter(lambda n: n not in names))
+        fuzzy_sets.append({**draw(st.sampled_from(fuzzy_sets)), "name": twin})
+        names.append(twin)
     families = [{"name": n, "members": draw(members(True))}
                 for n in draw(st.lists(NAMES, max_size=2 if names else 0, unique=True))]
     if space["type"] == "euclidean" and draw(st.booleans()):
         box = draw(st.sampled_from([[0, 1], [-1e150, 1e150]]))
-        families.append({"name": "γ", "generator": {"kind": "random", "count": 3, "seed": draw(st.integers(0, 99)),
-                                                     "params": {"box": box}}})
+        families.append({"name": "γ", "generator": {"kind": "random", "count": draw(st.integers(1, 6)),
+                                                     "seed": draw(st.integers(0, 99)), "params": {"box": box}}})
+    if space["type"] == "euclidean" and draw(st.booleans()):
+        # collapse members share their two cuts; translates and crisp
+        # intervals hold one cut each
+        families.append({"name": "κ", "generator": {"kind": "collapse", "count": draw(st.integers(1, 5)),
+                                                     "params": {"base": draw(COORDS), "far": draw(COORDS)}}})
+    if space["type"] == "euclidean" and draw(st.booleans()):
+        families.append({"name": "τ", "generator": {"kind": "translates", "count": draw(st.integers(1, 4)),
+                                                     "params": {"start": draw(COORDS),
+                                                                "step": draw(st.sampled_from([0, 0.5, -1 / 3]))}}})
+    if space["type"] == "euclidean" and draw(st.booleans()):
+        grid = draw(st.sampled_from([(0.0, 0.3, 0.1), (0.3, 0.35, 0.01), (0.5, 1.0, 0.25)]))
+        families.append({"name": "ι", "generator": {"kind": "crisp_intervals",
+                                                     "params": dict(zip(("low", "high", "step"), grid))}})
     sequences = [{"name": n, "members": draw(members(False))}
                  for n in draw(st.lists(NAMES, max_size=2 if names else 0, unique=True))]
     return {"space": space, "fuzzy_sets": fuzzy_sets, "families": families, "sequences": sequences}
@@ -384,10 +405,34 @@ def documents(draw):
 @example({"space": {"type": "euclidean", "dim": 1},
           "fuzzy_sets": [{"name": 'q"\\é', "levels": [{"alpha": 1.0, "points": [[-0.0], [5e-324], [1e150]]}]}],
           "families": [], "sequences": []})
+@example({"space": {"type": "euclidean", "dim": 2},
+          "fuzzy_sets": [{"name": n, "levels": [{"alpha": 1.0, "points": [[0.5, 1.0]]},
+                                                {"alpha": 0.25, "points": [[0.5, 1.0], [-2.0, 0.0]]}]}
+                         for n in ("a", "b")],
+          "families": [{"name": "κ", "generator": {"kind": "collapse", "count": 4}},
+                       {"name": "γ", "generator": {"kind": "random", "count": 5, "seed": 1}}],
+          "sequences": [{"name": "s", "members": ["b", "κ[2]", "a"]}]})
 @settings(max_examples=150, deadline=None)
 def test_writer_matches_the_stdlib_encoder(data):
     doc = parse_document(data)
     assert dumps_document(doc) == json.dumps(document_to_json(doc), indent=2, sort_keys=True)
+
+
+def test_writer_peak_stays_near_its_output_when_members_share_cuts():
+    # the 20,000 collapse members hold the same two cuts: the writer encodes
+    # each distinct cut once and frees the cut texts, then the level texts,
+    # once they are laid out, which reads about 3.7x the output; encoding
+    # every level's points again read 7.2x
+    doc = parse_document({"space": LINE, "families": [{"name": "c", "generator": {"kind": "collapse",
+                                                                                 "count": 20000}}]})
+    doc.family("c")
+    tracemalloc.start()
+    try:
+        text = dumps_document(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * len(text)
 
 
 INF, NAN = float("inf"), float("nan")
@@ -502,6 +547,8 @@ def generator_cases(draw):
 @example((LINE, "crisp_intervals", None, None, {"low": 0.0, "high": 0.9e150, "step": 0.35e150}))
 @example((LINE, "translates", 3, None, {"start": -1e150, "step": 1e150}))
 @example((LINE, "translates", 4, None, {"start": -1e150, "step": 1e150}))
+# 30 intervals whose ends agree in 4 significant digits
+@example((LINE, "crisp_intervals", None, None, {"low": 0.3, "high": 0.3003, "step": 1e-5}))
 @settings(max_examples=400, deadline=None)
 def test_load_accepts_a_generator_iff_its_call_does_and_builds_the_same_family(case):
     space, kind, count, seed, params = case
