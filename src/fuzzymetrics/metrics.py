@@ -243,16 +243,28 @@ def _level_series(
     (from the member cut into the limit cut), row 1 (from the limit cut into
     the member cut) or row 2, the larger of the two (the Hausdorff distance).
 
-    One at() call gives the (grid x members) table of member cut ids and one
-    per side the limit's cut id per alpha. The sides mark the (limit cut,
-    member cut) pairs they meet, one _segment_extrema call per limit cut
-    measures its marked member cuts, and each side reads its series with one
-    object gather through the table: entries share the distinct values'
-    float objects, and no entry makes its own. Indexing casts the int32 ids
-    in small buffers, so no intp copy of the table is made."""
+    With L the sorted distinct stored levels of the members and the limit,
+    alphas of one (searchsorted(L, a, "left"), searchsorted(L, a, "right"))
+    class see the same stored levels >= and > them in every set, so every
+    set has the same cut and strict cut at all of them; an alpha equal to a
+    stored level is a class of its own, and the table's zero padding, below
+    every alpha, splits no class. So the work runs on one alpha per class,
+    at most 2|L| + 1 of them whatever the grid size. One at() call
+    gives the (classes x members) table of member cut ids and one per side
+    the limit's cut id per class. The sides mark the (limit cut, member cut)
+    pairs they meet, one _segment_extrema call per limit cut measures its
+    marked member cuts, and each side reads one tuple per class with one
+    object gather through its row of the table: entries share the distinct
+    values' float objects, and no entry makes its own. Each alpha then gets
+    its class's tuple, the same object, so cost and memory follow the
+    classes, not the grid. Indexing casts the int32 ids in small buffers,
+    so no intp copy of the table is made."""
     members, lim = _CutTable(seq), _CutTable([limit])
-    ids = members.at(alphas)
-    ks = [lim.at(alphas, strict)[:, 0] for _, strict in sides]
+    stored, grid = np.unique(np.append(members.levels, lim.levels)), np.asarray(alphas, dtype=float)
+    keys = np.searchsorted(stored, grid, "left") + np.searchsorted(stored, grid, "right")
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    ids = members.at(grid[first])
+    ks = [lim.at(grid[first], strict)[:, 0] for _, strict in sides]
     meets = np.zeros((len(lim.cuts), len(members.cuts)), dtype=bool)
     for k in ks:
         meets[k[:, None], ids] = True
@@ -262,7 +274,8 @@ def _level_series(
         if sel.size:
             ext = _segment_extrema(limit.space, [members.cuts[i].array for i in sel], target.array)
             values[:, k, sel] = np.vstack([ext, ext.max(axis=0)]).astype(object)
-    return [list(map(tuple, values[row][k[:, None], ids].tolist())) for (row, _), k in zip(sides, ks)]
+    rows = [[tuple(values[row, k, i].tolist()) for k, i in zip(kc, ids)] for (row, _), kc in zip(sides, ks)]
+    return [list(map(side.__getitem__, cls.tolist())) for side in rows]
 
 
 def _validated_alphas(alphas, limit, necessity: bool) -> tuple[float, ...]:
@@ -295,7 +308,10 @@ def levelwise_profile(
     levels is used. In necessity mode explicit alphas colliding with a
     platform level of the limit are rejected, naming the colliding alpha.
     A cut map changes only at stored levels, so each distinct (member cut,
-    limit cut) pair is measured once.
+    limit cut) pair is measured once, and the series are read once per
+    class of grid levels that read the same cuts (at most 2|L| + 1 for |L|
+    distinct stored levels), so cost and memory follow the classes, not the
+    grid size.
     """
     _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity)
@@ -325,7 +341,10 @@ def gamma_diagnostic(
     side is measured against the strict cut, the outer side against the full
     cut. Platform collisions are allowed here since the sandwich holds at
     every level. Each limit cut is measured against every member cut it
-    meets in one pass, which gives both directions."""
+    meets in one pass, which gives both directions. Both series are read
+    once per class of grid levels that read the same cuts (at most 2|L| + 1
+    for |L| distinct stored levels), so cost and memory follow the classes,
+    not the grid size."""
     _check_sequence(seq, limit)
     alphas = _validated_alphas(alphas, limit, necessity=False)
     deficits, excesses = _level_series(seq, limit, alphas, [(1, True), (0, False)])

@@ -26,9 +26,12 @@ that reduces squared distances in one reused workspace against the dense
 reductions (a last chunk of one row, ties and near-copies at TOL, the
 capped lifted rows, an asymmetric finite matrix), the blocked triangle
 check of validate_metric against the check one row at a time, and the
-level and Γ series and tb_end's cut ids, read through one (grid x members)
-cut-id table, against the table read one alpha at a time."""
+level and Γ series, read through one (classes x members) cut-id table with
+one tuple per class of grid levels that read the same cuts, and tb_end's
+cut ids, read through one (grid x members) table, against the table read
+one alpha at a time."""
 
+import bisect
 import math
 from unittest import mock
 
@@ -1294,15 +1297,28 @@ def padded_cut_sequences(draw, kinds=SERIES_KINDS):
     return space, seq, fuzzy(), tuple(alphas)
 
 
+def level_classes(seq, limit, alphas) -> list[tuple[int, int]]:
+    """Each alpha's class: the counts of the distinct stored levels of the
+    members and the limit below it and at or below it. Alphas of one class
+    read the same cut and the same strict cut of every set."""
+    stored = sorted({a for u in (*seq, limit) for a, _ in u.levels})
+    return [(bisect.bisect_left(stored, a), bisect.bisect_right(stored, a)) for a in alphas]
+
+
 def assert_level_series_match(seq, limit, alphas):
     """The level series on every side list: tuples, bit for bit those of the
-    per-alpha reference."""
+    per-alpha reference, and per side one tuple object for all the alphas
+    of one class."""
+    classes = level_classes(seq, limit, alphas)
     for sides in SIDES:
         got = metrics_module._level_series(seq, limit, alphas, sides)
         want = ref.level_series(seq, limit, alphas, sides)
         assert all(type(s) is tuple and len(s) == len(seq) for side in got for s in side)
         assert [[np.array(s).tobytes() for s in side] for side in got] == \
             [[np.array(s).tobytes() for s in side] for side in want]
+        for side in got:
+            shared: dict = {}
+            assert all(shared.setdefault(c, s) is s for c, s in zip(classes, side))
 
 
 @given(padded_cut_sequences())
@@ -1310,6 +1326,23 @@ def assert_level_series_match(seq, limit, alphas):
 def test_level_series_match_the_per_alpha_reference_bit_for_bit(scene):
     _, seq, limit, alphas = scene
     assert_level_series_match(seq, limit, alphas)
+
+
+@given(padded_cut_sequences(), st.data())
+@settings(max_examples=200)
+def test_level_series_next_to_stored_levels_and_in_one_gap_match_the_reference(scene, data):
+    # unsorted grids of the stored levels of the members and the limit with
+    # their neighbours one ulp below and above, where a class holds the one
+    # level alone; and grids of levels strictly between two consecutive
+    # stored levels (or 0.0 and the lowest), which fall in one class
+    _, seq, limit, alphas = scene
+    stored = sorted({0.0} | {a for u in (*seq, limit) for a, _ in u.levels})
+    near = {float(b) for a in stored for b in (np.nextafter(a, 0.0), a, np.nextafter(a, 1.0)) if 0.0 < b < 1.0}
+    assert_level_series_match(seq, limit, tuple(data.draw(st.permutations(sorted(near | set(alphas))))))
+    lo, hi = data.draw(st.sampled_from(list(zip(stored, stored[1:]))))
+    gap = tuple(lo + (hi - lo) * t for t in data.draw(st.permutations([0.5, 0.1, 0.9, 0.3, 0.7])))
+    assert len(set(level_classes(seq, limit, gap))) == 1
+    assert_level_series_match(seq, limit, gap)
 
 
 def stepped(space, points, alphas):
@@ -1340,6 +1373,12 @@ def test_level_series_of_the_collapse_family_match_the_reference():
     seq = collapse_family(SP1, 1500, base=0.0, far=1.0).members
     limit = make_fuzzy([(1.0, finite_set(SP1, [0.0])), (0.5, finite_set(SP1, [0.0, 1.0]))])
     for alphas in (default_alpha_grid(limit), tuple(k / 20 for k in range(1, 20)), (0.5,)):
+        assert_level_series_match(seq, limit, alphas)
+    # a reversed grid; the platform level and 1/3 with their neighbours one
+    # ulp off; and five levels between 1/3 and 0.5, all of one class
+    for alphas in (default_alpha_grid(limit)[::-1],
+                   tuple(float(np.nextafter(a, t)) for a in (0.5, 1 / 3) for t in (0.0, a, 1.0)),
+                   (0.45, 0.35, 0.49, 0.4, 0.34)):
         assert_level_series_match(seq, limit, alphas)
 
 

@@ -446,3 +446,21 @@ def test_gamma_series_memory_is_the_evidence_plus_one_id_table():
     table = len(grid) * len(seq) * 8  # bytes of one (grid x members) table of pointers or ids
     assert traced_peak(gamma_diagnostic, seq, limit, grid) <= 2 * table + table + (1 << 20)
     assert traced_peak(_CutTable(seq).at, grid) <= table + (1 << 20)
+
+
+def test_level_and_gamma_series_memory_follows_the_level_classes_not_the_grid():
+    # 1,500 collapse members at a 2,000-level grid: with the members' stored
+    # levels 1/n and the limit's, the grid falls into at most 100 classes
+    # that read the same cuts, so the peak is one tuple of 1,500 pointers
+    # per class and side, what the same call takes on one member (the
+    # grid-length lists, parts and keys) and 1 MiB. One tuple per grid
+    # level and side would take 24 MB a side
+    seq = collapse_family(SP1, 1501).members[1:]
+    limit = two_level()
+    grid = default_alpha_grid(limit, 2000)
+    stored = np.unique([a for u in (*seq, limit) for a, _ in u.levels])
+    classes = len(set(zip(np.searchsorted(stored, grid, "left"), np.searchsorted(stored, grid, "right"))))
+    assert classes <= 100
+    for call, sides in ((gamma_diagnostic, 2), (levelwise_profile, 1)):
+        per_grid = traced_peak(call, seq[:1], limit, grid)
+        assert traced_peak(call, seq, limit, grid) <= sides * classes * len(seq) * 8 + per_grid + (1 << 20)
