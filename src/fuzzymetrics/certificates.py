@@ -92,11 +92,16 @@ def tail_verdict(series: Sequence[float], window: int, tol: float) -> tuple[Verd
     """
     check_positive("tol", tol)
     m = max(_window(series, window))
+    return _decide(m, tol), m
+
+
+def _decide(m: float, tol: float) -> Verdict:
+    """The hysteresis rule on a tail maximum m."""
     if m < tol:
-        return Verdict.PASS, m
+        return Verdict.PASS
     if m >= 2 * tol:
-        return Verdict.FAIL, m
-    return Verdict.INCONCLUSIVE, m
+        return Verdict.FAIL
+    return Verdict.INCONCLUSIVE
 
 
 def tail_certificate(
@@ -110,17 +115,25 @@ def tail_certificate(
 
     Each part is a key and its named series, all of one length n. Each
     series' tail maximum is taken over its last `window` entries (resolved
-    by check_window), and each part is decided, as tail_verdict decides,
-    on the largest of its series' maxima. The verdict combines the parts';
-    a FAIL names the first failing part. The evidence holds every series by
-    name, then the resolved window and tol, then the given extra evidence.
+    by check_window) as _window reads them, so a NaN there is an
+    InputError, and each part is decided, as tail_verdict decides, on the
+    largest of its series' maxima. The verdict combines the parts'; a FAIL
+    names the first failing part. The evidence holds every series by name,
+    then the resolved window and tol, then the given extra evidence.
+
+    Parts may share series objects (all grid levels of one class share
+    their level series), so each distinct object's window is read once, by
+    identity: equal series are not merged.
     """
     series = {name: s for _, named in parts for name, s in named.items()}
     window = check_window(len(next(iter(series.values()))), window)
+    check_positive("tol", tol)
+    distinct = {id(s): s for _, named in parts for s in named.values()}
+    tail_max = {i: max(_window(s, window)) for i, s in distinct.items()}
     decided = []
     for key, named in parts:
-        maxima = {name: max(s[len(s) - window:]) for name, s in named.items()}
-        decided.append(TailPart(key, tail_verdict((max(maxima.values()),), 1, tol)[0], maxima))
+        maxima = {name: tail_max[id(s)] for name, s in named.items()}
+        decided.append(TailPart(key, _decide(max(maxima.values()), tol), maxima))
     verdict = combine_verdicts(p.verdict for p in decided)
     failed = next((p for p in decided if p.verdict is Verdict.FAIL), None)
     return Certificate(

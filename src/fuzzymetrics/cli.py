@@ -18,7 +18,7 @@ import sys
 from functools import cache
 from typing import Sequence
 
-from .certificates import Verdict
+from .certificates import Certificate, Verdict
 from .common import InputError, check_grid_size, check_integer, check_positive, fmt
 from .document import Document, dumps_document, load_document
 from .families import (
@@ -66,6 +66,18 @@ def _csv(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def _series_csv(record: str, key: str, series: Sequence[float], bodies: dict[int, list[str]]) -> str:
+    """The rows `record,key,n,value` of one series, n from 1. The bodies
+    `n,value` of each distinct series object are formatted once into
+    `bodies`, by identity: equal tuples such as (0.0,) and (-0.0,) print
+    differently. The caller keeps the series alive while `bodies` is used."""
+    body = bodies.get(id(series))
+    if body is None:
+        body = bodies[id(series)] = [f"{n},{fmt(x)}\n" for n, x in enumerate(series, 1)]
+    head = f"{record},{key},"
+    return head + head.join(body) if body else ""
+
+
 def run_metrics(doc: Document, args: argparse.Namespace) -> tuple:
     """Symmetric distance matrix over the declared fuzzy sets as CSV."""
     names = doc.declared
@@ -89,26 +101,34 @@ def run_convergence(doc: Document, args: argparse.Namespace) -> tuple:
     seq = doc.sequence(args.sequence)
     limit = doc.fuzzy(args.limit)
     certify, gridded, last = _CONVERGE[args.mode]
-    prefix = "" if gridded else "H_"
     alphas = (default_alpha_grid(limit, args.alpha_grid),) if gridded else ()
     cert = certify(seq, limit, *alphas, args.window, args.tol)
+    verdicts = [part.verdict for part in cert.parts] + ([] if last is None else [cert.verdict])
+    params = {"sequence": args.sequence, "limit": args.limit, "mode": args.mode}
+    return _convergence_csv(cert, gridded, last), verdicts, cert, {**params, "verdicts": [v.value for v in verdicts]}
+
+
+def _convergence_csv(cert: Certificate, gridded: bool, last: str | None) -> str:
+    """A convergence report's CSV: the limit's platform levels; then per
+    part, for each of its series, the series' rows (only when not gridded,
+    keyed "H_<series>" then) and its tail maximum, then the part's verdict;
+    then the verdict row `last`, if any."""
+    prefix = "" if gridded else "H_"
     rows = [["record", "key", "index", "value"]]
     platform = cert.evidence.get("platform", ())
     rows += [["excluded_alpha", "platform", str(k), fmt(p)] for k, p in enumerate(platform, 1)]
-    verdicts = []
+    text, bodies = [], {}
     for part in cert.parts:
         for name, m in part.tail_max.items():
             label = prefix + name
             if not gridded:
-                rows += [["series", label, str(n), fmt(x)] for n, x in enumerate(cert.evidence[name], 1)]
+                text += [_csv(rows), _series_csv("series", label, cert.evidence[name], bodies)]
+                rows = []
             rows.append(["tail_max", label, "", fmt(m)])
         rows.append(["verdict", prefix + part.key, "", part.verdict.value])
-        verdicts.append(part.verdict)
     if last is not None:
         rows.append(["verdict", last, "", cert.verdict.value])
-        verdicts.append(cert.verdict)
-    params = {"sequence": args.sequence, "limit": args.limit, "mode": args.mode}
-    return _csv(rows), verdicts, cert, {**params, "verdicts": [v.value for v in verdicts]}
+    return "".join(text) + _csv(rows)
 
 
 def run_compactness(doc: Document, args: argparse.Namespace) -> tuple:
@@ -121,13 +141,18 @@ def run_compactness(doc: Document, args: argparse.Namespace) -> tuple:
     params = {"family": args.family, "eps": fmt(args.eps), "mode": args.mode}
     if takes_candidate:
         params.update(candidate=args.candidate, tol=fmt(args.tol))
+    return _compactness_csv(cert, params), [cert.verdict], cert, params
+
+
+def _compactness_csv(cert: Certificate, params: dict[str, str]) -> str:
+    """A compactness certificate's CSV: its fields and the parameters, then
+    every evidence series by key."""
     rows = [["record", "key", "index", "value"]]
     rows += [["field", k, "", v] for k, v in
              [("kind", cert.kind), ("verdict", cert.verdict.value), ("witness", cert.witness or ""),
               ("note", cert.note or ""), *params.items()]]
-    for key, series in cert.evidence.items():
-        rows += [["evidence", key, str(n), fmt(x)] for n, x in enumerate(series, 1)]
-    return _csv(rows), [cert.verdict], cert, params
+    bodies: dict[int, list[str]] = {}
+    return _csv(rows) + "".join(_series_csv("evidence", key, series, bodies) for key, series in cert.evidence.items())
 
 
 def run_oracle_check(doc: Document, args: argparse.Namespace) -> tuple:

@@ -82,14 +82,18 @@ def _family_verdict(
     window, FAIL when `failing` ("increasing" or "decreasing") over it. The
     verdicts combine, and the first failing part fills in the witness
     template: its label, the generator kind, and the first and last member
-    names of the window."""
+    names of the window. Labels may share series objects, and each
+    distinct object is decided once, by identity."""
     window = check_window(len(family.members), window)
     gen = family.generator
-    verdicts = [Verdict.PASS if gen is None else trend_verdict(s, window, failing=failing) for _, s in parts]
-    failed = [label for (label, _), v in zip(parts, verdicts) if v is Verdict.FAIL]
-    if not failed:
-        return combine_verdicts(verdicts), None
-    return Verdict.FAIL, witness.format(label=failed[0], kind=gen.kind, first=family.names[-window],
+    if gen is None:
+        return Verdict.PASS, None
+    distinct = {id(s): s for _, s in parts}
+    trend = {i: trend_verdict(s, window, failing=failing) for i, s in distinct.items()}
+    failed = next((label for label, s in parts if trend[id(s)] is Verdict.FAIL), None)
+    if failed is None:
+        return combine_verdicts(trend.values()), None
+    return Verdict.FAIL, witness.format(label=failed, kind=gen.kind, first=family.names[-window],
                                         last=family.names[-1])
 
 
@@ -109,16 +113,17 @@ def tb_end_report(
     check_positive("eps", eps)
     alphas = check_alpha_grid(alphas, closed=True)
     # The table reads cuts only for alpha in (0,1]. A member's cut map changes
-    # only at stored levels, so few cut-id vectors repeat: one series each
+    # only at stored levels, so few cut-id vectors repeat: one series each,
+    # shared by all their alphas as one evidence object
     table = _CutTable(family.members)
-    series_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    series_of: dict[tuple[int, ...], tuple[float, ...]] = {}
     parts = []
     for a, ids in zip(alphas, map(tuple, table.at(alphas).tolist())):
         if ids not in series_of:
-            series_of[ids] = _net_sizes(family, [table.cuts[i] for i in ids], eps)
+            series_of[ids] = tuple(map(float, _net_sizes(family, [table.cuts[i] for i in ids], eps)))
         parts.append((f"alpha={fmt(a)}", series_of[ids]))
     verdict, witness = _family_verdict(family, window, parts, "increasing", _GROWTH)
-    evidence = {f"net_size[{label}]": tuple(map(float, series)) for label, series in parts}
+    evidence = {f"net_size[{label}]": series for label, series in parts}
     return Certificate(kind="TB_END", verdict=verdict, evidence=evidence, witness=witness)
 
 

@@ -1,6 +1,6 @@
-"""Shared spaces, the row-block caps, seeded corpus builders, and the
-point-level lifted metric and family union cut that the tests check the
-library against."""
+"""Shared spaces, the row-block caps, seeded corpus builders, a series that
+counts its slice reads, and the point-level lifted metric and family union
+cut that the tests check the library against."""
 
 from __future__ import annotations
 
@@ -79,6 +79,20 @@ def part_series(cert, side: int = 0) -> tuple[tuple[float, ...], ...]:
 def part_maxima(cert, side: int = 0) -> tuple[float, ...]:
     """The tail maxima that part_series(cert, side) reads the series of."""
     return tuple(list(p.tail_max.values())[side] for p in cert.parts)
+
+
+class CountingSeries(tuple):
+    """A series that counts how often a slice of it is read, in `slices`."""
+
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        self.slices = 0
+        return self
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return super().__getitem__(key)
 
 
 def distance(space: MetricSpace, p, q) -> float:

@@ -24,9 +24,12 @@ conversion that scanned the type of every entry, also of an ndarray, and
 the finite-space index check that ran once per point. At the very end, the
 dict tree of a document with every generator expanded to member lists, which
 `gen` wrote through json.dumps(indent=2, sort_keys=True) before its writer
-read the Document directly.
+read the Document directly. After it, the CSV writers of `converge` and
+`compact` that built a list of four strings for every series and evidence
+row, before each distinct series object was formatted once.
 test_differential.py, test_near.py and test_conversion.py compare the
-library against them, and test_document.py the `gen` writer.
+library against them, test_document.py the `gen` writer and test_cli.py
+the `converge` and `compact` writers.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from fuzzymetrics import TOL, FiniteSet, InputError, StepFuzzySet, alpha_cut, support
 from fuzzymetrics import finite_set as library_finite_set
 from fuzzymetrics import space as space_module
-from fuzzymetrics.common import is_real, real
+from fuzzymetrics.common import fmt, is_real, real
 from fuzzymetrics.sets import _segment_extrema
 from fuzzymetrics.space import COORD_MAX, EUCLIDEAN, FINITE, dist_matrix
 
@@ -434,3 +437,36 @@ def document_to_json(doc) -> dict:
         "families": [{"name": name, "members": list(fam.names)} for name, fam in doc.families.items()],
         "sequences": [{"name": name, "members": list(ms)} for name, ms in doc.sequences.items()],
     }
+
+
+def _csv(rows: list[list[str]]) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def convergence_csv(cert, gridded: bool, last: str | None) -> str:
+    """The CSV of `converge` for a certificate, row by row."""
+    prefix = "" if gridded else "H_"
+    rows = [["record", "key", "index", "value"]]
+    platform = cert.evidence.get("platform", ())
+    rows += [["excluded_alpha", "platform", str(k), fmt(p)] for k, p in enumerate(platform, 1)]
+    for part in cert.parts:
+        for name, m in part.tail_max.items():
+            label = prefix + name
+            if not gridded:
+                rows += [["series", label, str(n), fmt(x)] for n, x in enumerate(cert.evidence[name], 1)]
+            rows.append(["tail_max", label, "", fmt(m)])
+        rows.append(["verdict", prefix + part.key, "", part.verdict.value])
+    if last is not None:
+        rows.append(["verdict", last, "", cert.verdict.value])
+    return _csv(rows)
+
+
+def compactness_csv(cert, params: dict[str, str]) -> str:
+    """The CSV of `compact` for a certificate and its parameters, row by row."""
+    rows = [["record", "key", "index", "value"]]
+    rows += [["field", k, "", v] for k, v in
+             [("kind", cert.kind), ("verdict", cert.verdict.value), ("witness", cert.witness or ""),
+              ("note", cert.note or ""), *params.items()]]
+    for key, series in cert.evidence.items():
+        rows += [["evidence", key, str(n), fmt(x)] for n, x in enumerate(series, 1)]
+    return _csv(rows)

@@ -4,9 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from fuzzymetrics.cli import build_parser, main
+import reference_pointwise as ref
+from fuzzymetrics import Certificate, Verdict
+from fuzzymetrics.certificates import TailPart
+from fuzzymetrics.cli import _compactness_csv, _convergence_csv, build_parser, main
 from fuzzymetrics.common import fmt
 
 
@@ -435,3 +440,39 @@ def test_commands_run_in_one_process_match_fresh_runs(capsys, monkeypatch, doc_p
     assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
     assert "invalid choice: 'sideways'" in in_process[1][2]
     assert build_parser() is build_parser()
+
+
+@st.composite
+def keyed_series(draw):
+    """Evidence as (key, series) pairs under unique keys: series objects that
+    several keys share, and for each drawn object a distinct one of equal
+    values, so (0.0,) can sit beside (-0.0,)."""
+    values = st.sampled_from([0.0, -0.0, 1e-300, 28.0]) | st.floats()
+    pool = [tuple(s) for s in draw(st.lists(st.lists(values, max_size=4), min_size=1, max_size=4))]
+    pool += [tuple(list(s)) for s in pool]
+    keys = draw(st.lists(st.text("abz=[].0", min_size=1, max_size=6), min_size=1, max_size=10, unique=True))
+    return [(key, pool[draw(st.integers(0, len(pool) - 1))]) for key in keys]
+
+
+SHARED = (1e-300, 28.0, -0.0)
+EXAMPLE = [("shared", SHARED), ("again", SHARED), ("zero", tuple([0.0])), ("minus", tuple([-0.0])),
+           ("equal", tuple(list(SHARED))), ("one", (28.0,)), ("again2", SHARED)]
+
+
+@settings(max_examples=150)
+@example(evidence=EXAMPLE, gridded=False, last="identity")
+@given(evidence=keyed_series(), gridded=st.booleans(), last=st.sampled_from([None, "overall", "identity"]))
+def test_series_and_evidence_text_matches_the_row_by_row_reference(evidence, gridded, last):
+    # each distinct series object is formatted once, by identity: a writer
+    # that keyed the bodies by value would print the (-0.0,) beside an
+    # earlier (0.0,) as 0
+    cert = Certificate(kind="K", verdict=Verdict.FAIL, evidence=dict(evidence), witness="w", note="n")
+    params = {"family": "f", "eps": "0.5", "mode": "tb_end"}
+    assert _compactness_csv(cert, params) == ref.compactness_csv(cert, params)
+    # converge: parts of one or two series, as the end and send parts and
+    # the gamma parts hold, and the limit's platform levels
+    parts = tuple(TailPart(f"p{k}", list(Verdict)[k % 3], {key: float(len(s)) for key, s in evidence[k:k + 2]})
+                  for k in range(0, len(evidence), 2))
+    cert = Certificate(kind="K", verdict=Verdict.PASS, evidence={**dict(evidence), "platform": (0.5, -0.0)},
+                       parts=parts)
+    assert _convergence_csv(cert, gridded, last) == ref.convergence_csv(cert, gridded, last)

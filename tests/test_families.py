@@ -32,7 +32,9 @@ from fuzzymetrics.generators import (
 )
 from fuzzymetrics import families as families_module
 from fuzzymetrics import sets as sets_module
-from helpers import SP1, SP2, family_union_cut, singleton, traced_peak, two_level
+from fuzzymetrics.common import fmt
+from fuzzymetrics.metrics import _CutTable, closed_alpha_grid
+from helpers import SP1, SP2, CountingSeries, family_union_cut, singleton, traced_peak, two_level
 
 
 def xs(s):
@@ -71,6 +73,31 @@ def test_tb_end_random_family_stabilizes():
     assert cert.verdict is Verdict.PASS
     for series in cert.evidence.values():
         assert series[-1] <= 3
+
+
+def test_tb_end_alphas_of_one_cut_tuple_share_one_evidence_object():
+    fam = random_family(SP1, 30, seed=0, box=(0.0, 1.0))
+    alphas = closed_alpha_grid(101)
+    cert = tb_end_report(fam, 0.5, alphas)
+    ids = [tuple(row) for row in _CutTable(fam.members).at(alphas).tolist()]
+    series = [cert.evidence[f"net_size[alpha={fmt(a)}]"] for a in alphas]
+    first = {}
+    for k, key in enumerate(ids):
+        first.setdefault(key, k)
+        assert series[k] is series[first[key]]
+    assert 1 < len(first) < len(alphas)
+    assert len({id(s) for s in series}) == len(first)
+
+
+def test_family_verdict_decides_each_distinct_series_once():
+    fam = translates_family(SP1, 5)
+    objects = [CountingSeries((1.0, 2.0, 2.0, 2.0, 2.0)), CountingSeries((1.0, 2.0, 3.0, 4.0, 5.0)),
+               CountingSeries((1.0, 2.0, 3.0, 4.0, 5.0))]
+    parts = [(f"alpha={k}", objects[k % 3]) for k in range(101)]
+    verdict, witness = families_module._family_verdict(fam, 3, parts, "increasing", families_module._GROWTH)
+    assert [s.slices for s in objects] == [1, 1, 1]
+    assert verdict is Verdict.FAIL
+    assert witness == "alpha=1: net size strictly increasing along translates (last member t[5])"
 
 
 def test_tb_end_singleton_family():

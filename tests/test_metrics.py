@@ -31,11 +31,12 @@ from fuzzymetrics import (
 )
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import space as space_module
+from fuzzymetrics.certificates import tail_certificate
 from fuzzymetrics.cli import main
 from fuzzymetrics.common import MAX_GRID_LEVELS, fmt
 from fuzzymetrics.generators import collapse_family, contracting_sequence
 from fuzzymetrics.metrics import _CutTable, closed_alpha_grid, graph_series
-from helpers import SP1, SP2, fuzzy_corpus, part_series, singleton, traced_peak, two_level
+from helpers import SP1, SP2, CountingSeries, fuzzy_corpus, part_series, singleton, traced_peak, two_level
 
 
 def test_endograph_identity():
@@ -336,6 +337,21 @@ def test_tail_diagnostics_share_the_certificate_shape():
     send = send_decomposition_check(seq, singleton(0.0), window=4, tol=0.05)
     assert [p.key for p in send.parts] == ["send", "end", "cut0"]
     assert list(send.evidence) == ["send", "end", "cut0", "window", "tol"]
+
+
+def test_tail_certificate_reads_each_distinct_series_once():
+    # all grid levels of one class share their series objects: 101 parts
+    # over 3 objects read 3 windows, and equal values in distinct objects
+    # are read apart
+    objects = [CountingSeries((0.5, 1e-4, 2e-4)), CountingSeries((0.5, 0.3, 0.1)), CountingSeries((0.5, 0.3, 0.1))]
+    parts = [(f"alpha={k}", {f"deficit[{k}]": objects[k % 3], f"excess[{k}]": objects[(k + 1) % 3]})
+             for k in range(101)]
+    cert = tail_certificate("K", parts, 2, 1e-3)
+    assert [s.slices for s in objects] == [1, 1, 1]
+    assert [p.verdict for p in cert.parts[:3]] == [Verdict.FAIL] * 3
+    assert cert.parts[0].tail_max == {"deficit[0]": 2e-4, "excess[0]": 0.3}
+    assert cert.witness == "alpha=0: tail max 0.3 at or above 2*tol"
+    assert len(cert.parts) == 101 and cert.evidence["excess[100]"] is objects[2]
 
 
 def test_send_decomposition_all_converge():

@@ -36,6 +36,7 @@ from fuzzymetrics import (
     tb_send_report,
     trend_verdict,
 )
+from fuzzymetrics.certificates import tail_certificate
 from fuzzymetrics.cli import main
 from fuzzymetrics.common import MAX_GRID_LEVELS
 from fuzzymetrics.generators import (
@@ -255,6 +256,25 @@ def test_a_nan_in_a_verdict_window_is_an_input_error(series, window, index):
     # [nan, nan] INCONCLUSIVE
     for call in (lambda: tail_verdict(series, window, 0.1), lambda: trend_verdict(series, window),
                  lambda: trend_verdict(series, window, failing="decreasing")):
+        with pytest.raises(InputError, match=f"series entry {index} is NaN"):
+            call()
+
+
+@pytest.mark.parametrize("series,index", [((0.5, 1e-4, NAN), 2), ((1e-4, NAN), 1), ((NAN, 1e-4, 2e-4), None)],
+                         ids=["last", "first-read", "before-window"])
+def test_tail_certificate_reads_a_window_as_tail_verdict_does(series, index):
+    # tail_certificate took the raw max of each window, and max skips a NaN
+    # that is not first: (0.5, 1e-4, nan) and (1e-4, nan) PASSed at window 2
+    # with tail max 1e-4 where tail_verdict raised
+    def certify():
+        return tail_certificate("K", [("p", {"p": series})], 2, 1e-3)
+
+    if index is None:
+        cert = certify()
+        assert (cert.verdict, cert.parts[0].tail_max) == (Verdict.PASS, {"p": 2e-4})
+        assert tail_verdict(series, 2, 1e-3) == (Verdict.PASS, 2e-4)
+        return
+    for call in (certify, lambda: tail_verdict(series, 2, 1e-3)):
         with pytest.raises(InputError, match=f"series entry {index} is NaN"):
             call()
 
