@@ -6,17 +6,20 @@ FAIL or INCONCLUSIVE, 2 on input errors. Output is deterministic for a fixed
 document and flags: ordering follows input order, numbers are formatted with
 9 significant digits.
 
-Each subcommand binds a handler: (document, args) -> (CSV text, the verdicts
-that drive the exit code, the certificate or None, the report parameters).
+Each subcommand binds a handler: (document, args) -> (the CSV as text pieces,
+formatted as they are written, the verdicts that drive the exit code, the
+certificate or None, the report parameters). The pieces only format, so no
+input error comes once writing has begun.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .certificates import Certificate, Verdict
 from .common import InputError, check_grid_size, check_integer, check_positive, fmt
@@ -62,8 +65,8 @@ _COMPACT = {
 }
 
 
-def _csv(rows: list[list[str]]) -> str:
-    return "".join(",".join(row) + "\n" for row in rows)
+def _csv(rows: Iterable[list[str]]) -> Iterator[str]:
+    return (",".join(row) + "\n" for row in rows)
 
 
 def _series_csv(record: str, key: str, series: Sequence[float], bodies: dict[int, list[str]]) -> str:
@@ -108,27 +111,24 @@ def run_convergence(doc: Document, args: argparse.Namespace) -> tuple:
     return _convergence_csv(cert, gridded, last), verdicts, cert, {**params, "verdicts": [v.value for v in verdicts]}
 
 
-def _convergence_csv(cert: Certificate, gridded: bool, last: str | None) -> str:
+def _convergence_csv(cert: Certificate, gridded: bool, last: str | None) -> Iterator[str]:
     """A convergence report's CSV: the limit's platform levels; then per
     part, for each of its series, the series' rows (only when not gridded,
     keyed "H_<series>" then) and its tail maximum, then the part's verdict;
     then the verdict row `last`, if any."""
     prefix = "" if gridded else "H_"
-    rows = [["record", "key", "index", "value"]]
-    platform = cert.evidence.get("platform", ())
-    rows += [["excluded_alpha", "platform", str(k), fmt(p)] for k, p in enumerate(platform, 1)]
-    text, bodies = [], {}
+    yield "record,key,index,value\n"
+    yield from _csv(["excluded_alpha", "platform", str(k), fmt(p)]
+                    for k, p in enumerate(cert.evidence.get("platform", ()), 1))
+    bodies: dict[int, list[str]] = {}
     for part in cert.parts:
         for name, m in part.tail_max.items():
-            label = prefix + name
             if not gridded:
-                text += [_csv(rows), _series_csv("series", label, cert.evidence[name], bodies)]
-                rows = []
-            rows.append(["tail_max", label, "", fmt(m)])
-        rows.append(["verdict", prefix + part.key, "", part.verdict.value])
+                yield _series_csv("series", prefix + name, cert.evidence[name], bodies)
+            yield f"tail_max,{prefix}{name},,{fmt(m)}\n"
+        yield f"verdict,{prefix}{part.key},,{part.verdict.value}\n"
     if last is not None:
-        rows.append(["verdict", last, "", cert.verdict.value])
-    return "".join(text) + _csv(rows)
+        yield f"verdict,{last},,{cert.verdict.value}\n"
 
 
 def run_compactness(doc: Document, args: argparse.Namespace) -> tuple:
@@ -144,15 +144,16 @@ def run_compactness(doc: Document, args: argparse.Namespace) -> tuple:
     return _compactness_csv(cert, params), [cert.verdict], cert, params
 
 
-def _compactness_csv(cert: Certificate, params: dict[str, str]) -> str:
+def _compactness_csv(cert: Certificate, params: dict[str, str]) -> Iterator[str]:
     """A compactness certificate's CSV: its fields and the parameters, then
     every evidence series by key."""
-    rows = [["record", "key", "index", "value"]]
-    rows += [["field", k, "", v] for k, v in
-             [("kind", cert.kind), ("verdict", cert.verdict.value), ("witness", cert.witness or ""),
-              ("note", cert.note or ""), *params.items()]]
+    yield "record,key,index,value\n"
+    yield from _csv(["field", k, "", v] for k, v in
+                    [("kind", cert.kind), ("verdict", cert.verdict.value), ("witness", cert.witness or ""),
+                     ("note", cert.note or ""), *params.items()])
     bodies: dict[int, list[str]] = {}
-    return _csv(rows) + "".join(_series_csv("evidence", key, series, bodies) for key, series in cert.evidence.items())
+    for key, series in cert.evidence.items():
+        yield _series_csv("evidence", key, series, bodies)
 
 
 def run_oracle_check(doc: Document, args: argparse.Namespace) -> tuple:
@@ -176,13 +177,14 @@ def run_oracle_check(doc: Document, args: argparse.Namespace) -> tuple:
     return _csv(rows), verdicts, None, {}
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(pieces: Iterable[str], path: str | None) -> None:
+    """Write the pieces in order, to stdout or to `path`: no report is held whole."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}") from None
 
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=float, default=1e-3)
 
     command("gen", "expand generators and emit the document",
-            lambda doc, args: (dumps_document(doc) + "\n", [], None, {}))
+            lambda doc, args: ((dumps_document(doc), "\n"), [], None, {}))
     return parser
 
 
@@ -253,11 +255,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 check_positive(name, getattr(args, name))
         if getattr(args, "window", None) is not None:
             check_integer("window", args.window, 1)
-        text, verdicts, cert, params = args.handler(load_document(args.document, default_seed=args.seed), args)
-        _write(text, args.out)
+        pieces, verdicts, cert, params = args.handler(load_document(args.document, default_seed=args.seed), args)
+        _write(pieces, args.out)
         if getattr(args, "emit_json", None):
             report = {**params, **cert.to_json_dict()}
-            _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.emit_json)
+            _write(itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(report), ["\n"]),
+                   args.emit_json)
         return 0 if all(v is Verdict.PASS for v in verdicts) else 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ with their evidence recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,27 +74,27 @@ def _net_sizes(family: FuzzyFamily, cuts: Sequence[FiniteSet], eps: float) -> tu
     return sizes if family.generator is not None else sizes[-1:]
 
 
-def _family_verdict(
-    family: FuzzyFamily, window: int | None, parts: Sequence[tuple[str, Sequence[float]]], failing: str, witness: str
-) -> tuple[Verdict, str | None]:
-    """The rule of the family certificates. An untagged family PASSes; a
-    generator-tagged one decides each labelled series by its trend over the
-    window, FAIL when `failing` ("increasing" or "decreasing") over it. The
-    verdicts combine, and the first failing part fills in the witness
-    template: its label, the generator kind, and the first and last member
-    names of the window. Labels may share series objects, and each
-    distinct object is decided once, by identity."""
+def _family_certificate(
+    kind: str, family: FuzzyFamily, window: int | None, parts: Sequence[tuple[str, Sequence[float]]],
+    failing: str, witness: str, evidence: Mapping[str, tuple[float, ...]],
+) -> Certificate:
+    """The rule of the family certificates, and the certificate it decides.
+    An untagged family PASSes; a generator-tagged one decides each labelled
+    series by its trend over the window, FAIL when `failing` ("increasing"
+    or "decreasing") over it. The verdicts combine, and the first failing
+    part fills in the witness template: its label, the generator kind, and
+    the first and last member names of the window. Labels may share series
+    objects, and each distinct object is decided once, by identity."""
     window = check_window(len(family.members), window)
-    gen = family.generator
-    if gen is None:
-        return Verdict.PASS, None
-    distinct = {id(s): s for _, s in parts}
-    trend = {i: trend_verdict(s, window, failing=failing) for i, s in distinct.items()}
-    failed = next((label for label, s in parts if trend[id(s)] is Verdict.FAIL), None)
-    if failed is None:
-        return combine_verdicts(trend.values()), None
-    return Verdict.FAIL, witness.format(label=failed, kind=gen.kind, first=family.names[-window],
-                                        last=family.names[-1])
+    gen, verdict, failed = family.generator, Verdict.PASS, None
+    if gen is not None:
+        distinct = {id(s): s for _, s in parts}
+        trend = {i: trend_verdict(s, window, failing=failing) for i, s in distinct.items()}
+        verdict = combine_verdicts(trend.values())
+        failed = next((label for label, s in parts if trend[id(s)] is Verdict.FAIL), None)
+        if failed is not None:
+            witness = witness.format(label=failed, kind=gen.kind, first=family.names[-window], last=family.names[-1])
+    return Certificate(kind=kind, verdict=verdict, evidence=evidence, witness=None if failed is None else witness)
 
 
 _GROWTH = "{label}: net size strictly increasing along {kind} (last member {last})"
@@ -122,19 +122,17 @@ def tb_end_report(
         if ids not in series_of:
             series_of[ids] = tuple(map(float, _net_sizes(family, [table.cuts[i] for i in ids], eps)))
         parts.append((f"alpha={fmt(a)}", series_of[ids]))
-    verdict, witness = _family_verdict(family, window, parts, "increasing", _GROWTH)
-    evidence = {f"net_size[{label}]": series for label, series in parts}
-    return Certificate(kind="TB_END", verdict=verdict, evidence=evidence, witness=witness)
+    return _family_certificate("TB_END", family, window, parts, "increasing", _GROWTH,
+                               {f"net_size[{label}]": series for label, series in parts})
 
 
 def tb_send_report(family: FuzzyFamily, eps: float, window: int | None = None) -> Certificate:
     """Total-boundedness evidence for the sendograph metric: greedy net sizes
     of the union of member supports (the 0-cuts), same stabilization rule."""
     check_positive("eps", eps)
-    series = _net_sizes(family, [support(u) for u in family.members], eps)
-    verdict, witness = _family_verdict(family, window, [("support union", series)], "increasing", _GROWTH)
-    evidence = {"net_size[support]": tuple(map(float, series))}
-    return Certificate(kind="TB_SEND", verdict=verdict, evidence=evidence, witness=witness)
+    series = tuple(map(float, _net_sizes(family, [support(u) for u in family.members], eps)))
+    return _family_certificate("TB_SEND", family, window, [("support union", series)], "increasing", _GROWTH,
+                               {"net_size[support]": series})
 
 
 def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> Certificate:
@@ -169,10 +167,9 @@ def erc_modulus(family: FuzzyFamily, eps: float, window: int | None = None) -> C
     # the row after the lowest far level, or row 0 (level 1.0) if none is far
     below = np.where(flags.any(axis=0), len(flags) - flags[::-1].argmax(axis=0), 0)
     moduli = tuple(table.levels[below, members].tolist())
-    verdict, witness = _family_verdict(family, window, [("modulus", moduli)], "decreasing",
-                                       "modulus strictly decreasing along {kind} (members {first}..{last})")
-    evidence = {"modulus": moduli, "family_modulus": (min(moduli),)}
-    return Certificate(kind="ERC", verdict=verdict, evidence=evidence, witness=witness)
+    return _family_certificate("ERC", family, window, [("modulus", moduli)], "decreasing",
+                               "modulus strictly decreasing along {kind} (members {first}..{last})",
+                               {"modulus": moduli, "family_modulus": (min(moduli),)})
 
 
 _COMPLETENESS_NOTE = (

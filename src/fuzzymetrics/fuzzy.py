@@ -164,16 +164,14 @@ def p0_points(u: StepFuzzySet) -> PlatformSet:
 
     Computed from the one-sided limits of the step structure. The cut map is
     constant between stored levels, so only stored levels can be
-    discontinuities, and it is left-continuous there: a probe strictly
-    between a level and the next lower one returns the level's own cut. So
-    each level below 1.0 is compared in Hausdorff distance with a probe
-    halfway to the next level above. Agrees with platform_points on every
-    valid StepFuzzySet.
+    discontinuities, and it is left-continuous there. Just above a level it
+    takes the stored cut of the next level above, so each level below 1.0
+    is compared in Hausdorff distance with that cut itself: a probe level
+    halfway between two adjacent floats rounds to one of them. Agrees with
+    platform_points on every valid StepFuzzySet.
     """
     out = []
-    for i in range(1, len(u.levels)):
-        a, cut = u.levels[i]
-        above = alpha_cut(u, (a + u.alphas[i - 1]) / 2.0)
+    for (_, above), (a, cut) in zip(u.levels, u.levels[1:]):
         if _segment_extrema(u.space, [above.array], cut.array).max() > TOL:
             out.append(a)
     return tuple(sorted(out))

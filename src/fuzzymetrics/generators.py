@@ -19,7 +19,7 @@ import numpy as np
 from .common import InputError, check_integer, fmt, real
 from .families import FuzzyFamily, GeneratorTag, fuzzy_family
 from .fuzzy import StepFuzzySet, _prefix_fuzzy, crisp, make_fuzzy, support
-from .sets import FiniteSet, _dedup, finite_set
+from .sets import FiniteSet, _dedup_runs, finite_set
 from .space import COORD_MAX, EUCLIDEAN, MetricSpace
 
 # Bounds that let every family of a document that loads be built: members,
@@ -296,7 +296,7 @@ def _random_members(space: MetricSpace, rng: np.random.Generator, count: int, bo
     # the prefix alone keeps, so every cut is a prefix of the member's
     # support and the set is valid as built
     pts = draws.close(lo, hi).reshape(-1, space.dim)
-    kept = _dedup(space, pts, np.array([end for _, end in members]))
+    kept = _dedup_runs(space, pts, np.array([end for _, end in members]))
     supp, values = pts[kept], np.repeat([a for alphas, _ in members for a in alphas], sizes)[kept]
     supp.flags.writeable = values.flags.writeable = False
     kept_before = np.concatenate([[0], np.cumsum(kept)])[np.cumsum([0] + sizes)].tolist()

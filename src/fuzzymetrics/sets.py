@@ -85,12 +85,10 @@ def _keep_first(space: MetricSpace, pts: np.ndarray, radius: float) -> np.ndarra
     return kept
 
 
-def _dedup(space: MetricSpace, pts: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the keep-first scan at TOL, of all the points or, given the
-    lengths of consecutive runs of Euclidean points, of each run alone: a
-    point's window is then the earlier points of its run."""
-    if runs is None:
-        return _keep_first(space, pts, TOL)
+def _dedup_runs(space: MetricSpace, pts: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Mask of the keep-first scan at TOL of each of the consecutive runs of
+    Euclidean points of the given lengths, each alone: a point's window is
+    the earlier points of its run."""
     kept = np.ones(len(pts), dtype=bool)
     first = np.repeat(np.cumsum(runs) - runs, runs)
     for i, j, keys in _window(space, pts, pts, first, np.arange(len(pts)) - first):
@@ -107,7 +105,7 @@ def finite_set(space: MetricSpace, points: Iterable) -> FiniteSet:
     Input order is preserved for the points that survive deduplication.
     """
     pts = space.point_array(points)
-    return FiniteSet(space=space, array=pts[_dedup(space, pts)])
+    return FiniteSet(space=space, array=pts[_keep_first(space, pts, TOL)])
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -259,7 +257,7 @@ def _prefix_unions(family: Sequence[FiniteSet]) -> tuple[MetricSpace, np.ndarray
         raise InputError("union of an empty family")
     space = _one_space(family, "family members")
     pts = np.concatenate([s.array for s in family])
-    kept = _dedup(space, pts)
+    kept = _keep_first(space, pts, TOL)
     return space, pts[kept], np.cumsum(kept)[np.cumsum([len(s) for s in family]) - 1]
 
 

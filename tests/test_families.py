@@ -94,10 +94,10 @@ def test_family_verdict_decides_each_distinct_series_once():
     objects = [CountingSeries((1.0, 2.0, 2.0, 2.0, 2.0)), CountingSeries((1.0, 2.0, 3.0, 4.0, 5.0)),
                CountingSeries((1.0, 2.0, 3.0, 4.0, 5.0))]
     parts = [(f"alpha={k}", objects[k % 3]) for k in range(101)]
-    verdict, witness = families_module._family_verdict(fam, 3, parts, "increasing", families_module._GROWTH)
+    cert = families_module._family_certificate("TB_END", fam, 3, parts, "increasing", families_module._GROWTH, {})
     assert [s.slices for s in objects] == [1, 1, 1]
-    assert verdict is Verdict.FAIL
-    assert witness == "alpha=1: net size strictly increasing along translates (last member t[5])"
+    assert cert.verdict is Verdict.FAIL
+    assert cert.witness == "alpha=1: net size strictly increasing along translates (last member t[5])"
 
 
 def test_tb_end_singleton_family():

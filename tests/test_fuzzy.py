@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fuzzymetrics import (
@@ -112,6 +114,13 @@ def test_platform_points():
 def test_p0_points_match_platform_points_on_examples():
     assert p0_points(two_level()) == (0.5,)
     assert p0_points(crisp(SP1, [0.0, 1.0])) == ()
+    # two stored levels that are adjacent floats: a probe halfway between
+    # them rounds to the lower one and reads its own cut
+    low = math.nextafter(0.3, 0.0)
+    u = make_fuzzy([(1.0, finite_set(SP1, [0.0])), (0.3, finite_set(SP1, [0.0, 1.0])),
+                    (low, finite_set(SP1, [0.0, 1.0, 2.0]))])
+    assert platform_points(u) == (low, 0.3)
+    assert p0_points(u) == (low, 0.3)
 
 
 def test_p0_equals_platform_on_seeded_corpus():

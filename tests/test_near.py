@@ -21,7 +21,7 @@ from fuzzymetrics import TOL, FiniteSet, InputError, MetricSpace, eps_net, finit
 from fuzzymetrics import space as space_module
 from fuzzymetrics.fuzzy import memberships, support
 from fuzzymetrics.generators import crisp_interval_family
-from fuzzymetrics.sets import _dedup, _keep_first, _prefix_unions
+from fuzzymetrics.sets import _dedup_runs, _keep_first, _prefix_unions
 from fuzzymetrics.space import COORD_MAX, _near, _window, dist_matrix
 from helpers import CAPS, SP1, SP2, traced_peak
 
@@ -173,14 +173,14 @@ def test_run_dedup_matches_the_dense_scan_of_each_run(scene):
     expected = np.concatenate([ref.dense_keep_first(space, pts[end - n:end]) for n, end in zip(lengths, ends)])
     for cap in CAPS:
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
-            assert _dedup(space, pts, np.array(lengths)).tolist() == expected.tolist()
+            assert _dedup_runs(space, pts, np.array(lengths)).tolist() == expected.tolist()
 
 
 def test_run_dedup_keeps_duplicates_of_other_runs():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, TOL], [0.0, 0.0], [TOL, 0.0], [5.0, 5.0]])
-    assert _dedup(SP2, pts, np.array([2, 1, 3])).tolist() == [True, False, True, True, False, True]
-    assert _dedup(SP2, pts, np.ones(6, dtype=int)).all()
-    assert _dedup(SP2, pts).tolist() == [True, False, False, False, False, True]
+    assert _dedup_runs(SP2, pts, np.array([2, 1, 3])).tolist() == [True, False, True, True, False, True]
+    assert _dedup_runs(SP2, pts, np.ones(6, dtype=int)).all()
+    assert _keep_first(SP2, pts, TOL).tolist() == [True, False, False, False, False, True]
 
 
 # The support union of 70 nested grids, 4,655 points of which 101 are
@@ -196,7 +196,7 @@ def test_copies_cost_the_kept_rows_in_their_windows():
         return _window(space, a, b, first, counts)
 
     with mock.patch.object(space_module, "_window", counted):
-        kept = _dedup(SP1, pts)
+        kept = _keep_first(SP1, pts, TOL)
     assert (len(pts), int(kept.sum())) == (4655, 101)
     assert sum(cells) <= 10 * len(pts)
 
@@ -259,8 +259,6 @@ def test_keep_first_matches_the_dense_scan_on_hard_layouts(layout, radius):
         with mock.patch.object(space_module, "BLOCK_BYTES", cap):
             assert _keep_first(space, pts, radius).tolist() == expected.tolist()
             assert eps_net(FiniteSet(space, pts.copy()), radius).array.tobytes() == pts[expected].tobytes()
-            if radius == TOL:
-                assert _dedup(space, pts).tolist() == expected.tolist()
 
 
 def fuzzy_or_none(levels):
