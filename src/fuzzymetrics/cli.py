@@ -93,8 +93,6 @@ def run_metrics(doc: Document, args: argparse.Namespace) -> tuple:
         except ValueError:
             raise InputError(f"bad level kind {kind!r}") from None
         kind = "level"
-    elif kind not in ("end", "send"):
-        raise InputError(f"unknown metrics kind {kind!r}")
     d = metric_matrix([doc.fuzzy(n) for n in names], kind, alpha).tolist()
     return _csv([["name", *names]] + [[name, *map(fmt, row)] for name, row in zip(names, d)]), [], None, {}
 

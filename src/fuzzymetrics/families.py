@@ -26,7 +26,7 @@ from .certificates import (
 )
 from .common import InputError, check_alpha_grid, check_positive, fmt
 from .fuzzy import StepFuzzySet, same_representation, support
-from .metrics import _CutTable, graph_series, metric_matrix
+from .metrics import _CutTable, _distinct, graph_series, metric_matrix
 from .sets import FiniteSet, _pair_extrema, prefix_net_sizes
 from .space import _one_space
 
@@ -112,16 +112,13 @@ def tb_end_report(
     """
     check_positive("eps", eps)
     alphas = check_alpha_grid(alphas, closed=True)
-    # The table reads cuts only for alpha in (0,1]. A member's cut map changes
-    # only at stored levels, so few cut-id vectors repeat: one series each,
-    # shared by all their alphas as one evidence object
+    # cuts are read for alpha in (0,1], once per class of levels; one series
+    # per distinct cut-id tuple, shared by its alphas as one evidence object
     table = _CutTable(family.members)
-    series_of: dict[tuple[int, ...], tuple[float, ...]] = {}
-    parts = []
-    for a, ids in zip(alphas, map(tuple, table.at(alphas).tolist())):
-        if ids not in series_of:
-            series_of[ids] = tuple(map(float, _net_sizes(family, [table.cuts[i] for i in ids], eps)))
-        parts.append((f"alpha={fmt(a)}", series_of[ids]))
+    reps, cls = table.classes(alphas)
+    tuples, of_class = _distinct(map(tuple, table.at(reps).tolist()))
+    series = [tuple(map(float, _net_sizes(family, [table.cuts[i] for i in ids], eps))) for ids in tuples]
+    parts = [(f"alpha={fmt(a)}", series[of_class[c]]) for a, c in zip(alphas, cls.tolist())]
     return _family_certificate("TB_END", family, window, parts, "increasing", _GROWTH,
                                {f"net_size[{label}]": series for label, series in parts})
 
@@ -129,7 +126,6 @@ def tb_end_report(
 def tb_send_report(family: FuzzyFamily, eps: float, window: int | None = None) -> Certificate:
     """Total-boundedness evidence for the sendograph metric: greedy net sizes
     of the union of member supports (the 0-cuts), same stabilization rule."""
-    check_positive("eps", eps)
     series = tuple(map(float, _net_sizes(family, [support(u) for u in family.members], eps)))
     return _family_certificate("TB_SEND", family, window, [("support union", series)], "increasing", _GROWTH,
                                {"net_size[support]": series})

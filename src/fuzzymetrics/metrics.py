@@ -125,13 +125,6 @@ def metric_matrix(sets: Sequence[StepFuzzySet], kind: str, alpha: float | None =
     return d + d.T
 
 
-def _check_resolution(resolution: float) -> None:
-    # below TOL the closed form and the oracle would have to agree closer
-    # than points are told apart
-    if not TOL <= real("resolution", resolution) <= 0.1:
-        raise InputError(f"resolution {resolution} outside [{TOL}, 0.1]")
-
-
 def _sampled_graphs(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared: bool) -> float:
     """Hausdorff distance between the sampled graphs of u and v, both on the
     two supports as given when `shared` (min and max ignore copies and order,
@@ -147,7 +140,10 @@ def _sampled_graphs(u: StepFuzzySet, v: StepFuzzySet, resolution: float, shared:
     _segment_extrema pass over the tops, bit for bit.
     """
     _one_space((u, v), "fuzzy sets")
-    _check_resolution(resolution)
+    # below TOL the closed form and the oracle would have to agree closer
+    # than points are told apart
+    if not TOL <= real("resolution", resolution) <= 0.1:
+        raise InputError(f"resolution {resolution} outside [{TOL}, 0.1]")
     su, sv = support(u).array, support(v).array
     if shared:
         su = sv = np.concatenate([su, sv])
@@ -230,6 +226,19 @@ class _CutTable:
             np.copyto(out, ids, where=level > grid if strict else level >= grid)
         return out
 
+    def classes(self, alphas: Sequence[float], *others: _CutTable) -> tuple[np.ndarray, np.ndarray]:
+        """One alpha per class of the grid, and each alpha's class. With L the
+        sorted stored levels here and in `others`, copies kept (np.unique
+        would import numpy.ma), alphas of one (searchsorted(L, a, "left"),
+        searchsorted(L, a, "right")) class read the same cut and strict cut
+        of every set. Both counts grow with a, so their sum tells classes
+        apart: at most 2|L| + 1 for |L| distinct levels, any grid size."""
+        grid = np.asarray(alphas, dtype=float)
+        stored = np.sort(np.concatenate([self.levels, *(t.levels for t in others)], axis=None))
+        keys = np.searchsorted(stored, grid, "left") + np.searchsorted(stored, grid, "right")
+        _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+        return grid[first], cls
+
 
 def _level_series(
     seq: Sequence[StepFuzzySet],
@@ -243,28 +252,19 @@ def _level_series(
     (from the member cut into the limit cut), row 1 (from the limit cut into
     the member cut) or row 2, the larger of the two (the Hausdorff distance).
 
-    With L the sorted distinct stored levels of the members and the limit,
-    alphas of one (searchsorted(L, a, "left"), searchsorted(L, a, "right"))
-    class see the same stored levels >= and > them in every set, so every
-    set has the same cut and strict cut at all of them; an alpha equal to a
-    stored level is a class of its own, and the table's zero padding, below
-    every alpha, splits no class. So the work runs on one alpha per class,
-    at most 2|L| + 1 of them whatever the grid size. One at() call
-    gives the (classes x members) table of member cut ids and one per side
-    the limit's cut id per class. The sides mark the (limit cut, member cut)
-    pairs they meet, one _segment_extrema call per limit cut measures its
-    marked member cuts, and each side reads one tuple per class with one
-    object gather through its row of the table: entries share the distinct
-    values' float objects, and no entry makes its own. Each alpha then gets
-    its class's tuple, the same object, so cost and memory follow the
-    classes, not the grid. Indexing casts the int32 ids in small buffers,
+    The work runs on one alpha per _CutTable.classes class of the members'
+    and the limit's levels: one at() call gives the (classes x members)
+    table of member cut ids and one per side the limit's cut id per class. The sides mark the (limit cut, member cut) pairs they meet,
+    one _segment_extrema call per limit cut measures its marked member
+    cuts, and each side reads one tuple per class with one object gather
+    through its row of the table: entries share the distinct values' float
+    objects, and no entry makes its own. Each alpha then gets its class's
+    tuple, the same object. Indexing casts the int32 ids in small buffers,
     so no intp copy of the table is made."""
     members, lim = _CutTable(seq), _CutTable([limit])
-    stored, grid = np.unique(np.append(members.levels, lim.levels)), np.asarray(alphas, dtype=float)
-    keys = np.searchsorted(stored, grid, "left") + np.searchsorted(stored, grid, "right")
-    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
-    ids = members.at(grid[first])
-    ks = [lim.at(grid[first], strict)[:, 0] for _, strict in sides]
+    reps, cls = members.classes(alphas, lim)
+    ids = members.at(reps)
+    ks = [lim.at(reps, strict)[:, 0] for _, strict in sides]
     meets = np.zeros((len(lim.cuts), len(members.cuts)), dtype=bool)
     for k in ks:
         meets[k[:, None], ids] = True

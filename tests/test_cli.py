@@ -72,9 +72,15 @@ def test_metrics_level_kind(capsys, doc_path):
     assert out.splitlines()[1] == "u0,0,3,1"
 
 
-def test_metrics_unknown_kind(capsys, doc_path):
-    code, _ = run(capsys, "metrics", doc_path, "--kind", "nope")
-    assert code == 2
+@pytest.mark.parametrize("kind,message", [
+    ("nope", "unknown metric kind 'nope'"),
+    ("level", "the level metric needs an alpha"),
+])
+def test_metrics_unknown_kind(capsys, doc_path, kind, message):
+    # metric_matrix owns the kinds: the CLI passes any kind on to it
+    code = main(["metrics", doc_path, "--kind", kind])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 def test_metrics_determinism(capsys, doc_path):

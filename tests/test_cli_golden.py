@@ -17,8 +17,12 @@ recorded at commit ddcf732 (before the finite branch of the kernel read one
 symmetric matrix). The sha256 of the `--emit-json` report file of twelve
 `converge` (gamma, level, send, end) and `compact` (tb_end, erc) commands,
 with their exit codes, were recorded at commit 3ca16ca (before the level and
-Γ series were read from one cut-id table). A change to any number, verdict,
-row order or JSON byte shows here."""
+Γ series were read from one cut-id table). The two `tb_end` commands at
+`--alpha-grid 400` (the 400 `col` members, whose stored levels 1/n the grid
+levels k/400 meet exactly) and `--alpha-grid 2000`, CSV and `--emit-json`,
+were recorded at commit 0c074c4 (before tb_end read its cuts once per class
+of grid levels). A change to any number, verdict, row order or JSON byte
+shows here."""
 
 import hashlib
 from pathlib import Path
@@ -75,6 +79,8 @@ GOLDEN = [
     (["converge", "FINITE", "--sequence", "seq", "--limit", "ß", "--mode", "gamma", "--alpha-grid", "7", "--window", "4"], 1, "d4aa281f6e31bd7372f137b2490f42999ca30114e73a2eee059e1c1103001a5f"),
     (["converge", "FINITE", "--sequence", "seq", "--limit", "ß", "--mode", "level", "--alpha-grid", "7", "--window", "4"], 1, "71e2a5c5b7487c9ef4cd8552aed9302effd42a9f07b099ec07b8060b698cdbd2"),
     (["converge", "PLANE", "--sequence", "cloud", "--limit", "origin", "--mode", "gamma", "--alpha-grid", "7"], 1, "c0e349260d6de9bf8fb0fea15fd4b1f5a431b4c8dcaa3213f60d816c047abb5e"),
+    (["compact", "DOC", "--family", "col", "--mode", "tb_end", "--eps", "0.5", "--alpha-grid", "400"], 0, "8ab83e32e5e081ca35e23b2026cbbf70c5d85e6fc052ede6f0454947919565d1"),
+    (["compact", "DOC", "--family", "cloud", "--mode", "tb_end", "--eps", "0.1", "--alpha-grid", "2000"], 0, "0b92790e12657bb5695e0182435b5d2fa9700bcc4ff2b2b68818c126ad2ff0f2"),
 ]
 
 
@@ -98,6 +104,8 @@ GOLDEN_JSON = [
     (["compact", "DOC", "--family", "cloud", "--mode", "tb_end", "--eps", "0.1"], 0, "a5703efd8ae5a74b15e7fd68d3abf579cf87f1345a620e964753a410056a4135"),
     (["compact", "DOC", "--family", "col", "--mode", "erc", "--eps", "0.5"], 1, "ba9df3e004ca7c2398507ba05095f5f1175bdc88f807b5fcff1f34951809bb29"),
     (["compact", "DOC", "--family", "cloud", "--mode", "erc", "--eps", "0.1"], 1, "8aac345c28d62e971084f47ba4c2847c6244935ac2150f9ce2b6fd26eae5bbb2"),
+    (["compact", "DOC", "--family", "col", "--mode", "tb_end", "--eps", "0.5", "--alpha-grid", "400"], 0, "e8f781b892af7ab33a6f4d4de5d77891769409bbe4c5f52dfc7d79e091fbc0e3"),
+    (["compact", "DOC", "--family", "cloud", "--mode", "tb_end", "--eps", "0.1", "--alpha-grid", "2000"], 0, "d9c0270133e5a92876d1de3b88004bdd471cdf33f71e2c65952ba1037f8caafd"),
 ]
 
 

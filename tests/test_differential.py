@@ -27,9 +27,11 @@ reductions (a last chunk of one row, ties and near-copies at TOL, the
 capped lifted rows, an asymmetric finite matrix), the blocked triangle
 check of validate_metric against the check one row at a time, and the
 level and Γ series, read through one (classes x members) cut-id table with
-one tuple per class of grid levels that read the same cuts, and tb_end's
-cut ids, read through one (grid x members) table, against the table read
-one alpha at a time."""
+one tuple per class of grid levels that read the same cuts, tb_end's cut
+ids, read through one (grid x members) table, against the table read one
+alpha at a time, and tb_end's net-size series, read once per class of grid
+levels, against the per-alpha table's cuts with their prefix unions and
+nets rebuilt from scratch."""
 
 import bisect
 import math
@@ -73,6 +75,7 @@ from fuzzymetrics import (
     sendograph_oracle,
     strict_cut_closure,
     support,
+    tb_end_report,
     union_family,
     validate_metric,
 )
@@ -80,8 +83,9 @@ from fuzzymetrics import fuzzy as fuzzy_module
 from fuzzymetrics import metrics as metrics_module
 from fuzzymetrics import sets as sets_module
 from fuzzymetrics import space as space_module
+from fuzzymetrics.common import fmt
 from fuzzymetrics.fuzzy import memberships
-from fuzzymetrics.metrics import default_alpha_grid
+from fuzzymetrics.metrics import closed_alpha_grid, default_alpha_grid
 from fuzzymetrics.generators import collapse_family, crisp_interval_family, random_family, random_fuzzy
 from fuzzymetrics.sets import prefix_net_sizes
 from fuzzymetrics.space import _near, dist_matrix, key_block
@@ -1398,3 +1402,34 @@ def test_tb_end_cut_ids_match_the_per_alpha_table(family):
     assert ids.tolist() == [want.at(a).tolist() for a in alphas]
     strict = alphas[:-1]
     assert table.at(strict, strict=True).tolist() == [want.at(a, strict=True).tolist() for a in strict]
+
+
+def tb_end_reference(fam, eps, alphas) -> list[tuple[float, ...]]:
+    """tb_end_report's net-size series one alpha at a time: the member cuts
+    of the per-alpha table, their prefix unions and nets rebuilt from
+    scratch."""
+    table, space = ref.PointwiseCutTable(fam.members), fam.members[0].space
+    return [tuple(map(float, ref.prefix_net_sizes(space, [ref.points(table.cuts[i]) for i in table.at(a)], eps)))
+            for a in alphas]
+
+
+@pytest.mark.parametrize("family", ["random", "collapse", "intervals"])
+def test_tb_end_series_match_the_per_alpha_reference(family):
+    # closed grids, whose levels k/n land exactly on the collapse levels 1/m
+    # when m divides n, the stored levels themselves in both orders, the
+    # midpoints between them, and 1.0 alone; every alpha's series equals
+    # the reference's, and all alphas of one class share one series object
+    fam = {"random": lambda: random_family(SP2, 15, 3, (0.0, 1.0), 3, 4),
+           "collapse": lambda: collapse_family(SP1, 40),
+           "intervals": lambda: crisp_interval_family(SP1, 0.0, 1.0, 0.1)}[family]()
+    stored = sorted({a for u in fam.members for a, _ in u.levels})
+    mids = tuple((a + b) / 2 for a, b in zip([0.0] + stored, stored))
+    for alphas in (closed_alpha_grid(40), closed_alpha_grid(120), closed_alpha_grid(101), tuple(stored),
+                   tuple(stored[::-1]), mids, (1.0,)):
+        cert = tb_end_report(fam, 0.3, alphas)
+        got = [cert.evidence[f"net_size[alpha={fmt(a)}]"] for a in alphas]
+        assert got == tb_end_reference(fam, 0.3, alphas)
+        assert all(type(v) is float for s in got for v in s)
+        shared: dict = {}
+        classes = [(bisect.bisect_left(stored, a), bisect.bisect_right(stored, a)) for a in alphas]
+        assert all(shared.setdefault(c, s) is s for c, s in zip(classes, got))

@@ -89,6 +89,29 @@ def test_tb_end_alphas_of_one_cut_tuple_share_one_evidence_object():
     assert len({id(s) for s in series}) == len(first)
 
 
+def test_tb_end_reads_the_cut_table_once_per_class_of_grid_levels():
+    # 300 members store the 300 levels 1/n, so a 2,000-level grid falls into
+    # at most 2 * 300 + 1 classes of levels that read the same cuts, and
+    # one at() call reads one row per class
+    fam = collapse_family(SP1, 300)
+    at, rows = _CutTable.at, []
+
+    def counting_at(self, alphas, strict=False):
+        rows.append(len(alphas))
+        return at(self, alphas, strict)
+
+    with mock.patch.object(_CutTable, "at", counting_at):
+        tb_end_report(fam, 0.5, closed_alpha_grid(2000))
+    assert len(rows) == 1 and rows[0] <= 2 * 300 + 1
+
+
+def test_tb_end_memory_follows_the_classes_not_the_grid():
+    # a (grid x members) cut-id table of 5,000 collapse members at 2,000
+    # levels, read as member-length tuples, peaked near 115 MB
+    fam = collapse_family(SP1, 5000)
+    assert traced_peak(tb_end_report, fam, 0.5, closed_alpha_grid(2000)) <= 32 << 20
+
+
 def test_family_verdict_decides_each_distinct_series_once():
     fam = translates_family(SP1, 5)
     objects = [CountingSeries((1.0, 2.0, 2.0, 2.0, 2.0)), CountingSeries((1.0, 2.0, 3.0, 4.0, 5.0)),
